@@ -140,7 +140,6 @@ class SharedPool:
     uploaded_samples: dict[int, int] = field(default_factory=dict)
     global_downloaded_samples: dict[int, int] = field(default_factory=dict)
     pre_dummy_missing: dict[int, frozenset[tuple[int, int]]] = field(default_factory=dict)
-    final_shared_lists: dict[int, list[DataBatch]] = field(default_factory=dict)
 
     def received_ids(self, node: int) -> list[int]:
         return [
@@ -249,7 +248,6 @@ def run_acds(plan: AcdsPlan, shuffle_seed: int = 0) -> SharedPool:
             pass_through(node, _dummy_batch(node, H, M), H, cand)
             if pos < n - 2:
                 pool.uploaded_samples[node] += sum(len(b) for b in shared)
-        pool.final_shared_lists[gid] = list(shared)
 
     # global sharing: each group's first node multicasts all the group's batches
     for gid, group in enumerate(plan.groups):

@@ -29,7 +29,8 @@ from .ring import (
     TAG_BATCH,
     agree_order,
     default_lr,
-    sample_byzantine_ids,
+    local_batch,
+    place_byzantine,
 )
 
 TAG_GRAPH = 0xD0
@@ -131,24 +132,9 @@ def make_r_plain_state(
     initial_model: ModelVector, byzantine_ids=None,
 ) -> RingPlainState:
     ids = list(range(n_nodes))
-    order = agree_order(ids, seed)
-    if byzantine_ids is not None:
-        byz = frozenset(byzantine_ids)
-    elif n_byzantine > 0:
-        byz = sample_byzantine_ids(ids, n_byzantine, seed)
-    else:
-        byz = frozenset()
-    return RingPlainState(order, {i: initial_model for i in ids}, byz, seed,
-                          carried=initial_model)
-
-
-def _draw_batch(dataset: Dataset, node: int, round_k: int, seed: int,
-                batch_size: int | None):
-    indices = dataset.node_indices(node)
-    if batch_size is None or batch_size >= len(indices):
-        return dataset.batch(indices)
-    rng = np.random.default_rng([seed, TAG_BATCH, node, round_k])
-    return dataset.batch(rng.choice(indices, size=batch_size, replace=False))
+    byz = place_byzantine(ids, n_byzantine, seed, byzantine_ids)
+    return RingPlainState(agree_order(ids, seed), {i: initial_model for i in ids}, byz,
+                          seed, carried=initial_model)
 
 
 def r_plain_round(
@@ -167,7 +153,7 @@ def r_plain_round(
     benign_pool = lambda: [state.models[i] for i in sorted(state.models)
                            if i not in state.byzantine]
     for node in state.order:
-        X, y = _draw_batch(dataset, node, k, state.seed, batch_size)
+        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
         prior = state.carried
         honest = sgd_step(prior, task, X, y, lr)
         if node in state.byzantine:
@@ -230,7 +216,7 @@ def _graph_attack_outputs(state: GraphState, task, dataset, attack, lr, k,
     benign_pool = [state.models[i] for i in sorted(state.models)
                    if i not in state.byzantine]
     for node in sorted(state.byzantine):
-        X, y = _draw_batch(dataset, node, k, state.seed, batch_size)
+        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
         honest = sgd_step(state.models[node], task, X, y, lr)
         rng = np.random.default_rng([state.seed, TAG_ATTACK, node, k])
         outs[node] = apply_attack(attack, honest_update=honest,
@@ -263,7 +249,7 @@ def g_plain_round(
             for j in sorted(state.topology.neighbours(node))
         ]
         avg = average_models([state.models[node]] + received)
-        X, y = _draw_batch(dataset, node, k, state.seed, batch_size)
+        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
         out = sgd_step(avg, task, X, y, lr)
         new_models[node] = out
         if history is not None:
@@ -320,7 +306,7 @@ def ubar_round(
             nbrs, key=lambda j: (float(np.linalg.norm(received[j].params - own.params)), j)
         )
         pool = by_distance[:keep]
-        X, y = _draw_batch(dataset, node, k, state.seed, batch_size)
+        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
         own_loss = evaluate_loss(own, task, X, y)
         losses = {
             j: (evaluate_loss(received[j], task, X, y)
@@ -384,12 +370,7 @@ def make_r_plain_plus_state(
     initial_model: ModelVector, byzantine_ids=None,
 ) -> RingPlainPlusState:
     ids = list(range(n_nodes))
-    if byzantine_ids is not None:
-        byz = frozenset(byzantine_ids)
-    elif n_byzantine > 0:
-        byz = sample_byzantine_ids(ids, n_byzantine, seed)
-    else:
-        byz = frozenset()
+    byz = place_byzantine(ids, n_byzantine, seed, byzantine_ids)
     groups = cluster_nodes(ids, n_groups, seed)
     states = []
     for state in groups:
@@ -420,3 +401,19 @@ def r_plain_plus_round(
         state.carried = mean_model
     plus.round_idx += 1
     return plus
+
+
+def run_r_plain_plus(
+    n_nodes: int, n_groups: int, n_byzantine: int, seed: int, task: LossTask,
+    dataset: Dataset, K: int, tau: int = 1, *, attack=None, lr_schedule=None,
+    batch_size: int | None = DEFAULT_BATCH_SIZE, test_set=None,
+    initial_model=None, byzantine_ids=None, manifest=None,
+) -> TrainHistory:
+    initial_model = initial_model or task.initial_model(seed)
+    state = make_r_plain_plus_state(n_nodes, n_groups, n_byzantine, seed, initial_model,
+                                    byzantine_ids)
+    history = TrainHistory(manifest=manifest or {})
+    for _ in range(K):
+        r_plain_plus_round(state, task, dataset, tau, attack, lr_schedule, batch_size,
+                           history, test_set)
+    return history

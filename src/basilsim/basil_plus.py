@@ -19,18 +19,20 @@ import numpy as np
 from .attacks import AttackSpec, apply_attack
 from .data import Dataset
 from .errors import ConfigError, ProtocolError
-from .history import HistoryRow, TrainHistory
-from .models import LossTask, ModelVector, evaluate_loss, sgd_step
+from .history import TrainHistory
+from .models import LossTask, ModelVector
 from .ring import (
     DEFAULT_BATCH_SIZE,
     BasilRing,
     RingConfig,
+    Selection,
     StoredEntry,
     StoredModels,
     agree_order,
     basil_select,
     default_lr,
-    sample_byzantine_ids,
+    local_batch,
+    place_byzantine,
 )
 
 TAG_CLUSTER = 0xC0
@@ -115,17 +117,6 @@ def cluster_nodes(node_ids, G: int, seed: int, connectivity: int = 1) -> list[Gr
     return states
 
 
-def _select_from(
-    candidates: list[tuple[int, ModelVector]], task: LossTask, X, y
-) -> tuple[ModelVector, int, tuple]:
-    """Performance-based pick from an explicit candidate list (first wins ties)."""
-    queue = StoredModels(capacity=len(candidates))
-    for sender, model in reversed(candidates):
-        queue.insert(sender, 0, model)
-    sel = basil_select(queue, task, X, y)
-    return sel.model, sel.sender, sel.candidate_losses
-
-
 class BasilPlusDriver:
     """Stateful driver for grouped training; exposes group states for inspection."""
 
@@ -153,16 +144,10 @@ class BasilPlusDriver:
         self.attack = attack or AttackSpec()
         self.base_lr = lr_schedule or default_lr
         self.batch_size = batch_size
-        self.epochs = epochs
-        self.test_set = test_set
 
         node_ids = list(range(config.n_nodes))
-        if config.byzantine_ids is not None:
-            self.byzantine = frozenset(config.byzantine_ids)
-        elif config.n_byzantine > 0:
-            self.byzantine = sample_byzantine_ids(node_ids, config.n_byzantine, config.seed)
-        else:
-            self.byzantine = frozenset()
+        self.byzantine = place_byzantine(
+            node_ids, config.n_byzantine, config.seed, config.byzantine_ids)
 
         S = config.resolved_connectivity
         self.groups = cluster_nodes(node_ids, config.n_groups, config.seed, S)
@@ -195,6 +180,7 @@ class BasilPlusDriver:
                 attack=self.attack,
                 lr_schedule=(lambda k, t=tau_: self.base_lr((k - 1) // t + 1)),
                 batch_size=batch_size,
+                epochs=epochs,
                 test_set=test_set,
                 initial_models=dict(state.models),
                 node_ids=list(state.members),
@@ -208,16 +194,12 @@ class BasilPlusDriver:
     def is_benign(self, node: int) -> bool:
         return node not in self.byzantine
 
-    _STAGE_IDS = {"aggregate": 1, "multicast": 2, "adopt": 3, "local": 4}
+    _STAGE_IDS = {"aggregate": 1, "multicast": 2, "adopt": 3}
 
-    def _stage_batch(self, node: int, stage: str):
-        indices = self.dataset.node_indices(node)
-        if self.batch_size is None or self.batch_size >= len(indices):
-            return self.dataset.batch(indices)
-        rng = np.random.default_rng(
-            [self.config.seed, TAG_STAGE_BATCH, self._STAGE_IDS[stage], node,
-             self.global_round])
-        return self.dataset.batch(rng.choice(indices, size=self.batch_size, replace=False))
+    def _batch_for(self, node: int, stage: str):
+        return local_batch(self.dataset, node, self.batch_size, [
+            self.config.seed, TAG_STAGE_BATCH, self._STAGE_IDS[stage], node,
+            self.global_round])
 
     def _benign_pool(self) -> list[ModelVector]:
         pool = {}
@@ -241,14 +223,16 @@ class BasilPlusDriver:
             rng=rng,
         )
 
-    def _audit(self, stage: str, node: int, gid: int, sender: int, losses) -> None:
+    def _audit(self, stage: str, node: int, gid: int, selection: Selection) -> None:
+        if not self.is_benign(node):
+            return
         self.history.events.append({
             "event": f"{stage}-select",
             "round": self.global_round,
             "group": gid,
             "node": node,
-            "sender": sender,
-            "losses": [(s, l) for s, l in losses],
+            "sender": selection.sender,
+            "losses": list(selection.candidate_losses),
         })
 
     # -- stages ------------------------------------------------------------
@@ -258,10 +242,7 @@ class BasilPlusDriver:
             ring = self.rings[state.gid]
             if self.global_round > 1:
                 self._reset_ring(ring, state)
-            if self.epochs:
-                self._run_epochs(ring, state)
-            else:
-                ring.run(self.tau)
+            ring.run(self.tau)
             for m in state.members:
                 state.models[m] = ring.latest_output[m].model
                 state.aggregates[m] = state.models[m]
@@ -273,82 +254,14 @@ class BasilPlusDriver:
             ring.fifos[m] = fifo
             ring.latest_output[m] = StoredEntry(m, ring.round_idx, state.models[m])
 
-    def _run_epochs(self, ring: BasilRing, state: GroupState) -> None:
-        """Epoch-based local training mode: each activation runs ``epochs``
-        full passes of mini-batch SGD instead of a single step."""
-        for _ in range(self.tau):
-            k = ring.round_idx + 1
-            lr = ring.lr_schedule(k)
-            for pos, node in enumerate(ring.order):
-                X, y = ring._local_batch(node, k)
-                sel = basil_select(ring.fifos[node], self.task, X, y)
-                model = sel.model
-                indices = self.dataset.node_indices(node)
-                rng = np.random.default_rng([ring.config.seed, 0xEE, node, k])
-                bs = self.batch_size or len(indices)
-                for _e in range(self.epochs):
-                    order = rng.permutation(indices)
-                    for start in range(0, len(order) - bs + 1, bs):
-                        bx, by = self.dataset.batch(order[start:start + bs])
-                        model = sgd_step(model, self.task, bx, by, lr)
-                out = model if ring.is_benign(node) else self._emit(node, model, sel.model, "local")
-                if ring.is_benign(node):
-                    ring.latest_benign[node] = out
-                    ring.history.add_row(HistoryRow(
-                        round=k, node=node, selected_sender=sel.sender,
-                        train_loss=evaluate_loss(out, self.task, X, y),
-                        test_acc=ring._test_accuracy(out), group=ring.group,
-                        candidate_losses=sel.candidate_losses,
-                    ))
-                ring.latest_output[node] = StoredEntry(node, k, out)
-                n = len(ring.order)
-                for s in range(1, ring.config.multicast_width + 1):
-                    ring.fifos[ring.order[(pos + s) % n]].insert(node, k, out)
-            ring.round_idx = k
-
-    def _stage_circular_aggregation(self) -> None:
-        for gi in range(len(self.groups) - 1):
-            upstream = self.groups[gi]
-            downstream = self.groups[gi + 1]
-            candidates = upstream.tail_aggregates()
-            g_mult = gi + 1
-            for node in downstream.tail_set:
-                X, y = self._stage_batch(node, "aggregate")
-                zbar, sender, losses = _select_from(candidates, self.task, X, y)
-                honest = downstream.models[node].with_params(
-                    (downstream.models[node].params + g_mult * zbar.params) / (g_mult + 1)
-                )
-                out = self._emit(node, honest, zbar, "aggregate")
-                if self.is_benign(node):
-                    self._audit("aggregate", node, downstream.gid, sender, losses)
-                downstream.aggregates[node] = out
-
-    def _stage_robust_multicast(self) -> None:
-        first = self.groups[0]
-        last = self.groups[-1]
-        filtered: list[tuple[int, ModelVector]] = []
-        for node in first.tail_set:
-            X, y = self._stage_batch(node, "multicast")
-            zbar, sender, losses = _select_from(last.tail_aggregates(), self.task, X, y)
-            out = self._emit(node, zbar, zbar, "multicast")
-            if self.is_benign(node):
-                self._audit("multicast", node, first.gid, sender, losses)
-            filtered.append((node, out))
-        for state in self.groups:
-            for node in state.head_set:
-                X, y = self._stage_batch(node, "adopt")
-                adopted, sender, losses = _select_from(filtered, self.task, X, y)
-                if self.is_benign(node):
-                    self._audit("adopt", node, state.gid, sender, losses)
-                state.models[node] = adopted
-
     # -- driver --------------------------------------------------------------
 
     def run_global_round(self) -> None:
         self.global_round += 1
         self._stage_local_training()
-        self._stage_circular_aggregation()
-        self._stage_robust_multicast()
+        hooks = dict(emit=self._emit, audit=self._audit)
+        circular_aggregate(self.groups, self.task, self._batch_for, **hooks)
+        robust_multicast(self.groups, self.task, self._batch_for, **hooks)
 
     def run(self, K: int) -> TrainHistory:
         for _ in range(K):
@@ -356,49 +269,74 @@ class BasilPlusDriver:
         return self.history
 
 
+Emit = Callable[[int, ModelVector, ModelVector, str], ModelVector]
+Audit = Callable[[str, int, int, Selection], None]
+
+
+def _honest(node: int, honest: ModelVector, prior: ModelVector, stage: str) -> ModelVector:
+    return honest
+
+
+def _no_audit(stage: str, node: int, gid: int, selection: Selection) -> None:
+    pass
+
+
 def circular_aggregate(
     states: list[GroupState],
     task: LossTask,
-    batch_for: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    batch_for: Callable[[int, str], tuple[np.ndarray, np.ndarray]],
+    *,
+    emit: Emit = _honest,
+    audit: Audit = _no_audit,
 ) -> list[GroupState]:
-    """Standalone aggregation pass over prepared group states (benign only).
+    """Aggregation pass over prepared group states.
 
     Each downstream tail node selects from the upstream tails with the
     performance rule and folds its own model into the running average.
+    ``emit(node, honest, prior, stage)`` gives what a node sends (the honest
+    value by default) and ``audit(stage, node, gid, selection)`` sees every
+    selection (ignored by default).
     """
     for gi in range(len(states) - 1):
         upstream, downstream = states[gi], states[gi + 1]
         candidates = upstream.tail_aggregates()
         g_mult = gi + 1
         for node in downstream.tail_set:
-            X, y = batch_for(node)
-            zbar, _, _ = _select_from(candidates, task, X, y)
-            downstream.aggregates[node] = downstream.models[node].with_params(
-                (downstream.models[node].params + g_mult * zbar.params) / (g_mult + 1)
-            )
+            X, y = batch_for(node, "aggregate")
+            sel = basil_select(candidates, task, X, y)
+            own = downstream.models[node]
+            honest = own.with_params((own.params + g_mult * sel.model.params) / (g_mult + 1))
+            downstream.aggregates[node] = emit(node, honest, sel.model, "aggregate")
+            audit("aggregate", node, downstream.gid, sel)
     return states
 
 
 def robust_multicast(
     states: list[GroupState],
     task: LossTask,
-    batch_for: Callable[[int], tuple[np.ndarray, np.ndarray]],
+    batch_for: Callable[[int, str], tuple[np.ndarray, np.ndarray]],
+    *,
+    emit: Emit = _honest,
+    audit: Audit = _no_audit,
 ) -> dict[int, ModelVector]:
-    """Standalone final hand-off: filter at the first group's tails, then at
-    every head node; returns the adopted model per head node."""
+    """Final hand-off: filter at the first group's tails, then at every head
+    node; returns the adopted model per head node.  Hooks as in
+    :func:`circular_aggregate`."""
     first, last = states[0], states[-1]
     filtered = []
     for node in first.tail_set:
-        X, y = batch_for(node)
-        zbar, _, _ = _select_from(last.tail_aggregates(), task, X, y)
-        filtered.append((node, zbar))
+        X, y = batch_for(node, "multicast")
+        sel = basil_select(last.tail_aggregates(), task, X, y)
+        filtered.append((node, emit(node, sel.model, sel.model, "multicast")))
+        audit("multicast", node, first.gid, sel)
     adopted: dict[int, ModelVector] = {}
     for state in states:
         for node in state.head_set:
-            X, y = batch_for(node)
-            model, _, _ = _select_from(filtered, task, X, y)
-            adopted[node] = model
-            state.models[node] = model
+            X, y = batch_for(node, "adopt")
+            sel = basil_select(filtered, task, X, y)
+            audit("adopt", node, state.gid, sel)
+            adopted[node] = sel.model
+            state.models[node] = sel.model
     return adopted
 
 

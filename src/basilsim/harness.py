@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .history import TrainHistory
 from .idx import load_idx
 from .models import MlpTask, QuadraticTask, SoftmaxTask
-from .ring import RingConfig, constant_lr, default_lr, run_basil, sample_byzantine_ids
+from .ring import RingConfig, constant_lr, default_lr, place_byzantine, run_basil
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "BASILSIM_OUTPUT_ROOT"
@@ -126,7 +126,9 @@ def validate_config(cfg: dict) -> dict:
 
     out.setdefault("training", {})
     out["training"].setdefault("batch_size", 80)
-    out["training"].setdefault("epochs", None)
+    epochs = out["training"].setdefault("epochs", None)
+    if epochs is not None and (type(epochs) is not int or epochs < 1):
+        raise ConfigError(f"training.epochs: expected null or an integer >= 1, got {epochs!r}")
     lr = out["training"].setdefault("lr", {"kind": "decay", "eta0": 0.03, "decay": 0.03})
     if lr.get("kind") not in ("decay", "constant"):
         raise ConfigError("training.lr.kind: must be 'decay' or 'constant'")
@@ -304,9 +306,7 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
         return history, "worst"
     if scheme in GRAPH_SCHEMES:
         ids = list(range(n_nodes))
-        if byz_ids is None and cfg["ring"]["byzantine"] > 0:
-            byz_ids = sample_byzantine_ids(ids, cfg["ring"]["byzantine"], seed)
-        byz_ids = byz_ids or frozenset()
+        byz_ids = place_byzantine(ids, cfg["ring"]["byzantine"], seed, byz_ids)
         topo = baselines.build_random_graph(
             ids, byz_ids, seed,
             edge_prob_benign=cfg["graph"]["edge_prob_benign"],
@@ -333,15 +333,9 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
             test_set=test_set, manifest=manifest,
         )
         return history, "mean"
-    # r-plain-plus
-    initial = task.initial_model(seed)
-    state = baselines.make_r_plain_plus_state(
-        n_nodes, cfg["groups"]["count"], cfg["ring"]["byzantine"], seed, initial,
-        byzantine_ids=byz_ids,
+    history = baselines.run_r_plain_plus(
+        n_nodes, cfg["groups"]["count"], cfg["ring"]["byzantine"], seed, task, dataset,
+        cfg["rounds"], cfg["tau"], attack=attack, lr_schedule=lr, batch_size=batch_size,
+        test_set=test_set, byzantine_ids=byz_ids, manifest=manifest,
     )
-    history = TrainHistory(manifest=manifest)
-    for _ in range(cfg["rounds"]):
-        baselines.r_plain_plus_round(
-            state, task, dataset, cfg["tau"], attack, lr, batch_size, history, test_set,
-        )
     return history, "mean"

@@ -35,9 +35,6 @@ class TrainHistory:
     def bump(self, key: str, amount: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + amount
 
-    def benign_rows(self, round_k: int | None = None) -> list[HistoryRow]:
-        return [r for r in self.rows if round_k is None or r.round == round_k]
-
     def rounds(self) -> list[int]:
         return sorted({r.round for r in self.rows})
 
@@ -56,13 +53,6 @@ class TrainHistory:
         if not series:
             raise ValueError("history has no accuracy records")
         return series[-1][1]
-
-    def selected_senders(self, min_round: int = 1) -> list[int]:
-        return [
-            r.selected_sender
-            for r in self.rows
-            if r.round >= min_round and r.selected_sender is not None
-        ]
 
     def _has_groups(self) -> bool:
         return any(r.group is not None for r in self.rows)

@@ -159,9 +159,6 @@ class QuadraticTask(LossTask):
     def optimum(self) -> ModelVector:
         return self.make_model(self.x_star)
 
-    def optimum_value(self) -> float:
-        return 0.0
-
     def per_sample_losses(self, model, X, y):
         self._check_batch(model, X, y)
         delta = model.params - self.x_star
@@ -193,11 +190,6 @@ class SoftmaxTask(LossTask):
         # zero weights: uniform predictions, loss ln(C)
         n = self.n_classes * self.n_features + self.n_classes
         return ModelVector(np.zeros(n), self.model_shape())
-
-    def with_smoothness_from(self, X: np.ndarray) -> "SoftmaxTask":
-        """Attach an L bound: 0.5 * max_j(||x_j||^2 + 1) covers the softmax Hessian."""
-        bound = 0.5 * float((np.square(X).sum(axis=1) + 1.0).max())
-        return SoftmaxTask(self.n_features, self.n_classes, smoothness=bound)
 
     def _logits(self, model: ModelVector, X: np.ndarray) -> np.ndarray:
         w = model.layer("w")

@@ -3,17 +3,18 @@
 Each round walks the agreed ring order once.  An active benign node keeps a
 bounded FIFO of the latest models multicast by its counterclockwise
 neighbours, picks the stored model with the lowest loss on a fresh local
-mini-batch, updates it with one SGD step on the same mini-batch, and
-multicasts the result to its next ``S`` clockwise neighbours.  Byzantine
-nodes emit attack output instead.  Everything is driven by explicit seeds,
-so two runs with the same configuration are bit-identical.
+mini-batch, updates it (one SGD step on the same mini-batch, or ``epochs``
+passes of mini-batch SGD over its local data), and multicasts the result to
+its next ``S`` clockwise neighbours.  Byzantine nodes emit attack output
+instead.  Everything is driven by explicit seeds, so two runs with the same
+configuration are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,7 @@ TAG_ORDER = 0xA0
 TAG_BYZANTINE = 0xA1
 TAG_BATCH = 0xA2
 TAG_ATTACK = 0xA3
+TAG_EPOCH = 0xEE
 
 DEFAULT_BATCH_SIZE = 80
 
@@ -118,6 +120,10 @@ class StoredModels:
     def __len__(self) -> int:
         return len(self.entries)
 
+    def __iter__(self) -> Iterator[tuple[int | None, ModelVector]]:
+        """(sender, model) candidates, newest first."""
+        return ((e.sender, e.model) for e in self.entries)
+
     def senders(self) -> list[int | None]:
         return [e.sender for e in self.entries]
 
@@ -128,24 +134,23 @@ class Selection(NamedTuple):
     candidate_losses: tuple[tuple[int | None, float], ...]
 
 
-def basil_select(stored: StoredModels, task: LossTask, X, y) -> Selection:
-    """Pick the stored model with the lowest loss on the evaluation batch.
+def basil_select(
+    candidates: Iterable[tuple[int | None, ModelVector]], task: LossTask, X, y
+) -> Selection:
+    """Pick the (sender, model) candidate with the lowest loss on the batch.
 
     Non-finite models evaluate to +inf so the rule stays total; exact ties go
-    to the newest entry (the FIFO is ordered newest first).
+    to the earliest candidate (a FIFO iterates newest first).
     """
-    if len(stored) == 0:
+    candidates = list(candidates)
+    if not candidates:
         raise ProtocolError("model queue is empty")
-    losses = []
-    for entry in stored.entries:
-        if not entry.model.is_finite():
-            losses.append(math.inf)
-        else:
-            losses.append(evaluate_loss(entry.model, task, X, y))
+    losses = [evaluate_loss(model, task, X, y) if model.is_finite() else math.inf
+              for _, model in candidates]
     best = min(range(len(losses)), key=lambda i: (losses[i], i))
-    chosen = stored.entries[best]
-    audit = tuple((e.sender, l) for e, l in zip(stored.entries, losses))
-    return Selection(chosen.model, chosen.sender, audit)
+    sender, model = candidates[best]
+    audit = tuple((s, l) for (s, _), l in zip(candidates, losses))
+    return Selection(model, sender, audit)
 
 
 def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
@@ -153,6 +158,23 @@ def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
     rng = np.random.default_rng([int(seed), TAG_BYZANTINE])
     picked = rng.choice(np.asarray(sorted(node_ids)), size=count, replace=False)
     return frozenset(int(x) for x in picked)
+
+
+def place_byzantine(node_ids, count: int, seed: int, given=None) -> frozenset[int]:
+    """The ``given`` Byzantine ids if any, else a seeded placement of ``count``."""
+    if given is not None:
+        return frozenset(given)
+    return sample_byzantine_ids(node_ids, count, seed)
+
+
+def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[int]):
+    """A node's mini-batch: all its local data if ``batch_size`` is None or not
+    smaller, else ``batch_size`` samples without replacement from ``default_rng(key)``."""
+    indices = dataset.node_indices(node)
+    if batch_size is None or batch_size >= len(indices):
+        return dataset.batch(indices)
+    picked = np.random.default_rng(key).choice(indices, size=batch_size, replace=False)
+    return dataset.batch(picked)
 
 
 class BasilRing:
@@ -167,6 +189,7 @@ class BasilRing:
         attack: AttackSpec | None = None,
         lr_schedule: Callable[[int], float] | None = None,
         batch_size: int | None = DEFAULT_BATCH_SIZE,
+        epochs: int | None = None,
         test_set: tuple[np.ndarray, np.ndarray] | None = None,
         initial_model: ModelVector | None = None,
         initial_models: dict[int, ModelVector] | None = None,
@@ -180,7 +203,10 @@ class BasilRing:
         self.dataset = dataset
         self.attack = attack or AttackSpec()
         self.lr_schedule = lr_schedule or default_lr
+        if epochs is not None and epochs < 1:
+            raise ConfigError("epochs must be None or >= 1")
         self.batch_size = batch_size
+        self.epochs = epochs
         self.test_set = test_set
         self.group = group
         self.record_test_acc = record_test_acc and test_set is not None
@@ -195,12 +221,8 @@ class BasilRing:
             raise ConfigError(f"dataset partition missing nodes {missing}")
 
         self.order = agree_order(self.node_ids, config.seed)
-        if config.byzantine_ids is not None:
-            self.byzantine = frozenset(config.byzantine_ids)
-        elif config.n_byzantine > 0:
-            self.byzantine = sample_byzantine_ids(self.node_ids, config.n_byzantine, config.seed)
-        else:
-            self.byzantine = frozenset()
+        self.byzantine = place_byzantine(
+            self.node_ids, config.n_byzantine, config.seed, config.byzantine_ids)
         unknown = self.byzantine - set(self.node_ids)
         if unknown:
             raise ConfigError(f"byzantine ids {sorted(unknown)} are not ring members")
@@ -226,13 +248,20 @@ class BasilRing:
     def is_benign(self, node: int) -> bool:
         return node not in self.byzantine
 
-    def _local_batch(self, node: int, round_k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _update(self, model: ModelVector, node: int, k: int, X, y, lr: float) -> ModelVector:
+        """One SGD step on the selection batch, or ``epochs`` passes of
+        mini-batch SGD over the node's local data (batch clamped to its size)."""
+        if self.epochs is None:
+            return sgd_step(model, self.task, X, y, lr)
         indices = self.dataset.node_indices(node)
-        if self.batch_size is None or self.batch_size >= len(indices):
-            return self.dataset.batch(indices)
-        rng = np.random.default_rng([self.config.seed, TAG_BATCH, node, round_k])
-        picked = rng.choice(indices, size=self.batch_size, replace=False)
-        return self.dataset.batch(picked)
+        bs = min(self.batch_size or len(indices), len(indices))
+        rng = np.random.default_rng([self.config.seed, TAG_EPOCH, node, k])
+        for _ in range(self.epochs):
+            order = rng.permutation(indices)
+            for start in range(0, len(order) - bs + 1, bs):
+                bx, by = self.dataset.batch(order[start:start + bs])
+                model = sgd_step(model, self.task, bx, by, lr)
+        return model
 
     def _benign_model_pool(self) -> list[ModelVector]:
         return [self.latest_benign[i] for i in sorted(self.latest_benign)]
@@ -253,14 +282,15 @@ class BasilRing:
         for pos, node in enumerate(self.order):
             if node in self.dropped:
                 continue
-            X, y = self._local_batch(node, k)
+            X, y = local_batch(self.dataset, node, self.batch_size,
+                               [self.config.seed, TAG_BATCH, node, k])
             selection = basil_select(self.fifos[node], self.task, X, y)
             self.history.bump("loss_evaluations", len(selection.candidate_losses))
             if all(math.isinf(l) for _, l in selection.candidate_losses):
                 self.history.events.append(
                     {"event": "protocol-failure", "round": k, "node": node}
                 )
-            honest = sgd_step(selection.model, self.task, X, y, lr)
+            honest = self._update(selection.model, node, k, X, y, lr)
             if self.is_benign(node):
                 out = honest
                 self.latest_benign[node] = out

@@ -389,7 +389,7 @@ def test_criterion_8_grouped_training():
             state.aggregates[m] = task.make_model([value])
         states.append(state)
     circular_aggregate(states, task,
-                       lambda _n: (np.zeros((1, 1)), np.zeros(1, dtype=np.int64)))
+                       lambda _n, _s: (np.zeros((1, 1)), np.zeros(1, dtype=np.int64)))
     final = states[-1].aggregates[states[-1].tail_set[0]].params[0]
     checks.append(("scalar telescoping: tails {1,2,3} aggregate to 2 +- 1e-10",
                    abs(final - 2.0) <= 1e-10, f"{final!r}"))

@@ -21,7 +21,7 @@ def scalar_task():
     return QuadraticTask(np.ones(1), np.zeros(1))
 
 
-def scalar_batch(_node=None):
+def scalar_batch(_node=None, _stage=None):
     return np.zeros((1, 1)), np.zeros(1, dtype=np.int64)
 
 
@@ -190,3 +190,32 @@ class TestDriver:
         history = run_basil_plus(config, task, dataset, K=1, tau=1,
                                  epochs=2, batch_size=10)
         assert len(history.rows) == 8
+
+    @pytest.mark.parametrize("batch_size", [10, 20, 21, 80, None])
+    def test_epoch_mode_trains_when_batch_exceeds_local_data(self, batch_size):
+        task, dataset = quad_group_setup()  # 20 samples per node
+        config = GroupConfig(n_nodes=8, n_groups=2, seed=6)
+        driver = BasilPlusDriver(config, task, dataset, tau=1, epochs=2,
+                                 batch_size=batch_size)
+        x0 = task.initial_model(config.seed)
+        driver.run(1)
+        for ring in driver.rings.values():
+            for node in ring.node_ids:
+                assert not np.array_equal(ring.latest_output[node].model.params, x0.params)
+
+    @pytest.mark.parametrize("n_byzantine", [0, 2])
+    def test_epoch_mode_counts_like_single_step(self, n_byzantine):
+        task, dataset = quad_group_setup()
+        config = GroupConfig(n_nodes=8, n_groups=2, n_byzantine=n_byzantine, seed=6)
+        kw = dict(K=2, tau=2, attack=AttackSpec.make("gaussian"), batch_size=10)
+        single = run_basil_plus(config, task, dataset, **kw)
+        epochs = run_basil_plus(config, task, dataset, epochs=2, **kw)
+        assert epochs.counters["activations"] == 8 * 2 * 2
+        assert epochs.counters == single.counters
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one_rejected(self, epochs):
+        task, dataset = quad_group_setup()
+        config = GroupConfig(n_nodes=8, n_groups=2, seed=6)
+        with pytest.raises(ConfigError, match="epochs"):
+            BasilPlusDriver(config, task, dataset, epochs=epochs)

@@ -99,12 +99,12 @@ GOLDENS = {
     "basil-plus-epochs-b0": (
         "7cfea9c7bda0fba7071eb0fef61711572cf5cc2b6330f873d193200e141ee84f",
         "8ed5dd8cb2f0fa6504e2997c85ec2ab3586e3563b827d827063c0135e50abd57",
-        "631c0b1fa6f5b7fa32ff29dcf36734c4105c291c97b7fca00e18af6cbd42625f",
+        "f008df8c4933f39261eac15c52ecb2f310d146fb1a3b24540e22f1567c3a6c20",
     ),
     "basil-plus-epochs-b2": (
         "1a8698dab0d75d4da52f7e3c0f61ebd9130a011d8e59ca1091584f905e0dcbbf",
         "326e0334595161aa22ca73ae27062e732915064defa659cf1a4aa61f18fed863",
-        "9b8986142c79c5b590a47e766ad3d95a7415096cf942a433185f1676e27c767e",
+        "a8fd7e39f652259554725650f5a8ede3351db65c2a406b95c1b50689a75c42ef",
     ),
 }
 

@@ -187,5 +187,14 @@ class TestCli:
         cfg_path.write_text(json.dumps(desk_config(scheme="bogus")))
         assert cli_main(["run", str(cfg_path)]) == 2
 
+    @pytest.mark.parametrize("epochs", [-1, 0, True, "2", 1.5])
+    def test_bad_epochs_exit_code_names_the_field(self, tmp_path, capsys, epochs):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(
+            scheme="basil-plus", groups={"count": 2},
+            training={"batch_size": 16, "epochs": epochs})))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "training.epochs" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/config.json"]) == 2
