@@ -52,6 +52,11 @@ CONFIGS = {
         training={"batch_size": 10, "epochs": 2}),
     "basil-plus-epochs-b2": base_config(
         "basil-plus", training={"batch_size": 10, "epochs": 2}),
+    # dim 6 and 4 classes give a 6-100-100-4 network
+    "basil-mlp": base_config("basil", task={"kind": "mlp-3fc"}),
+    "basil-quadratic": base_config(
+        "basil", dataset={"kind": "quadratic", "dim": 6, "samples": 240,
+                          "noise_scale": 0.5, "seed": 5}),
 }
 
 #: name -> (history.csv, series.csv, counters and events)
@@ -105,6 +110,16 @@ GOLDENS = {
         "1a8698dab0d75d4da52f7e3c0f61ebd9130a011d8e59ca1091584f905e0dcbbf",
         "326e0334595161aa22ca73ae27062e732915064defa659cf1a4aa61f18fed863",
         "a8fd7e39f652259554725650f5a8ede3351db65c2a406b95c1b50689a75c42ef",
+    ),
+    "basil-mlp": (
+        "b6a9643c71d7fe1d8b388e32920598d3f58f1ac8f2466875cdb4723094c4189b",
+        "a4208e2dfe0dec374d529c2b72c9353bf693bd4527759305dad8f0b4830c0a70",
+        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
+    ),
+    "basil-quadratic": (
+        "3f9fb34793a92c4091897aa030b260e8864852f4b0539e6e2e5f10c0110ddaef",
+        "98bf799a85364519d211e73e198b826778eca32614dc96d74027116f07369478",
+        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
     ),
 }
 
