@@ -205,10 +205,15 @@ def run_acds(plan: AcdsPlan, shuffle_seed: int = 0) -> SharedPool:
         pool.global_downloaded_samples[node] = 0
 
     H, M, n = plan.n_batches, plan.batch_size, plan.group_size
+    position = {node: i for i, node in enumerate(all_nodes)}
+    # delivered[node, owner, pass index, dummy]; dummies use pass H + 1
+    delivered = np.zeros((len(all_nodes), len(all_nodes), H + 2, 2), dtype=bool)
 
     def store(node: int, batch: DataBatch, candidates: frozenset[int]) -> None:
-        if any(b.key == batch.key and b.dummy == batch.dummy for b in pool.stored_batches[node]):
+        mark = (position[node], position[batch.owner], batch.index, int(batch.dummy))
+        if delivered[mark]:
             raise AssertionError(f"batch {batch.key} delivered twice to node {node}")
+        delivered[mark] = True
         pool.stored_batches[node].append(batch)
         if not batch.dummy:
             for s in batch.sample_ids:

@@ -21,6 +21,7 @@ from .models import (
     accuracy,
     average_models,
     evaluate_loss,
+    evaluate_losses,
     sgd_step,
 )
 from .ring import (
@@ -307,12 +308,9 @@ def ubar_round(
         )
         pool = by_distance[:keep]
         X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
-        own_loss = evaluate_loss(own, task, X, y)
-        losses = {
-            j: (evaluate_loss(received[j], task, X, y)
-                if received[j].is_finite() else math.inf)
-            for j in pool
-        }
+        own_loss, *pool_losses = evaluate_losses(
+            [own] + [received[j] for j in pool], task, X, y)
+        losses = dict(zip(pool, pool_losses))
         accepted = [j for j in pool if losses[j] <= own_loss]
         if accepted:
             aggregate = average_models([received[j] for j in accepted])

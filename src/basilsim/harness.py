@@ -31,6 +31,7 @@ OUTPUT_ROOT_ENV = "BASILSIM_OUTPUT_ROOT"
 SCHEMES = ("basil", "basil-plus", "r-plain", "g-plain", "r-plain-plus", "ubar")
 GROUPED_SCHEMES = ("basil-plus", "r-plain-plus")
 GRAPH_SCHEMES = ("g-plain", "ubar")
+EPOCH_SCHEMES = ("basil", "basil-plus")
 
 
 def _require(cfg: dict, path: str, types, default=None, required=False):
@@ -105,7 +106,8 @@ def validate_config(cfg: dict) -> dict:
     ring.setdefault("dropout", 0)
     ring.setdefault("byzantine_ids", None)
     if scheme == "basil":
-        _require(out, "ring.connectivity", int, required=True)
+        # optional in dropout mode, where width b+d+1 and depth b+1 replace it
+        _require(out, "ring.connectivity", int, required=ring["dropout"] == 0)
     if scheme in GROUPED_SCHEMES:
         count = _require(out, "groups.count", int, required=True)
         if n_nodes % count != 0:
@@ -129,6 +131,8 @@ def validate_config(cfg: dict) -> dict:
     epochs = out["training"].setdefault("epochs", None)
     if epochs is not None and (type(epochs) is not int or epochs < 1):
         raise ConfigError(f"training.epochs: expected null or an integer >= 1, got {epochs!r}")
+    if epochs is not None and scheme not in EPOCH_SCHEMES:
+        raise ConfigError(f"training.epochs: scheme {scheme!r} takes no epochs, got {epochs!r}")
     lr = out["training"].setdefault("lr", {"kind": "decay", "eta0": 0.03, "decay": 0.03})
     if lr.get("kind") not in ("decay", "constant"):
         raise ConfigError("training.lr.kind: must be 'decay' or 'constant'")
@@ -284,17 +288,19 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
     manifest = {} if acds_summary is None else {"acds_summary": acds_summary}
 
     if scheme == "basil":
+        connectivity = cfg["ring"].get("connectivity")  # None only in dropout mode
         config = RingConfig(
             n_nodes=n_nodes,
             n_byzantine=cfg["ring"]["byzantine"],
             n_dropout=cfg["ring"]["dropout"],
-            connectivity=cfg["ring"]["connectivity"],
+            connectivity=RingConfig.connectivity if connectivity is None else connectivity,
             seed=seed,
             byzantine_ids=byz_ids,
         )
         history = run_basil(
             config, task, dataset, cfg["rounds"], attack=attack, lr_schedule=lr,
-            batch_size=batch_size, test_set=test_set, manifest=manifest,
+            batch_size=batch_size, epochs=cfg["training"]["epochs"], test_set=test_set,
+            manifest=manifest,
         )
         return history, "worst"
     if scheme == "r-plain":

@@ -8,7 +8,11 @@ never mutate their inputs.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +25,30 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
     out.setflags(write=False)
     return out
+
+
+class _Layout(NamedTuple):
+    slices: Mapping[str, slice]
+    dims: Mapping[str, tuple[int, ...]]
+    size: int
+
+
+@functools.cache
+def _layout(shape: LayerShape) -> _Layout:
+    """Slices, dims and parameter total of a shape, computed once per shape."""
+    slices, start = {}, 0
+    for name, dims in shape:
+        n = int(np.prod(dims))
+        slices[name] = slice(start, start + n)
+        start += n
+    return _Layout(MappingProxyType(slices), MappingProxyType(dict(shape)), start)
+
+
+def _stack_layers(params: np.ndarray, shape: LayerShape) -> dict[str, np.ndarray]:
+    """Each layer of an ``(S, P)`` parameter stack as an ``(S, *dims)`` view."""
+    layout = _layout(shape)
+    return {name: params[:, sl].reshape((len(params),) + layout.dims[name])
+            for name, sl in layout.slices.items()}
 
 
 @dataclass(frozen=True)
@@ -36,7 +64,7 @@ class ModelVector:
 
     def __post_init__(self):
         object.__setattr__(self, "params", _frozen(self.params))
-        n = sum(int(np.prod(dims)) for _, dims in self.shape)
+        n = _layout(self.shape).size
         if self.params.ndim != 1 or self.params.size != n:
             raise ConfigError(
                 f"parameter count {self.params.size} does not match shape total {n}"
@@ -46,24 +74,15 @@ class ModelVector:
     def size(self) -> int:
         return self.params.size
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.params).all())
-
     def with_params(self, params: np.ndarray) -> "ModelVector":
         return ModelVector(params, self.shape)
 
-    def layer_slices(self) -> dict[str, slice]:
-        out, start = {}, 0
-        for name, dims in self.shape:
-            n = int(np.prod(dims))
-            out[name] = slice(start, start + n)
-            start += n
-        return out
+    def layer_slices(self) -> Mapping[str, slice]:
+        return _layout(self.shape).slices
 
     def layer(self, name: str) -> np.ndarray:
-        sl = self.layer_slices()[name]
-        dims = dict(self.shape)[name]
-        return self.params[sl].reshape(dims)
+        layout = _layout(self.shape)
+        return self.params[layout.slices[name]].reshape(layout.dims[name])
 
 
 def require_composable(a: ModelVector, b: ModelVector) -> None:
@@ -95,8 +114,16 @@ class LossTask:
     def initial_model(self, seed: int) -> ModelVector:
         raise NotImplementedError
 
-    def per_sample_losses(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def stacked_losses(
+        self, params: np.ndarray, shape: LayerShape, X: np.ndarray, y: np.ndarray
+    ) -> np.ndarray:
+        """``(S, B)`` per-sample losses of the ``S`` models in an ``(S, P)``
+        parameter stack; row ``s`` equals the losses of model ``s`` alone."""
         raise NotImplementedError
+
+    def per_sample_losses(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        self._check_batch(X, y)
+        return self.stacked_losses(model.params[None], model.shape, X, y)[0]
 
     def gradient(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mean gradient of the per-sample loss over the batch, flattened."""
@@ -105,7 +132,7 @@ class LossTask:
     def predict(self, model: ModelVector, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_batch(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> None:
+    def _check_batch(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(X) == 0:
             raise ConfigError("batch is empty")
         if len(X) != len(y):
@@ -159,14 +186,16 @@ class QuadraticTask(LossTask):
     def optimum(self) -> ModelVector:
         return self.make_model(self.x_star)
 
-    def per_sample_losses(self, model, X, y):
-        self._check_batch(model, X, y)
-        delta = model.params - self.x_star
-        quad = 0.5 * float(delta @ (self.hessian_diag * delta))
-        return quad + self.noise_scale * (X @ delta)
+    def stacked_losses(self, params, shape, X, y):
+        rows = []
+        for p in params:
+            delta = p - self.x_star
+            quad = 0.5 * float(delta @ (self.hessian_diag * delta))
+            rows.append(quad + self.noise_scale * (X @ delta))
+        return np.stack(rows)
 
     def gradient(self, model, X, y):
-        self._check_batch(model, X, y)
+        self._check_batch(X, y)
         delta = model.params - self.x_star
         return self.hessian_diag * delta + self.noise_scale * X.mean(axis=0)
 
@@ -191,24 +220,29 @@ class SoftmaxTask(LossTask):
         n = self.n_classes * self.n_features + self.n_classes
         return ModelVector(np.zeros(n), self.model_shape())
 
-    def _logits(self, model: ModelVector, X: np.ndarray) -> np.ndarray:
-        w = model.layer("w")
-        b = model.layer("b")
-        return X @ w.T + b
+    @staticmethod
+    def _logits(params: np.ndarray, shape: LayerShape, X: np.ndarray) -> np.ndarray:
+        """``(S, B, C)`` logits of an ``(S, P)`` parameter stack.
+
+        The 3-D matmul runs one gemm per model on the operands of a lone
+        model's ``X @ w.T``, so every slice is bit-identical to it; one
+        ``(B, S*C)`` product is not.
+        """
+        layers = _stack_layers(params, shape)
+        return np.matmul(X, layers["w"].transpose(0, 2, 1)) + layers["b"][:, None, :]
 
     @staticmethod
     def _log_softmax(z: np.ndarray) -> np.ndarray:
-        z = z - z.max(axis=1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        z = z - z.max(axis=-1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
-    def per_sample_losses(self, model, X, y):
-        self._check_batch(model, X, y)
-        logp = self._log_softmax(self._logits(model, X))
-        return -logp[np.arange(len(y)), y]
+    def stacked_losses(self, params, shape, X, y):
+        logp = self._log_softmax(self._logits(params, shape, X))
+        return -logp[:, np.arange(len(y)), y]
 
     def gradient(self, model, X, y):
-        self._check_batch(model, X, y)
-        logp = self._log_softmax(self._logits(model, X))
+        self._check_batch(X, y)
+        logp = self._log_softmax(self._logits(model.params[None], model.shape, X)[0])
         p = np.exp(logp)
         p[np.arange(len(y)), y] -= 1.0
         p /= len(y)
@@ -217,7 +251,7 @@ class SoftmaxTask(LossTask):
         return np.concatenate([grad_w.ravel(), grad_b])
 
     def predict(self, model, X):
-        return self._logits(model, X).argmax(axis=1)
+        return self._logits(model.params[None], model.shape, X)[0].argmax(axis=1)
 
 
 #: layer sizes of the small fully-connected MNIST-scale network
@@ -260,24 +294,33 @@ class MlpTask(LossTask):
                 parts.append(rng.uniform(-bound, bound, size=int(np.prod(dims))))
         return ModelVector(np.concatenate(parts), self.model_shape())
 
-    def _forward(self, model: ModelVector, X: np.ndarray):
-        a1 = X @ model.layer("fc1_w").T + model.layer("fc1_b")
+    @staticmethod
+    def _forward(params: np.ndarray, shape: LayerShape, X: np.ndarray):
+        """Pre-activations, activations and logits of an ``(S, P)`` parameter
+        stack, each ``(S, B, width)``; one gemm per model and layer, as in
+        :meth:`SoftmaxTask._logits`."""
+        layers = _stack_layers(params, shape)
+
+        def dense(h, name):
+            return (np.matmul(h, layers[f"{name}_w"].transpose(0, 2, 1))
+                    + layers[f"{name}_b"][:, None, :])
+
+        a1 = dense(X, "fc1")
         h1 = np.maximum(a1, 0.0)
-        a2 = h1 @ model.layer("fc2_w").T + model.layer("fc2_b")
+        a2 = dense(h1, "fc2")
         h2 = np.maximum(a2, 0.0)
-        logits = h2 @ model.layer("fc3_w").T + model.layer("fc3_b")
+        logits = dense(h2, "fc3")
         return a1, h1, a2, h2, logits
 
-    def per_sample_losses(self, model, X, y):
-        self._check_batch(model, X, y)
-        logits = self._forward(model, X)[-1]
-        logp = SoftmaxTask._log_softmax(logits)
-        return -logp[np.arange(len(y)), y]
+    def stacked_losses(self, params, shape, X, y):
+        logp = SoftmaxTask._log_softmax(self._forward(params, shape, X)[-1])
+        return -logp[:, np.arange(len(y)), y]
 
     def gradient(self, model, X, y):
-        self._check_batch(model, X, y)
+        self._check_batch(X, y)
         m = len(y)
-        a1, h1, a2, h2, logits = self._forward(model, X)
+        a1, h1, a2, h2, logits = (
+            a[0] for a in self._forward(model.params[None], model.shape, X))
         p = np.exp(SoftmaxTask._log_softmax(logits))
         p[np.arange(m), y] -= 1.0
         p /= m
@@ -294,12 +337,40 @@ class MlpTask(LossTask):
         ])
 
     def predict(self, model, X):
-        return self._forward(model, X)[-1].argmax(axis=1)
+        return self._forward(model.params[None], model.shape, X)[-1][0].argmax(axis=1)
 
 
 def evaluate_loss(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
     """Mean per-sample loss of ``model`` on the batch. Deterministic."""
     return float(task.per_sample_losses(model, X, y).mean())
+
+
+def evaluate_losses(
+    models: Sequence[ModelVector], task: LossTask, X: np.ndarray, y: np.ndarray
+) -> list[float]:
+    """Mean per-sample loss of each model on the batch, in one forward pass
+    over the stack of the finite ones.
+
+    A finite model's loss equals :func:`evaluate_loss` bit for bit; a model
+    with a NaN/Inf parameter is not evaluated and scores +inf.  All models
+    must share one shape.
+    """
+    for m in models[1:]:
+        require_composable(models[0], m)
+    task._check_batch(X, y)
+    stack = np.stack([m.params for m in models])
+    finite = np.isfinite(stack).all(axis=1)
+    finite_ids = np.flatnonzero(finite).tolist()
+    losses = [math.inf] * len(models)
+    if finite_ids:
+        if len(finite_ids) < len(models):
+            stack = stack[finite]
+        # the 1-D sum of each row, divided by its length, is what row.mean()
+        # and evaluate_loss compute; a sum along axis 1 of the (S, B) block
+        # may add in another order
+        for i, row in zip(finite_ids, task.stacked_losses(stack, models[0].shape, X, y)):
+            losses[i] = float(np.add.reduce(row)) / len(row)
+    return losses
 
 
 def sgd_step(

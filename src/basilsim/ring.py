@@ -22,7 +22,7 @@ from .attacks import AttackSpec, apply_attack
 from .data import Dataset
 from .errors import ConfigError, ProtocolError
 from .history import HistoryRow, TrainHistory
-from .models import LossTask, ModelVector, accuracy, evaluate_loss, sgd_step
+from .models import LossTask, ModelVector, accuracy, evaluate_loss, evaluate_losses, sgd_step
 
 # rng stream tags; every consumer derives default_rng([seed, tag, ...])
 TAG_ORDER = 0xA0
@@ -139,14 +139,14 @@ def basil_select(
 ) -> Selection:
     """Pick the (sender, model) candidate with the lowest loss on the batch.
 
-    Non-finite models evaluate to +inf so the rule stays total; exact ties go
-    to the earliest candidate (a FIFO iterates newest first).
+    All candidates are scored in one stacked forward pass.  Non-finite models
+    score +inf so the rule stays total; exact ties go to the earliest
+    candidate (a FIFO iterates newest first).
     """
     candidates = list(candidates)
     if not candidates:
         raise ProtocolError("model queue is empty")
-    losses = [evaluate_loss(model, task, X, y) if model.is_finite() else math.inf
-              for _, model in candidates]
+    losses = evaluate_losses([model for _, model in candidates], task, X, y)
     best = min(range(len(losses)), key=lambda i: (losses[i], i))
     sender, model = candidates[best]
     audit = tuple((s, l) for (s, _), l in zip(candidates, losses))
@@ -378,6 +378,7 @@ def run_basil(
     attack: AttackSpec | None = None,
     lr_schedule: Callable[[int], float] | None = None,
     batch_size: int | None = DEFAULT_BATCH_SIZE,
+    epochs: int | None = None,
     test_set=None,
     initial_model: ModelVector | None = None,
     manifest: dict | None = None,
@@ -390,6 +391,7 @@ def run_basil(
         attack=attack,
         lr_schedule=lr_schedule,
         batch_size=batch_size,
+        epochs=epochs,
         test_set=test_set,
         initial_model=initial_model,
         manifest=manifest,

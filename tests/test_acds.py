@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -86,6 +87,16 @@ class TestRun:
             have = {b.key for b in pool.stored_batches[node] if not b.dummy}
             everything = {b.key for m in g for b in plan.node_batches[m]}
             assert everything - mine - have == set()
+
+    def test_duplicate_delivery_is_asserted(self):
+        ds = shared_dataset(4, 50)
+        plan = plan_acds(ds, range(4), G=1, alpha=0.2, H=2, seed=3)
+        owner = plan.groups[0][0]
+        first, second = plan.node_batches[owner]
+        # the second pass re-sends a batch under the first pass's key
+        batches = {**plan.node_batches, owner: (first, replace(second, index=1))}
+        with pytest.raises(AssertionError, match=r"delivered twice"):
+            run_acds(replace(plan, node_batches=batches))
 
     def test_minimal_pair_exchange(self):
         ds = shared_dataset(2, 30)

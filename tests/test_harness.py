@@ -49,6 +49,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="ring.connectivity"):
             validate_config(cfg)
 
+    def test_dropout_mode_needs_no_connectivity(self, tmp_path):
+        ring = {"nodes": 8, "byzantine": 1, "dropout": 2}
+        without = run_experiment(desk_config(ring=ring), output_dir=tmp_path / "a")
+        given = run_experiment(desk_config(ring={**ring, "connectivity": 5}),
+                               output_dir=tmp_path / "b")
+        assert without.csv_path.read_bytes() == given.csv_path.read_bytes()
+
     def test_groups_must_divide_nodes(self):
         cfg = desk_config(scheme="basil-plus", groups={"count": 3})
         with pytest.raises(ConfigError, match="groups.count"):
@@ -195,6 +202,26 @@ class TestCli:
             training={"batch_size": 16, "epochs": epochs})))
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "training.epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["r-plain", "r-plain-plus", "g-plain", "ubar"])
+    def test_epochs_rejected_where_unused(self, tmp_path, capsys, scheme):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(
+            scheme=scheme, groups={"count": 2}, training={"batch_size": 16, "epochs": 2})))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "training.epochs" in capsys.readouterr().err
+
+    def test_basil_runs_its_epochs(self, tmp_path, monkeypatch):
+        import basilsim.ring as ring
+
+        steps = []
+        real = ring.sgd_step
+        monkeypatch.setattr(ring, "sgd_step", lambda *a: steps.append(1) or real(*a))
+        cfg_path = tmp_path / "epochs.json"
+        cfg_path.write_text(json.dumps(desk_config(training={"batch_size": 16, "epochs": 2})))
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
+        # 8 nodes x 2 rounds, each 2 passes over 50 local samples in batches of 16
+        assert len(steps) == 8 * 2 * 2 * 3
 
     def test_missing_config_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/config.json"]) == 2

@@ -12,6 +12,7 @@ from basilsim.models import (
     accuracy,
     average_models,
     evaluate_loss,
+    evaluate_losses,
     sgd_step,
 )
 
@@ -150,6 +151,80 @@ class TestEvaluateLoss:
 
         assert evaluate_loss(model, task, X, y) == pytest.approx(
             reference_loss(model, X, y), rel=1e-12)
+
+
+#: name -> (task, features, classes); the softmax task has the desk run's
+#: shape, on which one (B, S*C) product would not match the 3-D matmul
+STACK_TASKS = {
+    "quadratic": lambda: (QuadraticTask(np.linspace(0.3, 1.0, 6), np.linspace(-1, 1, 6),
+                                        noise_scale=0.5), 6, 1),
+    "softmax": lambda: (SoftmaxTask(64, 16), 64, 16),
+    "mlp": lambda: (MlpTask((32, 24, 16, 8)), 32, 8),
+}
+
+
+def plain_loss(task, model, X, y):
+    """One model's mean loss by 2-D numpy, the forward used before stacking."""
+    if task.kind == "quadratic-convex":
+        delta = model.params - task.x_star
+        losses = (0.5 * float(delta @ (task.hessian_diag * delta))
+                  + task.noise_scale * (X @ delta))
+        return float(losses.mean())
+    names = ["fc1", "fc2", "fc3"] if task.kind == "mlp-3fc" else [""]
+    h = X
+    for i, name in enumerate(names):
+        prefix = f"{name}_" if name else ""
+        h = h @ model.layer(f"{prefix}w").T + model.layer(f"{prefix}b")
+        if i < len(names) - 1:
+            h = np.maximum(h, 0.0)
+    z = h - h.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return float((-logp[np.arange(len(y)), y]).mean())
+
+
+class TestEvaluateLosses:
+    """The stacked forward must equal the one-model losses bit for bit: an
+    argmin over candidates breaks ties by position, so a last-digit
+    difference can change which model a node selects."""
+
+    @pytest.mark.parametrize("kind", sorted(STACK_TASKS))
+    @pytest.mark.parametrize("batch", [1, 7, 8, 9, 17, 80])
+    def test_stack_equals_one_model_at_a_time(self, kind, batch):
+        task, features, classes = STACK_TASKS[kind]()
+        rng = np.random.default_rng(batch)
+        X = rng.standard_normal((batch, features)) * 2.0
+        y = rng.integers(0, classes, size=batch)
+        start = task.initial_model(0)
+        for count in range(1, 10):
+            models = [start.with_params(rng.standard_normal(start.size) * 0.5)
+                      for _ in range(count)]
+            want = [evaluate_loss(m, task, X, y) for m in models]
+            assert evaluate_losses(models, task, X, y) == want
+            assert want == [plain_loss(task, m, X, y) for m in models]
+
+    def test_non_finite_models_score_infinity_unevaluated(self):
+        task = SoftmaxTask(6, 4)
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((9, 6)), rng.integers(0, 4, size=9)
+        good = task.initial_model(0).with_params(rng.standard_normal(28) * 0.3)
+        nan = good.with_params(np.where(np.arange(28) == 3, np.nan, good.params))
+        inf = good.with_params(np.full(28, -np.inf))
+        with np.errstate(all="raise"):
+            losses = evaluate_losses([nan, good, inf], task, X, y)
+        assert losses == [math.inf, evaluate_loss(good, task, X, y), math.inf]
+
+    def test_mismatched_shapes_in_one_stack_rejected(self):
+        a = SoftmaxTask(6, 4).initial_model(0)
+        b = SoftmaxTask(4, 6).initial_model(0)
+        X, y = np.zeros((3, 6)), np.zeros(3, dtype=int)
+        with pytest.raises(ConfigError, match="shapes differ"):
+            evaluate_losses([a, b], SoftmaxTask(6, 4), X, y)
+
+    def test_empty_batch_raises(self):
+        task = SoftmaxTask(6, 4)
+        with pytest.raises(ConfigError):
+            evaluate_losses([task.initial_model(0)], task, np.zeros((0, 6)),
+                            np.zeros(0, dtype=int))
 
 
 class TestGradientChecks:

@@ -6,7 +6,7 @@ import pytest
 from basilsim.attacks import AttackSpec
 from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
-from basilsim.models import QuadraticTask, SoftmaxTask, sgd_step
+from basilsim.models import MlpTask, QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step
 from basilsim.ring import (
     BasilRing,
     RingConfig,
@@ -120,6 +120,39 @@ class TestBasilSelect:
         sel = basil_select(fifo, task, X, y)
         assert sel.sender == 1
         assert math.isinf(dict(sel.candidate_losses)[2])
+
+    @pytest.mark.parametrize("task", [
+        QuadraticTask(np.linspace(0.3, 1.0, 6), np.zeros(6), noise_scale=0.5),
+        SoftmaxTask(6, 4),
+        MlpTask((6, 8, 8, 4)),
+    ], ids=lambda t: t.kind)
+    def test_non_finite_candidates_mixed_in(self, task):
+        rng = np.random.default_rng(4)
+        X, y = rng.standard_normal((17, 6)), rng.integers(0, 4, size=17)
+        start = task.initial_model(0)
+        best, worse = sorted(
+            (start.with_params(rng.standard_normal(start.size) * scale) for scale in (0.1, 2.0)),
+            key=lambda m: evaluate_loss(m, task, X, y))
+        nan = best.with_params(np.where(np.arange(start.size) == 1, np.nan, best.params))
+        inf = best.with_params(np.full(start.size, np.inf))
+        tie = best.with_params(best.params.copy())
+        candidates = [(10, nan), (11, worse), (12, best), (13, inf), (14, tie)]
+        with np.errstate(all="raise"):
+            sel = basil_select(candidates, task, X, y)
+        assert sel.sender == 12 and sel.model is best
+        assert [s for s, _ in sel.candidate_losses] == [10, 11, 12, 13, 14]
+        assert [l for _, l in sel.candidate_losses] == [
+            math.inf, evaluate_loss(worse, task, X, y), evaluate_loss(best, task, X, y),
+            math.inf, evaluate_loss(best, task, X, y)]
+
+    def test_all_non_finite_selects_the_first(self):
+        task, dataset = quad_setup()
+        X, y = dataset.batch(dataset.node_indices(0))
+        bad = [task.make_model(np.full(4, v)) for v in (np.nan, np.inf, -np.inf)]
+        with np.errstate(all="raise"):
+            sel = basil_select(list(enumerate(bad)), task, X, y)
+        assert sel.sender == 0
+        assert all(math.isinf(l) for _, l in sel.candidate_losses)
 
     def test_empty_queue_is_a_protocol_error(self):
         task, dataset = quad_setup()
