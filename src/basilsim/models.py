@@ -355,6 +355,8 @@ def evaluate_losses(
     with a NaN/Inf parameter is not evaluated and scores +inf.  All models
     must share one shape.
     """
+    if not models:
+        return []
     for m in models[1:]:
         require_composable(models[0], m)
     task._check_batch(X, y)

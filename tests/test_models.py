@@ -213,6 +213,10 @@ class TestEvaluateLosses:
             losses = evaluate_losses([nan, good, inf], task, X, y)
         assert losses == [math.inf, evaluate_loss(good, task, X, y), math.inf]
 
+    def test_empty_list_scores_nothing(self):
+        task = SoftmaxTask(6, 4)
+        assert evaluate_losses([], task, np.zeros((3, 6)), np.zeros(3, dtype=int)) == []
+
     def test_mismatched_shapes_in_one_stack_rejected(self):
         a = SoftmaxTask(6, 4).initial_model(0)
         b = SoftmaxTask(4, 6).initial_model(0)
