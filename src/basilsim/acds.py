@@ -69,12 +69,6 @@ class AcdsPlan:
     def actual_shared_fraction(self) -> float:
         return self.n_batches * self.batch_size / self.local_data_size
 
-    def group_of(self, node: int) -> int:
-        for g, members in enumerate(self.groups):
-            if node in members:
-                return g
-        raise ConfigError(f"node {node} is not in any group")
-
 
 def plan_acds(
     dataset: Dataset, node_ids, G: int, alpha: float, H: int, seed: int

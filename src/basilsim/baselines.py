@@ -1,5 +1,9 @@
-"""Comparison schemes: unfiltered rings, plain gossip averaging, and the
-two-stage distance/performance graph defence."""
+"""Graph comparison schemes: plain gossip averaging and the two-stage
+distance/performance graph defence.
+
+The unfiltered ring schemes need no code of their own: R-plain is the
+filtered ring at connectivity one, and grouped R-plain the grouped driver at
+connectivity one, where every selection has a single candidate."""
 
 from __future__ import annotations
 
@@ -11,7 +15,6 @@ from typing import Callable
 import numpy as np
 
 from .attacks import AttackSpec, apply_attack
-from .basil_plus import cluster_nodes
 from .data import Dataset
 from .errors import ConfigError
 from .history import HistoryRow, TrainHistory
@@ -28,10 +31,8 @@ from .ring import (
     DEFAULT_BATCH_SIZE,
     TAG_ATTACK,
     TAG_BATCH,
-    agree_order,
     default_lr,
     local_batch,
-    place_byzantine,
 )
 
 TAG_GRAPH = 0xD0
@@ -113,81 +114,6 @@ def build_random_graph(
                 },
             )
     raise ConfigError(f"no connected benign subgraph within {max_retries} seeds")
-
-
-@dataclass
-class RingPlainState:
-    """Unfiltered sequential training: each node continues from its
-    counterclockwise neighbour's model."""
-
-    order: tuple[int, ...]
-    models: dict[int, ModelVector]
-    byzantine: frozenset[int]
-    seed: int
-    round_idx: int = 0
-    carried: ModelVector | None = None
-
-
-def make_r_plain_state(
-    n_nodes: int, n_byzantine: int, seed: int,
-    initial_model: ModelVector, byzantine_ids=None,
-) -> RingPlainState:
-    ids = list(range(n_nodes))
-    byz = place_byzantine(ids, n_byzantine, seed, byzantine_ids)
-    return RingPlainState(agree_order(ids, seed), {i: initial_model for i in ids}, byz,
-                          seed, carried=initial_model)
-
-
-def r_plain_round(
-    state: RingPlainState, task: LossTask, dataset: Dataset,
-    attack: AttackSpec | None = None,
-    lr_schedule: Callable[[int], float] | None = None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    history: TrainHistory | None = None,
-    test_set=None,
-) -> RingPlainState:
-    """One sequential ring pass with no filtering (connectivity one)."""
-    attack = attack or AttackSpec()
-    lr_schedule = lr_schedule or default_lr
-    k = state.round_idx + 1
-    lr = lr_schedule(k)
-    benign_pool = lambda: [state.models[i] for i in sorted(state.models)
-                           if i not in state.byzantine]
-    for node in state.order:
-        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
-        prior = state.carried
-        honest = sgd_step(prior, task, X, y, lr)
-        if node in state.byzantine:
-            rng = np.random.default_rng([state.seed, TAG_ATTACK, node, k])
-            out = apply_attack(attack, honest_update=honest, prior=prior,
-                               benign_models=benign_pool(), round_k=k, rng=rng)
-        else:
-            out = honest
-            if history is not None:
-                acc = accuracy(out, task, *test_set) if test_set else None
-                history.add_row(HistoryRow(
-                    round=k, node=node, selected_sender=None,
-                    train_loss=evaluate_loss(out, task, X, y), test_acc=acc,
-                ))
-        state.models[node] = out
-        state.carried = out
-    state.round_idx = k
-    return state
-
-
-def run_r_plain(
-    n_nodes: int, n_byzantine: int, seed: int, task: LossTask, dataset: Dataset,
-    rounds: int, *, attack=None, lr_schedule=None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE, test_set=None,
-    initial_model=None, byzantine_ids=None, manifest=None,
-) -> TrainHistory:
-    initial_model = initial_model or task.initial_model(seed)
-    state = make_r_plain_state(n_nodes, n_byzantine, seed, initial_model, byzantine_ids)
-    history = TrainHistory(manifest=manifest or {})
-    for _ in range(rounds):
-        r_plain_round(state, task, dataset, attack, lr_schedule, batch_size,
-                      history, test_set)
-    return history
 
 
 @dataclass
@@ -354,64 +280,4 @@ def run_graph_scheme(
                        batch_size, history, test_set)
         else:
             raise ConfigError(f"unknown graph scheme {scheme!r}")
-    return history
-
-
-@dataclass
-class RingPlainPlusState:
-    groups: list[RingPlainState]
-    round_idx: int = 0
-
-
-def make_r_plain_plus_state(
-    n_nodes: int, n_groups: int, n_byzantine: int, seed: int,
-    initial_model: ModelVector, byzantine_ids=None,
-) -> RingPlainPlusState:
-    ids = list(range(n_nodes))
-    byz = place_byzantine(ids, n_byzantine, seed, byzantine_ids)
-    groups = cluster_nodes(ids, n_groups, seed)
-    states = []
-    for state in groups:
-        states.append(RingPlainState(
-            state.members, {i: initial_model for i in state.members},
-            byz & frozenset(state.members), seed, carried=initial_model,
-        ))
-    return RingPlainPlusState(states)
-
-
-def r_plain_plus_round(
-    plus: RingPlainPlusState, task: LossTask, dataset: Dataset,
-    tau: int = 1, attack=None, lr_schedule=None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    history: TrainHistory | None = None, test_set=None,
-) -> RingPlainPlusState:
-    """One global round: ``tau`` unfiltered ring passes per group, then the
-    groups' last-node models are averaged and handed to every group head."""
-    for state in plus.groups:
-        for _ in range(tau):
-            r_plain_round(state, task, dataset, attack, lr_schedule, batch_size,
-                          history, test_set)
-    tails = [state.models[state.order[-1]] for state in plus.groups]
-    mean_model = average_models(tails)
-    for state in plus.groups:
-        head = state.order[0]
-        state.models[head] = mean_model
-        state.carried = mean_model
-    plus.round_idx += 1
-    return plus
-
-
-def run_r_plain_plus(
-    n_nodes: int, n_groups: int, n_byzantine: int, seed: int, task: LossTask,
-    dataset: Dataset, K: int, tau: int = 1, *, attack=None, lr_schedule=None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE, test_set=None,
-    initial_model=None, byzantine_ids=None, manifest=None,
-) -> TrainHistory:
-    initial_model = initial_model or task.initial_model(seed)
-    state = make_r_plain_plus_state(n_nodes, n_groups, n_byzantine, seed, initial_model,
-                                    byzantine_ids)
-    history = TrainHistory(manifest=manifest or {})
-    for _ in range(K):
-        r_plain_plus_round(state, task, dataset, tau, attack, lr_schedule, batch_size,
-                           history, test_set)
     return history

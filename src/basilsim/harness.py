@@ -29,6 +29,7 @@ SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "BASILSIM_OUTPUT_ROOT"
 
 SCHEMES = ("basil", "basil-plus", "r-plain", "g-plain", "r-plain-plus", "ubar")
+RING_SCHEMES = ("basil", "r-plain")
 GROUPED_SCHEMES = ("basil-plus", "r-plain-plus")
 GRAPH_SCHEMES = ("g-plain", "ubar")
 EPOCH_SCHEMES = ("basil", "basil-plus")
@@ -44,8 +45,18 @@ def _require(cfg: dict, path: str, types, default=None, required=False):
         if required:
             raise ConfigError(f"{path}: required field is missing")
         return default
-    if types and not isinstance(value, types):
-        raise ConfigError(f"{path}: expected {types}, got {type(value).__name__}")
+    allowed = types if isinstance(types, tuple) else (types,)
+    # bool is an int subclass; accept it only where bool itself is allowed
+    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+        names = " or ".join(t.__name__ for t in allowed)
+        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
+    return value
+
+
+def _require_int(cfg: dict, path: str, low: int, default=None, required=False):
+    value = _require(cfg, path, int, default, required)
+    if value is not None and value < low:
+        raise ConfigError(f"{path}: must be >= {low}, got {value}")
     return value
 
 
@@ -63,9 +74,8 @@ def validate_config(cfg: dict) -> dict:
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme: unknown scheme {scheme!r}")
     _require(out, "seed", int, required=True)
-    rounds = _require(out, "rounds", int, required=True)
-    if rounds < 0:
-        raise ConfigError("rounds: must be >= 0")
+    _require_int(out, "rounds", 0, required=True)
+    _require_int(out, "tau", 0)
     out.setdefault("tau", 1)
 
     dataset = _require(out, "dataset", dict, required=True)
@@ -105,11 +115,14 @@ def validate_config(cfg: dict) -> dict:
     ring.setdefault("byzantine", 0)
     ring.setdefault("dropout", 0)
     ring.setdefault("byzantine_ids", None)
+    _require_int(out, "ring.byzantine", 0)
+    if _require_int(out, "ring.dropout", 0) and scheme != "basil":
+        raise ConfigError(f"ring.dropout: scheme {scheme!r} has no dropout mode")
     if scheme == "basil":
         # optional in dropout mode, where width b+d+1 and depth b+1 replace it
         _require(out, "ring.connectivity", int, required=ring["dropout"] == 0)
     if scheme in GROUPED_SCHEMES:
-        count = _require(out, "groups.count", int, required=True)
+        count = _require_int(out, "groups.count", 1, required=True)
         if n_nodes % count != 0:
             raise ConfigError("groups.count: must divide ring.nodes")
     if scheme in GRAPH_SCHEMES:
@@ -121,6 +134,7 @@ def validate_config(cfg: dict) -> dict:
 
     out.setdefault("attack", {})
     atk_kind = out["attack"].setdefault("kind", "none")
+    _require_int(out, "attack.activation_round", 0)
     try:
         AttackSpec.make(atk_kind, out["attack"].get("activation_round"))
     except ConfigError as exc:
@@ -128,14 +142,18 @@ def validate_config(cfg: dict) -> dict:
 
     out.setdefault("training", {})
     out["training"].setdefault("batch_size", 80)
+    _require_int(out, "training.batch_size", 1)
     epochs = out["training"].setdefault("epochs", None)
-    if epochs is not None and (type(epochs) is not int or epochs < 1):
-        raise ConfigError(f"training.epochs: expected null or an integer >= 1, got {epochs!r}")
+    _require_int(out, "training.epochs", 1)
     if epochs is not None and scheme not in EPOCH_SCHEMES:
         raise ConfigError(f"training.epochs: scheme {scheme!r} takes no epochs, got {epochs!r}")
-    lr = out["training"].setdefault("lr", {"kind": "decay", "eta0": 0.03, "decay": 0.03})
+    out["training"].setdefault("lr", {"kind": "decay", "eta0": 0.03, "decay": 0.03})
+    lr = _require(out, "training.lr", dict)
     if lr.get("kind") not in ("decay", "constant"):
         raise ConfigError("training.lr.kind: must be 'decay' or 'constant'")
+    for key in ("eta0", "decay"):
+        _require(out, f"training.lr.{key}", (int, float))
+    _require(out, "training.lr.eta", (int, float), required=lr["kind"] == "constant")
 
     out.setdefault("acds", {})
     if out["acds"].setdefault("enabled", False):
@@ -287,12 +305,15 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
     byz_ids = frozenset(byz_ids) if byz_ids else None
     manifest = {} if acds_summary is None else {"acds_summary": acds_summary}
 
-    if scheme == "basil":
-        connectivity = cfg["ring"].get("connectivity")  # None only in dropout mode
+    # the unfiltered schemes run the filtered drivers at connectivity one,
+    # where every selection has a single candidate
+    if scheme in RING_SCHEMES:
+        connectivity = 1 if scheme == "r-plain" else cfg["ring"].get("connectivity")
         config = RingConfig(
             n_nodes=n_nodes,
             n_byzantine=cfg["ring"]["byzantine"],
             n_dropout=cfg["ring"]["dropout"],
+            # None only in dropout mode, where width and depth replace it
             connectivity=RingConfig.connectivity if connectivity is None else connectivity,
             seed=seed,
             byzantine_ids=byz_ids,
@@ -301,13 +322,6 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
             config, task, dataset, cfg["rounds"], attack=attack, lr_schedule=lr,
             batch_size=batch_size, epochs=cfg["training"]["epochs"], test_set=test_set,
             manifest=manifest,
-        )
-        return history, "worst"
-    if scheme == "r-plain":
-        history = baselines.run_r_plain(
-            n_nodes, cfg["ring"]["byzantine"], seed, task, dataset, cfg["rounds"],
-            attack=attack, lr_schedule=lr, batch_size=batch_size,
-            test_set=test_set, byzantine_ids=byz_ids, manifest=manifest,
         )
         return history, "worst"
     if scheme in GRAPH_SCHEMES:
@@ -324,24 +338,17 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
             lr_schedule=lr, batch_size=batch_size, test_set=test_set, manifest=manifest,
         )
         return history, "worst"
-    if scheme == "basil-plus":
-        config = GroupConfig(
-            n_nodes=n_nodes,
-            n_groups=cfg["groups"]["count"],
-            n_byzantine=cfg["ring"]["byzantine"],
-            connectivity=cfg["ring"].get("connectivity"),
-            seed=seed,
-            byzantine_ids=byz_ids,
-        )
-        history = run_basil_plus(
-            config, task, dataset, cfg["rounds"], cfg["tau"], attack=attack,
-            lr_schedule=lr, batch_size=batch_size, epochs=cfg["training"]["epochs"],
-            test_set=test_set, manifest=manifest,
-        )
-        return history, "mean"
-    history = baselines.run_r_plain_plus(
-        n_nodes, cfg["groups"]["count"], cfg["ring"]["byzantine"], seed, task, dataset,
-        cfg["rounds"], cfg["tau"], attack=attack, lr_schedule=lr, batch_size=batch_size,
-        test_set=test_set, byzantine_ids=byz_ids, manifest=manifest,
+    config = GroupConfig(
+        n_nodes=n_nodes,
+        n_groups=cfg["groups"]["count"],
+        n_byzantine=cfg["ring"]["byzantine"],
+        connectivity=1 if scheme == "r-plain-plus" else cfg["ring"].get("connectivity"),
+        seed=seed,
+        byzantine_ids=byz_ids,
+    )
+    history = run_basil_plus(
+        config, task, dataset, cfg["rounds"], cfg["tau"], attack=attack,
+        lr_schedule=lr, batch_size=batch_size, epochs=cfg["training"]["epochs"],
+        test_set=test_set, manifest=manifest,
     )
     return history, "mean"

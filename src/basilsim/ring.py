@@ -317,7 +317,7 @@ class BasilRing:
             for s in range(1, width + 1):
                 target = self.order[(pos + s) % n]
                 self.history.bump("models_sent")
-                if target in self.dropped or target == node:
+                if target in self.dropped:
                     continue
                 self.fifos[target].insert(node, k, out)
                 self.history.bump("fifo_inserts")

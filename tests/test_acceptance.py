@@ -45,7 +45,7 @@ from basilsim.analytics import (
     ubar_training_time,
 )
 from basilsim.attacks import AttackSpec
-from basilsim.baselines import build_random_graph, run_graph_scheme, run_r_plain
+from basilsim.baselines import build_random_graph, run_graph_scheme
 from basilsim.basil_plus import GroupConfig, GroupState, circular_aggregate, run_basil_plus
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.harness import run_experiment
@@ -87,11 +87,14 @@ def desk():
         runs[("basil", kind)] = run_basil(
             config, task, train, DESK_ROUNDS, attack=attack,
             batch_size=DESK_BATCH, test_set=test)
+    # the unfiltered ring is the filtered one at connectivity one
+    plain = RingConfig(n_nodes=DESK_NODES, n_byzantine=DESK_BYZ, connectivity=1,
+                       seed=DESK_SEED)
     for kind in (None, "gaussian"):
         attack = AttackSpec.make(kind) if kind else None
-        runs[("r-plain", kind)] = run_r_plain(
-            DESK_NODES, DESK_BYZ, DESK_SEED, task, train, DESK_ROUNDS,
-            attack=attack, batch_size=DESK_BATCH, test_set=test)
+        runs[("r-plain", kind)] = run_basil(
+            plain, task, train, DESK_ROUNDS, attack=attack,
+            batch_size=DESK_BATCH, test_set=test)
     byz = sample_byzantine_ids(range(DESK_NODES), DESK_BYZ, DESK_SEED)
     topo = build_random_graph(range(DESK_NODES), byz, DESK_SEED)
     runs[("g-plain", "hidden")] = run_graph_scheme(

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -6,21 +7,24 @@ import pytest
 from basilsim.attacks import AttackSpec
 from basilsim.baselines import (
     GraphTopology,
-    RingPlainPlusState,
-    RingPlainState,
     build_random_graph,
     g_plain_round,
     make_graph_state,
-    make_r_plain_plus_state,
-    make_r_plain_state,
-    r_plain_plus_round,
-    r_plain_round,
     run_graph_scheme,
-    run_r_plain,
     ubar_round,
+)
+from basilsim.basil_plus import (
+    BasilPlusDriver,
+    GroupConfig,
+    GroupState,
+    _group_seed,
+    circular_aggregate,
+    cluster_nodes,
+    robust_multicast,
 )
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError
+from basilsim.harness import run_experiment
 from basilsim.history import TrainHistory
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
 from basilsim.ring import RingConfig, run_basil
@@ -79,29 +83,49 @@ class TestGraphTopology:
         assert len(lines) == n_edges
 
 
-class TestRPlain:
-    def test_matches_filtered_ring_when_connectivity_is_one(self):
-        # with no Byzantine nodes the filtered ring at S=1 is the same chain
-        task, dataset = quad_setup(4, noise=0.3, seed=2)
-        config = RingConfig(n_nodes=4, connectivity=1, seed=2)
-        basil_history = run_basil(config, task, dataset, 6, batch_size=10)
-        plain_history = run_r_plain(4, 0, 2, task, dataset, 6, batch_size=10)
-        a = [(r.round, r.node, r.train_loss) for r in basil_history.rows]
-        b = [(r.round, r.node, r.train_loss) for r in plain_history.rows]
-        assert a == b
+def run_config(scheme, out_dir, **overrides):
+    cfg = {
+        "scheme": scheme,
+        "seed": 2,
+        "rounds": 6,
+        "dataset": {"kind": "quadratic", "dim": 3, "samples": 120,
+                    "noise_scale": 0.3, "seed": 2},
+        "ring": {"nodes": 4, "connectivity": 1},
+        "training": {"batch_size": 10},
+    }
+    cfg.update(overrides)
+    return run_experiment(cfg, out_dir)
 
-    def test_single_node_is_plain_sgd(self):
-        task, dataset = quad_setup(1)
-        history = run_r_plain(1, 0, 0, task, dataset, 5, batch_size=None)
-        losses = [r.train_loss for r in history.rows]
-        assert losses == sorted(losses, reverse=True)
+
+class TestRPlain:
+    """R-plain is the filtered ring at connectivity one."""
+
+    def test_matches_filtered_ring_when_connectivity_is_one(self, tmp_path):
+        # r-plain ignores the connectivity it is given
+        ring = {"nodes": 6, "byzantine": 2}
+        plain = run_config("r-plain", tmp_path / "plain", ring={**ring, "connectivity": 3},
+                           attack={"kind": "gaussian"})
+        basil = run_config("basil", tmp_path / "basil", ring={**ring, "connectivity": 1},
+                           attack={"kind": "gaussian"})
+        assert plain.csv_path.read_bytes() == basil.csv_path.read_bytes()
+
+    def test_single_node_is_plain_sgd(self, tmp_path):
+        # a one-node ring feeds each output back to itself
+        for scheme in ("basil", "r-plain"):
+            result = run_config(scheme, tmp_path / scheme, rounds=5,
+                                ring={"nodes": 1, "connectivity": 1},
+                                training={"batch_size": None})
+            losses = [r.train_loss for r in result.history.rows]
+            assert len(losses) == 5, scheme
+            assert all(b < a for a, b in zip(losses, losses[1:])), (scheme, losses)
 
     def test_gaussian_attacker_corrupts_downstream(self):
         task, train, test = softmax_setup(6)
-        clean = run_r_plain(6, 0, 1, task, train, 8, batch_size=40, test_set=test)
-        attacked = run_r_plain(6, 2, 1, task, train, 8,
-                               attack=AttackSpec.make("gaussian"),
-                               batch_size=40, test_set=test)
+        clean = run_basil(RingConfig(n_nodes=6, connectivity=1, seed=1), task, train, 8,
+                          batch_size=40, test_set=test)
+        attacked = run_basil(RingConfig(n_nodes=6, n_byzantine=2, connectivity=1, seed=1),
+                             task, train, 8, attack=AttackSpec.make("gaussian"),
+                             batch_size=40, test_set=test)
         # unfiltered ring: whoever sits just after an attacker blows up
         final = max(r.train_loss for r in attacked.rows if r.round == 8)
         final_clean = max(r.train_loss for r in clean.rows if r.round == 8)
@@ -221,54 +245,61 @@ class TestUbar:
 
 
 class TestRPlainPlus:
+    """Grouped R-plain is the grouped driver at connectivity one."""
+
     def test_single_group_matches_r_plain(self):
         task, dataset = quad_setup(4, noise=0.3, seed=7)
         initial = task.initial_model(7)
-        plain = make_r_plain_state(4, 0, 7, initial)
-        plus = RingPlainPlusState([make_r_plain_state(4, 0, 7, initial)])
-        h_plain = TrainHistory(manifest={})
-        h_plus = TrainHistory(manifest={})
-        for _ in range(4):
-            r_plain_round(plain, task, dataset, batch_size=10, history=h_plain)
-        for _ in range(4):
-            r_plain_plus_round(plus, task, dataset, tau=1, batch_size=10,
-                               history=h_plus)
-        a = [(r.round, r.node, r.train_loss) for r in h_plain.rows]
-        b = [(r.round, r.node, r.train_loss) for r in h_plus.rows]
+        plain = run_basil(RingConfig(n_nodes=4, connectivity=1, seed=_group_seed(7, 0)),
+                          task, dataset, 4, batch_size=10, initial_model=initial)
+        plus = BasilPlusDriver(GroupConfig(n_nodes=4, n_groups=1, connectivity=1, seed=7),
+                               task, dataset, tau=1, batch_size=10).run(4)
+        a = [(r.round, r.node, r.train_loss) for r in plain.rows]
+        b = [(r.round, r.node, r.train_loss) for r in plus.rows]
         assert a == b
 
     def test_heads_receive_plain_mean_of_tails(self):
         task = QuadraticTask(np.ones(1), np.zeros(1))
+        dataset = partition(make_quadratic_dataset(60, 1, 0), 6, "iid", 0)
         states = []
         for g, value in enumerate([1.0, 2.0, 3.0]):
-            order = (2 * g, 2 * g + 1)
             model = task.make_model([value])
-            states.append(RingPlainState(order, {i: model for i in order},
-                                         frozenset(), seed=0, carried=model))
-        plus = RingPlainPlusState(states)
-        dataset = partition(make_quadratic_dataset(60, 1, 0), 6, "iid", 0)
-        r_plain_plus_round(plus, task, dataset, tau=0, batch_size=None)
-        for state in plus.groups:
-            head = state.order[0]
-            assert state.models[head].params[0] == pytest.approx(2.0)
+            order = (2 * g, 2 * g + 1)
+            states.append(GroupState(g, order, 1, models={i: model for i in order},
+                                     aggregates={i: model for i in order}))
+        batch_for = lambda node, stage: dataset.batch(dataset.node_indices(node))
+        circular_aggregate(states, task, batch_for)
+        adopted = robust_multicast(states, task, batch_for)
+        assert sorted(adopted) == [0, 2, 4]
+        assert all(model.params[0] == 2.0 for model in adopted.values())
 
     def test_byzantine_tail_corrupts_unfiltered_mean(self):
         task, train, test = softmax_setup(8)
-        probe = make_r_plain_plus_state(8, 2, 0, 0, task.initial_model(0))
-        tail_node = probe.groups[0].order[-1]  # force an attacker onto a tail
+        tail_node = cluster_nodes(range(8), 2, 0)[0].members[-1]  # attacker on a tail
         X, y = train.batch(np.arange(200))
 
         def head_losses(byzantine):
-            state = make_r_plain_plus_state(
-                8, 2, 1 if byzantine else 0, 0, task.initial_model(0),
-                byzantine_ids={tail_node} if byzantine else None)
+            config = GroupConfig(n_nodes=8, n_groups=2, n_byzantine=int(byzantine),
+                                 connectivity=1, seed=0,
+                                 byzantine_ids={tail_node} if byzantine else None)
             attack = AttackSpec.make("gaussian") if byzantine else None
-            for _ in range(3):
-                r_plain_plus_round(state, task, train, tau=1, attack=attack,
-                                   batch_size=40)
-            return [evaluate_loss(g.models[g.order[0]], task, X, y)
-                    for g in state.groups]
+            driver = BasilPlusDriver(config, task, train, tau=1, attack=attack,
+                                     batch_size=40)
+            driver.run(3)
+            return [evaluate_loss(g.models[g.members[0]], task, X, y)
+                    for g in driver.groups]
 
         clean, corrupted = head_losses(False), head_losses(True)
         # the unfiltered mean inherits the Gaussian noise in every group head
         assert all(c > 2 * a for a, c in zip(clean, corrupted))
+
+    def test_history_carries_the_group(self, tmp_path):
+        result = run_config("r-plain-plus", tmp_path, rounds=2, groups={"count": 2},
+                            ring={"nodes": 8})
+        with open(result.csv_path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:3] == ["round", "group", "node"]
+        groups = {int(row[2]): int(row[1]) for row in rows[1:]}
+        assert len(groups) == 8
+        for state in cluster_nodes(range(8), 2, 2):
+            assert all(groups[node] == state.gid for node in state.members)

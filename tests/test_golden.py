@@ -72,14 +72,14 @@ GOLDENS = {
         "19692eb88aa67bb80cb6e4b5e93f3fed6be0fa61d2876dbec700b8d0d9454cd4",
     ),
     "r-plain": (
-        "99d769557c6906e52a166f1eb3940c5c6bdb735b478bb240d7f4dd6e3643ded4",
+        "556a2db19c36b8fa1c9d8e2f3ca78929ee4ee532b64dbb49dc3e1cde677959ed",
         "3dbf0e77ccd9f690a107d5133cb6c19148b298f93f818d7e1cdfbf3e2ec54c92",
-        "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
+        "ad4c9193bc2e5f30bdf908397061eae3274c3c12e25fa5570548d6182dfd7055",
     ),
     "r-plain-plus": (
-        "ff4d0ffb85dfd299e6f381c3b0c427bb980cc89195069bffa1a86ac4b0ee5e60",
-        "8216c9d6dfeef2aef0bcd453cccb23111cd449b90b3a43380d852c6db2ae5d00",
-        "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
+        "ba3b81ae492f70647e7f5608b7c67595155512f794fff59cba6ea032419b975f",
+        "c5d33b08ff770b4dce51ad87f0c6738881686781800262a6f095f110a320b22d",
+        "12d3b24afe3cd1983d18eb0340f6407edb9e61ff62569327dbc6f77fcc87e157",
     ),
     "g-plain": (
         "3c108900b64125fcba0afb67dc8b9eee2dd01ebd9f8b19eb83f28d06b29e9fa4",

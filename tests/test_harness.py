@@ -24,6 +24,17 @@ def desk_config(**overrides):
     return cfg
 
 
+#: a malformed value of each field, as desk_config overrides
+MALFORMED = {
+    "ring.byzantine": {"ring": {"nodes": 8, "byzantine": "1", "connectivity": 3}},
+    "training.batch_size": {"training": {"batch_size": -3}},
+    "training.lr.eta": {"training": {"lr": {"kind": "constant"}}},
+    "groups.count": {"scheme": "basil-plus", "groups": {"count": 0}},
+    "attack.activation_round": {"attack": {"kind": "hidden", "activation_round": "x"}},
+    "rounds": {"rounds": True},
+}
+
+
 def bundled_config():
     path = resources.files("basilsim") / "configs" / "fig4b-desk.json"
     return json.loads(path.read_text())
@@ -210,6 +221,22 @@ class TestCli:
             scheme=scheme, groups={"count": 2}, training={"batch_size": 16, "epochs": 2})))
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "training.epochs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", MALFORMED)
+    def test_malformed_field_exit_code_names_the_field(self, tmp_path, capsys, field):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(**MALFORMED[field])))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["basil-plus", "r-plain", "r-plain-plus", "g-plain", "ubar"])
+    def test_dropout_rejected_where_unused(self, tmp_path, capsys, scheme):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(
+            scheme=scheme, groups={"count": 2},
+            ring={"nodes": 8, "byzantine": 2, "dropout": 1, "connectivity": 3})))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "ring.dropout" in capsys.readouterr().err
 
     def test_basil_runs_its_epochs(self, tmp_path, monkeypatch):
         import basilsim.ring as ring
