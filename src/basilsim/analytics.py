@@ -1,9 +1,9 @@
 """Closed-form reliability and cost calculators with Monte-Carlo oracles.
 
 The analytic failure probabilities are union bounds computed in exact
-rational arithmetic (big integers), with a log-space path for very large
-inputs.  The Monte-Carlo estimators sample the underlying placement events
-directly and serve as independent oracles for the bounds.
+rational arithmetic (big integers).  The Monte-Carlo estimators sample the
+underlying placement events directly, in one loop for the ring and the
+grouped rings, and serve as independent oracles for the bounds.
 """
 
 from __future__ import annotations
@@ -47,17 +47,6 @@ def basil_failure_prob(N: int, b: int, S: int) -> ProbabilityBound:
         math.factorial(b - S) * math.factorial(N - 1),
     )
     return _clamped(raw)
-
-
-def basil_failure_prob_log(N: int, b: int, S: int) -> float:
-    """Log-space evaluation of :func:`basil_failure_prob` for huge inputs."""
-    if S > b:
-        return 0.0
-    log_val = (
-        math.lgamma(b + 1) + math.lgamma(N - S + 1)
-        - math.lgamma(b - S + 1) - math.lgamma(N)
-    )
-    return min(math.exp(log_val), 1.0)
 
 
 def basil_plus_failure_case1(N: int, b: int, n: int, G: int) -> ProbabilityBound:
@@ -116,6 +105,30 @@ def _circular_run_hits(placements: np.ndarray, S: int) -> np.ndarray:
     return (windows == S).any(axis=1)
 
 
+def _monte_carlo_failure(N: int, b: int, n: int, G: int, S: int, trials: int,
+                         seed: int, tag: int, chunk: int) -> tuple[float, float]:
+    """Share of uniform placements of ``b`` Byzantine among ``N`` positions,
+    split into ``G`` consecutive rings of ``n``, where some ring holds a
+    circular run of >= S Byzantine.  Returns (estimate, binomial std error)."""
+    if trials < 1:
+        raise ConfigError("trials must be positive")
+    rng = np.random.default_rng([int(seed), tag])
+    base = np.zeros(N, dtype=bool)
+    base[:b] = True
+    hits = 0
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        block = rng.permuted(np.tile(base, (m, 1)), axis=1)
+        fail = _circular_run_hits(block[:, :n], S)
+        for g in range(1, G):
+            fail |= _circular_run_hits(block[:, g * n:(g + 1) * n], S)
+        hits += int(fail.sum())
+        done += m
+    est = hits / trials
+    return est, math.sqrt(est * (1.0 - est) / trials)
+
+
 def monte_carlo_ring_failure(
     N: int, b: int, S: int, trials: int, seed: int, chunk: int = 50_000
 ) -> tuple[float, float]:
@@ -124,23 +137,9 @@ def monte_carlo_ring_failure(
     Samples uniform placements of ``b`` Byzantine nodes; the run check wraps
     around the ring.  Returns (estimate, binomial standard error).
     """
-    if trials < 1:
-        raise ConfigError("trials must be positive")
     if not 0 <= b <= N:
         raise ConfigError("need 0 <= b <= N")
-    rng = np.random.default_rng([int(seed), 0xE0])
-    base = np.zeros(N, dtype=bool)
-    base[:b] = True
-    hits = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        block = np.tile(base, (m, 1))
-        block = rng.permuted(block, axis=1)
-        hits += int(_circular_run_hits(block, S).sum())
-        done += m
-    est = hits / trials
-    return est, math.sqrt(est * (1.0 - est) / trials)
+    return _monte_carlo_failure(N, b, N, 1, S, trials, seed, 0xE0, chunk)
 
 
 def monte_carlo_basil_plus_failure(
@@ -152,22 +151,7 @@ def monte_carlo_basil_plus_failure(
     per group); the within-group ring order is the random split order.
     """
     _check_group_args(N, b, n, G)
-    rng = np.random.default_rng([int(seed), 0xE1])
-    base = np.zeros(N, dtype=bool)
-    base[:b] = True
-    hits = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        block = np.tile(base, (m, 1))
-        block = rng.permuted(block, axis=1)
-        fail = np.zeros(m, dtype=bool)
-        for g in range(G):
-            fail |= _circular_run_hits(block[:, g * n:(g + 1) * n], S)
-        hits += int(fail.sum())
-        done += m
-    est = hits / trials
-    return est, math.sqrt(est * (1.0 - est) / trials)
+    return _monte_carlo_failure(N, b, n, G, S, trials, seed, 0xE1, chunk)
 
 
 def basil_training_time(

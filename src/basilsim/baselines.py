@@ -1,5 +1,6 @@
-"""Graph comparison schemes: plain gossip averaging and the two-stage
-distance/performance graph defence.
+"""Graph comparison schemes: one synchronous round on a random graph, with
+plain gossip averaging or the two-stage distance/performance defence as the
+benign nodes' rule.
 
 The unfiltered ring schemes need no code of their own: R-plain is the
 filtered ring at connectivity one, and grouped R-plain the grouped driver at
@@ -27,13 +28,7 @@ from .models import (
     evaluate_losses,
     sgd_step,
 )
-from .ring import (
-    DEFAULT_BATCH_SIZE,
-    TAG_ATTACK,
-    TAG_BATCH,
-    default_lr,
-    local_batch,
-)
+from .ring import DEFAULT_BATCH_SIZE, TAG_ATTACK, TAG_BATCH, default_lr, local_batch
 
 TAG_GRAPH = 0xD0
 
@@ -43,7 +38,6 @@ class GraphTopology:
     """Undirected communication graph without self-loops."""
 
     adjacency: dict[int, frozenset[int]]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for node, nbrs in self.adjacency.items():
@@ -105,14 +99,7 @@ def build_random_graph(
                     adj[a].add(b)
                     adj[b].add(a)
         if _benign_connected(adj, benign):
-            return GraphTopology(
-                {i: frozenset(adj[i]) for i in ids},
-                {
-                    "seed": seed, "attempt": attempt,
-                    "edge_prob_benign": edge_prob_benign,
-                    "edge_prob_byzantine": edge_prob_byzantine,
-                },
-            )
+            return GraphTopology({i: frozenset(adj[i]) for i in ids})
     raise ConfigError(f"no connected benign subgraph within {max_retries} seeds")
 
 
@@ -136,71 +123,19 @@ def make_graph_state(
     return GraphState(topology, models, frozenset(byzantine_ids), seed)
 
 
-def _graph_attack_outputs(state: GraphState, task, dataset, attack, lr, k,
-                          batch_size) -> dict[int, ModelVector]:
-    """What each Byzantine node sends this round (same output to all neighbours)."""
-    outs = {}
-    benign_pool = [state.models[i] for i in sorted(state.models)
-                   if i not in state.byzantine]
-    for node in sorted(state.byzantine):
-        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
-        honest = sgd_step(state.models[node], task, X, y, lr)
-        rng = np.random.default_rng([state.seed, TAG_ATTACK, node, k])
-        outs[node] = apply_attack(attack, honest_update=honest,
-                                  prior=state.models[node],
-                                  benign_models=benign_pool, round_k=k, rng=rng)
-    return outs
+#: ``rule(node, own, received, task, X, y, lr) -> (model, audit)``: a benign
+#: node's update from its own model, its neighbours' (sender -> model) and its
+#: batch; the audit, if not None, lands in ``GraphState.audit[node]``
+GraphRule = Callable[..., tuple[ModelVector, dict | None]]
 
 
-def g_plain_round(
-    state: GraphState, task: LossTask, dataset: Dataset,
-    attack: AttackSpec | None = None,
-    lr_schedule: Callable[[int], float] | None = None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    history: TrainHistory | None = None,
-    test_set=None,
-) -> GraphState:
+def gossip_rule(node, own, received, task, X, y, lr):
     """Plain gossip: average own model with all neighbours', then step."""
-    attack = attack or AttackSpec()
-    lr_schedule = lr_schedule or default_lr
-    k = state.round_idx + 1
-    lr = lr_schedule(k)
-    byz_out = _graph_attack_outputs(state, task, dataset, attack, lr, k, batch_size)
-    new_models: dict[int, ModelVector] = {}
-    for node in sorted(state.models):
-        if node in state.byzantine:
-            new_models[node] = byz_out[node]
-            continue
-        received = [
-            byz_out[j] if j in state.byzantine else state.models[j]
-            for j in sorted(state.topology.neighbours(node))
-        ]
-        avg = average_models([state.models[node]] + received)
-        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
-        out = sgd_step(avg, task, X, y, lr)
-        new_models[node] = out
-        if history is not None:
-            acc = accuracy(out, task, *test_set) if test_set else None
-            history.add_row(HistoryRow(
-                round=k, node=node, selected_sender=None,
-                train_loss=evaluate_loss(out, task, X, y), test_acc=acc,
-            ))
-    state.models = new_models
-    state.round_idx = k
-    return state
+    return sgd_step(average_models([own, *received.values()]), task, X, y, lr), None
 
 
-def ubar_round(
-    state: GraphState, task: LossTask, dataset: Dataset,
-    rho: float = 0.33,
-    mixing: float = 0.5,
-    attack: AttackSpec | None = None,
-    lr_schedule: Callable[[int], float] | None = None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    history: TrainHistory | None = None,
-    test_set=None,
-) -> GraphState:
-    """Two-stage graph defence round.
+def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
+    """Two-stage graph defence.
 
     Stage 1 keeps the ``ceil(rho * degree)`` neighbours closest in Euclidean
     distance to the node's own model; stage 2 keeps those whose loss on a
@@ -210,30 +145,14 @@ def ubar_round(
     """
     if not 0 < rho <= 1:
         raise ConfigError("rho must lie in (0, 1]")
-    attack = attack or AttackSpec()
-    lr_schedule = lr_schedule or default_lr
-    k = state.round_idx + 1
-    lr = lr_schedule(k)
-    byz_out = _graph_attack_outputs(state, task, dataset, attack, lr, k, batch_size)
-    new_models: dict[int, ModelVector] = {}
-    state.audit = {}
-    for node in sorted(state.models):
-        if node in state.byzantine:
-            new_models[node] = byz_out[node]
-            continue
-        nbrs = sorted(state.topology.neighbours(node))
-        if not nbrs:
+
+    def rule(node, own, received, task, X, y, lr):
+        if not received:
             raise ConfigError(f"node {node} has no neighbours")
-        own = state.models[node]
-        received = {
-            j: (byz_out[j] if j in state.byzantine else state.models[j]) for j in nbrs
-        }
-        keep = math.ceil(rho * len(nbrs))
         by_distance = sorted(
-            nbrs, key=lambda j: (float(np.linalg.norm(received[j].params - own.params)), j)
+            received, key=lambda j: (float(np.linalg.norm(received[j].params - own.params)), j)
         )
-        pool = by_distance[:keep]
-        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
+        pool = by_distance[:math.ceil(rho * len(received))]
         own_loss, *pool_losses = evaluate_losses(
             [own] + [received[j] for j in pool], task, X, y)
         losses = dict(zip(pool, pool_losses))
@@ -241,15 +160,51 @@ def ubar_round(
         if accepted:
             aggregate = average_models([received[j] for j in accepted])
         else:
-            j_star = min(pool, key=lambda j: (losses[j], j))
-            accepted = [j_star]
-            aggregate = received[j_star]
+            accepted = [min(pool, key=lambda j: (losses[j], j))]
+            aggregate = received[accepted[0]]
         grad_step = sgd_step(own, task, X, y, lr)
         mixed = mixing * own.params + (1.0 - mixing) * aggregate.params
         out = own.with_params(mixed - (own.params - grad_step.params))
+        return out, {"pool": pool, "accepted": accepted, "own_loss": own_loss,
+                     "losses": losses}
+
+    return rule
+
+
+def graph_round(
+    state: GraphState, rule: GraphRule, task: LossTask, dataset: Dataset,
+    attack: AttackSpec | None = None,
+    lr_schedule: Callable[[int], float] | None = None,
+    batch_size: int | None = DEFAULT_BATCH_SIZE,
+    history: TrainHistory | None = None,
+    test_set=None,
+) -> GraphState:
+    """One synchronous round: each Byzantine node sends one attacked model to
+    all its neighbours, and each benign node applies ``rule``."""
+    attack = attack or AttackSpec()
+    k = state.round_idx + 1
+    lr = (lr_schedule or default_lr)(k)
+    sent = dict(state.models)
+    benign_pool = [state.models[i] for i in sorted(state.models)
+                   if i not in state.byzantine]
+    for node in sorted(state.byzantine):
+        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
+        honest = sgd_step(state.models[node], task, X, y, lr)
+        rng = np.random.default_rng([state.seed, TAG_ATTACK, node, k])
+        sent[node] = apply_attack(attack, honest_update=honest, prior=state.models[node],
+                                  benign_models=benign_pool, round_k=k, rng=rng)
+    new_models: dict[int, ModelVector] = {}
+    state.audit = {}
+    for node in sorted(state.models):
+        if node in state.byzantine:
+            new_models[node] = sent[node]
+            continue
+        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
+        received = {j: sent[j] for j in sorted(state.topology.neighbours(node))}
+        out, audit = rule(node, state.models[node], received, task, X, y, lr)
         new_models[node] = out
-        state.audit[node] = {"pool": pool, "accepted": accepted, "own_loss": own_loss,
-                             "losses": losses}
+        if audit is not None:
+            state.audit[node] = audit
         if history is not None:
             acc = accuracy(out, task, *test_set) if test_set else None
             history.add_row(HistoryRow(
@@ -271,13 +226,13 @@ def run_graph_scheme(
     initial_model = initial_model or task.initial_model(seed)
     state = make_graph_state(topology, byzantine_ids, seed, initial_model)
     history = TrainHistory(manifest=manifest or {})
+    if scheme == "g-plain":
+        rule = gossip_rule
+    elif scheme == "ubar":
+        rule = ubar_rule(rho, mixing)
+    else:
+        raise ConfigError(f"unknown graph scheme {scheme!r}")
     for _ in range(rounds):
-        if scheme == "g-plain":
-            g_plain_round(state, task, dataset, attack, lr_schedule, batch_size,
-                          history, test_set)
-        elif scheme == "ubar":
-            ubar_round(state, task, dataset, rho, mixing, attack, lr_schedule,
-                       batch_size, history, test_set)
-        else:
-            raise ConfigError(f"unknown graph scheme {scheme!r}")
+        graph_round(state, rule, task, dataset, attack, lr_schedule, batch_size,
+                    history, test_set)
     return history

@@ -95,7 +95,8 @@ class GroupConfig:
     def resolved_connectivity(self) -> int:
         if self.connectivity is not None:
             return self.connectivity
-        return min(self.group_size - 1, self.n_byzantine + 1)
+        # one-node groups store one model (S=1), the shape r-plain-plus runs
+        return max(1, min(self.group_size - 1, self.n_byzantine + 1))
 
 
 def _group_seed(seed: int, gid: int) -> int:

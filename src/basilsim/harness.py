@@ -82,7 +82,7 @@ def validate_config(cfg: dict) -> dict:
     kind = _require(out, "dataset.kind", str, required=True)
     if kind == "synthetic":
         for key in ("samples", "test_samples", "classes", "dim"):
-            _require(out, f"dataset.{key}", int, required=True)
+            _require_int(out, f"dataset.{key}", 1, required=True)
         dataset.setdefault("separation", 3.0)
         dataset.setdefault("class_std", 1.0)
         dataset.setdefault("seed", out["seed"])
@@ -93,7 +93,7 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"dataset.{key}: file not found: {path}")
     elif kind == "quadratic":
         for key in ("dim", "samples"):
-            _require(out, f"dataset.{key}", int, required=True)
+            _require_int(out, f"dataset.{key}", 1, required=True)
         dataset.setdefault("noise_scale", 0.0)
         dataset.setdefault("seed", out["seed"])
     else:
@@ -115,6 +115,11 @@ def validate_config(cfg: dict) -> dict:
     ring.setdefault("byzantine", 0)
     ring.setdefault("dropout", 0)
     ring.setdefault("byzantine_ids", None)
+    ids = _require(out, "ring.byzantine_ids", list)
+    if ids is not None and (not all(type(i) is int and 0 <= i < n_nodes for i in ids)
+                            or len(set(ids)) != len(ids)):
+        raise ConfigError(f"ring.byzantine_ids: expected distinct ints in 0..{n_nodes - 1}, "
+                          f"got {ids!r}")
     _require_int(out, "ring.byzantine", 0)
     if _require_int(out, "ring.dropout", 0) and scheme != "basil":
         raise ConfigError(f"ring.dropout: scheme {scheme!r} has no dropout mode")
@@ -126,11 +131,14 @@ def validate_config(cfg: dict) -> dict:
         if n_nodes % count != 0:
             raise ConfigError("groups.count: must divide ring.nodes")
     if scheme in GRAPH_SCHEMES:
-        out.setdefault("graph", {})
-        out["graph"].setdefault("edge_prob_benign", 0.4)
-        out["graph"].setdefault("edge_prob_byzantine", 0.4)
-        out["graph"].setdefault("rho", 0.33)
-        out["graph"].setdefault("mixing", 0.5)
+        graph = out.setdefault("graph", {})
+        for key, default in (("edge_prob_benign", 0.4), ("edge_prob_byzantine", 0.4),
+                             ("rho", 0.33), ("mixing", 0.5)):
+            graph.setdefault(key, default)
+            value = _require(out, f"graph.{key}", (int, float), required=True)
+            if not 0 <= value <= 1 or (key == "rho" and value == 0):
+                interval = "(0, 1]" if key == "rho" else "[0, 1]"
+                raise ConfigError(f"graph.{key}: must lie in {interval}, got {value!r}")
 
     out.setdefault("attack", {})
     atk_kind = out["attack"].setdefault("kind", "none")

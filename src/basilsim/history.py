@@ -35,18 +35,14 @@ class TrainHistory:
     def bump(self, key: str, amount: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + amount
 
-    def rounds(self) -> list[int]:
-        return sorted({r.round for r in self.rows})
-
     def accuracy_series(self, stat: str = "worst") -> list[tuple[int, float]]:
         """Per-round benign test accuracy, reduced by ``worst`` or ``mean``."""
-        out = []
-        for k in self.rounds():
-            accs = [r.test_acc for r in self.rows if r.round == k and r.test_acc is not None]
-            if not accs:
-                continue
-            out.append((k, min(accs) if stat == "worst" else sum(accs) / len(accs)))
-        return out
+        by_round: dict[int, list[float]] = {}
+        for r in self.rows:
+            if r.test_acc is not None:
+                by_round.setdefault(r.round, []).append(r.test_acc)
+        return [(k, min(accs) if stat == "worst" else sum(accs) / len(accs))
+                for k, accs in sorted(by_round.items())]
 
     def final_accuracy(self, stat: str = "worst") -> float:
         series = self.accuracy_series(stat)

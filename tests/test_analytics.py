@@ -7,7 +7,6 @@ import pytest
 
 from basilsim.analytics import (
     basil_failure_prob,
-    basil_failure_prob_log,
     basil_plus_failure_case1,
     basil_plus_failure_prob,
     basil_plus_training_time,
@@ -84,12 +83,6 @@ class TestRingFailureBound:
         res = basil_failure_prob(10, 9, 1)
         assert res.probability == 1.0
         assert res.raw_bound == pytest.approx(9.0)
-
-    def test_log_space_agrees_to_ten_digits(self):
-        for N, b, S in [(100, 33, 10), (100, 33, 15), (500, 100, 12), (1000, 333, 20)]:
-            exact = basil_failure_prob(N, b, S).probability
-            approx = basil_failure_prob_log(N, b, S)
-            assert approx == pytest.approx(exact, rel=1e-10)
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -194,6 +187,12 @@ class TestMonteCarlo:
     def test_grouped_estimator_matches_exact_tiny_case(self):
         est, se = monte_carlo_basil_plus_failure(6, 2, 3, 2, 2, trials=100_000, seed=2)
         assert abs(est - 0.4) <= 4 * max(se, 1e-9)
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ConfigError, match="trials"):
+            monte_carlo_ring_failure(20, 5, 2, trials=0, seed=0)
+        with pytest.raises(ConfigError, match="trials"):
+            monte_carlo_basil_plus_failure(6, 2, 3, 2, 2, trials=0, seed=0)
 
     def test_grouped_bound_dominates_estimate(self):
         bound = basil_plus_failure_prob(60, 12, 15, 4, 3)

@@ -8,10 +8,11 @@ from basilsim.attacks import AttackSpec
 from basilsim.baselines import (
     GraphTopology,
     build_random_graph,
-    g_plain_round,
+    gossip_rule,
+    graph_round,
     make_graph_state,
     run_graph_scheme,
-    ubar_round,
+    ubar_rule,
 )
 from basilsim.basil_plus import (
     BasilPlusDriver,
@@ -139,7 +140,7 @@ class TestGPlain:
         adj = {i: frozenset(set(range(4)) - {i}) for i in range(4)}
         state = make_graph_state(GraphTopology(adj), set(), 0, task.initial_model(0))
         for _ in range(3):
-            g_plain_round(state, task, dataset, batch_size=None)
+            graph_round(state, gossip_rule, task, dataset, batch_size=None)
         first = state.models[0].params
         for node in range(1, 4):
             np.testing.assert_allclose(state.models[node].params, first)
@@ -153,8 +154,8 @@ class TestGPlain:
             GraphTopology({0: frozenset({1}), 1: frozenset({0})}), set(), 3,
             task.initial_model(3))
         for _ in range(4):
-            g_plain_round(state, task, dataset, batch_size=10)
-            g_plain_round(twin, task, dataset, batch_size=10)
+            graph_round(state, gossip_rule, task, dataset, batch_size=10)
+            graph_round(twin, gossip_rule, task, dataset, batch_size=10)
         for node in (0, 1):
             np.testing.assert_allclose(state.models[node].params,
                                        twin.models[node].params)
@@ -168,9 +169,9 @@ class TestGPlain:
         X, y = dataset.batch(np.arange(len(dataset)))
         losses = []
         for _ in range(6):
-            g_plain_round(state, task, dataset,
-                          lr_schedule=constant_lr(0.5 / task.smoothness),
-                          batch_size=None, history=history)
+            graph_round(state, gossip_rule, task, dataset,
+                        lr_schedule=constant_lr(0.5 / task.smoothness),
+                        batch_size=None, history=history)
             losses.append(np.mean([
                 evaluate_loss(state.models[i], task, X, y) for i in range(5)
             ]))
@@ -183,7 +184,7 @@ class TestUbar:
         adj = {i: frozenset(set(range(4)) - {i}) for i in range(4)}
         state = make_graph_state(GraphTopology(adj), set(), 0, task.initial_model(0))
         before = state.models[0]
-        ubar_round(state, task, dataset, rho=1.0, mixing=0.5, batch_size=None)
+        graph_round(state, ubar_rule(rho=1.0, mixing=0.5), task, dataset, batch_size=None)
         lr = 0.03 / 1.03  # decaying schedule at round one
         expected = before.params - lr * task.gradient(
             before, *dataset.batch(dataset.node_indices(0)))
@@ -194,8 +195,8 @@ class TestUbar:
         topo = build_random_graph(range(8), {7}, seed=4)
         state = make_graph_state(topo, {7}, 4, task.initial_model(4))
         for _ in range(3):
-            ubar_round(state, task, train, rho=0.33, batch_size=40,
-                       attack=AttackSpec.make("gaussian"))
+            graph_round(state, ubar_rule(rho=0.33), task, train, batch_size=40,
+                        attack=AttackSpec.make("gaussian"))
             for node, audit in state.audit.items():
                 degree = len(topo.adjacency[node])
                 assert len(audit["pool"]) == math.ceil(0.33 * degree)
@@ -205,8 +206,8 @@ class TestUbar:
         adj = {i: frozenset(set(range(6)) - {i}) for i in range(6)}
         state = make_graph_state(GraphTopology(adj), {5}, 2, task.initial_model(2))
         for _ in range(4):
-            ubar_round(state, task, train, rho=0.4, batch_size=40,
-                       attack=AttackSpec.make("gaussian"))
+            graph_round(state, ubar_rule(rho=0.4), task, train, batch_size=40,
+                        attack=AttackSpec.make("gaussian"))
             for node, audit in state.audit.items():
                 assert 5 not in audit["accepted"]
 
@@ -219,7 +220,7 @@ class TestUbar:
         state.models[0] = before
         state.models[1] = task.optimum()
         state.models[2] = task.optimum()
-        ubar_round(state, task, dataset, rho=1.0, mixing=0.5, batch_size=None)
+        graph_round(state, ubar_rule(rho=1.0, mixing=0.5), task, dataset, batch_size=None)
         audit = state.audit[0]
         assert sorted(audit["accepted"]) == [1, 2]
         # reduces to neighbourhood averaging plus a gradient step
@@ -235,7 +236,7 @@ class TestUbar:
             adj = {0: frozenset(), 1: frozenset()}
             state = make_graph_state(GraphTopology(adj), set(), 0,
                                      task.initial_model(0))
-            ubar_round(state, task, dataset, batch_size=None)
+            graph_round(state, ubar_rule(), task, dataset, batch_size=None)
 
     def test_run_graph_scheme_rejects_unknown(self):
         task, train, _ = softmax_setup(4)
@@ -292,6 +293,13 @@ class TestRPlainPlus:
         clean, corrupted = head_losses(False), head_losses(True)
         # the unfiltered mean inherits the Gaussian noise in every group head
         assert all(c > 2 * a for a, c in zip(clean, corrupted))
+
+    def test_one_node_groups_match_basil_plus(self, tmp_path):
+        # basil-plus resolves no connectivity for one-node groups to S=1
+        shape = {"rounds": 3, "groups": {"count": 4}, "ring": {"nodes": 4}}
+        plain = run_config("r-plain-plus", tmp_path / "plain", **shape)
+        basil = run_config("basil-plus", tmp_path / "basil", **shape)
+        assert plain.csv_path.read_bytes() == basil.csv_path.read_bytes()
 
     def test_history_carries_the_group(self, tmp_path):
         result = run_config("r-plain-plus", tmp_path, rounds=2, groups={"count": 2},

@@ -32,6 +32,16 @@ MALFORMED = {
     "groups.count": {"scheme": "basil-plus", "groups": {"count": 0}},
     "attack.activation_round": {"attack": {"kind": "hidden", "activation_round": "x"}},
     "rounds": {"rounds": True},
+    "graph.rho": {"scheme": "ubar", "graph": {"rho": 2}},
+    "graph.mixing": {"scheme": "ubar", "graph": {"mixing": "half"}},
+    "graph.edge_prob_benign": {"scheme": "g-plain", "graph": {"edge_prob_benign": "0.4"}},
+    "graph.edge_prob_byzantine": {"scheme": "g-plain", "graph": {"edge_prob_byzantine": -0.1}},
+    "ring.byzantine_ids": {"ring": {"nodes": 8, "byzantine_ids": 5, "connectivity": 3}},
+    "dataset.samples": {"dataset": {"kind": "synthetic", "samples": -5, "test_samples": 100,
+                                    "classes": 4, "dim": 8}},
+    "dataset.test_samples": {"dataset": {"kind": "synthetic", "samples": 400,
+                                         "test_samples": 0, "classes": 4, "dim": 8}},
+    "dataset.dim": {"dataset": {"kind": "quadratic", "samples": 400, "dim": 0}},
 }
 
 
@@ -174,6 +184,11 @@ class TestCli:
                          "--S", "10"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["analytic"] == pytest.approx(5.347e-4, rel=1e-3)
+
+    def test_analyze_failure_negative_trials_exit_code(self, capsys):
+        assert cli_main(["analyze", "failure", "--N", "400", "--b", "60", "--n", "100",
+                         "--G", "4", "--S", "7", "--trials", "-5"]) == 2
+        assert "trials" in capsys.readouterr().err
 
     def test_analyze_cost_reference_value(self, capsys):
         assert cli_main(["analyze", "cost", "--alpha", "0.05", "--D", "500",
