@@ -14,6 +14,15 @@ from fractions import Fraction
 from math import comb
 
 
+def circular_max_run(mask):
+    """Longest run of True on the ring closed from the list ``mask``."""
+    run = best = 0
+    for v in (mask + mask)[: 2 * len(mask) - 1]:
+        run = run + 1 if v else 0
+        best = max(best, run)
+    return min(best, len(mask))
+
+
 def _poly_mul(a, b, cap):
     """Product of two coefficient lists, truncated above degree ``cap``."""
     out = [0] * min(len(a) + len(b) - 1, cap + 1)

@@ -19,18 +19,10 @@ from basilsim.analytics import (
 from basilsim.errors import ConfigError
 from oracles import (
     case1_failure_exact,
+    circular_max_run,
     circular_no_run_count,
     grouped_run_failure_exact,
 )
-
-
-def circular_max_run(mask):
-    """Longest run of True on the ring closed from ``mask``."""
-    run = best = 0
-    for v in (mask + mask)[: 2 * len(mask) - 1]:
-        run = run + 1 if v else 0
-        best = max(best, run)
-    return min(best, len(mask))
 
 
 def exact_ring_failure(N, b, S):
@@ -199,6 +191,44 @@ class TestMonteCarlo:
         est, se = monte_carlo_basil_plus_failure(60, 12, 15, 4, 3,
                                                  trials=100_000, seed=3)
         assert est <= bound.raw_bound + 3 * max(se, 1e-9)
+
+
+#: (N, b, S, trials, seed) -> (estimate, se), pinned to the bit: the oracles'
+#: sampling stream and run detection may be rewritten, but never moved
+RING_ESTIMATES = {
+    (100, 33, 10, 120_000, 7): (0.00038333333333333334, 5.6508582599525604e-05),
+    (8, 3, 2, 50_000, 1): (0.71408, 0.0020207412184641556),
+    (60, 12, 4, 30_000, 5): (0.05103333333333333, 0.0012705501724610251),
+    (10, 7, 6, 20_000, 9): (0.24995, 0.0030616580271153734),
+    (20, 3, 1, 20_000, 2): (1.0, 0.0),  # S = 1
+    (12, 5, 12, 5_000, 3): (0.0, 0.0),  # S = n
+    (12, 12, 12, 5_000, 3): (1.0, 0.0),  # S = n = b
+    (30, 30, 7, 3_000, 4): (1.0, 0.0),  # b = N
+}
+
+#: (N, b, n, G, S, trials, seed) -> (estimate, se)
+GROUPED_ESTIMATES = {
+    (400, 60, 100, 4, 7, 45_000, 3): (0.00044444444444444447, 9.935871192359831e-05),
+    (6, 2, 3, 2, 2, 20_000, 2): (0.39805, 0.003461258423608385),
+    (60, 12, 15, 4, 3, 20_000, 3): (0.30525, 0.0032563202967460067),
+    (12, 7, 6, 2, 4, 20_000, 10): (0.5464, 0.0035202772618076546),
+    (20, 5, 5, 4, 1, 10_000, 8): (1.0, 0.0),  # S = 1
+    (8, 6, 4, 2, 4, 10_000, 5): (0.4209, 0.004937035446500257),  # S = n
+    (8, 8, 4, 2, 3, 2_000, 6): (1.0, 0.0),  # b = N
+}
+
+
+class TestPinnedEstimates:
+    @pytest.mark.parametrize("case", RING_ESTIMATES)
+    def test_ring_estimate_is_bit_identical(self, case):
+        N, b, S, trials, seed = case
+        assert monte_carlo_ring_failure(N, b, S, trials, seed=seed) == RING_ESTIMATES[case]
+
+    @pytest.mark.parametrize("case", GROUPED_ESTIMATES)
+    def test_grouped_estimate_is_bit_identical(self, case):
+        N, b, n, G, S, trials, seed = case
+        assert (monte_carlo_basil_plus_failure(N, b, n, G, S, trials, seed=seed)
+                == GROUPED_ESTIMATES[case])
 
 
 class TestTimeModels:
