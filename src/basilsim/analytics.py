@@ -94,64 +94,89 @@ def _check_group_args(N: int, b: int, n: int, G: int) -> None:
         raise ConfigError("need n * G == N with positive n, G")
 
 
+#: elements sampled per block of trials; estimates do not depend on it,
+#: because each row takes its own draws in order
+_BLOCK_ELEMENTS = 1 << 20
+
+
 def _circular_run_hits(placements: np.ndarray, S: int) -> np.ndarray:
-    """Row mask: does a circular run of >= S consecutive True appear?"""
-    if S == 1:
-        return placements.any(axis=1)
-    ext = np.concatenate([placements, placements[:, : S - 1]], axis=1).astype(np.uint8)
-    csum = np.cumsum(ext, axis=1)
-    windows = csum[:, S - 1:].copy()
-    windows[:, 1:] -= csum[:, :-S]
-    return (windows == S).any(axis=1)
+    """Row mask: does a circular run of >= S consecutive nonzero entries appear?
+
+    A ring of ``n`` holds at most ``n`` consecutive distinct nodes, so a run
+    longer than the row never appears.
+    """
+    rows, n = placements.shape
+    if S > n:
+        return np.zeros(rows, dtype=bool)
+    # wrap the first S-1 columns round and convert to bool in one pass
+    run = np.empty((rows, n + S - 1), dtype=bool)
+    run[:, :n] = placements
+    run[:, n:] = placements[:, : S - 1]
+    # shift-AND: run[:, j] holds "columns j..j+w-1 all set"; double w, then
+    # one overlapping step reaches width S with n columns left
+    w = 1
+    while 2 * w <= S:
+        run = run[:, :-w] & run[:, w:]
+        w *= 2
+    if w < S:
+        run = run[:, : w - S] & run[:, S - w:]
+    return run.any(axis=1)
 
 
 def _monte_carlo_failure(N: int, b: int, n: int, G: int, S: int, trials: int,
-                         seed: int, tag: int, chunk: int) -> tuple[float, float]:
+                         seed: int, tag: int) -> tuple[float, float]:
     """Share of uniform placements of ``b`` Byzantine among ``N`` positions,
     split into ``G`` consecutive rings of ``n``, where some ring holds a
     circular run of >= S Byzantine.  Returns (estimate, binomial std error)."""
     if trials < 1:
         raise ConfigError("trials must be positive")
+    if S < 1:
+        raise ConfigError("need S >= 1")
     rng = np.random.default_rng([int(seed), tag])
-    base = np.zeros(N, dtype=bool)
-    base[:b] = True
+    base = np.zeros(N, dtype=np.int64)
+    base[:b] = 1
+    # permuted makes the same draws for any dtype; 8-byte items swap on its
+    # fast path, so an int64 block is shuffled faster than a bool one
+    block = np.empty((min(max(_BLOCK_ELEMENTS // N, 1), trials), N), dtype=np.int64)
     hits = 0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
-        block = rng.permuted(np.tile(base, (m, 1)), axis=1)
-        fail = _circular_run_hits(block[:, :n], S)
-        for g in range(1, G):
-            fail |= _circular_run_hits(block[:, g * n:(g + 1) * n], S)
-        hits += int(fail.sum())
+        m = min(len(block), trials - done)
+        placements = block[:m]
+        placements[:] = base
+        rng.permuted(placements, axis=1, out=placements)
+        fail = _circular_run_hits(placements.reshape(m * G, n), S).reshape(m, G)
+        hits += int(np.count_nonzero(fail.any(axis=1)))
         done += m
     est = hits / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
 
 
 def monte_carlo_ring_failure(
-    N: int, b: int, S: int, trials: int, seed: int, chunk: int = 50_000
+    N: int, b: int, S: int, trials: int, seed: int
 ) -> tuple[float, float]:
     """Frequency of >= S consecutive Byzantine positions on a ring of N.
 
     Samples uniform placements of ``b`` Byzantine nodes; the run check wraps
-    around the ring.  Returns (estimate, binomial standard error).
+    around the ring, and ``S > N`` never occurs.  Returns (estimate,
+    binomial standard error).
     """
     if not 0 <= b <= N:
         raise ConfigError("need 0 <= b <= N")
-    return _monte_carlo_failure(N, b, N, 1, S, trials, seed, 0xE0, chunk)
+    return _monte_carlo_failure(N, b, N, 1, S, trials, seed, 0xE0)
 
 
 def monte_carlo_basil_plus_failure(
-    N: int, b: int, n: int, G: int, S: int, trials: int, seed: int, chunk: int = 20_000
+    N: int, b: int, n: int, G: int, S: int, trials: int, seed: int
 ) -> tuple[float, float]:
     """Frequency of any group containing a circular run of >= S Byzantine nodes.
 
     Group compositions arise from a uniform permutation split (hypergeometric
-    per group); the within-group ring order is the random split order.
+    per group); the within-group ring order is the random split order, and
+    ``S > n`` never occurs.
     """
     _check_group_args(N, b, n, G)
-    return _monte_carlo_failure(N, b, n, G, S, trials, seed, 0xE1, chunk)
+    return _monte_carlo_failure(N, b, n, G, S, trials, seed, 0xE1)
 
 
 def basil_training_time(

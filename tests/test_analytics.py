@@ -186,6 +186,34 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError, match="trials"):
             monte_carlo_basil_plus_failure(6, 2, 3, 2, 2, trials=0, seed=0)
 
+    def test_run_longer_than_ring_never_occurs(self):
+        # the bound is exactly zero, and the estimate must not depend on how
+        # far the detector wraps round
+        assert basil_failure_prob(5, 5, 7).raw_bound == 0.0
+        for S in (6, 7, 11):
+            assert monte_carlo_ring_failure(5, 5, S, trials=100, seed=0) == (0.0, 0.0)
+        assert monte_carlo_basil_plus_failure(8, 8, 4, 2, 6, trials=100, seed=0) == (0.0, 0.0)
+        assert monte_carlo_basil_plus_failure(8, 8, 4, 2, 4, trials=100, seed=0) == (1.0, 0.0)
+
+    def test_zero_run_length_rejected(self):
+        with pytest.raises(ConfigError, match="S >= 1"):
+            monte_carlo_ring_failure(20, 5, 0, trials=10, seed=0)
+        with pytest.raises(ConfigError, match="S >= 1"):
+            monte_carlo_basil_plus_failure(6, 2, 3, 2, 0, trials=10, seed=0)
+
+    def test_estimates_do_not_depend_on_block_size(self, monkeypatch):
+        import basilsim.analytics as analytics
+
+        def both():
+            return (monte_carlo_ring_failure(60, 12, 4, trials=3_001, seed=5),
+                    monte_carlo_basil_plus_failure(60, 12, 15, 4, 3, trials=2_003, seed=3))
+
+        default = both()
+        # one row per block, then a budget that leaves a ragged last block
+        for elements in (1, 7 * 60 + 13):
+            monkeypatch.setattr(analytics, "_BLOCK_ELEMENTS", elements)
+            assert both() == default
+
     def test_grouped_bound_dominates_estimate(self):
         bound = basil_plus_failure_prob(60, 12, 15, 4, 3)
         est, se = monte_carlo_basil_plus_failure(60, 12, 15, 4, 3,

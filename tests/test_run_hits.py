@@ -19,6 +19,9 @@ def check_every_width(rows):
     n = block.shape[1]
     for S in range(1, n + 1):
         assert _circular_run_hits(block, S).tolist() == expected_hits(rows, S), S
+    # a ring of n holds no run longer than n, not even when every entry is set
+    for S in (n + 1, 2 * n + 1):
+        assert not _circular_run_hits(block, S).any(), S
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
