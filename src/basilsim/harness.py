@@ -120,7 +120,10 @@ def validate_config(cfg: dict) -> dict:
                             or len(set(ids)) != len(ids)):
         raise ConfigError(f"ring.byzantine_ids: expected distinct ints in 0..{n_nodes - 1}, "
                           f"got {ids!r}")
-    _require_int(out, "ring.byzantine", 0)
+    n_byzantine = _require_int(out, "ring.byzantine", 0, default=0)
+    if ids is not None and len(ids) > n_byzantine:
+        raise ConfigError(f"ring.byzantine_ids: {len(ids)} ids exceed ring.byzantine "
+                          f"= {n_byzantine}")
     if _require_int(out, "ring.dropout", 0) and scheme != "basil":
         raise ConfigError(f"ring.dropout: scheme {scheme!r} has no dropout mode")
     if scheme == "basil":
@@ -163,13 +166,15 @@ def validate_config(cfg: dict) -> dict:
         _require(out, f"training.lr.{key}", (int, float))
     _require(out, "training.lr.eta", (int, float), required=lr["kind"] == "constant")
 
-    out.setdefault("acds", {})
-    if out["acds"].setdefault("enabled", False):
-        for key in ("alpha", "batches", "groups"):
-            if key not in out["acds"]:
-                raise ConfigError(f"acds.{key}: required when acds.enabled")
-    out.setdefault("output", {})
-    out["output"].setdefault("emit_series", True)
+    out["acds"] = _require(out, "acds", dict, default={})
+    enabled = out["acds"]["enabled"] = _require(out, "acds.enabled", bool, default=False)
+    alpha = _require(out, "acds.alpha", (int, float), required=enabled)
+    if alpha is not None and not 0 < alpha < 1:
+        raise ConfigError(f"acds.alpha: must lie in (0, 1), got {alpha!r}")
+    for key in ("batches", "groups"):
+        _require_int(out, f"acds.{key}", 1, required=enabled)
+    out["output"] = _require(out, "output", dict, default={})
+    out["output"]["emit_series"] = _require(out, "output.emit_series", bool, default=True)
     return out
 
 
@@ -310,7 +315,7 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
     batch_size = cfg["training"]["batch_size"]
     attack = AttackSpec.make(cfg["attack"]["kind"], cfg["attack"].get("activation_round"))
     byz_ids = cfg["ring"]["byzantine_ids"]
-    byz_ids = frozenset(byz_ids) if byz_ids else None
+    byz_ids = None if byz_ids is None else frozenset(byz_ids)
     manifest = {} if acds_summary is None else {"acds_summary": acds_summary}
 
     # the unfiltered schemes run the filtered drivers at connectivity one,

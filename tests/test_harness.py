@@ -42,6 +42,11 @@ MALFORMED = {
     "dataset.test_samples": {"dataset": {"kind": "synthetic", "samples": 400,
                                          "test_samples": 0, "classes": 4, "dim": 8}},
     "dataset.dim": {"dataset": {"kind": "quadratic", "samples": 400, "dim": 0}},
+    "acds.enabled": {"acds": {"enabled": "yes", "alpha": 0.2, "batches": 2, "groups": 2}},
+    "acds.alpha": {"acds": {"enabled": True, "alpha": "x", "batches": 2, "groups": 2}},
+    "acds.batches": {"acds": {"enabled": True, "alpha": 0.2, "batches": 0, "groups": 2}},
+    "acds.groups": {"acds": {"enabled": True, "alpha": 0.2, "batches": 2, "groups": 1.5}},
+    "output.emit_series": {"output": {"emit_series": "no"}},
 }
 
 
@@ -252,6 +257,34 @@ class TestCli:
             ring={"nodes": 8, "byzantine": 2, "dropout": 1, "connectivity": 3})))
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "ring.dropout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", [0, 1, 1.5, -0.1])
+    def test_acds_alpha_outside_unit_interval(self, alpha):
+        cfg = desk_config(acds={"enabled": True, "alpha": alpha, "batches": 2, "groups": 2})
+        with pytest.raises(ConfigError, match="acds.alpha"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("scheme", ["basil", "basil-plus", "r-plain", "r-plain-plus",
+                                        "g-plain", "ubar"])
+    def test_more_byzantine_ids_than_declared(self, tmp_path, capsys, scheme):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(
+            scheme=scheme, groups={"count": 2},
+            ring={"nodes": 8, "byzantine": 2, "byzantine_ids": [0, 1, 2, 3],
+                  "connectivity": 3})))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "ring.byzantine_ids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["basil", "basil-plus", "ubar"])
+    def test_empty_byzantine_ids_mean_no_attackers(self, tmp_path, scheme):
+        def history(byzantine, **ids):
+            cfg = desk_config(scheme=scheme, groups={"count": 2}, rounds=1, ring={
+                "nodes": 8, "byzantine": byzantine, "connectivity": 3, **ids})
+            out = tmp_path / f"{byzantine}-{bool(ids)}"
+            return run_experiment(cfg, output_dir=out).csv_path.read_bytes()
+
+        assert history(2, byzantine_ids=[]) == history(0)
+        assert history(2, byzantine_ids=[]) != history(2)
 
     def test_basil_runs_its_epochs(self, tmp_path, monkeypatch):
         import basilsim.ring as ring
