@@ -120,11 +120,12 @@ def validate_config(cfg: dict) -> dict:
                             or len(set(ids)) != len(ids)):
         raise ConfigError(f"ring.byzantine_ids: expected distinct ints in 0..{n_nodes - 1}, "
                           f"got {ids!r}")
-    n_byzantine = _require_int(out, "ring.byzantine", 0, default=0)
+    n_byzantine = ring["byzantine"] = _require_int(out, "ring.byzantine", 0, default=0)
     if ids is not None and len(ids) > n_byzantine:
         raise ConfigError(f"ring.byzantine_ids: {len(ids)} ids exceed ring.byzantine "
                           f"= {n_byzantine}")
-    if _require_int(out, "ring.dropout", 0) and scheme != "basil":
+    ring["dropout"] = _require_int(out, "ring.dropout", 0, default=0)
+    if ring["dropout"] and scheme != "basil":
         raise ConfigError(f"ring.dropout: scheme {scheme!r} has no dropout mode")
     if scheme == "basil":
         # optional in dropout mode, where width b+d+1 and depth b+1 replace it

@@ -87,6 +87,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="groups.count"):
             validate_config(cfg)
 
+    def test_null_ring_counts_take_their_defaults(self):
+        cfg = validate_config(desk_config(ring={"nodes": 8, "byzantine": None,
+                                                "dropout": None, "connectivity": 3}))
+        assert (cfg["ring"]["byzantine"], cfg["ring"]["dropout"]) == (0, 0)
+
     def test_defaults_are_filled(self):
         cfg = validate_config(desk_config())
         assert cfg["training"]["lr"]["kind"] == "decay"
