@@ -58,6 +58,19 @@ class TestSynthetic:
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize("n, classes, dim, std", [
+        (6000, 16, 64, 1.0), (5000, 10, 8, 1.3), (3, 2, 20000, 0.5), (7, 6, 3, 2.5)])
+    def test_cluster_features_match_the_one_expression_reference(self, n, classes, dim, std):
+        # reference: the same draws combined as means[labels] + std * noise
+        rng = np.random.default_rng([11, 0xC1])
+        means = rng.standard_normal((classes, dim))
+        means *= 2.4 / np.linalg.norm(means, axis=1, keepdims=True)
+        labels = rng.integers(0, classes, size=n)
+        expected = means[labels] + std * rng.standard_normal((n, dim))
+        ds = make_cluster_dataset(n, classes, dim, separation=2.4, seed=11, class_std=std)
+        assert ds.features.tobytes() == expected.tobytes()
+        assert np.array_equal(ds.labels, labels)
+
     def test_cluster_separation_controls_means(self):
         ds = make_cluster_dataset(2000, 4, 6, separation=10.0, seed=1)
         for c in range(4):
