@@ -7,6 +7,7 @@ alone.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, replace
@@ -16,14 +17,14 @@ import numpy as np
 
 from . import acds as acds_mod
 from . import baselines
-from .attacks import AttackSpec
+from .attacks import ATTACK_KINDS, AttackSpec
 from .basil_plus import GroupConfig, run_basil_plus
 from .data import Dataset, flag_sensitive_by_class, make_cluster_dataset, make_quadratic_dataset, partition
 from .errors import ConfigError
 from .history import TrainHistory
 from .idx import load_idx
 from .models import MlpTask, QuadraticTask, SoftmaxTask
-from .ring import RingConfig, constant_lr, default_lr, place_byzantine, run_basil
+from .ring import RingConfig, constant_lr, place_byzantine, run_basil
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "BASILSIM_OUTPUT_ROOT"
@@ -35,147 +36,171 @@ GRAPH_SCHEMES = ("g-plain", "ubar")
 EPOCH_SCHEMES = ("basil", "basil-plus")
 
 
-def _require(cfg: dict, path: str, types, default=None, required=False):
-    node = cfg
+#: defaults that are not values: the field must be given, or may be left out
+REQUIRED, ABSENT = object(), object()
+EXISTS = "an existing file"
+NUMBER = (int, float)
+NULL = type(None)
+
+
+def _when(path: str, values: tuple, default=REQUIRED, otherwise=ABSENT):
+    """A default that is ``default`` where the resolved ``path`` is one of
+    ``values`` and ``otherwise`` elsewhere; ``default`` may be a function too."""
     parts = path.split(".")
-    for part in parts[:-1]:
-        node = node.get(part, {}) if isinstance(node, dict) else {}
-    value = node.get(parts[-1], None) if isinstance(node, dict) else None
-    if value is None:
-        if required:
-            raise ConfigError(f"{path}: required field is missing")
-        return default
-    allowed = types if isinstance(types, tuple) else (types,)
+
+    def resolve(cfg: dict):
+        node = cfg
+        for part in parts:
+            node = node[part]
+        return (default(cfg) if callable(default) else default) if node in values else otherwise
+    return resolve
+
+
+#: path -> (type, bound, default), parents before their fields.  A bound is a
+#: minimum, a tuple of allowed values, an interval within [0, 1], or EXISTS.
+#: A null value takes the default, except where the type admits NULL.
+FIELDS = {
+    "schema_version": (int, (SCHEMA_VERSION,), SCHEMA_VERSION),
+    "scheme": (str, SCHEMES, REQUIRED),
+    "seed": (int, 0, REQUIRED),
+    "rounds": (int, 0, REQUIRED),
+    "tau": (int, 0, 1),
+    "dataset": (dict, None, REQUIRED),
+    "dataset.kind": (str, ("synthetic", "mnist-idx", "quadratic"), REQUIRED),
+    "dataset.samples": (int, 1, _when("dataset.kind", ("synthetic", "quadratic"))),
+    "dataset.test_samples": (int, 1, _when("dataset.kind", ("synthetic",))),
+    "dataset.classes": (int, 2, _when("dataset.kind", ("synthetic",))),
+    "dataset.dim": (int, 1, _when("dataset.kind", ("synthetic", "quadratic"))),
+    "dataset.separation": (NUMBER, None, _when("dataset.kind", ("synthetic",), 3.0)),
+    "dataset.class_std": (NUMBER, None, _when("dataset.kind", ("synthetic",), 1.0)),
+    "dataset.noise_scale": (NUMBER, None, _when("dataset.kind", ("quadratic",), 0.0)),
+    "dataset.seed": (int, 0, _when("dataset.kind", ("synthetic", "quadratic"),
+                                   lambda cfg: cfg["seed"])),
+    "dataset.train_images": (str, EXISTS, _when("dataset.kind", ("mnist-idx",))),
+    "dataset.train_labels": (str, EXISTS, _when("dataset.kind", ("mnist-idx",))),
+    "dataset.test_images": (str, EXISTS, _when("dataset.kind", ("mnist-idx",))),
+    "dataset.test_labels": (str, EXISTS, _when("dataset.kind", ("mnist-idx",))),
+    "dataset.limit": (int, 1, ABSENT),
+    "partition": (dict, None, {}),
+    "partition.mode": (str, ("iid", "non-iid"), "iid"),
+    "task": (dict, None, {}),
+    "task.kind": (str, ("quadratic-convex", "softmax-regression", "mlp-3fc"),
+                  _when("dataset.kind", ("quadratic",), "quadratic-convex", "softmax-regression")),
+    "ring": (dict, None, REQUIRED),
+    "ring.nodes": (int, 1, REQUIRED),
+    "ring.byzantine": (int, 0, 0),
+    "ring.dropout": (int, 0, 0),
+    "ring.byzantine_ids": (list, None, None),
+    # optional in dropout mode, where width b+d+1 and depth b+1 replace it
+    "ring.connectivity": (int, 1, _when("scheme", ("basil",), _when("ring.dropout", (0,)))),
+    "groups": (dict, None, _when("scheme", GROUPED_SCHEMES)),
+    "groups.count": (int, 1, _when("scheme", GROUPED_SCHEMES)),
+    "graph": (dict, None, _when("scheme", GRAPH_SCHEMES, {})),
+    "graph.edge_prob_benign": (NUMBER, "[0, 1]", 0.4),
+    "graph.edge_prob_byzantine": (NUMBER, "[0, 1]", 0.4),
+    "graph.rho": (NUMBER, "(0, 1]", 0.33),
+    "graph.mixing": (NUMBER, "[0, 1]", 0.5),
+    "attack": (dict, None, {}),
+    "attack.kind": (str, ATTACK_KINDS, "none"),
+    "attack.activation_round": (int, 0, ABSENT),
+    "training": (dict, None, {}),
+    # null means all of a node's data
+    "training.batch_size": ((int, NULL), 1, 80),
+    "training.epochs": (int, 1, None),
+    "training.lr": (dict, None, {}),
+    "training.lr.kind": (str, ("decay", "constant"), "decay"),
+    "training.lr.eta0": (NUMBER, None, _when("training.lr.kind", ("decay",), 0.03)),
+    "training.lr.decay": (NUMBER, None, _when("training.lr.kind", ("decay",), 0.03)),
+    "training.lr.eta": (NUMBER, None, _when("training.lr.kind", ("constant",))),
+    "acds": (dict, None, {}),
+    "acds.enabled": (bool, None, False),
+    "acds.alpha": (NUMBER, "(0, 1)", _when("acds.enabled", (True,))),
+    "acds.batches": (int, 1, _when("acds.enabled", (True,))),
+    "acds.groups": (int, 1, _when("acds.enabled", (True,))),
+    "acds.sensitive_gamma": (NUMBER, "[0, 1]", ABSENT),
+    "output": (dict, None, {}),
+    "output.emit_series": (bool, None, True),
+    "output.dir": (str, None, ABSENT),
+}
+
+#: (path, parent path, key, types, bound, default) for each row of FIELDS
+_ROWS = [(path, *path.rpartition(".")[::2], types if isinstance(types, tuple) else (types,),
+          bound, default) for path, (types, bound, default) in FIELDS.items()]
+#: dict path ("" for the top level) -> the keys the table lists in it
+_KEYS = {parent: {k for _, p, k, *_ in _ROWS if p == parent} for _, parent, *_ in _ROWS}
+
+
+def _reject_unknown(node: dict, path: str) -> None:
+    unknown = sorted(node.keys() - _KEYS[path])
+    if unknown:
+        raise ConfigError(f"{path + '.' if path else ''}{unknown[0]}: unknown field")
+
+
+def _check(path: str, value, types: tuple, bound) -> None:
     # bool is an int subclass; accept it only where bool itself is allowed
-    if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
-        names = " or ".join(t.__name__ for t in allowed)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        names = " or ".join(t.__name__ for t in types if t is not NULL)
         raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
-    return value
-
-
-def _require_int(cfg: dict, path: str, low: int, default=None, required=False):
-    value = _require(cfg, path, int, default, required)
-    if value is not None and value < low:
-        raise ConfigError(f"{path}: must be >= {low}, got {value}")
-    return value
+    if bound is EXISTS:
+        ok, want = Path(value).exists(), bound
+    elif isinstance(bound, tuple):
+        ok, want = value in bound, "one of " + ", ".join(map(repr, bound))
+    elif isinstance(bound, str):  # an interval such as "(0, 1]"
+        ok = ((value > 0 if bound[0] == "(" else value >= 0)
+              and (value < 1 if bound[-1] == ")" else value <= 1))
+        want = f"in {bound}"
+    else:
+        ok, want = bound is None or value >= bound, f">= {bound}"
+    if not ok:
+        raise ConfigError(f"{path}: must be {want}, got {value!r}")
 
 
 def validate_config(cfg: dict) -> dict:
-    """Fill defaults and fail fast with field-level messages."""
+    """Fill the defaults of ``FIELDS`` and fail fast with field-level messages."""
     if not isinstance(cfg, dict):
         raise ConfigError("config: expected a JSON object")
     out = json.loads(json.dumps(cfg))  # deep copy, JSON-typed
-    version = _require(out, "schema_version", int, default=SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version: unsupported version {version}")
-    out["schema_version"] = SCHEMA_VERSION
+    _reject_unknown(out, "")
+    dicts = {"": out}  # the resolved dict at each path
+    for path, parent, key, types, bound, default in _ROWS:
+        node = dicts.get(parent)
+        if node is None:
+            continue  # the enclosing dict is left out
+        value = node.get(key)
+        if value is None and (key not in node or NULL not in types):
+            value = default(out) if callable(default) else default
+            if value is REQUIRED:
+                raise ConfigError(f"{path}: required field is missing")
+            if value is ABSENT:
+                node.pop(key, None)
+                continue
+            node[key] = value = copy.copy(value)
+        if value is not None:
+            _check(path, value, types, bound)
+        if isinstance(value, dict):
+            _reject_unknown(value, path)
+            dicts[path] = value
 
-    scheme = _require(out, "scheme", str, required=True)
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme: unknown scheme {scheme!r}")
-    _require(out, "seed", int, required=True)
-    _require_int(out, "rounds", 0, required=True)
-    _require_int(out, "tau", 0)
-    out.setdefault("tau", 1)
-
-    dataset = _require(out, "dataset", dict, required=True)
-    kind = _require(out, "dataset.kind", str, required=True)
-    if kind == "synthetic":
-        for key in ("samples", "test_samples", "classes", "dim"):
-            _require_int(out, f"dataset.{key}", 1, required=True)
-        dataset.setdefault("separation", 3.0)
-        dataset.setdefault("class_std", 1.0)
-        dataset.setdefault("seed", out["seed"])
-    elif kind == "mnist-idx":
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            path = _require(out, f"dataset.{key}", str, required=True)
-            if not Path(path).exists():
-                raise ConfigError(f"dataset.{key}: file not found: {path}")
-    elif kind == "quadratic":
-        for key in ("dim", "samples"):
-            _require_int(out, f"dataset.{key}", 1, required=True)
-        dataset.setdefault("noise_scale", 0.0)
-        dataset.setdefault("seed", out["seed"])
-    else:
-        raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
-
-    out.setdefault("partition", {})
-    mode = out["partition"].setdefault("mode", "iid")
-    if mode not in ("iid", "non-iid"):
-        raise ConfigError(f"partition.mode: unknown mode {mode!r}")
-
-    out.setdefault("task", {})
-    default_task = "quadratic-convex" if kind == "quadratic" else "softmax-regression"
-    task_kind = out["task"].setdefault("kind", default_task)
-    if task_kind not in ("quadratic-convex", "softmax-regression", "mlp-3fc"):
-        raise ConfigError(f"task.kind: unknown kind {task_kind!r}")
-
-    ring = _require(out, "ring", dict, required=True)
-    n_nodes = _require(out, "ring.nodes", int, required=True)
-    ring.setdefault("byzantine", 0)
-    ring.setdefault("dropout", 0)
-    ring.setdefault("byzantine_ids", None)
-    ids = _require(out, "ring.byzantine_ids", list)
-    if ids is not None and (not all(type(i) is int and 0 <= i < n_nodes for i in ids)
+    scheme, ring = out["scheme"], out["ring"]
+    n_nodes, n_byzantine, ids = ring["nodes"], ring["byzantine"], ring["byzantine_ids"]
+    if n_byzantine >= n_nodes:
+        raise ConfigError(f"ring.byzantine: must be below ring.nodes = {n_nodes}, "
+                          f"got {n_byzantine}")
+    if ids is not None and (len(ids) > n_byzantine
+                            or not all(type(i) is int and 0 <= i < n_nodes for i in ids)
                             or len(set(ids)) != len(ids)):
-        raise ConfigError(f"ring.byzantine_ids: expected distinct ints in 0..{n_nodes - 1}, "
-                          f"got {ids!r}")
-    n_byzantine = ring["byzantine"] = _require_int(out, "ring.byzantine", 0, default=0)
-    if ids is not None and len(ids) > n_byzantine:
-        raise ConfigError(f"ring.byzantine_ids: {len(ids)} ids exceed ring.byzantine "
-                          f"= {n_byzantine}")
-    ring["dropout"] = _require_int(out, "ring.dropout", 0, default=0)
+        raise ConfigError(f"ring.byzantine_ids: expected at most ring.byzantine = {n_byzantine} "
+                          f"distinct ints in 0..{n_nodes - 1}, got {ids!r}")
     if ring["dropout"] and scheme != "basil":
         raise ConfigError(f"ring.dropout: scheme {scheme!r} has no dropout mode")
-    if scheme == "basil":
-        # optional in dropout mode, where width b+d+1 and depth b+1 replace it
-        _require(out, "ring.connectivity", int, required=ring["dropout"] == 0)
-    if scheme in GROUPED_SCHEMES:
-        count = _require_int(out, "groups.count", 1, required=True)
-        if n_nodes % count != 0:
-            raise ConfigError("groups.count: must divide ring.nodes")
-    if scheme in GRAPH_SCHEMES:
-        graph = out.setdefault("graph", {})
-        for key, default in (("edge_prob_benign", 0.4), ("edge_prob_byzantine", 0.4),
-                             ("rho", 0.33), ("mixing", 0.5)):
-            graph.setdefault(key, default)
-            value = _require(out, f"graph.{key}", (int, float), required=True)
-            if not 0 <= value <= 1 or (key == "rho" and value == 0):
-                interval = "(0, 1]" if key == "rho" else "[0, 1]"
-                raise ConfigError(f"graph.{key}: must lie in {interval}, got {value!r}")
-
-    out.setdefault("attack", {})
-    atk_kind = out["attack"].setdefault("kind", "none")
-    _require_int(out, "attack.activation_round", 0)
-    try:
-        AttackSpec.make(atk_kind, out["attack"].get("activation_round"))
-    except ConfigError as exc:
-        raise ConfigError(f"attack.kind: {exc}") from None
-
-    out.setdefault("training", {})
-    out["training"].setdefault("batch_size", 80)
-    _require_int(out, "training.batch_size", 1)
-    epochs = out["training"].setdefault("epochs", None)
-    _require_int(out, "training.epochs", 1)
+    if scheme in GROUPED_SCHEMES and n_nodes % out["groups"]["count"] != 0:
+        raise ConfigError("groups.count: must divide ring.nodes")
+    epochs = out["training"]["epochs"]
     if epochs is not None and scheme not in EPOCH_SCHEMES:
         raise ConfigError(f"training.epochs: scheme {scheme!r} takes no epochs, got {epochs!r}")
-    out["training"].setdefault("lr", {"kind": "decay", "eta0": 0.03, "decay": 0.03})
-    lr = _require(out, "training.lr", dict)
-    if lr.get("kind") not in ("decay", "constant"):
-        raise ConfigError("training.lr.kind: must be 'decay' or 'constant'")
-    for key in ("eta0", "decay"):
-        _require(out, f"training.lr.{key}", (int, float))
-    _require(out, "training.lr.eta", (int, float), required=lr["kind"] == "constant")
-
-    out["acds"] = _require(out, "acds", dict, default={})
-    enabled = out["acds"]["enabled"] = _require(out, "acds.enabled", bool, default=False)
-    alpha = _require(out, "acds.alpha", (int, float), required=enabled)
-    if alpha is not None and not 0 < alpha < 1:
-        raise ConfigError(f"acds.alpha: must lie in (0, 1), got {alpha!r}")
-    for key in ("batches", "groups"):
-        _require_int(out, f"acds.{key}", 1, required=enabled)
-    out["output"] = _require(out, "output", dict, default={})
-    out["output"]["emit_series"] = _require(out, "output.emit_series", bool, default=True)
+    task, kind = out["task"]["kind"], out["dataset"]["kind"]
+    if (task == "quadratic-convex") != (kind == "quadratic"):
+        raise ConfigError(f"task.kind: {task!r} does not fit dataset.kind {kind!r}")
     return out
 
 
@@ -183,9 +208,7 @@ def _build_lr(cfg: dict):
     lr = cfg["training"]["lr"]
     if lr["kind"] == "constant":
         return constant_lr(float(lr["eta"]))
-    eta0, decay = float(lr.get("eta0", 0.03)), float(lr.get("decay", 0.03))
-    if (eta0, decay) == (0.03, 0.03):
-        return default_lr
+    eta0, decay = float(lr["eta0"]), float(lr["decay"])
     return lambda k: eta0 / (1.0 + decay * k)
 
 
@@ -203,9 +226,8 @@ def _build_dataset(cfg: dict) -> tuple[Dataset, tuple | None]:
     if d["kind"] == "mnist-idx":
         train = load_idx(d["train_images"], d["train_labels"])
         test = load_idx(d["test_images"], d["test_labels"])
-        limit = d.get("limit")
-        if limit:
-            train = Dataset(train.features[:limit], train.labels[:limit])
+        if "limit" in d:
+            train = Dataset(train.features[:d["limit"]], train.labels[:d["limit"]])
         return train, (test.features, test.labels)
     train = make_quadratic_dataset(d["samples"], d["dim"], d["seed"])
     return train, None
@@ -215,26 +237,23 @@ def _build_task(cfg: dict, dataset: Dataset):
     kind = cfg["task"]["kind"]
     if kind == "quadratic-convex":
         rng = np.random.default_rng([cfg["dataset"]["seed"], 0x7A])
-        dim = dataset.dim
-        hess = rng.uniform(0.3, 1.0, size=dim)
-        x_star = rng.standard_normal(dim)
-        return QuadraticTask(hess, x_star, noise_scale=float(cfg["dataset"].get("noise_scale", 0.0)))
+        hess = rng.uniform(0.3, 1.0, size=dataset.dim)
+        x_star = rng.standard_normal(dataset.dim)
+        return QuadraticTask(hess, x_star, noise_scale=float(cfg["dataset"]["noise_scale"]))
     n_classes = int(dataset.labels.max()) + 1
     if kind == "softmax-regression":
         return SoftmaxTask(dataset.dim, n_classes)
     return MlpTask((dataset.dim, 100, 100, n_classes))
 
 
-def _apply_acds(cfg: dict, dataset: Dataset) -> tuple[Dataset, dict | None]:
+def _apply_acds(cfg: dict, dataset: Dataset, manifest: dict) -> Dataset:
     ac = cfg["acds"]
     if not ac["enabled"]:
-        return dataset, None
-    if ac.get("sensitive_gamma") is not None:
+        return dataset
+    if "sensitive_gamma" in ac:
         dataset = flag_sensitive_by_class(dataset, float(ac["sensitive_gamma"]))
-    plan = acds_mod.plan_acds(
-        dataset, sorted(dataset.partition), ac["groups"], float(ac["alpha"]),
-        int(ac["batches"]), cfg["seed"],
-    )
+    plan = acds_mod.plan_acds(dataset, sorted(dataset.partition), ac["groups"], ac["alpha"],
+                              ac["batches"], cfg["seed"])
     pool = acds_mod.run_acds(plan, shuffle_seed=cfg["seed"])
     augmented = {
         node: np.sort(np.concatenate([
@@ -242,7 +261,8 @@ def _apply_acds(cfg: dict, dataset: Dataset) -> tuple[Dataset, dict | None]:
         ]))
         for node in dataset.partition
     }
-    return replace(dataset, partition=augmented), pool.summary()
+    manifest["acds_summary"] = pool.summary()
+    return replace(dataset, partition=augmented)
 
 
 @dataclass
@@ -252,13 +272,6 @@ class RunResult:
     csv_path: Path
     manifest_path: Path
     series_path: Path | None
-
-
-def _resolve_output_dir(cfg: dict, override: str | Path | None) -> Path:
-    if override is not None:
-        return Path(override)
-    root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
-    return root / cfg.get("output", {}).get("dir", "run")
 
 
 def run_experiment(config: dict | str | Path, output_dir: str | Path | None = None) -> RunResult:
@@ -275,7 +288,8 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
         config = config["config"]
     cfg = validate_config(config)
 
-    out_dir = _resolve_output_dir(cfg, output_dir)
+    root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
+    out_dir = Path(output_dir) if output_dir is not None else root / cfg["output"].get("dir", "run")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "history.csv"
     manifest_path = out_dir / "manifest.json"
@@ -283,13 +297,7 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
     written: list[Path] = []
     try:
         history, stat = _dispatch(cfg)
-        history.manifest.update({
-            "schema_version": SCHEMA_VERSION,
-            "config": cfg,
-            "attack": AttackSpec.make(
-                cfg["attack"]["kind"], cfg["attack"].get("activation_round")
-            ).to_manifest(),
-        })
+        history.manifest.update({"schema_version": SCHEMA_VERSION, "config": cfg})
         history.write_csv(csv_path)
         written.append(csv_path)
         history.write_manifest(manifest_path)
@@ -305,30 +313,28 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
 
 
 def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
-    scheme = cfg["scheme"]
-    seed = cfg["seed"]
+    scheme, seed = cfg["scheme"], cfg["seed"]
     dataset, test_set = _build_dataset(cfg)
     n_nodes = cfg["ring"]["nodes"]
+    attack = AttackSpec.make(cfg["attack"]["kind"], cfg["attack"].get("activation_round"))
+    manifest = {"attack": attack.to_manifest()}
     dataset = partition(dataset, n_nodes, cfg["partition"]["mode"], seed)
-    dataset, acds_summary = _apply_acds(cfg, dataset)
+    dataset = _apply_acds(cfg, dataset, manifest)
     task = _build_task(cfg, dataset)
     lr = _build_lr(cfg)
     batch_size = cfg["training"]["batch_size"]
-    attack = AttackSpec.make(cfg["attack"]["kind"], cfg["attack"].get("activation_round"))
     byz_ids = cfg["ring"]["byzantine_ids"]
     byz_ids = None if byz_ids is None else frozenset(byz_ids)
-    manifest = {} if acds_summary is None else {"acds_summary": acds_summary}
 
     # the unfiltered schemes run the filtered drivers at connectivity one,
     # where every selection has a single candidate
     if scheme in RING_SCHEMES:
-        connectivity = 1 if scheme == "r-plain" else cfg["ring"].get("connectivity")
         config = RingConfig(
             n_nodes=n_nodes,
             n_byzantine=cfg["ring"]["byzantine"],
             n_dropout=cfg["ring"]["dropout"],
-            # None only in dropout mode, where width and depth replace it
-            connectivity=RingConfig.connectivity if connectivity is None else connectivity,
+            # left out only in dropout mode, where width and depth replace it
+            connectivity=1 if scheme == "r-plain" else cfg["ring"].get("connectivity", 1),
             seed=seed,
             byzantine_ids=byz_ids,
         )

@@ -1,4 +1,5 @@
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 from basilsim.cli import main as cli_main
 from basilsim.errors import ConfigError
-from basilsim.harness import run_experiment, validate_config
+from basilsim.harness import FIELDS, run_experiment, validate_config
+from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
 def desk_config(**overrides):
@@ -24,7 +26,11 @@ def desk_config(**overrides):
     return cfg
 
 
-#: a malformed value of each field, as desk_config overrides
+SYNTHETIC = {"kind": "synthetic", "samples": 400, "test_samples": 100, "classes": 4, "dim": 8}
+ACDS = {"enabled": True, "alpha": 0.2, "batches": 2, "groups": 2}
+
+#: a malformed value of each field, as desk_config overrides; a name is the
+#: field path, with "=value" added where a field has a second case
 MALFORMED = {
     "ring.byzantine": {"ring": {"nodes": 8, "byzantine": "1", "connectivity": 3}},
     "training.batch_size": {"training": {"batch_size": -3}},
@@ -47,6 +53,24 @@ MALFORMED = {
     "acds.batches": {"acds": {"enabled": True, "alpha": 0.2, "batches": 0, "groups": 2}},
     "acds.groups": {"acds": {"enabled": True, "alpha": 0.2, "batches": 2, "groups": 1.5}},
     "output.emit_series": {"output": {"emit_series": "no"}},
+    "dataset.separation": {"dataset": {**SYNTHETIC, "separation": "x"}},
+    "dataset.class_std": {"dataset": {**SYNTHETIC, "class_std": "x"}},
+    "dataset.seed": {"dataset": {**SYNTHETIC, "seed": "x"}},
+    "dataset.seed=1.5": {"dataset": {**SYNTHETIC, "seed": 1.5}},
+    "dataset.noise_scale": {"dataset": {"kind": "quadratic", "samples": 400, "dim": 4,
+                                        "noise_scale": "x"}},
+    "partition": {"partition": []},
+    "task": {"task": "x"},
+    "training": {"training": 5},
+    "attack": {"attack": "x"},
+    "graph": {"scheme": "ubar", "graph": 5},
+    "acds.sensitive_gamma": {"acds": {**ACDS, "sensitive_gamma": "x"}},
+    "acds.sensitive_gamma=2": {"acds": {**ACDS, "sensitive_gamma": 2}},
+    "output.dir": {"output": {"dir": 5}},
+    "dataset_typo": {"dataset_typo": 1},
+    "ring.conectivity": {"ring": {"nodes": 8, "byzantine": 2, "connectivity": 3,
+                                  "conectivity": 3}},
+    "ring.nodes": {"ring": {"nodes": 0, "connectivity": 3}},
 }
 
 
@@ -91,6 +115,35 @@ class TestValidation:
         cfg = validate_config(desk_config(ring={"nodes": 8, "byzantine": None,
                                                 "dropout": None, "connectivity": 3}))
         assert (cfg["ring"]["byzantine"], cfg["ring"]["dropout"]) == (0, 0)
+
+    @pytest.mark.parametrize("name", ["bundled", *sorted(GOLDEN_CONFIGS)])
+    def test_validation_is_idempotent(self, name):
+        cfg = validate_config(bundled_config() if name == "bundled" else GOLDEN_CONFIGS[name])
+        assert validate_config(cfg) == cfg
+
+    def test_null_optional_fields_are_left_out(self, tmp_path):
+        cfg = desk_config(ring={"nodes": 8, "byzantine": 1, "dropout": 2, "connectivity": None},
+                          attack={"kind": "hidden", "activation_round": None},
+                          acds={**ACDS, "sensitive_gamma": None}, rounds=1)
+        resolved = validate_config(cfg)
+        assert "connectivity" not in resolved["ring"]
+        assert "activation_round" not in resolved["attack"]
+        assert "sensitive_gamma" not in resolved["acds"]
+        assert run_experiment(cfg, output_dir=tmp_path).history.rows
+
+    def test_explicit_null_batch_size_is_kept(self):
+        assert validate_config(desk_config(training={"batch_size": None}))[
+            "training"]["batch_size"] is None
+        assert validate_config(desk_config(training={}))["training"]["batch_size"] == 80
+
+    def test_readme_lists_every_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Experiment configs")[1].split("\n## ")[0]
+        named = set(re.findall(r"`([a-z_]+(?:\.[a-z_0-9]+)*)`", section))
+        assert set(FIELDS) - named == set(), "fields the README does not document"
+        top = {path.split(".")[0] for path in FIELDS}
+        dotted = {name for name in named if "." in name and name.split(".")[0] in top}
+        assert dotted - set(FIELDS) == set(), "README names paths the table lacks"
 
     def test_defaults_are_filled(self):
         cfg = validate_config(desk_config())
@@ -247,12 +300,34 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "training.epochs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field", MALFORMED)
-    def test_malformed_field_exit_code_names_the_field(self, tmp_path, capsys, field):
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_field_exit_code_names_the_field(self, tmp_path, capsys, name):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps(desk_config(**MALFORMED[field])))
+        cfg_path.write_text(json.dumps(desk_config(**MALFORMED[name])))
         assert cli_main(["run", str(cfg_path)]) == 2
-        assert field in capsys.readouterr().err
+        assert name.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["basil", "basil-plus", "r-plain", "r-plain-plus",
+                                        "g-plain", "ubar"])
+    @pytest.mark.parametrize("byzantine", [8, 9])
+    def test_byzantine_not_below_nodes(self, tmp_path, capsys, scheme, byzantine):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(
+            scheme=scheme, groups={"count": 2},
+            ring={"nodes": 8, "byzantine": byzantine, "connectivity": 3})))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "ring.byzantine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dataset, task", [
+        ({"kind": "quadratic", "samples": 400, "dim": 4}, "softmax-regression"),
+        ({"kind": "quadratic", "samples": 400, "dim": 4}, "mlp-3fc"),
+        (SYNTHETIC, "quadratic-convex"),
+    ])
+    def test_task_must_fit_the_dataset(self, tmp_path, capsys, dataset, task):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(dataset=dataset, task={"kind": task})))
+        assert cli_main(["run", str(cfg_path)]) == 2
+        assert "task.kind" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme", ["basil-plus", "r-plain", "r-plain-plus", "g-plain", "ubar"])
     def test_dropout_rejected_where_unused(self, tmp_path, capsys, scheme):
