@@ -36,7 +36,6 @@ from .basil_plus import (
     circular_aggregate,
     cluster_nodes,
     robust_multicast,
-    run_basil_plus,
 )
 from .data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from .errors import ConfigError, IdxFormatError, NumericFaultError, ProtocolError
@@ -58,7 +57,6 @@ from .ring import (
     StoredModels,
     agree_order,
     basil_select,
-    run_basil,
 )
 
 __version__ = "0.1.0"

@@ -216,22 +216,14 @@ def graph_round(
     return state
 
 
-def run_graph_scheme(
-    scheme: str, topology: GraphTopology, byzantine_ids, seed: int,
-    task: LossTask, dataset: Dataset, rounds: int, *,
-    rho: float = 0.33, mixing: float = 0.5, attack=None, lr_schedule=None,
+def run_graph(
+    rule: GraphRule, topology: GraphTopology, byzantine_ids, seed: int,
+    task: LossTask, dataset: Dataset, rounds: int, *, attack=None, lr_schedule=None,
     batch_size: int | None = DEFAULT_BATCH_SIZE, test_set=None,
-    initial_model=None, manifest=None,
 ) -> TrainHistory:
-    initial_model = initial_model or task.initial_model(seed)
-    state = make_graph_state(topology, byzantine_ids, seed, initial_model)
-    history = TrainHistory(manifest=manifest or {})
-    if scheme == "g-plain":
-        rule = gossip_rule
-    elif scheme == "ubar":
-        rule = ubar_rule(rho, mixing)
-    else:
-        raise ConfigError(f"unknown graph scheme {scheme!r}")
+    """Run ``rounds`` graph rounds of ``rule`` from the task's seeded start model."""
+    state = make_graph_state(topology, byzantine_ids, seed, task.initial_model(seed))
+    history = TrainHistory()
     for _ in range(rounds):
         graph_round(state, rule, task, dataset, attack, lr_schedule, batch_size,
                     history, test_set)

@@ -26,8 +26,6 @@ from .ring import (
     BasilRing,
     RingConfig,
     Selection,
-    StoredEntry,
-    StoredModels,
     agree_order,
     basil_select,
     default_lr,
@@ -133,8 +131,6 @@ class BasilPlusDriver:
         batch_size: int | None = DEFAULT_BATCH_SIZE,
         epochs: int | None = None,
         test_set=None,
-        initial_model: ModelVector | None = None,
-        manifest: dict | None = None,
     ):
         if tau < 0:
             raise ConfigError("tau must be >= 0")
@@ -152,13 +148,12 @@ class BasilPlusDriver:
 
         S = config.resolved_connectivity
         self.groups = cluster_nodes(node_ids, config.n_groups, config.seed, S)
-        if initial_model is None:
-            initial_model = task.initial_model(config.seed)
+        initial_model = task.initial_model(config.seed)
         for state in self.groups:
             for m in state.members:
                 state.models[m] = initial_model
 
-        self.history = TrainHistory(manifest=manifest or {})
+        self.history = TrainHistory()
         self.global_round = 0
         self.rings: dict[int, BasilRing] = {}
         for state in self.groups:
@@ -183,7 +178,7 @@ class BasilPlusDriver:
                 batch_size=batch_size,
                 epochs=epochs,
                 test_set=test_set,
-                initial_models=dict(state.models),
+                initial_model=initial_model,
                 node_ids=list(state.members),
                 group=state.gid,
             )
@@ -242,18 +237,11 @@ class BasilPlusDriver:
         for state in self.groups:
             ring = self.rings[state.gid]
             if self.global_round > 1:
-                self._reset_ring(ring, state)
+                ring.restart(state.models)
             ring.run(self.tau)
             for m in state.members:
                 state.models[m] = ring.latest_output[m].model
                 state.aggregates[m] = state.models[m]
-
-    def _reset_ring(self, ring: BasilRing, state: GroupState) -> None:
-        for m in state.members:
-            fifo = StoredModels(ring.config.storage_depth)
-            fifo.insert(None, ring.round_idx, state.models[m])
-            ring.fifos[m] = fifo
-            ring.latest_output[m] = StoredEntry(m, ring.round_idx, state.models[m])
 
     # -- driver --------------------------------------------------------------
 
@@ -339,26 +327,3 @@ def robust_multicast(
             adopted[node] = sel.model
             state.models[node] = sel.model
     return adopted
-
-
-def run_basil_plus(
-    config: GroupConfig,
-    task: LossTask,
-    dataset: Dataset,
-    K: int,
-    tau: int = 1,
-    *,
-    attack: AttackSpec | None = None,
-    lr_schedule=None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    epochs: int | None = None,
-    test_set=None,
-    initial_model=None,
-    manifest: dict | None = None,
-) -> TrainHistory:
-    driver = BasilPlusDriver(
-        config, task, dataset,
-        tau=tau, attack=attack, lr_schedule=lr_schedule, batch_size=batch_size,
-        epochs=epochs, test_set=test_set, initial_model=initial_model, manifest=manifest,
-    )
-    return driver.run(K)

@@ -18,13 +18,13 @@ import numpy as np
 from . import acds as acds_mod
 from . import baselines
 from .attacks import ATTACK_KINDS, AttackSpec
-from .basil_plus import GroupConfig, run_basil_plus
+from .basil_plus import BasilPlusDriver, GroupConfig
 from .data import Dataset, flag_sensitive_by_class, make_cluster_dataset, make_quadratic_dataset, partition
 from .errors import ConfigError
 from .history import TrainHistory
 from .idx import load_idx
 from .models import MlpTask, QuadraticTask, SoftmaxTask
-from .ring import RingConfig, constant_lr, place_byzantine, run_basil
+from .ring import BasilRing, RingConfig, constant_lr, place_byzantine
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "BASILSIM_OUTPUT_ROOT"
@@ -193,8 +193,17 @@ def validate_config(cfg: dict) -> dict:
                           f"distinct ints in 0..{n_nodes - 1}, got {ids!r}")
     if ring["dropout"] and scheme != "basil":
         raise ConfigError(f"ring.dropout: scheme {scheme!r} has no dropout mode")
+    if ring["dropout"] and n_byzantine + ring["dropout"] + 1 > n_nodes - 1:
+        raise ConfigError(f"ring.dropout: width b + d + 1 must not exceed ring.nodes - 1 = "
+                          f"{n_nodes - 1}, got {n_byzantine + ring['dropout'] + 1}")
     if scheme in GROUPED_SCHEMES and n_nodes % out["groups"]["count"] != 0:
         raise ConfigError("groups.count: must divide ring.nodes")
+    if "connectivity" in ring and scheme in ("basil", "basil-plus"):
+        # basil-plus runs one ring per group; a ring of one node stores one model
+        size = n_nodes if scheme == "basil" else n_nodes // out["groups"]["count"]
+        if 1 < size <= ring["connectivity"]:
+            raise ConfigError(f"ring.connectivity: must be at most the ring size minus one = "
+                              f"{size - 1}, got {ring['connectivity']}")
     epochs = out["training"]["epochs"]
     if epochs is not None and scheme not in EPOCH_SCHEMES:
         raise ConfigError(f"training.epochs: scheme {scheme!r} takes no epochs, got {epochs!r}")
@@ -296,8 +305,8 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
     series_path = out_dir / "series.csv" if cfg["output"]["emit_series"] else None
     written: list[Path] = []
     try:
-        history, stat = _dispatch(cfg)
-        history.manifest.update({"schema_version": SCHEMA_VERSION, "config": cfg})
+        history, stat, manifest = _dispatch(cfg)
+        history.manifest = {**manifest, "schema_version": SCHEMA_VERSION, "config": cfg}
         history.write_csv(csv_path)
         written.append(csv_path)
         history.write_manifest(manifest_path)
@@ -312,7 +321,9 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
         raise
 
 
-def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
+def _dispatch(cfg: dict) -> tuple[TrainHistory, str, dict]:
+    """Build and run the scheme's driver; returns its history, the accuracy
+    statistic of its series, and the manifest entries the run adds."""
     scheme, seed = cfg["scheme"], cfg["seed"]
     dataset, test_set = _build_dataset(cfg)
     n_nodes = cfg["ring"]["nodes"]
@@ -321,8 +332,8 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
     dataset = partition(dataset, n_nodes, cfg["partition"]["mode"], seed)
     dataset = _apply_acds(cfg, dataset, manifest)
     task = _build_task(cfg, dataset)
-    lr = _build_lr(cfg)
-    batch_size = cfg["training"]["batch_size"]
+    common = dict(attack=attack, lr_schedule=_build_lr(cfg),
+                  batch_size=cfg["training"]["batch_size"], test_set=test_set)
     byz_ids = cfg["ring"]["byzantine_ids"]
     byz_ids = None if byz_ids is None else frozenset(byz_ids)
 
@@ -338,12 +349,8 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
             seed=seed,
             byzantine_ids=byz_ids,
         )
-        history = run_basil(
-            config, task, dataset, cfg["rounds"], attack=attack, lr_schedule=lr,
-            batch_size=batch_size, epochs=cfg["training"]["epochs"], test_set=test_set,
-            manifest=manifest,
-        )
-        return history, "worst"
+        ring = BasilRing(config, task, dataset, epochs=cfg["training"]["epochs"], **common)
+        return ring.run(cfg["rounds"]), "worst", manifest
     if scheme in GRAPH_SCHEMES:
         ids = list(range(n_nodes))
         byz_ids = place_byzantine(ids, cfg["ring"]["byzantine"], seed, byz_ids)
@@ -352,12 +359,11 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
             edge_prob_benign=cfg["graph"]["edge_prob_benign"],
             edge_prob_byzantine=cfg["graph"]["edge_prob_byzantine"],
         )
-        history = baselines.run_graph_scheme(
-            scheme, topo, byz_ids, seed, task, dataset, cfg["rounds"],
-            rho=cfg["graph"]["rho"], mixing=cfg["graph"]["mixing"], attack=attack,
-            lr_schedule=lr, batch_size=batch_size, test_set=test_set, manifest=manifest,
-        )
-        return history, "worst"
+        rule = (baselines.gossip_rule if scheme == "g-plain"
+                else baselines.ubar_rule(cfg["graph"]["rho"], cfg["graph"]["mixing"]))
+        history = baselines.run_graph(rule, topo, byz_ids, seed, task, dataset,
+                                      cfg["rounds"], **common)
+        return history, "worst", manifest
     config = GroupConfig(
         n_nodes=n_nodes,
         n_groups=cfg["groups"]["count"],
@@ -366,9 +372,6 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str]:
         seed=seed,
         byzantine_ids=byz_ids,
     )
-    history = run_basil_plus(
-        config, task, dataset, cfg["rounds"], cfg["tau"], attack=attack,
-        lr_schedule=lr, batch_size=batch_size, epochs=cfg["training"]["epochs"],
-        test_set=test_set, manifest=manifest,
-    )
-    return history, "mean"
+    driver = BasilPlusDriver(config, task, dataset, tau=cfg["tau"],
+                             epochs=cfg["training"]["epochs"], **common)
+    return driver.run(cfg["rounds"]), "mean", manifest

@@ -24,7 +24,7 @@ class HistoryRow:
 class TrainHistory:
     """Everything a run produced, in deterministic order."""
 
-    manifest: dict
+    manifest: dict = field(default_factory=dict)
     rows: list[HistoryRow] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     counters: dict[str, int] = field(default_factory=dict)

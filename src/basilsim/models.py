@@ -121,10 +121,6 @@ class LossTask:
         parameter stack; row ``s`` equals the losses of model ``s`` alone."""
         raise NotImplementedError
 
-    def per_sample_losses(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        self._check_batch(X, y)
-        return self.stacked_losses(model.params[None], model.shape, X, y)[0]
-
     def gradient(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Mean gradient of the per-sample loss over the batch, flattened."""
         raise NotImplementedError
@@ -341,8 +337,8 @@ class MlpTask(LossTask):
 
 
 def evaluate_loss(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean per-sample loss of ``model`` on the batch. Deterministic."""
-    return float(task.per_sample_losses(model, X, y).mean())
+    """Mean per-sample loss of ``model`` on the batch, +inf for a non-finite model."""
+    return evaluate_losses([model], task, X, y)[0]
 
 
 def evaluate_losses(
@@ -351,16 +347,17 @@ def evaluate_losses(
     """Mean per-sample loss of each model on the batch, in one forward pass
     over the stack of the finite ones.
 
-    A finite model's loss equals :func:`evaluate_loss` bit for bit; a model
-    with a NaN/Inf parameter is not evaluated and scores +inf.  All models
-    must share one shape.
+    A finite model's loss is the same whatever the other models in the
+    stack; a model with a NaN/Inf parameter is not evaluated and scores
+    +inf.  All models must share one shape.
     """
     if not models:
         return []
     for m in models[1:]:
         require_composable(models[0], m)
     task._check_batch(X, y)
-    stack = np.stack([m.params for m in models])
+    # np.array copies equal-length rows into one block faster than np.stack
+    stack = np.array([m.params for m in models])
     finite = np.isfinite(stack).all(axis=1)
     finite_ids = np.flatnonzero(finite).tolist()
     losses = [math.inf] * len(models)
@@ -368,8 +365,8 @@ def evaluate_losses(
         if len(finite_ids) < len(models):
             stack = stack[finite]
         # the 1-D sum of each row, divided by its length, is what row.mean()
-        # and evaluate_loss compute; a sum along axis 1 of the (S, B) block
-        # may add in another order
+        # computes; a sum along axis 1 of the (S, B) block may add in another
+        # order
         for i, row in zip(finite_ids, task.stacked_losses(stack, models[0].shape, X, y)):
             losses[i] = float(np.add.reduce(row)) / len(row)
     return losses

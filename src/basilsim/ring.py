@@ -192,11 +192,8 @@ class BasilRing:
         epochs: int | None = None,
         test_set: tuple[np.ndarray, np.ndarray] | None = None,
         initial_model: ModelVector | None = None,
-        initial_models: dict[int, ModelVector] | None = None,
         node_ids: list[int] | None = None,
         group: int | None = None,
-        record_test_acc: bool = True,
-        manifest: dict | None = None,
     ):
         self.config = config
         self.task = task
@@ -209,7 +206,6 @@ class BasilRing:
         self.epochs = epochs
         self.test_set = test_set
         self.group = group
-        self.record_test_acc = record_test_acc and test_set is not None
 
         self.node_ids = list(node_ids) if node_ids is not None else list(range(config.n_nodes))
         if len(self.node_ids) != config.n_nodes:
@@ -227,21 +223,23 @@ class BasilRing:
         if unknown:
             raise ConfigError(f"byzantine ids {sorted(unknown)} are not ring members")
 
-        if initial_model is None and initial_models is None:
-            initial_model = task.initial_model(config.seed)
-        self.fifos: dict[int, StoredModels] = {}
-        self.latest_output: dict[int, StoredEntry] = {}
-        for node in self.node_ids:
-            fifo = StoredModels(config.storage_depth)
-            start = initial_models[node] if initial_models is not None else initial_model
-            fifo.insert(None, 0, start)
-            self.fifos[node] = fifo
-            self.latest_output[node] = StoredEntry(node, 0, start)
-
         self.latest_benign: dict[int, ModelVector] = {}
         self.dropped: set[int] = set()
         self.round_idx = 0
-        self.history = TrainHistory(manifest=manifest or {})
+        self.history = TrainHistory()
+        if initial_model is None:
+            initial_model = task.initial_model(config.seed)
+        self.restart({node: initial_model for node in self.node_ids})
+
+    def restart(self, models: dict[int, ModelVector]) -> None:
+        """Seed each member's FIFO and latest output with its start model,
+        stamped with the current round."""
+        self.fifos: dict[int, StoredModels] = {}
+        self.latest_output: dict[int, StoredEntry] = {}
+        for node in self.node_ids:
+            self.fifos[node] = StoredModels(self.config.storage_depth)
+            self.fifos[node].insert(None, self.round_idx, models[node])
+            self.latest_output[node] = StoredEntry(node, self.round_idx, models[node])
 
     # -- helpers ---------------------------------------------------------
 
@@ -267,7 +265,7 @@ class BasilRing:
         return [self.latest_benign[i] for i in sorted(self.latest_benign)]
 
     def _test_accuracy(self, model: ModelVector) -> float | None:
-        if not self.record_test_acc:
+        if self.test_set is None:
             return None
         X, y = self.test_set
         return accuracy(model, self.task, X, y)
@@ -367,33 +365,3 @@ class BasilRing:
             fifo.insert(entry.sender, entry.round, entry.model)
         self.fifos[node] = fifo
         self.history.events.append({"event": "rejoin", "round": self.round_idx, "node": node})
-
-
-def run_basil(
-    config: RingConfig,
-    task: LossTask,
-    dataset: Dataset,
-    rounds: int,
-    *,
-    attack: AttackSpec | None = None,
-    lr_schedule: Callable[[int], float] | None = None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    epochs: int | None = None,
-    test_set=None,
-    initial_model: ModelVector | None = None,
-    manifest: dict | None = None,
-) -> TrainHistory:
-    """Run ``rounds`` full passes of the ring protocol and return the history."""
-    ring = BasilRing(
-        config,
-        task,
-        dataset,
-        attack=attack,
-        lr_schedule=lr_schedule,
-        batch_size=batch_size,
-        epochs=epochs,
-        test_set=test_set,
-        initial_model=initial_model,
-        manifest=manifest,
-    )
-    return ring.run(rounds)

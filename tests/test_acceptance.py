@@ -45,12 +45,12 @@ from basilsim.analytics import (
     ubar_training_time,
 )
 from basilsim.attacks import AttackSpec
-from basilsim.baselines import build_random_graph, run_graph_scheme
-from basilsim.basil_plus import GroupConfig, GroupState, circular_aggregate, run_basil_plus
+from basilsim.baselines import build_random_graph, gossip_rule, run_graph
+from basilsim.basil_plus import BasilPlusDriver, GroupConfig, GroupState, circular_aggregate
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.harness import run_experiment
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
-from basilsim.ring import BasilRing, RingConfig, constant_lr, run_basil, sample_byzantine_ids
+from basilsim.ring import BasilRing, RingConfig, constant_lr, sample_byzantine_ids
 from oracles import case1_failure_exact, grouped_run_failure_exact
 
 DESK_SEED = 6
@@ -84,21 +84,21 @@ def desk():
     runs = {}
     for kind in (None, "gaussian", "random-sign-flip", "hidden", "inverse"):
         attack = AttackSpec.make(kind) if kind else None
-        runs[("basil", kind)] = run_basil(
-            config, task, train, DESK_ROUNDS, attack=attack,
-            batch_size=DESK_BATCH, test_set=test)
+        runs[("basil", kind)] = BasilRing(
+            config, task, train, attack=attack,
+            batch_size=DESK_BATCH, test_set=test).run(DESK_ROUNDS)
     # the unfiltered ring is the filtered one at connectivity one
     plain = RingConfig(n_nodes=DESK_NODES, n_byzantine=DESK_BYZ, connectivity=1,
                        seed=DESK_SEED)
     for kind in (None, "gaussian"):
         attack = AttackSpec.make(kind) if kind else None
-        runs[("r-plain", kind)] = run_basil(
-            plain, task, train, DESK_ROUNDS, attack=attack,
-            batch_size=DESK_BATCH, test_set=test)
+        runs[("r-plain", kind)] = BasilRing(
+            plain, task, train, attack=attack,
+            batch_size=DESK_BATCH, test_set=test).run(DESK_ROUNDS)
     byz = sample_byzantine_ids(range(DESK_NODES), DESK_BYZ, DESK_SEED)
     topo = build_random_graph(range(DESK_NODES), byz, DESK_SEED)
-    runs[("g-plain", "hidden")] = run_graph_scheme(
-        "g-plain", topo, byz, DESK_SEED, task, train, DESK_ROUNDS,
+    runs[("g-plain", "hidden")] = run_graph(
+        gossip_rule, topo, byz, DESK_SEED, task, train, DESK_ROUNDS,
         attack=AttackSpec.make("hidden"), batch_size=DESK_BATCH, test_set=test)
     return {"task": task, "train": train, "test": test, "runs": runs,
             "byzantine": byz}
@@ -312,7 +312,7 @@ def test_criterion_7_convex_regime():
     det_cfg = RingConfig(n_nodes=3, connectivity=2, seed=5)
     ring = BasilRing(det_cfg, det_task, det_data,
                      lr_schedule=constant_lr(1.0 / det_task.smoothness),
-                     batch_size=None, record_test_acc=False)
+                     batch_size=None)
     history = ring.run(12)
     losses = [r.train_loss for r in history.rows]
     checks.append(("loss nonincreasing across every update step",
@@ -337,8 +337,7 @@ def test_criterion_7_convex_regime():
     L = noisy_task.smoothness
     noisy_cfg = RingConfig(n_nodes=3, connectivity=1, seed=5)
     nring = BasilRing(noisy_cfg, noisy_task, noisy_data,
-                      lr_schedule=constant_lr(1.0 / L), batch_size=5,
-                      record_test_acc=False)
+                      lr_schedule=constant_lr(1.0 / L), batch_size=5)
     X_full, y_full = noisy_data.batch(np.arange(len(noisy_data)))
     running = np.zeros(dim)
     count = 0
@@ -408,8 +407,8 @@ def test_criterion_8_grouped_training():
     for kind in (None, "gaussian"):
         cfg = GroupConfig(n_nodes=N, n_groups=G, n_byzantine=B, seed=DESK_SEED)
         attack = AttackSpec.make(kind) if kind else None
-        h = run_basil_plus(cfg, stask, train, K, tau=1, attack=attack,
-                           batch_size=DESK_BATCH, test_set=test)
+        h = BasilPlusDriver(cfg, stask, train, tau=1, attack=attack,
+                            batch_size=DESK_BATCH, test_set=test).run(K)
         accs[kind] = h.final_accuracy("mean")
     checks.append((
         "grouped gaussian run ends within 3 points of its no-attack twin",

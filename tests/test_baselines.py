@@ -11,7 +11,6 @@ from basilsim.baselines import (
     gossip_rule,
     graph_round,
     make_graph_state,
-    run_graph_scheme,
     ubar_rule,
 )
 from basilsim.basil_plus import (
@@ -28,7 +27,7 @@ from basilsim.errors import ConfigError
 from basilsim.harness import run_experiment
 from basilsim.history import TrainHistory
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
-from basilsim.ring import RingConfig, run_basil
+from basilsim.ring import BasilRing, RingConfig
 
 
 def quad_setup(n_nodes, dim=3, noise=0.0, seed=0):
@@ -122,11 +121,11 @@ class TestRPlain:
 
     def test_gaussian_attacker_corrupts_downstream(self):
         task, train, test = softmax_setup(6)
-        clean = run_basil(RingConfig(n_nodes=6, connectivity=1, seed=1), task, train, 8,
-                          batch_size=40, test_set=test)
-        attacked = run_basil(RingConfig(n_nodes=6, n_byzantine=2, connectivity=1, seed=1),
-                             task, train, 8, attack=AttackSpec.make("gaussian"),
-                             batch_size=40, test_set=test)
+        clean = BasilRing(RingConfig(n_nodes=6, connectivity=1, seed=1), task, train,
+                          batch_size=40, test_set=test).run(8)
+        attacked = BasilRing(RingConfig(n_nodes=6, n_byzantine=2, connectivity=1, seed=1),
+                             task, train, attack=AttackSpec.make("gaussian"),
+                             batch_size=40, test_set=test).run(8)
         # unfiltered ring: whoever sits just after an attacker blows up
         final = max(r.train_loss for r in attacked.rows if r.round == 8)
         final_clean = max(r.train_loss for r in clean.rows if r.round == 8)
@@ -238,12 +237,6 @@ class TestUbar:
                                      task.initial_model(0))
             graph_round(state, ubar_rule(), task, dataset, batch_size=None)
 
-    def test_run_graph_scheme_rejects_unknown(self):
-        task, train, _ = softmax_setup(4)
-        topo = build_random_graph(range(4), set(), seed=0)
-        with pytest.raises(ConfigError):
-            run_graph_scheme("gossip", topo, set(), 0, task, train, 1)
-
 
 class TestRPlainPlus:
     """Grouped R-plain is the grouped driver at connectivity one."""
@@ -251,8 +244,8 @@ class TestRPlainPlus:
     def test_single_group_matches_r_plain(self):
         task, dataset = quad_setup(4, noise=0.3, seed=7)
         initial = task.initial_model(7)
-        plain = run_basil(RingConfig(n_nodes=4, connectivity=1, seed=_group_seed(7, 0)),
-                          task, dataset, 4, batch_size=10, initial_model=initial)
+        plain = BasilRing(RingConfig(n_nodes=4, connectivity=1, seed=_group_seed(7, 0)),
+                          task, dataset, batch_size=10, initial_model=initial).run(4)
         plus = BasilPlusDriver(GroupConfig(n_nodes=4, n_groups=1, connectivity=1, seed=7),
                                task, dataset, tau=1, batch_size=10).run(4)
         a = [(r.round, r.node, r.train_loss) for r in plain.rows]

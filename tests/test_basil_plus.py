@@ -9,7 +9,6 @@ from basilsim.basil_plus import (
     circular_aggregate,
     cluster_nodes,
     robust_multicast,
-    run_basil_plus,
 )
 from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError
@@ -172,23 +171,23 @@ class TestDriver:
     def test_history_rows_carry_group_ids(self):
         task, dataset = quad_group_setup()
         config = GroupConfig(n_nodes=8, n_groups=2, seed=3)
-        history = run_basil_plus(config, task, dataset, K=2, tau=1, batch_size=None)
+        history = BasilPlusDriver(config, task, dataset, tau=1, batch_size=None).run(2)
         groups_seen = {r.group for r in history.rows}
         assert groups_seen == {0, 1}
 
     def test_bit_identical_reruns(self):
         task, dataset = quad_group_setup()
         config = GroupConfig(n_nodes=8, n_groups=2, n_byzantine=1, seed=4)
-        kw = dict(K=3, tau=1, attack=AttackSpec.make("gaussian"), batch_size=10)
-        h1 = run_basil_plus(config, task, dataset, **kw)
-        h2 = run_basil_plus(config, task, dataset, **kw)
+        kw = dict(tau=1, attack=AttackSpec.make("gaussian"), batch_size=10)
+        h1 = BasilPlusDriver(config, task, dataset, **kw).run(3)
+        h2 = BasilPlusDriver(config, task, dataset, **kw).run(3)
         assert h1.rows == h2.rows
 
     def test_epoch_mode_runs(self):
         task, dataset = quad_group_setup()
         config = GroupConfig(n_nodes=8, n_groups=2, seed=6)
-        history = run_basil_plus(config, task, dataset, K=1, tau=1,
-                                 epochs=2, batch_size=10)
+        history = BasilPlusDriver(config, task, dataset, tau=1,
+                                  epochs=2, batch_size=10).run(1)
         assert len(history.rows) == 8
 
     @pytest.mark.parametrize("batch_size", [10, 20, 21, 80, None])
@@ -207,9 +206,9 @@ class TestDriver:
     def test_epoch_mode_counts_like_single_step(self, n_byzantine):
         task, dataset = quad_group_setup()
         config = GroupConfig(n_nodes=8, n_groups=2, n_byzantine=n_byzantine, seed=6)
-        kw = dict(K=2, tau=2, attack=AttackSpec.make("gaussian"), batch_size=10)
-        single = run_basil_plus(config, task, dataset, **kw)
-        epochs = run_basil_plus(config, task, dataset, epochs=2, **kw)
+        kw = dict(tau=2, attack=AttackSpec.make("gaussian"), batch_size=10)
+        single = BasilPlusDriver(config, task, dataset, **kw).run(2)
+        epochs = BasilPlusDriver(config, task, dataset, epochs=2, **kw).run(2)
         assert epochs.counters["activations"] == 8 * 2 * 2
         assert epochs.counters == single.counters
 

@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from importlib import resources
@@ -5,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import basilsim
 from basilsim.cli import main as cli_main
 from basilsim.errors import ConfigError
-from basilsim.harness import FIELDS, run_experiment, validate_config
+from basilsim.harness import FIELDS, SCHEMES, run_experiment, validate_config
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -71,6 +73,10 @@ MALFORMED = {
     "ring.conectivity": {"ring": {"nodes": 8, "byzantine": 2, "connectivity": 3,
                                   "conectivity": 3}},
     "ring.nodes": {"ring": {"nodes": 0, "connectivity": 3}},
+    "ring.connectivity": {"ring": {"nodes": 6, "connectivity": 6}},
+    "ring.connectivity=3": {"scheme": "basil-plus", "groups": {"count": 2},
+                            "ring": {"nodes": 6, "connectivity": 3}},
+    "ring.dropout": {"ring": {"nodes": 6, "byzantine": 2, "dropout": 3}},
 }
 
 
@@ -380,3 +386,15 @@ class TestCli:
 
     def test_missing_config_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/config.json"]) == 2
+
+
+def test_scheme_names_live_in_the_harness():
+    # cli's literals of the same spelling name time models, not schemes
+    found = []
+    for path in sorted(Path(basilsim.__file__).parent.glob("*.py")):
+        if path.stem in ("harness", "cli"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and node.value in SCHEMES:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], "scheme names outside harness"

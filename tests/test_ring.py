@@ -14,7 +14,6 @@ from basilsim.ring import (
     agree_order,
     basil_select,
     constant_lr,
-    run_basil,
 )
 
 
@@ -165,10 +164,10 @@ class TestRunBasil:
     def test_quadratic_descent_monotone(self):
         task, dataset = quad_setup(n_nodes=3)
         config = RingConfig(n_nodes=3, connectivity=1, seed=0)
-        history = run_basil(
-            config, task, dataset, rounds=10,
+        history = BasilRing(
+            config, task, dataset,
             lr_schedule=constant_lr(1.0 / task.smoothness), batch_size=None,
-        )
+        ).run(10)
         losses = [r.train_loss for r in history.rows]
         assert len(losses) == 30
         assert losses[-1] < losses[0]
@@ -181,10 +180,10 @@ class TestRunBasil:
             n_nodes=6, n_byzantine=2, connectivity=3, seed=3,
             byzantine_ids=frozenset({3, 5}),
         )
-        history = run_basil(
-            config, task, train, rounds=8, attack=AttackSpec.make("gaussian"),
+        history = BasilRing(
+            config, task, train, attack=AttackSpec.make("gaussian"),
             batch_size=40, test_set=test,
-        )
+        ).run(8)
         benign = {0, 1, 2, 4}
         assert {r.node for r in history.rows} == benign
         for row in history.rows:
@@ -207,8 +206,8 @@ class TestRunBasil:
         task, train, test = cluster_setup(n_nodes=5)
         config = RingConfig(n_nodes=5, n_byzantine=1, connectivity=2, seed=9)
         kw = dict(attack=AttackSpec.make("gaussian"), batch_size=30, test_set=test)
-        h1 = run_basil(config, task, train, 5, **kw)
-        h2 = run_basil(config, task, train, 5, **kw)
+        h1 = BasilRing(config, task, train, **kw).run(5)
+        h2 = BasilRing(config, task, train, **kw).run(5)
         assert h1.rows == h2.rows
         assert h1.counters == h2.counters
 
@@ -233,10 +232,10 @@ class TestRunBasil:
     def test_selection_never_worse_than_any_candidate(self):
         task, train, test = cluster_setup(n_nodes=6)
         config = RingConfig(n_nodes=6, n_byzantine=2, connectivity=3, seed=7)
-        history = run_basil(
-            config, task, train, rounds=6, attack=AttackSpec.make("random-sign-flip"),
+        history = BasilRing(
+            config, task, train, attack=AttackSpec.make("random-sign-flip"),
             batch_size=40,
-        )
+        ).run(6)
         for row in history.rows:
             losses = [l for _, l in row.candidate_losses]
             selected = dict(row.candidate_losses)[row.selected_sender]
@@ -246,7 +245,7 @@ class TestRunBasil:
         task, train, _ = cluster_setup(n_nodes=6)
         for S in (2, 4):
             config = RingConfig(n_nodes=6, connectivity=S, seed=2)
-            history = run_basil(config, task, train, rounds=3, batch_size=20)
+            history = BasilRing(config, task, train, batch_size=20).run(3)
             acts = history.counters["activations"]
             assert acts == 18
             assert history.counters["models_sent"] == acts * S
