@@ -123,6 +123,29 @@ def _circular_run_hits(placements: np.ndarray, S: int) -> np.ndarray:
     return run.any(axis=1)
 
 
+def _byzantine_rows(rng: np.random.Generator, m: int, N: int, b: int) -> np.ndarray:
+    """``(m, N)`` bool block: each row marks a uniform ``b``-subset of ``N``.
+
+    Floyd's algorithm draws a ``k``-subset, ``k = min(b, N - b)``, with
+    ``k`` bounded integers per row: for ``j = N-k .. N-1`` take ``t`` in
+    ``[0, j]`` and add ``t``, or ``j`` if ``t`` is already in.  Each
+    ``k``-subset has probability exactly ``1 / C(N, k)``, and the complement
+    of a uniform ``(N - b)``-subset is a uniform ``b``-subset.  The draws are
+    taken in row order, so a block of rows makes the same draws as its rows
+    drawn one block each.
+    """
+    k = min(b, N - b)
+    mask = np.zeros(m * N, dtype=bool)
+    if k:
+        draws = rng.integers(0, np.arange(N - k + 1, N + 1), size=(m, k))
+        row_base = np.arange(0, m * N, N)
+        for i, j in enumerate(range(N - k, N)):
+            v = draws[:, i] + row_base
+            mask[np.where(mask[v], row_base + j, v)] = True
+    mask = mask.reshape(m, N)
+    return mask if k == b else ~mask
+
+
 def _monte_carlo_failure(N: int, b: int, n: int, G: int, S: int, trials: int,
                          seed: int, tag: int) -> tuple[float, float]:
     """Share of uniform placements of ``b`` Byzantine among ``N`` positions,
@@ -133,18 +156,12 @@ def _monte_carlo_failure(N: int, b: int, n: int, G: int, S: int, trials: int,
     if S < 1:
         raise ConfigError("need S >= 1")
     rng = np.random.default_rng([int(seed), tag])
-    base = np.zeros(N, dtype=np.int64)
-    base[:b] = 1
-    # permuted makes the same draws for any dtype; 8-byte items swap on its
-    # fast path, so an int64 block is shuffled faster than a bool one
-    block = np.empty((min(max(_BLOCK_ELEMENTS // N, 1), trials), N), dtype=np.int64)
+    block = max(_BLOCK_ELEMENTS // N, 1)
     hits = 0
     done = 0
     while done < trials:
-        m = min(len(block), trials - done)
-        placements = block[:m]
-        placements[:] = base
-        rng.permuted(placements, axis=1, out=placements)
+        m = min(block, trials - done)
+        placements = _byzantine_rows(rng, m, N, b)
         fail = _circular_run_hits(placements.reshape(m * G, n), S).reshape(m, G)
         hits += int(np.count_nonzero(fail.any(axis=1)))
         done += m

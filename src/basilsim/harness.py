@@ -18,7 +18,7 @@ import numpy as np
 from . import acds as acds_mod
 from . import baselines
 from .attacks import ATTACK_KINDS, AttackSpec
-from .basil_plus import BasilPlusDriver, GroupConfig
+from .basil_plus import BasilPlusDriver, GroupConfig, cluster_nodes
 from .data import Dataset, flag_sensitive_by_class, make_cluster_dataset, make_quadratic_dataset, partition
 from .errors import ConfigError
 from .history import TrainHistory
@@ -198,6 +198,16 @@ def validate_config(cfg: dict) -> dict:
                           f"{n_nodes - 1}, got {n_byzantine + ring['dropout'] + 1}")
     if scheme in GROUPED_SCHEMES and n_nodes % out["groups"]["count"] != 0:
         raise ConfigError("groups.count: must divide ring.nodes")
+    if scheme in GROUPED_SCHEMES and n_nodes // out["groups"]["count"] <= n_byzantine:
+        # the driver's own placement and split: a group with no benign member
+        # has no model to train
+        node_ids = list(range(n_nodes))
+        byzantine = place_byzantine(node_ids, n_byzantine, out["seed"], ids)
+        for group in cluster_nodes(node_ids, out["groups"]["count"], out["seed"]):
+            if byzantine.issuperset(group.members):
+                raise ConfigError(f"ring.byzantine{'' if ids is None else '_ids'}: the "
+                                  f"placement at seed {out['seed']} leaves group "
+                                  f"{group.gid} with only Byzantine nodes")
     if "connectivity" in ring and scheme in ("basil", "basil-plus"):
         # basil-plus runs one ring per group; a ring of one node stores one model
         size = n_nodes if scheme == "basil" else n_nodes // out["groups"]["count"]

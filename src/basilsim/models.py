@@ -358,12 +358,13 @@ def evaluate_losses(
     task._check_batch(X, y)
     # np.array copies equal-length rows into one block faster than np.stack
     stack = np.array([m.params for m in models])
-    finite = np.isfinite(stack).all(axis=1)
-    finite_ids = np.flatnonzero(finite).tolist()
+    finite_ids = range(len(models))
+    if not np.isfinite(stack).all():
+        finite = np.isfinite(stack).all(axis=1)
+        finite_ids = np.flatnonzero(finite).tolist()
+        stack = stack[finite]
     losses = [math.inf] * len(models)
     if finite_ids:
-        if len(finite_ids) < len(models):
-            stack = stack[finite]
         # the 1-D sum of each row, divided by its length, is what row.mean()
         # computes; a sum along axis 1 of the (S, B) block may add in another
         # order

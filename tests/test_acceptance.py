@@ -139,7 +139,7 @@ def test_criterion_1_reliability_formulas():
         f"{f7:.4e} vs exact {exact_f7:.4e} (P[some group ring of 100 holds a "
         f"circular run of >= 7 Byzantine]); the published ~1e-4 within 3x is "
         f"unreachable: the event itself exceeds its 3e-4 ceiling, as does the "
-        f"Monte-Carlo truth 4.4e-4 +- 0.1e-4 (monte_carlo_basil_plus_failure, "
+        f"Monte-Carlo truth 4.34e-4 +- 0.06e-4 (monte_carlo_basil_plus_failure, "
         f"12e6 placements over seeds 1-3)"))
 
     elapsed = time.time() - t0

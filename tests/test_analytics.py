@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from basilsim.analytics import (
+    _byzantine_rows,
     basil_failure_prob,
     basil_plus_failure_case1,
     basil_plus_failure_prob,
@@ -206,7 +207,10 @@ class TestMonteCarlo:
 
         def both():
             return (monte_carlo_ring_failure(60, 12, 4, trials=3_001, seed=5),
-                    monte_carlo_basil_plus_failure(60, 12, 15, 4, 3, trials=2_003, seed=3))
+                    monte_carlo_basil_plus_failure(60, 12, 15, 4, 3, trials=2_003, seed=3),
+                    # b > N/2 draws the benign subset; S = 10 keeps the
+                    # estimate off 1 (exact 0.645)
+                    monte_carlo_ring_failure(60, 45, 10, trials=3_001, seed=5))
 
         default = both()
         # one row per block, then a budget that leaves a ragged last block
@@ -221,13 +225,40 @@ class TestMonteCarlo:
         assert est <= bound.raw_bound + 3 * max(se, 1e-9)
 
 
-#: (N, b, S, trials, seed) -> (estimate, se), pinned to the bit: the oracles'
-#: sampling stream and run detection may be rewritten, but never moved
+#: chi-square 0.999 quantile at 14 degrees of freedom (15 subsets of two of six)
+CHI2_14_999 = 36.12
+
+
+class TestByzantineRows:
+    @pytest.mark.parametrize("N, b", [(10, 0), (10, 10), (10, 3), (10, 5), (10, 8),
+                                      (100, 33), (100, 67), (1, 0), (1, 1)])
+    def test_every_row_holds_b_ones(self, N, b):
+        rows = _byzantine_rows(np.random.default_rng(4), 2_000, N, b)
+        assert rows.shape == (2_000, N) and rows.dtype == bool
+        assert (rows.sum(axis=1) == b).all()
+
+    @pytest.mark.parametrize("b", [2, 4])  # 4 of 6 is the complement of a 2-subset
+    def test_subsets_of_six_are_uniform(self, b):
+        m = 30_000
+        rows = _byzantine_rows(np.random.default_rng(11), m, 6, b)
+        counts = {}
+        for row in rows:
+            key = tuple(np.flatnonzero(row).tolist())
+            counts[key] = counts.get(key, 0) + 1
+        assert sorted(counts) == list(combinations(range(6), b))
+        expected = m / comb(6, b)
+        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert chi2 <= CHI2_14_999
+
+
+#: (N, b, S, trials, seed) -> (estimate, se), pinned to the bit: run detection
+#: may be rewritten without moving them; a new sampling stream re-pins them,
+#: and TestPinnedEstimates holds every pin within 4 SE of the exact value
 RING_ESTIMATES = {
-    (100, 33, 10, 120_000, 7): (0.00038333333333333334, 5.6508582599525604e-05),
-    (8, 3, 2, 50_000, 1): (0.71408, 0.0020207412184641556),
-    (60, 12, 4, 30_000, 5): (0.05103333333333333, 0.0012705501724610251),
-    (10, 7, 6, 20_000, 9): (0.24995, 0.0030616580271153734),
+    (100, 33, 10, 120_000, 7): (0.00044166666666666665, 6.065418350659624e-05),
+    (8, 3, 2, 50_000, 1): (0.7152, 0.002018360522800622),
+    (60, 12, 4, 30_000, 5): (0.053733333333333334, 0.0013018712458383666),
+    (10, 7, 6, 20_000, 9): (0.25435, 0.0030794161581377726),
     (20, 3, 1, 20_000, 2): (1.0, 0.0),  # S = 1
     (12, 5, 12, 5_000, 3): (0.0, 0.0),  # S = n
     (12, 12, 12, 5_000, 3): (1.0, 0.0),  # S = n = b
@@ -236,12 +267,12 @@ RING_ESTIMATES = {
 
 #: (N, b, n, G, S, trials, seed) -> (estimate, se)
 GROUPED_ESTIMATES = {
-    (400, 60, 100, 4, 7, 45_000, 3): (0.00044444444444444447, 9.935871192359831e-05),
-    (6, 2, 3, 2, 2, 20_000, 2): (0.39805, 0.003461258423608385),
-    (60, 12, 15, 4, 3, 20_000, 3): (0.30525, 0.0032563202967460067),
-    (12, 7, 6, 2, 4, 20_000, 10): (0.5464, 0.0035202772618076546),
+    (400, 60, 100, 4, 7, 45_000, 3): (0.0002888888888888889, 8.01117874665375e-05),
+    (6, 2, 3, 2, 2, 20_000, 2): (0.40005, 0.003464173765127841),
+    (60, 12, 15, 4, 3, 20_000, 3): (0.29895, 0.0032371198425452216),
+    (12, 7, 6, 2, 4, 20_000, 10): (0.55025, 0.0035176337039265473),
     (20, 5, 5, 4, 1, 10_000, 8): (1.0, 0.0),  # S = 1
-    (8, 6, 4, 2, 4, 10_000, 5): (0.4209, 0.004937035446500257),  # S = n
+    (8, 6, 4, 2, 4, 10_000, 5): (0.4309, 0.004952021708353064),  # S = n
     (8, 8, 4, 2, 3, 2_000, 6): (1.0, 0.0),  # b = N
 }
 
@@ -257,6 +288,21 @@ class TestPinnedEstimates:
         N, b, n, G, S, trials, seed = case
         assert (monte_carlo_basil_plus_failure(N, b, n, G, S, trials, seed=seed)
                 == GROUPED_ESTIMATES[case])
+
+    @pytest.mark.parametrize("case", [*RING_ESTIMATES, *GROUPED_ESTIMATES])
+    def test_pinned_estimate_is_near_the_exact_probability(self, case):
+        if case in RING_ESTIMATES:
+            N, b, S = case[:3]
+            n, G = N, 1
+            est, se = RING_ESTIMATES[case]
+        else:
+            N, b, n, G, S = case[:5]
+            est, se = GROUPED_ESTIMATES[case]
+        exact = float(grouped_run_failure_exact(N, b, n, G, S))
+        if exact in (0.0, 1.0):
+            assert (est, se) == (exact, 0.0)
+        else:
+            assert abs(est - exact) <= 4 * se
 
 
 class TestTimeModels:

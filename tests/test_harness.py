@@ -77,6 +77,9 @@ MALFORMED = {
     "ring.connectivity=3": {"scheme": "basil-plus", "groups": {"count": 2},
                             "ring": {"nodes": 6, "connectivity": 3}},
     "ring.dropout": {"ring": {"nodes": 6, "byzantine": 2, "dropout": 3}},
+    # seed 3 places six Byzantine nodes over both members of group 0
+    "ring.byzantine=6": {"scheme": "basil-plus", "groups": {"count": 4},
+                         "ring": {"nodes": 8, "byzantine": 6, "connectivity": 1}},
 }
 
 
@@ -323,6 +326,16 @@ class TestCli:
             ring={"nodes": 8, "byzantine": byzantine, "connectivity": 3})))
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "ring.byzantine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["basil-plus", "r-plain-plus"])
+    def test_group_with_a_benign_member_runs(self, tmp_path, scheme):
+        # groups of two as in the all-Byzantine case, with two Byzantine
+        # nodes that seed 4 places in different groups
+        cfg_path = tmp_path / "ok.json"
+        cfg_path.write_text(json.dumps(desk_config(
+            scheme=scheme, seed=4, groups={"count": 4},
+            ring={"nodes": 8, "byzantine": 2, "connectivity": 1})))
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("dataset, task", [
         ({"kind": "quadratic", "samples": 400, "dim": 4}, "softmax-regression"),
