@@ -131,8 +131,8 @@ def _byzantine_rows(rng: np.random.Generator, m: int, N: int, b: int) -> np.ndar
     ``[0, j]`` and add ``t``, or ``j`` if ``t`` is already in.  Each
     ``k``-subset has probability exactly ``1 / C(N, k)``, and the complement
     of a uniform ``(N - b)``-subset is a uniform ``b``-subset.  The draws are
-    taken in row order, so a block of rows makes the same draws as its rows
-    drawn one block each.
+    taken in row order, so rows drawn in one block or split over several
+    get the same draws.
     """
     k = min(b, N - b)
     mask = np.zeros(m * N, dtype=bool)
