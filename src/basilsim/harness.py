@@ -199,7 +199,7 @@ def validate_config(cfg: dict) -> dict:
     if scheme in GROUPED_SCHEMES and n_nodes % out["groups"]["count"] != 0:
         raise ConfigError("groups.count: must divide ring.nodes")
     if scheme in GROUPED_SCHEMES and n_nodes // out["groups"]["count"] <= n_byzantine:
-        # the driver's own placement and split: a group with no benign member
+        # BasilPlusDriver's own placement and split: a group with no benign member
         # has no model to train
         node_ids = list(range(n_nodes))
         byzantine = place_byzantine(node_ids, n_byzantine, out["seed"], ids)
