@@ -98,6 +98,10 @@ def _check_group_args(N: int, b: int, n: int, G: int) -> None:
 #: because each row takes its own draws in order
 _BLOCK_ELEMENTS = 1 << 20
 
+#: bounded draws computed at once; the draws do not depend on it, and a
+#: chunk this small keeps its temporaries from faulting in fresh pages
+_DRAW_CHUNK = 1 << 16
+
 
 def _circular_run_hits(placements: np.ndarray, S: int) -> np.ndarray:
     """Row mask: does a circular run of >= S consecutive nonzero entries appear?
@@ -106,21 +110,103 @@ def _circular_run_hits(placements: np.ndarray, S: int) -> np.ndarray:
     longer than the row never appears.
     """
     rows, n = placements.shape
+    hit = np.zeros(rows, dtype=bool)
     if S > n:
-        return np.zeros(rows, dtype=bool)
+        return hit
     # wrap the first S-1 columns round and convert to bool in one pass
-    run = np.empty((rows, n + S - 1), dtype=bool)
+    width = n + S - 1
+    run = np.empty((rows, width), dtype=bool)
     run[:, :n] = placements
     run[:, n:] = placements[:, : S - 1]
-    # shift-AND: run[:, j] holds "columns j..j+w-1 all set"; double w, then
-    # one overlapping step reaches width S with n columns left
+    # shift-AND on the flat buffer: run[p] holds "entries p..p+w-1 all set";
+    # double w, then one overlapping step reaches width S.  A window that
+    # starts in column c < n stays inside its row; the others are not read
+    run = run.reshape(-1)
     w = 1
     while 2 * w <= S:
-        run = run[:, :-w] & run[:, w:]
+        run = run[:-w] & run[w:]
         w *= 2
     if w < S:
-        run = run[:, : w - S] & run[:, S - w:]
-    return run.any(axis=1)
+        run = run[: w - S] & run[S - w:]
+    pos = np.flatnonzero(run)
+    hit[pos[pos % width < n] // width] = True
+    return hit
+
+
+def _bounded_integers(rng: np.random.Generator, high: np.ndarray, m: int) -> np.ndarray:
+    """Exactly ``rng.integers(0, high, size=(m, len(high)))``, computed in bulk.
+
+    For a bound in ``[2, 2**32]`` numpy draws each element by 32-bit Lemire
+    rejection over ``next_uint32``, which hands out the low, then the high
+    half of each raw PCG64 word and keeps a spare half in the generator
+    state.  This multiplies raw words by the bounds a chunk at a time and
+    redraws only where numpy rejects (p < bound / 2**32 per draw), so the
+    values and the generator left behind are numpy's own.  A bound of 1
+    takes no draw in numpy and is refused here.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError("bulk bounded draws follow the PCG64 stream only")
+    high = np.asarray(high, dtype=np.uint64).reshape(-1)
+    k = high.size
+    out = np.empty(m * k, dtype="<u8")
+    if out.size == 0:
+        return out.view("<i8").reshape(m, k)
+    if high.min() < 2 or high.max() > 1 << 32:
+        raise ValueError("bounds must lie in [2, 2**32]")
+    rows = max(_DRAW_CHUNK // k, 1)
+    bound = np.tile(high, rows + 1)
+    # numpy rejects a product whose low half is below its column's threshold
+    threshold = ((1 << 32) - high) % high
+    lowest = int(threshold.max())
+    state = bits.state
+    # the stream of 32-bit halves still to be used, ahead of fresh raw words
+    carry = np.array([state["uinteger"]] * state["has_uint32"], dtype="<u4")
+    last = None
+    pos = 0
+    while pos < out.size:
+        d = min(rows * k, out.size - pos)
+        b = bound[pos % k:][:d]
+        dst = out[pos:pos + d]
+        c = min(carry.size, d)
+        words = bits.random_raw((d - c + 1) // 2).astype("<u8", copy=False).view("<u4")
+        if words.size:
+            last = words[-1]
+        np.multiply(carry[:c], b[:c], out=dst[:c])
+        np.multiply(words[:d - c], b[c:], out=dst[c:])
+        low = dst.view("<u4")[::2]
+        rejected = np.flatnonzero(low < lowest)
+        rejected = rejected[low[rejected] < threshold[(pos + rejected) % k]]
+        if not rejected.size:
+            dst >>= 32
+            carry = carry[d:] if carry.size > d else words[d - c:]
+            pos += d
+            continue
+        # redraw the first rejected element from the halves after it, as
+        # numpy does; the elements after it are redone from where it stops
+        e = int(rejected[0])
+        stream = np.concatenate((carry, words))[e + 1:]
+        used = 0
+        while True:
+            if used == stream.size:
+                more = bits.random_raw(1).astype("<u8", copy=False).view("<u4")
+                last = more[-1]
+                stream = np.concatenate((stream, more))
+            product = int(stream[used]) * int(b[e])
+            used += 1
+            if product & 0xFFFFFFFF >= threshold[(pos + e) % k]:
+                break
+        dst[:e] >>= 32
+        dst[e] = product >> 32
+        carry = stream[used:]
+        pos += e + 1
+    # numpy keeps the high half of its last raw word, spare or spent
+    state = bits.state
+    state["has_uint32"] = carry.size
+    if last is not None:
+        state["uinteger"] = int(last)
+    bits.state = state
+    return out.view("<i8").reshape(m, k)
 
 
 def _byzantine_rows(rng: np.random.Generator, m: int, N: int, b: int) -> np.ndarray:
@@ -137,7 +223,7 @@ def _byzantine_rows(rng: np.random.Generator, m: int, N: int, b: int) -> np.ndar
     k = min(b, N - b)
     mask = np.zeros(m * N, dtype=bool)
     if k:
-        draws = rng.integers(0, np.arange(N - k + 1, N + 1), size=(m, k))
+        draws = _bounded_integers(rng, np.arange(N - k + 1, N + 1), m)
         row_base = np.arange(0, m * N, N)
         for i, j in enumerate(range(N - k, N)):
             v = draws[:, i] + row_base

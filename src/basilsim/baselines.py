@@ -180,7 +180,13 @@ def graph_round(
     test_set=None,
 ) -> GraphState:
     """One synchronous round: each Byzantine node sends one attacked model to
-    all its neighbours, and each benign node applies ``rule``."""
+    all its neighbours, and each benign node applies ``rule``.
+
+    A Byzantine node never reads what it receives: it takes one SGD step on
+    its own model, sends the attack of that step and keeps it, so under
+    ``attack: none`` it trains alone.  A Byzantine ring member
+    (``ring.BasilRing``) instead selects and forwards like a benign one and
+    replaces only what it sends."""
     attack = attack or AttackSpec()
     k = state.round_idx + 1
     lr = (lr_schedule or default_lr)(k)

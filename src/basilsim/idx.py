@@ -57,18 +57,3 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     feats = images.reshape(len(images), -1).astype(np.float64) / 255.0
     return Dataset(feats, labels.astype(np.int64))
 
-
-def write_idx_images(path: str | Path, images: np.ndarray) -> None:
-    """Inverse of :func:`read_idx_images`; used to build fixtures."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path: str | Path, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", LABEL_MAGIC, len(labels)))
-        fh.write(labels.tobytes())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from basilsim.analytics import (
+    _bounded_integers,
     _byzantine_rows,
     basil_failure_prob,
     basil_plus_failure_case1,
@@ -217,6 +218,13 @@ class TestMonteCarlo:
         for elements in (1, 7 * 60 + 13):
             monkeypatch.setattr(analytics, "_BLOCK_ELEMENTS", elements)
             assert both() == default
+        monkeypatch.undo()
+        # the same for the chunk of bounded draws: one row per chunk (odd
+        # k = 15 carries a spare half into the next chunk), then two rows of
+        # k = 12 or one of k = 15 with a ragged last chunk
+        for chunk in (1, 29):
+            monkeypatch.setattr(analytics, "_DRAW_CHUNK", chunk)
+            assert both() == default
 
     def test_grouped_bound_dominates_estimate(self):
         bound = basil_plus_failure_prob(60, 12, 15, 4, 3)
@@ -249,6 +257,77 @@ class TestByzantineRows:
         expected = m / comb(6, b)
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         assert chi2 <= CHI2_14_999
+
+
+def _drawn_like_numpy(seed, high, m, spare):
+    """Draw the same block with numpy and with the bulk helper from equal
+    generators, then check the block and the generators left behind."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    if spare:  # one bounded draw leaves half a raw word in the generator
+        for gen in (ours, theirs):
+            gen.integers(0, np.array([5]))
+            assert gen.bit_generator.state["has_uint32"] == 1
+    expected = theirs.integers(0, np.asarray(high), size=(m, len(high)))
+    got = _bounded_integers(ours, np.asarray(high), m)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # a spare half left behind goes to the next call
+    after = [(gen.integers(0, np.array([7, 9, 11]), size=(3, 3)), gen.random(3))
+             for gen in (ours, theirs)]
+    assert np.array_equal(after[0][0], after[1][0])
+    assert np.array_equal(after[0][1], after[1][1])
+
+
+#: bounds near 2**32 make numpy reject about a third of its first draws
+REJECTING = [3_000_000_001, 2_500_000_000, 7]
+
+
+class TestBoundedIntegers:
+    @pytest.mark.parametrize("high, m", [
+        (list(range(68, 101)), 1_000),  # the ring oracle's bounds, odd m * k
+        (list(range(341, 401)), 250),
+        ([5], 1), ([5], 7),             # k = 1
+        ([9, 10, 11], 1),               # m = 1
+        ([2, 3], 4),
+        (REJECTING, 1), (REJECTING, 501),
+        ([2**32, 2**32 - 1, 2**31 + 1], 300),
+    ])
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_equals_numpy_and_leaves_its_state(self, high, m, spare):
+        for seed in range(3):
+            _drawn_like_numpy(seed, high, m, spare)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_chunks_split_rows_without_moving_draws(self, monkeypatch, chunk):
+        import basilsim.analytics as analytics
+
+        monkeypatch.setattr(analytics, "_DRAW_CHUNK", chunk)
+        for high in ([3, 5, 9], REJECTING):
+            for spare in (False, True):
+                _drawn_like_numpy(4, high, 41, spare)
+
+    def test_rejecting_bounds_take_extra_draws(self):
+        # 3 * 501 draws without a rejection would use 752 raw words; numpy's
+        # redraws use more, so the equality above follows each of them
+        rng = np.random.default_rng(0)
+        _bounded_integers(rng, np.array(REJECTING), 501)
+        plain = np.random.default_rng(0)
+        plain.bit_generator.random_raw(752)
+        assert rng.bit_generator.state["state"] != plain.bit_generator.state["state"]
+
+    def test_empty_and_invalid_bounds(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert _bounded_integers(rng, np.array([5, 6]), 0).shape == (0, 2)
+        assert rng.bit_generator.state == state
+        # numpy takes no draw for a bound of 1, and 64-bit draws above 2**32
+        for high in ([1, 5], [2**32 + 1]):
+            with pytest.raises(ValueError, match="bounds"):
+                _bounded_integers(rng, np.array(high), 3)
+        assert rng.bit_generator.state == state
+        with pytest.raises(TypeError, match="PCG64"):
+            _bounded_integers(np.random.Generator(np.random.MT19937(0)), np.array([5]), 3)
 
 
 #: (N, b, S, trials, seed) -> (estimate, se), pinned to the bit: run detection

@@ -5,12 +5,25 @@ import pytest
 
 from basilsim.errors import IdxFormatError
 from basilsim.idx import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
     load_idx,
     read_idx_images,
     read_idx_labels,
-    write_idx_images,
-    write_idx_labels,
 )
+
+
+def write_idx_images(path, images):
+    """Inverse of ``read_idx_images``: header, then the raw pixels."""
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    path.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols) + images.tobytes())
+
+
+def write_idx_labels(path, labels):
+    """Inverse of ``read_idx_labels``."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    path.write_bytes(struct.pack(">II", LABEL_MAGIC, len(labels)) + labels.tobytes())
 
 
 @pytest.fixture

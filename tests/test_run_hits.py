@@ -45,3 +45,15 @@ def test_runs_across_the_wrap(n):
         for j in range(1, k + 1):
             rows.append([p >= n - j or p < k - j for p in range(n)])
     check_every_width(rows)
+
+
+@pytest.mark.parametrize("n", [3, 7, 12, 100])
+def test_large_blocks_match_row_by_row(n):
+    # many rows in one flat buffer, so windows that cross from one row into
+    # the next exist and must not count
+    rng = np.random.default_rng(n)
+    block = rng.random((300, n)) < 0.7
+    block[::7] = True   # some full rows: every start position hits
+    for S in (1, 2, n - 1, n, n + 1):
+        expected = [circular_max_run(row.tolist()) >= S for row in block]
+        assert _circular_run_hits(block, S).tolist() == expected, S
