@@ -148,13 +148,11 @@ def _bounded_integers(rng: np.random.Generator, high: np.ndarray, m: int) -> np.
     if not isinstance(bits, np.random.PCG64):
         raise TypeError("bulk bounded draws follow the PCG64 stream only")
     high = np.asarray(high, dtype=np.uint64).reshape(-1)
-    k = high.size
-    out = np.empty(m * k, dtype="<u8")
-    if out.size == 0:
-        return out.view("<i8").reshape(m, k)
     if high.min() < 2 or high.max() > 1 << 32:
         raise ValueError("bounds must lie in [2, 2**32]")
-    rows = max(_DRAW_CHUNK // k, 1)
+    k = high.size
+    out = np.empty(m * k, dtype="<u8")
+    rows = min(max(_DRAW_CHUNK // k, 1), m)
     bound = np.tile(high, rows + 1)
     # numpy rejects a product whose low half is below its column's threshold
     threshold = ((1 << 32) - high) % high
@@ -176,7 +174,8 @@ def _bounded_integers(rng: np.random.Generator, high: np.ndarray, m: int) -> np.
         np.multiply(words[:d - c], b[c:], out=dst[c:])
         low = dst.view("<u4")[::2]
         rejected = np.flatnonzero(low < lowest)
-        rejected = rejected[low[rejected] < threshold[(pos + rejected) % k]]
+        if rejected.size:
+            rejected = rejected[low[rejected] < threshold[(pos + rejected) % k]]
         if not rejected.size:
             dst >>= 32
             carry = carry[d:] if carry.size > d else words[d - c:]
