@@ -220,13 +220,15 @@ def _byzantine_rows(rng: np.random.Generator, m: int, N: int, b: int) -> np.ndar
     get the same draws.
     """
     k = min(b, N - b)
+    if not k:  # b = 0 or b = N
+        return np.full((m, N), b > 0)
+    # draw before the mask exists, so the two do not add to the peak
+    draws = _bounded_integers(rng, np.arange(N - k + 1, N + 1), m)
     mask = np.zeros(m * N, dtype=bool)
-    if k:
-        draws = _bounded_integers(rng, np.arange(N - k + 1, N + 1), m)
-        row_base = np.arange(0, m * N, N)
-        for i, j in enumerate(range(N - k, N)):
-            v = draws[:, i] + row_base
-            mask[np.where(mask[v], row_base + j, v)] = True
+    row_base = np.arange(0, m * N, N)
+    for i, j in enumerate(range(N - k, N)):
+        v = draws[:, i] + row_base
+        mask[np.where(mask[v], row_base + j, v)] = True
     mask = mask.reshape(m, N)
     return mask if k == b else ~mask
 
