@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -49,13 +48,6 @@ class GraphTopology:
 
     def neighbours(self, node: int) -> frozenset[int]:
         return self.adjacency[node]
-
-    def write_edge_list(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            for node in sorted(self.adjacency):
-                for other in sorted(self.adjacency[node]):
-                    if node < other:
-                        fh.write(f"{node} {other}\n")
 
 
 def _benign_connected(adj: dict[int, set[int]], benign: list[int]) -> bool:

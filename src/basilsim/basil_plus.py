@@ -240,7 +240,7 @@ class BasilPlusDriver:
                 ring.restart(state.models)
             ring.run(self.tau)
             for m in state.members:
-                state.models[m] = ring.latest_output[m].model
+                state.models[m] = ring.latest_output[m]
                 state.aggregates[m] = state.models[m]
 
     # -- driver --------------------------------------------------------------

@@ -35,9 +35,14 @@ def _cmd_analyze_failure(args) -> int:
     grouped = args.n is not None or args.G is not None
     if grouped and (args.n is None or args.G is None):
         raise ConfigError("grouped queries need both --n and --G")
+    if args.case1 and not grouped:
+        raise ConfigError("--case1 is a grouped query and needs --n and --G")
+    if args.case1 and args.S not in (None, args.n - 1):
+        raise ConfigError(f"--case1 is the S = n-1 event, got --S {args.S} with n-1 = {args.n - 1}")
     if grouped:
         query.update({"n": args.n, "G": args.G})
         if args.case1:
+            query["case1"] = True
             bound = analytics.basil_plus_failure_case1(args.N, args.b, args.n, args.G)
         else:
             if args.S is None:

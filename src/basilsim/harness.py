@@ -89,10 +89,8 @@ FIELDS = {
     "ring": (dict, None, REQUIRED),
     "ring.nodes": (int, 1, REQUIRED),
     "ring.byzantine": (int, 0, 0),
-    "ring.dropout": (int, 0, 0),
     "ring.byzantine_ids": (list, None, None),
-    # optional in dropout mode, where width b+d+1 and depth b+1 replace it
-    "ring.connectivity": (int, 1, _when("scheme", ("basil",), _when("ring.dropout", (0,)))),
+    "ring.connectivity": (int, 1, _when("scheme", ("basil",))),
     "groups": (dict, None, _when("scheme", GROUPED_SCHEMES)),
     "groups.count": (int, 1, _when("scheme", GROUPED_SCHEMES)),
     "graph": (dict, None, _when("scheme", GRAPH_SCHEMES, {})),
@@ -191,11 +189,6 @@ def validate_config(cfg: dict) -> dict:
                             or len(set(ids)) != len(ids)):
         raise ConfigError(f"ring.byzantine_ids: expected at most ring.byzantine = {n_byzantine} "
                           f"distinct ints in 0..{n_nodes - 1}, got {ids!r}")
-    if ring["dropout"] and scheme != "basil":
-        raise ConfigError(f"ring.dropout: scheme {scheme!r} has no dropout mode")
-    if ring["dropout"] and n_byzantine + ring["dropout"] + 1 > n_nodes - 1:
-        raise ConfigError(f"ring.dropout: width b + d + 1 must not exceed ring.nodes - 1 = "
-                          f"{n_nodes - 1}, got {n_byzantine + ring['dropout'] + 1}")
     if scheme in GROUPED_SCHEMES and n_nodes % out["groups"]["count"] != 0:
         raise ConfigError("groups.count: must divide ring.nodes")
     if scheme in GROUPED_SCHEMES and n_nodes // out["groups"]["count"] <= n_byzantine:
@@ -353,9 +346,7 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str, dict]:
         config = RingConfig(
             n_nodes=n_nodes,
             n_byzantine=cfg["ring"]["byzantine"],
-            n_dropout=cfg["ring"]["dropout"],
-            # left out only in dropout mode, where width and depth replace it
-            connectivity=1 if scheme == "r-plain" else cfg["ring"].get("connectivity", 1),
+            connectivity=1 if scheme == "r-plain" else cfg["ring"]["connectivity"],
             seed=seed,
             byzantine_ids=byz_ids,
         )

@@ -1,6 +1,6 @@
 """Sequential robust training over a logical ring.
 
-Each round walks the agreed ring order once.  An active benign node keeps a
+Each round walks the agreed ring order once.  A benign node keeps a
 bounded FIFO of the latest models multicast by its counterclockwise
 neighbours, picks the stored model with the lowest loss on a fresh local
 mini-batch, updates it (one SGD step on the same mini-batch, or ``epochs``
@@ -49,7 +49,6 @@ class RingConfig:
 
     n_nodes: int
     n_byzantine: int = 0
-    n_dropout: int = 0
     connectivity: int = 1
     seed: int = 0
     byzantine_ids: frozenset[int] | None = None
@@ -59,8 +58,6 @@ class RingConfig:
             raise ConfigError("n_nodes must be >= 1")
         if not 0 <= self.n_byzantine < self.n_nodes:
             raise ConfigError("need 0 <= b < N")
-        if self.n_dropout < 0:
-            raise ConfigError("n_dropout must be >= 0")
         if self.n_nodes > 1 and not 1 <= self.connectivity <= self.n_nodes - 1:
             raise ConfigError("need 1 <= S <= N-1")
         if self.byzantine_ids is not None:
@@ -68,22 +65,6 @@ class RingConfig:
             object.__setattr__(self, "byzantine_ids", ids)
             if len(ids) > self.n_byzantine:
                 raise ConfigError("byzantine set larger than declared worst case b")
-        if self.n_dropout > 0 and self.multicast_width > self.n_nodes - 1:
-            raise ConfigError("b + d + 1 must not exceed N - 1 in dropout mode")
-
-    @property
-    def multicast_width(self) -> int:
-        """How many clockwise neighbours receive each update."""
-        if self.n_dropout > 0:
-            return self.n_byzantine + self.n_dropout + 1
-        return self.connectivity
-
-    @property
-    def storage_depth(self) -> int:
-        """FIFO capacity at each node."""
-        if self.n_dropout > 0:
-            return self.n_byzantine + 1
-        return self.connectivity
 
 
 def agree_order(node_ids, seed: int) -> tuple[int, ...]:
@@ -98,12 +79,6 @@ def agree_order(node_ids, seed: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-class StoredEntry(NamedTuple):
-    sender: int | None
-    round: int
-    model: ModelVector
-
-
 class StoredModels:
     """Bounded FIFO of received models, newest first."""
 
@@ -111,10 +86,10 @@ class StoredModels:
         if capacity < 1:
             raise ConfigError("FIFO capacity must be >= 1")
         self.capacity = capacity
-        self.entries: list[StoredEntry] = []
+        self.entries: list[tuple[int | None, ModelVector]] = []
 
-    def insert(self, sender: int | None, round_k: int, model: ModelVector) -> None:
-        self.entries.insert(0, StoredEntry(sender, round_k, model))
+    def insert(self, sender: int | None, model: ModelVector) -> None:
+        self.entries.insert(0, (sender, model))
         del self.entries[self.capacity:]
 
     def __len__(self) -> int:
@@ -122,10 +97,7 @@ class StoredModels:
 
     def __iter__(self) -> Iterator[tuple[int | None, ModelVector]]:
         """(sender, model) candidates, newest first."""
-        return ((e.sender, e.model) for e in self.entries)
-
-    def senders(self) -> list[int | None]:
-        return [e.sender for e in self.entries]
+        return iter(self.entries)
 
 
 class Selection(NamedTuple):
@@ -178,7 +150,7 @@ def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[i
 
 
 class BasilRing:
-    """Stateful driver for the ring protocol, including dropout handling."""
+    """Stateful driver for the ring protocol."""
 
     def __init__(
         self,
@@ -224,7 +196,6 @@ class BasilRing:
             raise ConfigError(f"byzantine ids {sorted(unknown)} are not ring members")
 
         self.latest_benign: dict[int, ModelVector] = {}
-        self.dropped: set[int] = set()
         self.round_idx = 0
         self.history = TrainHistory()
         if initial_model is None:
@@ -232,14 +203,13 @@ class BasilRing:
         self.restart({node: initial_model for node in self.node_ids})
 
     def restart(self, models: dict[int, ModelVector]) -> None:
-        """Seed each member's FIFO and latest output with its start model,
-        stamped with the current round."""
+        """Seed each member's FIFO and latest output with its start model."""
         self.fifos: dict[int, StoredModels] = {}
-        self.latest_output: dict[int, StoredEntry] = {}
+        self.latest_output: dict[int, ModelVector] = {}
         for node in self.node_ids:
-            self.fifos[node] = StoredModels(self.config.storage_depth)
-            self.fifos[node].insert(None, self.round_idx, models[node])
-            self.latest_output[node] = StoredEntry(node, self.round_idx, models[node])
+            self.fifos[node] = StoredModels(self.config.connectivity)
+            self.fifos[node].insert(None, models[node])
+            self.latest_output[node] = models[node]
 
     # -- helpers ---------------------------------------------------------
 
@@ -274,12 +244,10 @@ class BasilRing:
 
     def run_round(self) -> None:
         k = self.round_idx + 1
-        width = self.config.multicast_width
+        width = self.config.connectivity
         n = len(self.order)
         lr = self.lr_schedule(k)
         for pos, node in enumerate(self.order):
-            if node in self.dropped:
-                continue
             X, y = local_batch(self.dataset, node, self.batch_size,
                                [self.config.seed, TAG_BATCH, node, k])
             selection = basil_select(self.fifos[node], self.task, X, y)
@@ -311,13 +279,11 @@ class BasilRing:
                     round_k=k,
                     rng=rng,
                 )
-            self.latest_output[node] = StoredEntry(node, k, out)
+            self.latest_output[node] = out
             for s in range(1, width + 1):
                 target = self.order[(pos + s) % n]
                 self.history.bump("models_sent")
-                if target in self.dropped:
-                    continue
-                self.fifos[target].insert(node, k, out)
+                self.fifos[target].insert(node, out)
                 self.history.bump("fifo_inserts")
             self.history.bump("activations")
         self.round_idx = k
@@ -326,42 +292,3 @@ class BasilRing:
         for _ in range(rounds):
             self.run_round()
         return self.history
-
-    # -- dropout / rejoin --------------------------------------------------
-
-    def drop_node(self, node: int) -> None:
-        if node not in self.fifos:
-            raise ConfigError(f"node {node} does not exist")
-        if node in self.dropped:
-            raise ConfigError(f"node {node} is already dropped")
-        self.dropped.add(node)
-        self.history.events.append({"event": "drop", "round": self.round_idx, "node": node})
-
-    def rejoin_node(self, node: int) -> None:
-        """Restore a dropped node's queue from its counterclockwise neighbours.
-
-        The ``b + d + 1`` nearest active counterclockwise neighbours each send
-        their latest model; the queue (depth ``b + 1``) keeps the newest.
-        """
-        if node not in self.fifos:
-            raise ConfigError(f"node {node} never existed")
-        if node not in self.dropped:
-            raise ConfigError(f"node {node} was not dropped")
-        self.dropped.remove(node)
-        want = self.config.n_byzantine + self.config.n_dropout + 1
-        pos = self.order.index(node)
-        n = len(self.order)
-        received: list[StoredEntry] = []
-        step = 1
-        while len(received) < want and step < n:
-            neighbour = self.order[(pos - step) % n]
-            step += 1
-            if neighbour in self.dropped:
-                continue
-            received.append(self.latest_output[neighbour])
-        fifo = StoredModels(self.config.storage_depth)
-        # oldest first so the queue retains the most recently produced models
-        for entry in sorted(received, key=lambda e: e.round):
-            fifo.insert(entry.sender, entry.round, entry.model)
-        self.fifos[node] = fifo
-        self.history.events.append({"event": "rejoin", "round": self.round_idx, "node": node})

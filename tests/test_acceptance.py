@@ -345,7 +345,7 @@ def test_criterion_7_convex_regime():
     for k in range(400):
         nring.run_round()
         for node in nring.order:
-            running += nring.latest_output[node].model.params
+            running += nring.latest_output[node].params
             count += 1
         if (k + 1) % 10 == 0:
             avg = noisy_task.make_model(running / count)

@@ -74,14 +74,6 @@ class TestGraphTopology:
         with pytest.raises(ConfigError):
             GraphTopology({0: frozenset({1}), 1: frozenset()})
 
-    def test_edge_list_export(self, tmp_path):
-        topo = build_random_graph(range(6), set(), seed=2)
-        path = tmp_path / "edges.txt"
-        topo.write_edge_list(path)
-        lines = path.read_text().strip().splitlines()
-        n_edges = sum(len(v) for v in topo.adjacency.values()) // 2
-        assert len(lines) == n_edges
-
 
 def run_config(scheme, out_dir, **overrides):
     cfg = {

@@ -200,7 +200,7 @@ class TestDriver:
         driver.run(1)
         for ring in driver.rings.values():
             for node in ring.node_ids:
-                assert not np.array_equal(ring.latest_output[node].model.params, x0.params)
+                assert not np.array_equal(ring.latest_output[node].params, x0.params)
 
     @pytest.mark.parametrize("n_byzantine", [0, 2])
     def test_epoch_mode_counts_like_single_step(self, n_byzantine):

@@ -42,8 +42,7 @@ CONFIGS = {
     "r-plain-plus": base_config("r-plain-plus"),
     "g-plain": base_config("g-plain"),
     "ubar": base_config("ubar"),
-    "basil-dropout-width": base_config(
-        "basil", ring={"nodes": 8, "byzantine": 1, "dropout": 2, "connectivity": 2}),
+    "basil-b1-s2": base_config("basil", ring={"nodes": 8, "byzantine": 1, "connectivity": 2}),
     "basil-plus-acds-noniid": base_config(
         "basil-plus", partition={"mode": "non-iid"}, attack={"kind": "hidden",
                                                              "activation_round": 1},
@@ -66,73 +65,73 @@ GOLDENS = {
         "b97268ba01e560df88429c51d88c3789f84b5ccfa9453609dbe15be97fab77dd",
         "dc1111f15dd665b12d4a2229997137c9c096362eb7338dd444b866e8ad554815",
         "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
-        "72998440696535c7939e4f1052ca6c24c94410659613c4ed8422be8c5739e31f",
+        "eaf9c6e20cc81a9c41b56dc4d096491e84d0f1d1f8952e1bb8e368e157b697e7",
     ),
     "basil-plus": (
         "b4d98f4d08fe92de63ca02eeab6c8cf01b997cfaf53265f1d3e600756f8f0e4b",
         "22908547b30df34240d61410553a7f8c95304f8a081e8a06df2ae32f5506c113",
         "19692eb88aa67bb80cb6e4b5e93f3fed6be0fa61d2876dbec700b8d0d9454cd4",
-        "34c48ddecfb192dd3fd37650b9407099aff392e0c1077d2eb1f1205cc673a156",
+        "5a23c50577c36aa0e2b0c116b88a7efae63090e05ab18dfab12ed2fb8b0e2da0",
     ),
     "r-plain": (
         "556a2db19c36b8fa1c9d8e2f3ca78929ee4ee532b64dbb49dc3e1cde677959ed",
         "3dbf0e77ccd9f690a107d5133cb6c19148b298f93f818d7e1cdfbf3e2ec54c92",
         "ad4c9193bc2e5f30bdf908397061eae3274c3c12e25fa5570548d6182dfd7055",
-        "d1789dc65d3a47c8e8bc0c352bae7226dbdae5856a38b09e0362c747d5bf0c5d",
+        "94f27afe50a63e1ac2073dcef059bb1398d408f278b2bd426ea0b34de041ce34",
     ),
     "r-plain-plus": (
         "ba3b81ae492f70647e7f5608b7c67595155512f794fff59cba6ea032419b975f",
         "c5d33b08ff770b4dce51ad87f0c6738881686781800262a6f095f110a320b22d",
         "12d3b24afe3cd1983d18eb0340f6407edb9e61ff62569327dbc6f77fcc87e157",
-        "c514af87f057cb4a0fb6895f43dae2c07ec46b0adbb8fb5f2d42bf89a8ddc418",
+        "0b10c6802df6834b22d5a534e6cf17e0b8fcfe2b3b01979ab8e984d458565bd2",
     ),
     "g-plain": (
         "3c108900b64125fcba0afb67dc8b9eee2dd01ebd9f8b19eb83f28d06b29e9fa4",
         "2ef30ff7d51c581113dab27949f5b7fc6e6ebacb6c9de4c94f43a5c0b6e2a0f8",
         "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
-        "c3eeef4a281b722b52d37500f31a6a25d68e63cb0f2e74038d31ff021cc88ce4",
+        "3104bbc686d2eaf6a0b958d218ddfab7eba98c529ac11e7e858ac54cd184abda",
     ),
     "ubar": (
         "0c4e0228930354021270216cbd8bf20e3476a94a6f51b4099c33b87a56ee95d1",
         "7a088645ad0f16394666069d0dc327175617d4da704b67430e8524b0de0d9994",
         "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
-        "99a76fe7bcc9295bc16acdf95f5a48094764ae6d7e9c3de30501c52c7acc6b98",
+        "30149c38ae0b61919ab37e5f18e282b48545a4045dc09296949cdf6444d89604",
     ),
-    "basil-dropout-width": (
+    "basil-b1-s2": (
         "b787e279acf1050414c1636eed97174ade06a2169f9c0199c3272dba42b8e4ed",
         "8e593a707efa28c5cbe07243cd21c2277e9e984ef2a41068845e185b2be69712",
-        "992f574f9171923d046ba85fa0987208f713d35d32870fa5735508051267d021",
-        "1ac40f2ab15e0f993710529123c67e32b7b2abdc3ab7f15404a6723f4744dec6",
+        "87f5ddccb240a0ab5b8a1dab2324ea1b156f01b785c22426aa031d17dd1acdeb",
+        "6130b3b264da53afa49019c6cdcccbd9dddc11c8be8e016c0c63e47bf5e61487",
     ),
     "basil-plus-acds-noniid": (
         "d3c02e30f96c72016079a38696fe847544642dee564a76b04afb928981993e90",
         "3d788a1c9121ce45dfee817287afea144c0fcba97299c4f78684b52834b30cb8",
         "3ae7576a6ebba1b98be287b8476acc2bd8155a3026ce067f7cc3a5d31622f95b",
-        "37b454a95964481d375c9563b4a95638629e96f2270c5e1e58a4df644b38816b",
+        "1c0b9b8910c54de2c67baa5688e90b5acb0603f7672e09c5269aacd73c40e4b6",
     ),
     "basil-plus-epochs-b0": (
         "7cfea9c7bda0fba7071eb0fef61711572cf5cc2b6330f873d193200e141ee84f",
         "8ed5dd8cb2f0fa6504e2997c85ec2ab3586e3563b827d827063c0135e50abd57",
         "f008df8c4933f39261eac15c52ecb2f310d146fb1a3b24540e22f1567c3a6c20",
-        "f6ba95b00e910dfcd7c7b1cf67fa4a5b290ece47661eec6d6170518280ff728e",
+        "6d6af868a55ad08187729302d4f3e4ff425bf2c48e70f33662df9c8a5a2ffa28",
     ),
     "basil-plus-epochs-b2": (
         "1a8698dab0d75d4da52f7e3c0f61ebd9130a011d8e59ca1091584f905e0dcbbf",
         "326e0334595161aa22ca73ae27062e732915064defa659cf1a4aa61f18fed863",
         "a8fd7e39f652259554725650f5a8ede3351db65c2a406b95c1b50689a75c42ef",
-        "ba88381c0cca446373c9b49d60069347ed250a3b48bf44998aa287ec186c04ca",
+        "c509d8a04623230149376a901b6b739b01375198de37024168955287bf04190b",
     ),
     "basil-mlp": (
         "b6a9643c71d7fe1d8b388e32920598d3f58f1ac8f2466875cdb4723094c4189b",
         "a4208e2dfe0dec374d529c2b72c9353bf693bd4527759305dad8f0b4830c0a70",
         "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
-        "965fb8d6ac249bfe8e9d188d5ef14be36322637f48120bd75994d56527e96760",
+        "3a5b46f8c8586ce2e364c58006920f3968e2a3cb79e0a8607c86a8c7e4650c7d",
     ),
     "basil-quadratic": (
         "3f9fb34793a92c4091897aa030b260e8864852f4b0539e6e2e5f10c0110ddaef",
         "98bf799a85364519d211e73e198b826778eca32614dc96d74027116f07369478",
         "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
-        "182ea4bdb558a7c4579ad92082363fd3d4b53d90fef90c355d1c4d0ff7e2e883",
+        "7cc720dc48beb9d6e20cad2b249e092044fba2dd7ebf8538bde5c6b560a29fd6",
     ),
 }
 

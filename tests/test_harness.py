@@ -108,13 +108,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="ring.connectivity"):
             validate_config(cfg)
 
-    def test_dropout_mode_needs_no_connectivity(self, tmp_path):
-        ring = {"nodes": 8, "byzantine": 1, "dropout": 2}
-        without = run_experiment(desk_config(ring=ring), output_dir=tmp_path / "a")
-        given = run_experiment(desk_config(ring={**ring, "connectivity": 5}),
-                               output_dir=tmp_path / "b")
-        assert without.csv_path.read_bytes() == given.csv_path.read_bytes()
-
     def test_groups_must_divide_nodes(self):
         cfg = desk_config(scheme="basil-plus", groups={"count": 3})
         with pytest.raises(ConfigError, match="groups.count"):
@@ -122,8 +115,8 @@ class TestValidation:
 
     def test_null_ring_counts_take_their_defaults(self):
         cfg = validate_config(desk_config(ring={"nodes": 8, "byzantine": None,
-                                                "dropout": None, "connectivity": 3}))
-        assert (cfg["ring"]["byzantine"], cfg["ring"]["dropout"]) == (0, 0)
+                                                "connectivity": 3}))
+        assert cfg["ring"]["byzantine"] == 0
 
     @pytest.mark.parametrize("name", ["bundled", *sorted(GOLDEN_CONFIGS)])
     def test_validation_is_idempotent(self, name):
@@ -131,7 +124,8 @@ class TestValidation:
         assert validate_config(cfg) == cfg
 
     def test_null_optional_fields_are_left_out(self, tmp_path):
-        cfg = desk_config(ring={"nodes": 8, "byzantine": 1, "dropout": 2, "connectivity": None},
+        cfg = desk_config(scheme="basil-plus", groups={"count": 2},
+                          ring={"nodes": 8, "byzantine": 1, "connectivity": None},
                           attack={"kind": "hidden", "activation_round": None},
                           acds={**ACDS, "sensitive_gamma": None}, rounds=1)
         resolved = validate_config(cfg)
@@ -262,6 +256,21 @@ class TestCli:
                          "--G", "4", "--S", "7", "--trials", "-5"]) == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--S", "3"],                          # no groups: would print the ring bound
+        ["--n", "4", "--G", "5", "--S", "2"],  # case 1 is the S = n-1 event
+    ])
+    def test_analyze_failure_case1_misuse_exit_code(self, capsys, flags):
+        assert cli_main(["analyze", "failure", "--N", "20", "--b", "6", "--case1",
+                         *flags]) == 2
+        assert "--case1" in capsys.readouterr().err
+
+    def test_analyze_failure_case1_query(self, capsys):
+        assert cli_main(["analyze", "failure", "--N", "20", "--b", "6", "--n", "4",
+                         "--G", "5", "--S", "3", "--case1"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["query"] == {"N": 20, "b": 6, "S": 3, "n": 4, "G": 5, "case1": True}
+
     def test_analyze_cost_reference_value(self, capsys):
         assert cli_main(["analyze", "cost", "--alpha", "0.05", "--D", "500",
                          "--I", "24500", "--H", "5", "--n", "25", "--G", "4"]) == 0
@@ -348,7 +357,8 @@ class TestCli:
         assert cli_main(["run", str(cfg_path)]) == 2
         assert "task.kind" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scheme", ["basil-plus", "r-plain", "r-plain-plus", "g-plain", "ubar"])
+    @pytest.mark.parametrize("scheme", ["basil", "basil-plus", "r-plain", "r-plain-plus",
+                                        "g-plain", "ubar"])
     def test_dropout_rejected_where_unused(self, tmp_path, capsys, scheme):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(desk_config(

@@ -63,7 +63,7 @@ class TestBasilSelect:
         task, dataset = quad_setup()
         fifo = StoredModels(capacity=3)
         model = task.make_model(np.ones(4))
-        fifo.insert(9, 1, model)
+        fifo.insert(9, model)
         X, y = dataset.batch(dataset.node_indices(0))
         sel = basil_select(fifo, task, X, y)
         assert sel.sender == 9
@@ -80,7 +80,7 @@ class TestBasilSelect:
         m3 = sgd_step(m2, task, X, y, lr)
         fifo = StoredModels(capacity=3)
         for sender, m in [(1, m1), (2, m2), (3, m3)]:
-            fifo.insert(sender, sender, m)
+            fifo.insert(sender, m)
         sel = basil_select(fifo, task, X, y)
         assert sel.sender == 3
 
@@ -92,8 +92,8 @@ class TestBasilSelect:
             benign = sgd_step(benign, task, X, y, 0.1)
         noise = benign.with_params(np.random.default_rng(0).standard_normal(benign.size))
         fifo = StoredModels(capacity=2)
-        fifo.insert(1, 1, benign)
-        fifo.insert(2, 2, noise)  # newer, but worse
+        fifo.insert(1, benign)
+        fifo.insert(2, noise)  # newer, but worse
         sel = basil_select(fifo, task, X, y)
         assert sel.sender == 1
         losses = dict(sel.candidate_losses)
@@ -104,8 +104,8 @@ class TestBasilSelect:
         X, y = dataset.batch(dataset.node_indices(0))
         model = task.make_model(np.ones(4))
         fifo = StoredModels(capacity=2)
-        fifo.insert(1, 1, model)
-        fifo.insert(2, 2, model.with_params(model.params.copy()))
+        fifo.insert(1, model)
+        fifo.insert(2, model.with_params(model.params.copy()))
         assert basil_select(fifo, task, X, y).sender == 2
 
     def test_non_finite_models_evaluate_to_infinity(self):
@@ -114,8 +114,8 @@ class TestBasilSelect:
         good = task.make_model(np.ones(4))
         bad = task.make_model(np.full(4, np.nan))
         fifo = StoredModels(capacity=2)
-        fifo.insert(1, 1, good)
-        fifo.insert(2, 2, bad)
+        fifo.insert(1, good)
+        fifo.insert(2, bad)
         sel = basil_select(fifo, task, X, y)
         assert sel.sender == 1
         assert math.isinf(dict(sel.candidate_losses)[2])
@@ -199,8 +199,7 @@ class TestRunBasil:
         for node in range(4):
             fifo = ring.fifos[node]
             assert len(fifo) == 1
-            assert fifo.entries[0].sender is None
-            assert fifo.entries[0].round == 0
+            assert fifo.entries[0][0] is None
 
     def test_bit_identical_reruns(self):
         task, train, test = cluster_setup(n_nodes=5)
@@ -280,7 +279,7 @@ class TestRunBasil:
         bad = task.make_model(np.full(4, np.inf))
         first = ring.order[0]
         ring.fifos[first] = StoredModels(capacity=1)
-        ring.fifos[first].insert(None, 0, bad)
+        ring.fifos[first].insert(None, bad)
         with pytest.raises(NumericFaultError):
             ring.run_round()
         assert any(e["event"] == "protocol-failure" and e["node"] == first
@@ -297,56 +296,6 @@ def _longest_circular_run(mask):
     return min(best, n)
 
 
-class TestDropoutRejoin:
-    def _ring(self, b, d, n_nodes=6):
-        task, dataset = quad_setup(n_nodes=n_nodes)
-        config = RingConfig(n_nodes=n_nodes, n_byzantine=b, n_dropout=d,
-                            connectivity=b + 1 if b else 1, seed=4)
-        return BasilRing(config, task, dataset, batch_size=None)
-
-    def test_dropout_mode_widths(self):
-        ring = self._ring(b=1, d=1)
-        assert ring.config.multicast_width == 3
-        assert ring.config.storage_depth == 2
-
-    def test_drop_then_rejoin_restores_fifo(self):
-        ring = self._ring(b=1, d=1)
-        victim = ring.order[3]
-        ring.run_round()
-        ring.drop_node(victim)
-        ring.run_round()
-        ring.rejoin_node(victim)
-        fifo = ring.fifos[victim]
-        assert len(fifo) == 2  # b + 1
-        neighbours = {ring.order[2], ring.order[1], ring.order[0]}
-        assert set(fifo.senders()) <= neighbours
-
-    def test_rejoin_with_no_byzantine_keeps_single_model(self):
-        ring = self._ring(b=0, d=1)
-        victim = ring.order[2]
-        ring.run_round()
-        ring.drop_node(victim)
-        ring.rejoin_node(victim)
-        assert len(ring.fifos[victim]) == 1  # b + 1 = 1
-
-    def test_rejoin_without_drop_rejected(self):
-        ring = self._ring(b=0, d=1)
-        with pytest.raises(ConfigError):
-            ring.rejoin_node(ring.order[0])
-
-    def test_rejoin_of_unknown_node_rejected(self):
-        ring = self._ring(b=0, d=1)
-        with pytest.raises(ConfigError):
-            ring.rejoin_node(999)
-
-    def test_dropped_node_skips_rounds(self):
-        ring = self._ring(b=0, d=1)
-        victim = ring.order[1]
-        ring.drop_node(victim)
-        history = ring.run(2)
-        assert victim not in {r.node for r in history.rows}
-
-
 class TestRingConfigValidation:
     def test_connectivity_bounds(self):
         with pytest.raises(ConfigError):
@@ -358,7 +307,3 @@ class TestRingConfigValidation:
         with pytest.raises(ConfigError):
             RingConfig(n_nodes=5, n_byzantine=1, connectivity=1,
                        byzantine_ids=frozenset({0, 1}))
-
-    def test_dropout_width_bounded(self):
-        with pytest.raises(ConfigError):
-            RingConfig(n_nodes=5, n_byzantine=2, n_dropout=2, connectivity=1)
