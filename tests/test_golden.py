@@ -47,6 +47,8 @@ CONFIGS = {
         "basil-plus", partition={"mode": "non-iid"}, attack={"kind": "hidden",
                                                              "activation_round": 1},
         acds={"enabled": True, "alpha": 0.1, "batches": 2, "groups": 2}),
+    # no ring.connectivity: the default group connectivity min(n-1, b+1) gives S = 2
+    "basil-plus-default-s": base_config("basil-plus", ring={"nodes": 8, "byzantine": 1}),
     "basil-plus-epochs-b0": base_config(
         "basil-plus", ring={"nodes": 8, "byzantine": 0},
         training={"batch_size": 10, "epochs": 2}),
@@ -108,6 +110,12 @@ GOLDENS = {
         "3d788a1c9121ce45dfee817287afea144c0fcba97299c4f78684b52834b30cb8",
         "3ae7576a6ebba1b98be287b8476acc2bd8155a3026ce067f7cc3a5d31622f95b",
         "1c0b9b8910c54de2c67baa5688e90b5acb0603f7672e09c5269aacd73c40e4b6",
+    ),
+    "basil-plus-default-s": (
+        "ba403998383ae81be3c8556e2061c39277de974ba8d169e9aa1136c174f13d00",
+        "29c908cbb960f1cab29a3512cae1b71aa9852332f1dc484b7dd395ea772d2718",
+        "53abf6da4b2f37b61803af4c2b07f7aac5b7068ad1a1486446df7cc6af741dcc",
+        "d424d7c029060cebb201f2446d1fcf82fe1b06c41ce698fe8f4d1ffc7e3670d0",
     ),
     "basil-plus-epochs-b0": (
         "7cfea9c7bda0fba7071eb0fef61711572cf5cc2b6330f873d193200e141ee84f",
