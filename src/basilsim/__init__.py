@@ -29,14 +29,7 @@ from .attacks import (
     inverse_attack,
     sign_flip_attack,
 )
-from .basil_plus import (
-    BasilPlusDriver,
-    GroupConfig,
-    GroupState,
-    circular_aggregate,
-    cluster_nodes,
-    robust_multicast,
-)
+from .basil_plus import BasilPlusDriver, cluster_nodes
 from .data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from .errors import ConfigError, IdxFormatError, NumericFaultError, ProtocolError
 from .harness import run_experiment, validate_config
@@ -51,12 +44,6 @@ from .models import (
     evaluate_loss,
     sgd_step,
 )
-from .ring import (
-    BasilRing,
-    RingConfig,
-    StoredModels,
-    agree_order,
-    basil_select,
-)
+from .ring import BasilRing, StoredModels, agree_order, basil_select
 
 __version__ = "0.1.0"

@@ -18,13 +18,13 @@ import numpy as np
 from . import acds as acds_mod
 from . import baselines
 from .attacks import ATTACK_KINDS, AttackSpec
-from .basil_plus import BasilPlusDriver, GroupConfig, cluster_nodes
+from .basil_plus import BasilPlusDriver, cluster_nodes
 from .data import Dataset, flag_sensitive_by_class, make_cluster_dataset, make_quadratic_dataset, partition
-from .errors import ConfigError
+from .errors import ConfigError, IdxFormatError
 from .history import TrainHistory
 from .idx import load_idx
 from .models import MlpTask, QuadraticTask, SoftmaxTask
-from .ring import BasilRing, RingConfig, constant_lr, place_byzantine
+from .ring import BasilRing, constant_lr, sample_byzantine_ids
 
 SCHEMA_VERSION = 1
 OUTPUT_ROOT_ENV = "BASILSIM_OUTPUT_ROOT"
@@ -192,21 +192,28 @@ def validate_config(cfg: dict) -> dict:
     if scheme in GROUPED_SCHEMES and n_nodes % out["groups"]["count"] != 0:
         raise ConfigError("groups.count: must divide ring.nodes")
     if scheme in GROUPED_SCHEMES and n_nodes // out["groups"]["count"] <= n_byzantine:
-        # BasilPlusDriver's own placement and split: a group with no benign member
-        # has no model to train
-        node_ids = list(range(n_nodes))
-        byzantine = place_byzantine(node_ids, n_byzantine, out["seed"], ids)
-        for group in cluster_nodes(node_ids, out["groups"]["count"], out["seed"]):
-            if byzantine.issuperset(group.members):
+        # a group with no benign member has no model to train
+        byzantine = _byzantine_set(out)
+        for gid, members in enumerate(cluster_nodes(range(n_nodes), out["groups"]["count"],
+                                                     out["seed"])):
+            if byzantine.issuperset(members):
                 raise ConfigError(f"ring.byzantine{'' if ids is None else '_ids'}: the "
                                   f"placement at seed {out['seed']} leaves group "
-                                  f"{group.gid} with only Byzantine nodes")
+                                  f"{gid} with only Byzantine nodes")
     if "connectivity" in ring and scheme in ("basil", "basil-plus"):
         # basil-plus runs one ring per group; a ring of one node stores one model
         size = n_nodes if scheme == "basil" else n_nodes // out["groups"]["count"]
         if 1 < size <= ring["connectivity"]:
             raise ConfigError(f"ring.connectivity: must be at most the ring size minus one = "
                               f"{size - 1}, got {ring['connectivity']}")
+    if out["acds"]["enabled"] and n_nodes % out["acds"]["groups"] != 0:
+        raise ConfigError(f"acds.groups: must divide ring.nodes = {n_nodes}, "
+                          f"got {out['acds']['groups']}")
+    data = out["dataset"]
+    size = "limit" if data["kind"] == "mnist-idx" else "samples"
+    if data.get(size, n_nodes) < n_nodes:
+        raise ConfigError(f"dataset.{size}: must be at least ring.nodes = {n_nodes}, "
+                          f"got {data[size]}")
     epochs = out["training"]["epochs"]
     if epochs is not None and scheme not in EPOCH_SCHEMES:
         raise ConfigError(f"training.epochs: scheme {scheme!r} takes no epochs, got {epochs!r}")
@@ -216,12 +223,29 @@ def validate_config(cfg: dict) -> dict:
     return out
 
 
+def _byzantine_set(cfg: dict) -> frozenset[int]:
+    """The run's Byzantine nodes: ``ring.byzantine_ids`` if given, else a
+    placement of ``ring.byzantine`` nodes seeded by the run seed."""
+    ring = cfg["ring"]
+    if ring["byzantine_ids"] is not None:
+        return frozenset(ring["byzantine_ids"])
+    return sample_byzantine_ids(range(ring["nodes"]), ring["byzantine"], cfg["seed"])
+
+
 def _build_lr(cfg: dict):
     lr = cfg["training"]["lr"]
     if lr["kind"] == "constant":
         return constant_lr(float(lr["eta"]))
     eta0, decay = float(lr["eta0"]), float(lr["decay"])
     return lambda k: eta0 / (1.0 + decay * k)
+
+
+def _load_idx(d: dict, split: str) -> Dataset:
+    """The ``split`` IDX pair; a file that is not IDX is a fault of its fields."""
+    try:
+        return load_idx(d[f"{split}_images"], d[f"{split}_labels"])
+    except IdxFormatError as exc:
+        raise ConfigError(f"dataset.{split}_images or dataset.{split}_labels: {exc}") from exc
 
 
 def _build_dataset(cfg: dict) -> tuple[Dataset, tuple | None]:
@@ -236,8 +260,7 @@ def _build_dataset(cfg: dict) -> tuple[Dataset, tuple | None]:
         test = full.features[d["samples"]:], full.labels[d["samples"]:]
         return train, test
     if d["kind"] == "mnist-idx":
-        train = load_idx(d["train_images"], d["train_labels"])
-        test = load_idx(d["test_images"], d["test_labels"])
+        train, test = (_load_idx(d, split) for split in ("train", "test"))
         if "limit" in d:
             train = Dataset(train.features[:d["limit"]], train.labels[:d["limit"]])
         return train, (test.features, test.labels)
@@ -337,42 +360,35 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str, dict]:
     task = _build_task(cfg, dataset)
     common = dict(attack=attack, lr_schedule=_build_lr(cfg),
                   batch_size=cfg["training"]["batch_size"], test_set=test_set)
-    byz_ids = cfg["ring"]["byzantine_ids"]
-    byz_ids = None if byz_ids is None else frozenset(byz_ids)
+    byzantine = _byzantine_set(cfg)
 
     # the unfiltered schemes run the filtered drivers at connectivity one,
     # where every selection has a single candidate
     if scheme in RING_SCHEMES:
-        config = RingConfig(
-            n_nodes=n_nodes,
-            n_byzantine=cfg["ring"]["byzantine"],
-            connectivity=1 if scheme == "r-plain" else cfg["ring"]["connectivity"],
-            seed=seed,
-            byzantine_ids=byz_ids,
-        )
-        ring = BasilRing(config, task, dataset, epochs=cfg["training"]["epochs"], **common)
+        S = 1 if scheme == "r-plain" else cfg["ring"]["connectivity"]
+        ring = BasilRing(range(n_nodes), byzantine, S, seed, task, dataset,
+                         epochs=cfg["training"]["epochs"], **common)
         return ring.run(cfg["rounds"]), "worst", manifest
     if scheme in GRAPH_SCHEMES:
-        ids = list(range(n_nodes))
-        byz_ids = place_byzantine(ids, cfg["ring"]["byzantine"], seed, byz_ids)
         topo = baselines.build_random_graph(
-            ids, byz_ids, seed,
+            range(n_nodes), byzantine, seed,
             edge_prob_benign=cfg["graph"]["edge_prob_benign"],
             edge_prob_byzantine=cfg["graph"]["edge_prob_byzantine"],
         )
         rule = (baselines.gossip_rule if scheme == "g-plain"
                 else baselines.ubar_rule(cfg["graph"]["rho"], cfg["graph"]["mixing"]))
-        history = baselines.run_graph(rule, topo, byz_ids, seed, task, dataset,
+        history = baselines.run_graph(rule, topo, byzantine, seed, task, dataset,
                                       cfg["rounds"], **common)
         return history, "worst", manifest
-    config = GroupConfig(
-        n_nodes=n_nodes,
-        n_groups=cfg["groups"]["count"],
-        n_byzantine=cfg["ring"]["byzantine"],
-        connectivity=1 if scheme == "r-plain-plus" else cfg["ring"].get("connectivity"),
-        seed=seed,
-        byzantine_ids=byz_ids,
-    )
-    driver = BasilPlusDriver(config, task, dataset, tau=cfg["tau"],
-                             epochs=cfg["training"]["epochs"], **common)
+    n_groups = cfg["groups"]["count"]
+    if scheme == "r-plain-plus":
+        S = 1
+    elif "connectivity" in cfg["ring"]:
+        S = cfg["ring"]["connectivity"]
+    else:
+        # b+1 stored models, capped at the group size less one; a one-node
+        # group stores one model (S=1), the shape r-plain-plus runs
+        S = max(1, min(n_nodes // n_groups - 1, cfg["ring"]["byzantine"] + 1))
+    driver = BasilPlusDriver(n_groups, byzantine, S, seed, task, dataset, n_nodes=n_nodes,
+                             tau=cfg["tau"], epochs=cfg["training"]["epochs"], **common)
     return driver.run(cfg["rounds"]), "mean", manifest

@@ -13,7 +13,6 @@ configuration are bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -41,30 +40,6 @@ def default_lr(k: int) -> float:
 
 def constant_lr(eta: float) -> Callable[[int], float]:
     return lambda k: eta
-
-
-@dataclass(frozen=True)
-class RingConfig:
-    """Node census and connectivity for one ring."""
-
-    n_nodes: int
-    n_byzantine: int = 0
-    connectivity: int = 1
-    seed: int = 0
-    byzantine_ids: frozenset[int] | None = None
-
-    def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ConfigError("n_nodes must be >= 1")
-        if not 0 <= self.n_byzantine < self.n_nodes:
-            raise ConfigError("need 0 <= b < N")
-        if self.n_nodes > 1 and not 1 <= self.connectivity <= self.n_nodes - 1:
-            raise ConfigError("need 1 <= S <= N-1")
-        if self.byzantine_ids is not None:
-            ids = frozenset(self.byzantine_ids)
-            object.__setattr__(self, "byzantine_ids", ids)
-            if len(ids) > self.n_byzantine:
-                raise ConfigError("byzantine set larger than declared worst case b")
 
 
 def agree_order(node_ids, seed: int) -> tuple[int, ...]:
@@ -132,13 +107,6 @@ def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
     return frozenset(int(x) for x in picked)
 
 
-def place_byzantine(node_ids, count: int, seed: int, given=None) -> frozenset[int]:
-    """The ``given`` Byzantine ids if any, else a seeded placement of ``count``."""
-    if given is not None:
-        return frozenset(given)
-    return sample_byzantine_ids(node_ids, count, seed)
-
-
 def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[int]):
     """A node's mini-batch: all its local data if ``batch_size`` is None or not
     smaller, else ``batch_size`` samples without replacement from ``default_rng(key)``."""
@@ -150,11 +118,16 @@ def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[i
 
 
 class BasilRing:
-    """Stateful driver for the ring protocol."""
+    """Stateful driver for the ring protocol over ``node_ids``, of which the
+    resolved set ``byzantine`` attack; each node stores ``connectivity``
+    models and multicasts to that many successors."""
 
     def __init__(
         self,
-        config: RingConfig,
+        node_ids,
+        byzantine: frozenset[int],
+        connectivity: int,
+        seed: int,
         task: LossTask,
         dataset: Dataset,
         *,
@@ -164,10 +137,8 @@ class BasilRing:
         epochs: int | None = None,
         test_set: tuple[np.ndarray, np.ndarray] | None = None,
         initial_model: ModelVector | None = None,
-        node_ids: list[int] | None = None,
         group: int | None = None,
     ):
-        self.config = config
         self.task = task
         self.dataset = dataset
         self.attack = attack or AttackSpec()
@@ -178,28 +149,31 @@ class BasilRing:
         self.epochs = epochs
         self.test_set = test_set
         self.group = group
+        self.seed = seed
+        self.connectivity = connectivity
 
-        self.node_ids = list(node_ids) if node_ids is not None else list(range(config.n_nodes))
-        if len(self.node_ids) != config.n_nodes:
-            raise ConfigError("node id list does not match configured N")
+        self.node_ids = list(node_ids)
+        self.order = agree_order(self.node_ids, seed)
+        n = len(self.order)
+        if n > 1 and not 1 <= connectivity <= n - 1:
+            raise ConfigError(f"need 1 <= S <= N-1 = {n - 1}, got S = {connectivity}")
+        self.byzantine = frozenset(byzantine)
+        unknown = self.byzantine - set(self.node_ids)
+        if unknown:
+            raise ConfigError(f"byzantine ids {sorted(unknown)} are not ring members")
+        if len(self.byzantine) == n:
+            raise ConfigError("every ring member is Byzantine")
         if dataset.partition is None:
             raise ConfigError("dataset must be partitioned before training")
         missing = [i for i in self.node_ids if i not in dataset.partition]
         if missing:
             raise ConfigError(f"dataset partition missing nodes {missing}")
 
-        self.order = agree_order(self.node_ids, config.seed)
-        self.byzantine = place_byzantine(
-            self.node_ids, config.n_byzantine, config.seed, config.byzantine_ids)
-        unknown = self.byzantine - set(self.node_ids)
-        if unknown:
-            raise ConfigError(f"byzantine ids {sorted(unknown)} are not ring members")
-
         self.latest_benign: dict[int, ModelVector] = {}
         self.round_idx = 0
         self.history = TrainHistory()
         if initial_model is None:
-            initial_model = task.initial_model(config.seed)
+            initial_model = task.initial_model(seed)
         self.restart({node: initial_model for node in self.node_ids})
 
     def restart(self, models: dict[int, ModelVector]) -> None:
@@ -207,7 +181,7 @@ class BasilRing:
         self.fifos: dict[int, StoredModels] = {}
         self.latest_output: dict[int, ModelVector] = {}
         for node in self.node_ids:
-            self.fifos[node] = StoredModels(self.config.connectivity)
+            self.fifos[node] = StoredModels(self.connectivity)
             self.fifos[node].insert(None, models[node])
             self.latest_output[node] = models[node]
 
@@ -223,7 +197,7 @@ class BasilRing:
             return sgd_step(model, self.task, X, y, lr)
         indices = self.dataset.node_indices(node)
         bs = min(self.batch_size or len(indices), len(indices))
-        rng = np.random.default_rng([self.config.seed, TAG_EPOCH, node, k])
+        rng = np.random.default_rng([self.seed, TAG_EPOCH, node, k])
         for _ in range(self.epochs):
             order = rng.permutation(indices)
             for start in range(0, len(order) - bs + 1, bs):
@@ -244,12 +218,12 @@ class BasilRing:
 
     def run_round(self) -> None:
         k = self.round_idx + 1
-        width = self.config.connectivity
+        width = self.connectivity
         n = len(self.order)
         lr = self.lr_schedule(k)
         for pos, node in enumerate(self.order):
             X, y = local_batch(self.dataset, node, self.batch_size,
-                               [self.config.seed, TAG_BATCH, node, k])
+                               [self.seed, TAG_BATCH, node, k])
             selection = basil_select(self.fifos[node], self.task, X, y)
             self.history.bump("loss_evaluations", len(selection.candidate_losses))
             if all(math.isinf(l) for _, l in selection.candidate_losses):
@@ -270,7 +244,7 @@ class BasilRing:
                     candidate_losses=selection.candidate_losses,
                 ))
             else:
-                rng = np.random.default_rng([self.config.seed, TAG_ATTACK, node, k])
+                rng = np.random.default_rng([self.seed, TAG_ATTACK, node, k])
                 out = apply_attack(
                     self.attack,
                     honest_update=honest,

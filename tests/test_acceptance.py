@@ -46,11 +46,11 @@ from basilsim.analytics import (
 )
 from basilsim.attacks import AttackSpec
 from basilsim.baselines import build_random_graph, gossip_rule, run_graph
-from basilsim.basil_plus import BasilPlusDriver, GroupConfig, GroupState, circular_aggregate
+from basilsim.basil_plus import BasilPlusDriver
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.harness import run_experiment
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
-from basilsim.ring import BasilRing, RingConfig, constant_lr, sample_byzantine_ids
+from basilsim.ring import BasilRing, constant_lr, sample_byzantine_ids
 from oracles import case1_failure_exact, grouped_run_failure_exact
 
 DESK_SEED = 6
@@ -79,23 +79,19 @@ def desk():
                       DESK_NODES, "iid", DESK_SEED)
     test = (full.features[4000:], full.labels[4000:])
     task = SoftmaxTask(64, 16)
-    config = RingConfig(n_nodes=DESK_NODES, n_byzantine=DESK_BYZ,
-                        connectivity=DESK_S, seed=DESK_SEED)
+    byz = sample_byzantine_ids(range(DESK_NODES), DESK_BYZ, DESK_SEED)
     runs = {}
     for kind in (None, "gaussian", "random-sign-flip", "hidden", "inverse"):
         attack = AttackSpec.make(kind) if kind else None
         runs[("basil", kind)] = BasilRing(
-            config, task, train, attack=attack,
+            range(DESK_NODES), byz, DESK_S, DESK_SEED, task, train, attack=attack,
             batch_size=DESK_BATCH, test_set=test).run(DESK_ROUNDS)
     # the unfiltered ring is the filtered one at connectivity one
-    plain = RingConfig(n_nodes=DESK_NODES, n_byzantine=DESK_BYZ, connectivity=1,
-                       seed=DESK_SEED)
     for kind in (None, "gaussian"):
         attack = AttackSpec.make(kind) if kind else None
         runs[("r-plain", kind)] = BasilRing(
-            plain, task, train, attack=attack,
+            range(DESK_NODES), byz, 1, DESK_SEED, task, train, attack=attack,
             batch_size=DESK_BATCH, test_set=test).run(DESK_ROUNDS)
-    byz = sample_byzantine_ids(range(DESK_NODES), DESK_BYZ, DESK_SEED)
     topo = build_random_graph(range(DESK_NODES), byz, DESK_SEED)
     runs[("g-plain", "hidden")] = run_graph(
         gossip_rule, topo, byz, DESK_SEED, task, train, DESK_ROUNDS,
@@ -309,8 +305,7 @@ def test_criterion_7_convex_regime():
     dim = 4
     det_task = QuadraticTask(rng.uniform(0.3, 1.0, dim), rng.standard_normal(dim))
     det_data = partition(make_quadratic_dataset(60, dim, 5), 3, "iid", 5)
-    det_cfg = RingConfig(n_nodes=3, connectivity=2, seed=5)
-    ring = BasilRing(det_cfg, det_task, det_data,
+    ring = BasilRing(range(3), frozenset(), 2, 5, det_task, det_data,
                      lr_schedule=constant_lr(1.0 / det_task.smoothness),
                      batch_size=None)
     history = ring.run(12)
@@ -335,8 +330,7 @@ def test_criterion_7_convex_regime():
                                noise_scale=0.5)
     noisy_data = partition(make_quadratic_dataset(60, dim, 5), 3, "iid", 5)
     L = noisy_task.smoothness
-    noisy_cfg = RingConfig(n_nodes=3, connectivity=1, seed=5)
-    nring = BasilRing(noisy_cfg, noisy_task, noisy_data,
+    nring = BasilRing(range(3), frozenset(), 1, 5, noisy_task, noisy_data,
                       lr_schedule=constant_lr(1.0 / L), batch_size=5)
     X_full, y_full = noisy_data.batch(np.arange(len(noisy_data)))
     running = np.zeros(dim)
@@ -380,21 +374,19 @@ def test_criterion_8_grouped_training():
     t0 = time.time()
     checks = []
 
-    # scalar telescoping: tails at 1, 2, 3 average to 2
+    # scalar telescoping: tails at 1, 2, 3 average to 2, which every head
+    # adopts (tau = 0 runs only the hand-off stages)
     task = QuadraticTask(np.ones(1), np.zeros(1))
-    states = []
-    for gid, value in enumerate([1.0, 2.0, 3.0]):
-        members = (2 * gid, 2 * gid + 1)
-        state = GroupState(gid, members, connectivity=1)
-        for m in members:
-            state.models[m] = task.make_model([value])
-            state.aggregates[m] = task.make_model([value])
-        states.append(state)
-    circular_aggregate(states, task,
-                       lambda _n, _s: (np.zeros((1, 1)), np.zeros(1, dtype=np.int64)))
-    final = states[-1].aggregates[states[-1].tail_set[0]].params[0]
+    data = partition(make_quadratic_dataset(60, 1, 0), 6, "iid", 0)
+    driver = BasilPlusDriver(3, frozenset(), 1, 0, task, data, n_nodes=6, tau=0,
+                             batch_size=None)
+    for ring, value in zip(driver.rings, [1.0, 2.0, 3.0]):
+        for m in ring.order:
+            ring.latest_output[m] = task.make_model([value])
+    driver.run_global_round()
+    heads = [ring.latest_output[ring.order[0]].params[0] for ring in driver.rings]
     checks.append(("scalar telescoping: tails {1,2,3} aggregate to 2 +- 1e-10",
-                   abs(final - 2.0) <= 1e-10, f"{final!r}"))
+                   all(abs(h - 2.0) <= 1e-10 for h in heads), f"{heads!r}"))
 
     # grouped run vs its no-attack twin
     N, G, B, K = 40, 4, 8, 24
@@ -405,10 +397,12 @@ def test_criterion_8_grouped_training():
     stask = SoftmaxTask(64, 16)
     accs = {}
     for kind in (None, "gaussian"):
-        cfg = GroupConfig(n_nodes=N, n_groups=G, n_byzantine=B, seed=DESK_SEED)
         attack = AttackSpec.make(kind) if kind else None
-        h = BasilPlusDriver(cfg, stask, train, tau=1, attack=attack,
-                            batch_size=DESK_BATCH, test_set=test).run(K)
+        # S = b+1 as basil-plus resolves it, capped at the group size less one
+        h = BasilPlusDriver(G, sample_byzantine_ids(range(N), B, DESK_SEED),
+                            min(N // G - 1, B + 1), DESK_SEED, stask, train, n_nodes=N,
+                            tau=1, attack=attack, batch_size=DESK_BATCH,
+                            test_set=test).run(K)
         accs[kind] = h.final_accuracy("mean")
     checks.append((
         "grouped gaussian run ends within 3 points of its no-attack twin",

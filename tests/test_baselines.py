@@ -13,21 +13,13 @@ from basilsim.baselines import (
     make_graph_state,
     ubar_rule,
 )
-from basilsim.basil_plus import (
-    BasilPlusDriver,
-    GroupConfig,
-    GroupState,
-    _group_seed,
-    circular_aggregate,
-    cluster_nodes,
-    robust_multicast,
-)
+from basilsim.basil_plus import BasilPlusDriver, _group_seed, cluster_nodes
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError
 from basilsim.harness import run_experiment
 from basilsim.history import TrainHistory
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
-from basilsim.ring import BasilRing, RingConfig
+from basilsim.ring import BasilRing, sample_byzantine_ids
 
 
 def quad_setup(n_nodes, dim=3, noise=0.0, seed=0):
@@ -113,9 +105,9 @@ class TestRPlain:
 
     def test_gaussian_attacker_corrupts_downstream(self):
         task, train, test = softmax_setup(6)
-        clean = BasilRing(RingConfig(n_nodes=6, connectivity=1, seed=1), task, train,
+        clean = BasilRing(range(6), frozenset(), 1, 1, task, train,
                           batch_size=40, test_set=test).run(8)
-        attacked = BasilRing(RingConfig(n_nodes=6, n_byzantine=2, connectivity=1, seed=1),
+        attacked = BasilRing(range(6), sample_byzantine_ids(range(6), 2, 1), 1, 1,
                              task, train, attack=AttackSpec.make("gaussian"),
                              batch_size=40, test_set=test).run(8)
         # unfiltered ring: whoever sits just after an attacker blows up
@@ -236,10 +228,10 @@ class TestRPlainPlus:
     def test_single_group_matches_r_plain(self):
         task, dataset = quad_setup(4, noise=0.3, seed=7)
         initial = task.initial_model(7)
-        plain = BasilRing(RingConfig(n_nodes=4, connectivity=1, seed=_group_seed(7, 0)),
-                          task, dataset, batch_size=10, initial_model=initial).run(4)
-        plus = BasilPlusDriver(GroupConfig(n_nodes=4, n_groups=1, connectivity=1, seed=7),
-                               task, dataset, tau=1, batch_size=10).run(4)
+        plain = BasilRing(range(4), frozenset(), 1, _group_seed(7, 0), task, dataset,
+                          batch_size=10, initial_model=initial).run(4)
+        plus = BasilPlusDriver(1, frozenset(), 1, 7, task, dataset, n_nodes=4,
+                               tau=1, batch_size=10).run(4)
         a = [(r.round, r.node, r.train_loss) for r in plain.rows]
         b = [(r.round, r.node, r.train_loss) for r in plus.rows]
         assert a == b
@@ -247,33 +239,32 @@ class TestRPlainPlus:
     def test_heads_receive_plain_mean_of_tails(self):
         task = QuadraticTask(np.ones(1), np.zeros(1))
         dataset = partition(make_quadratic_dataset(60, 1, 0), 6, "iid", 0)
-        states = []
-        for g, value in enumerate([1.0, 2.0, 3.0]):
-            model = task.make_model([value])
-            order = (2 * g, 2 * g + 1)
-            states.append(GroupState(g, order, 1, models={i: model for i in order},
-                                     aggregates={i: model for i in order}))
-        batch_for = lambda node, stage: dataset.batch(dataset.node_indices(node))
-        circular_aggregate(states, task, batch_for)
-        adopted = robust_multicast(states, task, batch_for)
-        assert sorted(adopted) == [0, 2, 4]
-        assert all(model.params[0] == 2.0 for model in adopted.values())
+        # tau = 0: a global round runs only the hand-off stages
+        driver = BasilPlusDriver(3, frozenset(), 1, 0, task, dataset, n_nodes=6, tau=0,
+                                 batch_size=None)
+        values = [1.0, 2.0, 3.0]
+        for ring, value in zip(driver.rings, values):
+            for node in ring.order:
+                ring.latest_output[node] = task.make_model([value])
+        driver.run_global_round()
+        for ring, value in zip(driver.rings, values):
+            head, tail = ring.order
+            assert ring.latest_output[head].params[0] == 2.0
+            assert ring.latest_output[tail].params[0] == value
 
     def test_byzantine_tail_corrupts_unfiltered_mean(self):
         task, train, test = softmax_setup(8)
-        tail_node = cluster_nodes(range(8), 2, 0)[0].members[-1]  # attacker on a tail
+        tail_node = cluster_nodes(range(8), 2, 0)[0][-1]  # attacker on a tail
         X, y = train.batch(np.arange(200))
 
         def head_losses(byzantine):
-            config = GroupConfig(n_nodes=8, n_groups=2, n_byzantine=int(byzantine),
-                                 connectivity=1, seed=0,
-                                 byzantine_ids={tail_node} if byzantine else None)
             attack = AttackSpec.make("gaussian") if byzantine else None
-            driver = BasilPlusDriver(config, task, train, tau=1, attack=attack,
+            driver = BasilPlusDriver(2, frozenset({tail_node} if byzantine else ()), 1, 0,
+                                     task, train, n_nodes=8, tau=1, attack=attack,
                                      batch_size=40)
             driver.run(3)
-            return [evaluate_loss(g.models[g.members[0]], task, X, y)
-                    for g in driver.groups]
+            return [evaluate_loss(ring.latest_output[ring.order[0]], task, X, y)
+                    for ring in driver.rings]
 
         clean, corrupted = head_losses(False), head_losses(True)
         # the unfiltered mean inherits the Gaussian noise in every group head
@@ -294,5 +285,5 @@ class TestRPlainPlus:
         assert rows[0][:3] == ["round", "group", "node"]
         groups = {int(row[2]): int(row[1]) for row in rows[1:]}
         assert len(groups) == 8
-        for state in cluster_nodes(range(8), 2, 2):
-            assert all(groups[node] == state.gid for node in state.members)
+        for gid, order in enumerate(cluster_nodes(range(8), 2, 2)):
+            assert all(groups[node] == gid for node in order)

@@ -2,112 +2,126 @@ import numpy as np
 import pytest
 
 from basilsim.attacks import AttackSpec
-from basilsim.basil_plus import (
-    BasilPlusDriver,
-    GroupConfig,
-    GroupState,
-    circular_aggregate,
-    cluster_nodes,
-    robust_multicast,
-)
+from basilsim.basil_plus import BasilPlusDriver, cluster_nodes
 from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
-from basilsim.ring import constant_lr
+from basilsim.ring import constant_lr, sample_byzantine_ids
 
 
 def scalar_task():
     return QuadraticTask(np.ones(1), np.zeros(1))
 
 
-def scalar_batch(_node=None, _stage=None):
-    return np.zeros((1, 1)), np.zeros(1, dtype=np.int64)
-
-
-def scalar_states(values, members_per_group=2, S=1):
-    """One state per value; every member's model/aggregate set to the value."""
-    states = []
-    nid = 0
+def scalar_driver(values, members_per_group=2, S=1):
+    """A driver at tau = 0 with one group per value and every member's model
+    set to its group's value, so a global round runs only the hand-off stages."""
     task = scalar_task()
-    for g, v in enumerate(values):
-        members = tuple(range(nid, nid + members_per_group))
-        nid += members_per_group
-        state = GroupState(g, members, S)
-        for m in members:
-            state.models[m] = task.make_model([float(v)])
-            state.aggregates[m] = task.make_model([float(v)])
-        states.append(state)
-    return states
+    n = len(values) * members_per_group
+    dataset = partition(make_quadratic_dataset(10 * n, 1, 0), n, "iid", 0)
+    driver = BasilPlusDriver(len(values), frozenset(), S, 0, task, dataset, n_nodes=n,
+                             tau=0, batch_size=None)
+    for ring, v in zip(driver.rings, values):
+        for m in ring.order:
+            ring.latest_output[m] = task.make_model([float(v)])
+    return driver
+
+
+def head_values(driver):
+    return {node: ring.latest_output[node].params[0]
+            for ring in driver.rings for node in ring.order[:ring.connectivity]}
 
 
 class TestClusterNodes:
     def test_even_split_disjoint(self):
-        states = cluster_nodes(range(4), 2, seed=0)
-        assert len(states) == 2
-        all_members = sorted(m for s in states for m in s.members)
-        assert all_members == [0, 1, 2, 3]
-        assert len(states[0].members) == len(states[1].members) == 2
+        orders = cluster_nodes(range(4), 2, seed=0)
+        assert len(orders) == 2
+        assert sorted(m for order in orders for m in order) == [0, 1, 2, 3]
+        assert len(orders[0]) == len(orders[1]) == 2
 
     def test_same_seed_same_clustering(self):
-        a = cluster_nodes(range(12), 3, seed=4)
-        b = cluster_nodes(range(12), 3, seed=4)
-        assert [s.members for s in a] == [s.members for s in b]
+        assert cluster_nodes(range(12), 3, seed=4) == cluster_nodes(range(12), 3, seed=4)
 
     def test_indivisible_rejected(self):
         with pytest.raises(ConfigError):
             cluster_nodes(range(10), 3, seed=0)
 
     def test_tail_and_head_sets(self):
-        state = GroupState(0, (4, 9, 2, 7), connectivity=2)
-        assert state.tail_set == (2, 7)
-        assert state.head_set == (4, 9)
+        # the last S members of each ring order send, the first S receive
+        driver = scalar_driver([1.0, 2.0], members_per_group=4, S=2)
+        first, second = driver.rings
+        for ring in driver.rings:
+            for m in ring.order:
+                ring.latest_output[m] = scalar_task().make_model([float(m)])
+        before = {m: r.latest_output[m] for r in driver.rings for m in r.order}
+        driver.run_global_round()
+        events = driver.history.events
+        stage = {name: [e for e in events if e["event"] == f"{name}-select"]
+                 for name in ("aggregate", "multicast", "adopt")}
+        assert [e["node"] for e in stage["aggregate"]] == list(second.order[-2:])
+        assert {e["sender"] for e in stage["aggregate"]} <= set(first.order[-2:])
+        assert [e["node"] for e in stage["multicast"]] == list(first.order[-2:])
+        assert {e["sender"] for e in stage["multicast"]} <= set(second.order[-2:])
+        assert [e["node"] for e in stage["adopt"]] == [*first.order[:2], *second.order[:2]]
+        assert {e["sender"] for e in stage["adopt"]} <= set(first.order[-2:])
+        changed = {m for r in driver.rings for m in r.order
+                   if r.latest_output[m] is not before[m]}
+        assert changed <= {*first.order[:2], *second.order[:2]}
 
 
 class TestCircularAggregate:
     def test_scalar_telescoping_to_global_mean(self):
-        states = scalar_states([1.0, 2.0, 3.0])
-        circular_aggregate(states, scalar_task(), scalar_batch)
-        for node in states[-1].tail_set:
-            assert states[-1].aggregates[node].params[0] == pytest.approx(2.0, abs=1e-10)
+        driver = scalar_driver([1.0, 2.0, 3.0])
+        driver.run_global_round()
+        for value in head_values(driver).values():
+            assert value == pytest.approx(2.0, abs=1e-10)
 
     def test_telescoping_with_wider_tails(self):
-        states = scalar_states([4.0, 8.0, 12.0, 16.0], members_per_group=3, S=2)
-        circular_aggregate(states, scalar_task(), scalar_batch)
-        for node in states[-1].tail_set:
-            assert states[-1].aggregates[node].params[0] == pytest.approx(10.0, abs=1e-10)
+        driver = scalar_driver([4.0, 8.0, 12.0, 16.0], members_per_group=3, S=2)
+        driver.run_global_round()
+        for value in head_values(driver).values():
+            assert value == pytest.approx(10.0, abs=1e-10)
 
     def test_single_group_is_noop(self):
-        states = scalar_states([5.0])
-        before = {m: states[0].aggregates[m].params.copy() for m in states[0].members}
-        circular_aggregate(states, scalar_task(), scalar_batch)
-        for m in states[0].members:
-            assert np.array_equal(states[0].aggregates[m].params, before[m])
+        # one group: its heads adopt a tail's own model, not an average
+        driver = scalar_driver([5.0])
+        ring = driver.rings[0]
+        head, tail = ring.order
+        ring.latest_output[head] = scalar_task().make_model([9.0])
+        before = ring.latest_output[tail].params.copy()
+        driver.run_global_round()
+        assert np.array_equal(ring.latest_output[head].params, before)
+        assert np.array_equal(ring.latest_output[tail].params, before)
 
 
 class TestRobustMulticast:
     def test_unanimous_aggregate_adopted_everywhere(self):
-        states = scalar_states([7.0, 7.0, 7.0], members_per_group=3, S=2)
-        adopted = robust_multicast(states, scalar_task(), scalar_batch)
-        assert adopted  # every head node present
-        for state in states:
-            for node in state.head_set:
-                assert state.models[node].params[0] == pytest.approx(7.0)
+        driver = scalar_driver([7.0, 7.0, 7.0], members_per_group=3, S=2)
+        driver.run_global_round()
+        heads = head_values(driver)
+        assert len(heads) == 3 * 2  # every head node present
+        for value in heads.values():
+            assert value == pytest.approx(7.0)
 
     def test_single_faulty_candidate_never_adopted(self):
-        task = scalar_task()
-        states = scalar_states([1.0, 1.0], members_per_group=4, S=3)
-        bad_node = states[-1].tail_set[1]
-        states[-1].aggregates[bad_node] = task.make_model([500.0])  # huge loss
-        adopted = robust_multicast(states, task, scalar_batch)
-        for node, model in adopted.items():
-            assert model.params[0] != pytest.approx(500.0)
-            assert model.params[0] == pytest.approx(1.0)
+        driver = scalar_driver([1.0, 1.0], members_per_group=4, S=3)
+        last = driver.rings[-1]
+        bad_node = last.order[-3:][1]
+        # its running average is (999 + 1 * 1) / 2 = 500, a huge loss
+        last.latest_output[bad_node] = scalar_task().make_model([999.0])
+        driver.run_global_round()
+        aggregates = {e["sender"] for e in driver.history.events
+                      if e["event"] == "multicast-select"}
+        assert bad_node not in aggregates
+        for value in head_values(driver).values():
+            assert value != pytest.approx(500.0)
+            assert value == pytest.approx(1.0)
 
     def test_single_group_hands_off_filtered_aggregate(self):
-        states = scalar_states([3.0], members_per_group=3, S=2)
-        adopted = robust_multicast(states, scalar_task(), scalar_batch)
-        for node in states[0].head_set:
-            assert adopted[node].params[0] == pytest.approx(3.0)
+        driver = scalar_driver([3.0], members_per_group=3, S=2)
+        driver.run_global_round()
+        for value in head_values(driver).values():
+            assert value == pytest.approx(3.0)
 
 
 def quad_group_setup(n_nodes=8, groups=2, dim=3, seed=0):
@@ -121,19 +135,18 @@ def quad_group_setup(n_nodes=8, groups=2, dim=3, seed=0):
 class TestDriver:
     def test_tau_zero_single_round_keeps_initial_model(self):
         task, dataset = quad_group_setup()
-        config = GroupConfig(n_nodes=8, n_groups=2, seed=1)
-        driver = BasilPlusDriver(config, task, dataset, tau=0, batch_size=None)
-        x0 = task.initial_model(config.seed)
+        driver = BasilPlusDriver(2, frozenset(), 1, 1, task, dataset, n_nodes=8,
+                                 tau=0, batch_size=None)
+        x0 = task.initial_model(1)
         driver.run(1)
-        for state in driver.groups:
-            for m in state.members:
-                np.testing.assert_allclose(state.models[m].params, x0.params)
+        for ring in driver.rings:
+            for m in ring.order:
+                np.testing.assert_allclose(ring.latest_output[m].params, x0.params)
 
     def test_quadratic_suboptimality_strictly_decreases(self):
         task, dataset = quad_group_setup()
-        config = GroupConfig(n_nodes=8, n_groups=2, seed=2)
         driver = BasilPlusDriver(
-            config, task, dataset, tau=1,
+            2, frozenset(), 1, 2, task, dataset, n_nodes=8, tau=1,
             lr_schedule=constant_lr(1.0 / task.smoothness), batch_size=None,
         )
         X, y = dataset.batch(np.arange(len(dataset)))
@@ -141,15 +154,21 @@ class TestDriver:
         for _ in range(5):
             driver.run_global_round()
             mean = np.mean([
-                evaluate_loss(state.models[m], task, X, y)
-                for state in driver.groups for m in state.members
+                evaluate_loss(ring.latest_output[m], task, X, y)
+                for ring in driver.rings for m in ring.order
             ])
             values.append(mean)
         assert all(b < a for a, b in zip(values, values[1:]))
 
-    def test_default_connectivity_rule(self):
-        assert GroupConfig(n_nodes=20, n_groups=4, n_byzantine=2).resolved_connectivity == 3
-        assert GroupConfig(n_nodes=20, n_groups=4, n_byzantine=9).resolved_connectivity == 4
+    def test_rings_restart_from_their_latest_outputs(self):
+        # each queue holds only its node's start model when a global round begins
+        task, dataset = quad_group_setup()
+        driver = BasilPlusDriver(2, frozenset(), 1, 1, task, dataset, n_nodes=8, tau=1,
+                                 batch_size=None)
+        history = driver.run(2)
+        for ring in driver.rings:
+            head = [r for r in history.rows if r.round == 2 and r.node == ring.order[0]]
+            assert [r.selected_sender for r in head] == [None]
 
     def test_gaussian_tail_never_selected_downstream(self):
         ds = make_cluster_dataset(1200, 4, 6, separation=3.0, seed=5)
@@ -157,9 +176,7 @@ class TestDriver:
         train = partition(Dataset(ds.features[:900], ds.labels[:900]), 6, "iid", 5)
         task = SoftmaxTask(6, 4)
         byz = frozenset({4})
-        config = GroupConfig(n_nodes=6, n_groups=2, n_byzantine=1, connectivity=2,
-                             seed=5, byzantine_ids=byz)
-        driver = BasilPlusDriver(config, task, train, tau=2,
+        driver = BasilPlusDriver(2, byz, 2, 5, task, train, n_nodes=6, tau=2,
                                  attack=AttackSpec.make("gaussian"), batch_size=40)
         driver.run(3)
         selects = [e for e in driver.history.events if e["event"].endswith("-select")]
@@ -170,51 +187,49 @@ class TestDriver:
 
     def test_history_rows_carry_group_ids(self):
         task, dataset = quad_group_setup()
-        config = GroupConfig(n_nodes=8, n_groups=2, seed=3)
-        history = BasilPlusDriver(config, task, dataset, tau=1, batch_size=None).run(2)
+        history = BasilPlusDriver(2, frozenset(), 1, 3, task, dataset, n_nodes=8, tau=1,
+                                  batch_size=None).run(2)
         groups_seen = {r.group for r in history.rows}
         assert groups_seen == {0, 1}
 
     def test_bit_identical_reruns(self):
         task, dataset = quad_group_setup()
-        config = GroupConfig(n_nodes=8, n_groups=2, n_byzantine=1, seed=4)
-        kw = dict(tau=1, attack=AttackSpec.make("gaussian"), batch_size=10)
-        h1 = BasilPlusDriver(config, task, dataset, **kw).run(3)
-        h2 = BasilPlusDriver(config, task, dataset, **kw).run(3)
+        args = (2, sample_byzantine_ids(range(8), 1, 4), 2, 4, task, dataset)
+        kw = dict(n_nodes=8, tau=1, attack=AttackSpec.make("gaussian"), batch_size=10)
+        h1 = BasilPlusDriver(*args, **kw).run(3)
+        h2 = BasilPlusDriver(*args, **kw).run(3)
         assert h1.rows == h2.rows
 
     def test_epoch_mode_runs(self):
         task, dataset = quad_group_setup()
-        config = GroupConfig(n_nodes=8, n_groups=2, seed=6)
-        history = BasilPlusDriver(config, task, dataset, tau=1,
+        history = BasilPlusDriver(2, frozenset(), 1, 6, task, dataset, n_nodes=8, tau=1,
                                   epochs=2, batch_size=10).run(1)
         assert len(history.rows) == 8
 
     @pytest.mark.parametrize("batch_size", [10, 20, 21, 80, None])
     def test_epoch_mode_trains_when_batch_exceeds_local_data(self, batch_size):
         task, dataset = quad_group_setup()  # 20 samples per node
-        config = GroupConfig(n_nodes=8, n_groups=2, seed=6)
-        driver = BasilPlusDriver(config, task, dataset, tau=1, epochs=2,
-                                 batch_size=batch_size)
-        x0 = task.initial_model(config.seed)
+        driver = BasilPlusDriver(2, frozenset(), 1, 6, task, dataset, n_nodes=8, tau=1,
+                                 epochs=2, batch_size=batch_size)
+        x0 = task.initial_model(6)
         driver.run(1)
-        for ring in driver.rings.values():
+        for ring in driver.rings:
             for node in ring.node_ids:
                 assert not np.array_equal(ring.latest_output[node].params, x0.params)
 
     @pytest.mark.parametrize("n_byzantine", [0, 2])
     def test_epoch_mode_counts_like_single_step(self, n_byzantine):
         task, dataset = quad_group_setup()
-        config = GroupConfig(n_nodes=8, n_groups=2, n_byzantine=n_byzantine, seed=6)
-        kw = dict(tau=2, attack=AttackSpec.make("gaussian"), batch_size=10)
-        single = BasilPlusDriver(config, task, dataset, **kw).run(2)
-        epochs = BasilPlusDriver(config, task, dataset, epochs=2, **kw).run(2)
+        args = (2, sample_byzantine_ids(range(8), n_byzantine, 6), n_byzantine + 1, 6,
+                task, dataset)
+        kw = dict(n_nodes=8, tau=2, attack=AttackSpec.make("gaussian"), batch_size=10)
+        single = BasilPlusDriver(*args, **kw).run(2)
+        epochs = BasilPlusDriver(*args, epochs=2, **kw).run(2)
         assert epochs.counters["activations"] == 8 * 2 * 2
         assert epochs.counters == single.counters
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one_rejected(self, epochs):
         task, dataset = quad_group_setup()
-        config = GroupConfig(n_nodes=8, n_groups=2, seed=6)
         with pytest.raises(ConfigError, match="epochs"):
-            BasilPlusDriver(config, task, dataset, epochs=epochs)
+            BasilPlusDriver(2, frozenset(), 1, 6, task, dataset, n_nodes=8, epochs=epochs)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import re
 from importlib import resources
@@ -10,6 +11,7 @@ import basilsim
 from basilsim.cli import main as cli_main
 from basilsim.errors import ConfigError
 from basilsim.harness import FIELDS, SCHEMES, run_experiment, validate_config
+from basilsim.ring import sample_byzantine_ids
 from test_golden import CONFIGS as GOLDEN_CONFIGS
 
 
@@ -30,6 +32,9 @@ def desk_config(**overrides):
 
 SYNTHETIC = {"kind": "synthetic", "samples": 400, "test_samples": 100, "classes": 4, "dim": 8}
 ACDS = {"enabled": True, "alpha": 0.2, "batches": 2, "groups": 2}
+#: an mnist-idx dataset whose four paths exist but hold no IDX data
+NOT_IDX = {"kind": "mnist-idx", **{f"{split}_{part}": __file__ for split in ("train", "test")
+                                   for part in ("images", "labels")}}
 
 #: a malformed value of each field, as desk_config overrides; a name is the
 #: field path, with "=value" added where a field has a second case
@@ -54,6 +59,9 @@ MALFORMED = {
     "acds.alpha": {"acds": {"enabled": True, "alpha": "x", "batches": 2, "groups": 2}},
     "acds.batches": {"acds": {"enabled": True, "alpha": 0.2, "batches": 0, "groups": 2}},
     "acds.groups": {"acds": {"enabled": True, "alpha": 0.2, "batches": 2, "groups": 1.5}},
+    "acds.groups=3": {"acds": {**ACDS, "groups": 3}},
+    "dataset.samples=4": {"dataset": {**SYNTHETIC, "samples": 4}},
+    "dataset.limit": {"dataset": {**NOT_IDX, "limit": 4}},
     "output.emit_series": {"output": {"emit_series": "no"}},
     "dataset.separation": {"dataset": {**SYNTHETIC, "separation": "x"}},
     "dataset.class_std": {"dataset": {**SYNTHETIC, "class_std": "x"}},
@@ -224,6 +232,18 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg, output_dir=tmp_path / "quad")
         assert all(r.test_acc is None for r in result.history.rows)
+
+    def test_default_connectivity_rule(self, tmp_path):
+        # basil-plus stores b+1 models per group, at most the group size less one
+        def history(byzantine, **connectivity):
+            cfg = desk_config(scheme="basil-plus", groups={"count": 2}, ring={
+                "nodes": 8, "byzantine": byzantine, **connectivity})
+            out = tmp_path / f"{byzantine}-{connectivity}"
+            return run_experiment(cfg, output_dir=out).csv_path.read_bytes()
+
+        assert history(1) == history(1, connectivity=2)
+        assert history(3) == history(3, connectivity=3)
+        assert history(1) != history(1, connectivity=1)
 
     def test_acds_augments_training_pools(self, tmp_path):
         cfg = desk_config(
@@ -407,6 +427,14 @@ class TestCli:
         # 8 nodes x 2 rounds, each 2 passes over 50 local samples in batches of 16
         assert len(steps) == 8 * 2 * 2 * 3
 
+    def test_file_that_is_not_idx_names_the_field(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(desk_config(dataset=NOT_IDX)))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(out)]) == 2
+        assert "dataset.train_images" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_missing_config_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/config.json"]) == 2
 
@@ -421,3 +449,39 @@ def test_scheme_names_live_in_the_harness():
             if isinstance(node, ast.Constant) and node.value in SCHEMES:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == [], "scheme names outside harness"
+
+
+def _perfbench_tracing():
+    """perfbench's tracer module, loaded from its file without installing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_traced_names_exist():
+    # perfbench traces these by name; a refactor must keep them
+    tracing = _perfbench_tracing()
+    for layer in tracing.LAYERS:
+        importlib.import_module(f"basilsim.{layer}")
+    for layer, classes in tracing.METHODS.items():
+        module = importlib.import_module(f"basilsim.{layer}")
+        for cls_name, methods in classes.items():
+            for method in methods:
+                assert callable(vars(getattr(module, cls_name)).get(method)), \
+                    f"{layer}.{cls_name}.{method}"
+    for layer, attr in tracing.ALIASES:
+        module = importlib.import_module(f"basilsim.{layer}")
+        original = getattr(importlib.import_module("basilsim.ring"), attr)
+        assert vars(module).get(attr) is original, f"{layer}.{attr}"
+
+
+def test_perfbench_byzantine_set_matches_the_seeded_placement(tmp_path):
+    # perfbench counts Byzantine selections against sample_byzantine_ids(range(N), b, seed)
+    cfg = desk_config()
+    ids = sample_byzantine_ids(range(8), 2, cfg["seed"])
+    seeded = run_experiment(cfg, output_dir=tmp_path / "seeded")
+    given = run_experiment(desk_config(ring={**cfg["ring"], "byzantine_ids": sorted(ids)}),
+                           output_dir=tmp_path / "given")
+    assert seeded.csv_path.read_bytes() == given.csv_path.read_bytes()

@@ -9,11 +9,11 @@ from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
 from basilsim.models import MlpTask, QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step
 from basilsim.ring import (
     BasilRing,
-    RingConfig,
     StoredModels,
     agree_order,
     basil_select,
     constant_lr,
+    sample_byzantine_ids,
 )
 
 
@@ -163,9 +163,8 @@ class TestBasilSelect:
 class TestRunBasil:
     def test_quadratic_descent_monotone(self):
         task, dataset = quad_setup(n_nodes=3)
-        config = RingConfig(n_nodes=3, connectivity=1, seed=0)
         history = BasilRing(
-            config, task, dataset,
+            range(3), frozenset(), 1, 0, task, dataset,
             lr_schedule=constant_lr(1.0 / task.smoothness), batch_size=None,
         ).run(10)
         losses = [r.train_loss for r in history.rows]
@@ -176,12 +175,8 @@ class TestRunBasil:
     def test_fig2_configuration_audit(self):
         # six nodes, the two Byzantine ones are never selected after round 1
         task, train, test = cluster_setup(n_nodes=6)
-        config = RingConfig(
-            n_nodes=6, n_byzantine=2, connectivity=3, seed=3,
-            byzantine_ids=frozenset({3, 5}),
-        )
         history = BasilRing(
-            config, task, train, attack=AttackSpec.make("gaussian"),
+            range(6), frozenset({3, 5}), 3, 3, task, train, attack=AttackSpec.make("gaussian"),
             batch_size=40, test_set=test,
         ).run(8)
         benign = {0, 1, 2, 4}
@@ -192,8 +187,7 @@ class TestRunBasil:
 
     def test_zero_rounds_leaves_initial_state(self):
         task, dataset = quad_setup(n_nodes=4)
-        config = RingConfig(n_nodes=4, connectivity=2, seed=1)
-        ring = BasilRing(config, task, dataset)
+        ring = BasilRing(range(4), frozenset(), 2, 1, task, dataset)
         history = ring.run(0)
         assert history.rows == []
         for node in range(4):
@@ -203,19 +197,18 @@ class TestRunBasil:
 
     def test_bit_identical_reruns(self):
         task, train, test = cluster_setup(n_nodes=5)
-        config = RingConfig(n_nodes=5, n_byzantine=1, connectivity=2, seed=9)
+        args = (range(5), sample_byzantine_ids(range(5), 1, 9), 2, 9, task, train)
         kw = dict(attack=AttackSpec.make("gaussian"), batch_size=30, test_set=test)
-        h1 = BasilRing(config, task, train, **kw).run(5)
-        h2 = BasilRing(config, task, train, **kw).run(5)
+        h1 = BasilRing(*args, **kw).run(5)
+        h2 = BasilRing(*args, **kw).run(5)
         assert h1.rows == h2.rows
         assert h1.counters == h2.counters
 
     def test_theorem_one_argmin_invariance(self):
         # deterministic quadratic, lr = 1/L, no attack: newest model always wins
         task, dataset = quad_setup(n_nodes=4, dim=3, seed=5)
-        config = RingConfig(n_nodes=4, connectivity=3, seed=5)
         ring = BasilRing(
-            config, task, dataset,
+            range(4), frozenset(), 3, 5, task, dataset,
             lr_schedule=constant_lr(1.0 / task.smoothness), batch_size=None,
         )
         history = ring.run(6)
@@ -230,9 +223,8 @@ class TestRunBasil:
 
     def test_selection_never_worse_than_any_candidate(self):
         task, train, test = cluster_setup(n_nodes=6)
-        config = RingConfig(n_nodes=6, n_byzantine=2, connectivity=3, seed=7)
         history = BasilRing(
-            config, task, train, attack=AttackSpec.make("random-sign-flip"),
+            range(6), sample_byzantine_ids(range(6), 2, 7), 3, 7, task, train, attack=AttackSpec.make("random-sign-flip"),
             batch_size=40,
         ).run(6)
         for row in history.rows:
@@ -243,8 +235,8 @@ class TestRunBasil:
     def test_cost_counters_scale_with_connectivity(self):
         task, train, _ = cluster_setup(n_nodes=6)
         for S in (2, 4):
-            config = RingConfig(n_nodes=6, connectivity=S, seed=2)
-            history = BasilRing(config, task, train, batch_size=20).run(3)
+            history = BasilRing(range(6), frozenset(), S, 2, task, train,
+                                batch_size=20).run(3)
             acts = history.counters["activations"]
             assert acts == 18
             assert history.counters["models_sent"] == acts * S
@@ -257,8 +249,8 @@ class TestRunBasil:
         S, b = 3, 3
         found = 0
         for seed in range(12):
-            config = RingConfig(n_nodes=8, n_byzantine=b, connectivity=S, seed=seed)
-            ring = BasilRing(config, task, train,
+            ring = BasilRing(range(8), sample_byzantine_ids(range(8), b, seed), S, seed,
+                             task, train,
                              attack=AttackSpec.make("gaussian"), batch_size=20)
             byz_mask = [m in ring.byzantine for m in ring.order]
             runs = _longest_circular_run(byz_mask)
@@ -274,8 +266,7 @@ class TestRunBasil:
 
     def test_protocol_failure_event_recorded(self):
         task, dataset = quad_setup(n_nodes=3)
-        config = RingConfig(n_nodes=3, connectivity=1, seed=0)
-        ring = BasilRing(config, task, dataset, batch_size=None)
+        ring = BasilRing(range(3), frozenset(), 1, 0, task, dataset, batch_size=None)
         bad = task.make_model(np.full(4, np.inf))
         first = ring.order[0]
         ring.fifos[first] = StoredModels(capacity=1)
@@ -296,14 +287,19 @@ def _longest_circular_run(mask):
     return min(best, n)
 
 
-class TestRingConfigValidation:
+class TestRingValidation:
     def test_connectivity_bounds(self):
-        with pytest.raises(ConfigError):
-            RingConfig(n_nodes=5, connectivity=5)
-        with pytest.raises(ConfigError):
-            RingConfig(n_nodes=5, connectivity=0)
+        task, dataset = quad_setup(n_nodes=5)
+        for S in (0, 5):
+            with pytest.raises(ConfigError, match="S"):
+                BasilRing(range(5), frozenset(), S, 0, task, dataset)
 
-    def test_byzantine_set_bounded_by_b(self):
-        with pytest.raises(ConfigError):
-            RingConfig(n_nodes=5, n_byzantine=1, connectivity=1,
-                       byzantine_ids=frozenset({0, 1}))
+    def test_byzantine_set_must_name_members(self):
+        task, dataset = quad_setup(n_nodes=5)
+        with pytest.raises(ConfigError, match="not ring members"):
+            BasilRing(range(4), frozenset({4}), 1, 0, task, dataset)
+
+    def test_byzantine_set_must_leave_a_benign_member(self):
+        task, dataset = quad_setup(n_nodes=5)
+        with pytest.raises(ConfigError, match="every ring member"):
+            BasilRing(range(5), frozenset(range(5)), 1, 0, task, dataset)
