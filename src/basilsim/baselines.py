@@ -9,7 +9,7 @@ connectivity one, where every selection has a single candidate."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -192,6 +192,7 @@ def graph_round(
         sent[node] = apply_attack(attack, honest_update=honest, prior=state.models[node],
                                   benign_models=benign_pool, round_k=k, rng=rng)
     new_models: dict[int, ModelVector] = {}
+    rows: list[HistoryRow] = []
     state.audit = {}
     for node in sorted(state.models):
         if node in state.byzantine:
@@ -204,11 +205,16 @@ def graph_round(
         if audit is not None:
             state.audit[node] = audit
         if history is not None:
-            acc = accuracy(out, task, *test_set) if test_set else None
-            history.add_row(HistoryRow(
+            rows.append(HistoryRow(
                 round=k, node=node, selected_sender=None,
-                train_loss=evaluate_loss(out, task, X, y), test_acc=acc,
+                train_loss=evaluate_loss(out, task, X, y), test_acc=None,
             ))
+    if rows:
+        # the round's benign outputs are scored on the test set together
+        outs = [new_models[row.node] for row in rows]
+        accs = accuracy(outs, task, *test_set) if test_set else [None] * len(rows)
+        for row, acc in zip(rows, accs):
+            history.add_row(replace(row, test_acc=acc))
     state.models = new_models
     state.round_idx = k
     return state

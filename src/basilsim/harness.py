@@ -22,7 +22,7 @@ from .basil_plus import BasilPlusDriver, cluster_nodes
 from .data import Dataset, flag_sensitive_by_class, make_cluster_dataset, make_quadratic_dataset, partition
 from .errors import ConfigError, IdxFormatError
 from .history import TrainHistory
-from .idx import load_idx
+from .idx import idx_dataset, read_idx_images, read_idx_labels
 from .models import MlpTask, QuadraticTask, SoftmaxTask
 from .ring import BasilRing, constant_lr, sample_byzantine_ids
 
@@ -241,11 +241,18 @@ def _build_lr(cfg: dict):
 
 
 def _load_idx(d: dict, split: str) -> Dataset:
-    """The ``split`` IDX pair; a file that is not IDX is a fault of its fields."""
+    """The ``split`` IDX pair; a file that is not IDX is a fault of its field,
+    and a pair whose counts differ of both."""
+    arrays = []
+    for part, read in (("images", read_idx_images), ("labels", read_idx_labels)):
+        try:
+            arrays.append(read(d[f"{split}_{part}"]))
+        except IdxFormatError as exc:
+            raise ConfigError(f"dataset.{split}_{part}: {exc}") from exc
     try:
-        return load_idx(d[f"{split}_images"], d[f"{split}_labels"])
+        return idx_dataset(*arrays)
     except IdxFormatError as exc:
-        raise ConfigError(f"dataset.{split}_images or dataset.{split}_labels: {exc}") from exc
+        raise ConfigError(f"dataset.{split}_images and dataset.{split}_labels: {exc}") from exc
 
 
 def _build_dataset(cfg: dict) -> tuple[Dataset, tuple | None]:
@@ -263,6 +270,10 @@ def _build_dataset(cfg: dict) -> tuple[Dataset, tuple | None]:
         train, test = (_load_idx(d, split) for split in ("train", "test"))
         if "limit" in d:
             train = Dataset(train.features[:d["limit"]], train.labels[:d["limit"]])
+        # validate_config checks dataset.limit; only the file knows its size
+        if len(train) < cfg["ring"]["nodes"]:
+            raise ConfigError(f"dataset.train_images: must hold at least ring.nodes = "
+                              f"{cfg['ring']['nodes']} samples, holds {len(train)}")
         return train, (test.features, test.labels)
     train = make_quadratic_dataset(d["samples"], d["dim"], d["seed"])
     return train, None
@@ -313,8 +324,8 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
     """Validate, run, and export one experiment.
 
     ``config`` may be a config dict/file or a previously written manifest
-    (replaying a manifest reproduces the CSV byte for byte).  Partial outputs
-    are removed if the run fails.
+    (replaying a manifest reproduces the CSV byte for byte).  Partial outputs,
+    and the directories the run created, are removed if the run fails.
     """
     if not isinstance(config, dict):
         with open(config) as fh:
@@ -325,6 +336,7 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
 
     root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
     out_dir = Path(output_dir) if output_dir is not None else root / cfg["output"].get("dir", "run")
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "history.csv"
     manifest_path = out_dir / "manifest.json"
@@ -344,6 +356,11 @@ def run_experiment(config: dict | str | Path, output_dir: str | Path | None = No
     except Exception:
         for path in written:
             path.unlink(missing_ok=True)
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:  # something else wrote there: leave it
+                break
         raise
 
 

@@ -48,8 +48,11 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
 
 def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     """Parse an image/label IDX pair into a Dataset, pixels scaled to [0, 1]."""
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
+    return idx_dataset(read_idx_images(images_path), read_idx_labels(labels_path))
+
+
+def idx_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
+    """The Dataset of read IDX images and labels, pixels scaled to [0, 1]."""
     if len(images) != len(labels):
         raise IdxFormatError(
             f"image count {len(images)} does not match label count {len(labels)}", 4

@@ -387,5 +387,88 @@ def sgd_step(
     return model.with_params(model.params - lr * grad)
 
 
-def accuracy(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
+#: byte budget of one stacked logit block in :func:`accuracy`
+_SCORE_CHUNK_BYTES = 1 << 19
+#: unit roundoff of float64
+_U = 2.0 ** -53
+#: absolute slack for subnormal products and underflow in the bound's own arithmetic
+_TINY = 2.0 ** -1000
+#: a logit scale from here up might overflow a partial sum; such a model is not certified
+_HUGE = 2.0 ** 1000
+
+
+def _reference_accuracy(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
     return float((task.predict(model, X) == y).mean())
+
+
+def accuracy(
+    models: Sequence[ModelVector], task: LossTask, X: np.ndarray, y: np.ndarray
+) -> list[float]:
+    """Test accuracy of each model: the share of samples whose ``argmax`` logit
+    is the label, equal to :func:`_reference_accuracy` of the model alone.
+
+    Softmax models are scored in chunks of one stacked product ``(s*C, D) @
+    X.T``, whose logits may round differently from the reference's ``X @ w.T``.
+    A model's result is kept only where that cannot change any outcome.  Let
+    ``n = D`` and ``gamma_k = k u / (1 - k u)`` with ``u = 2**-53``:
+
+    - Any summation order of ``x.w + b`` (with or without FMA) is within
+      ``gamma_(n+1) (sum_j |x_j w_j| + |b|) + (n+1) 2**-1074`` of the exact
+      value (Higham, Thm. 3.1, plus ``2**-1075`` for each product that
+      underflows), so two orders differ by at most twice that.
+    - Cauchy-Schwarz gives ``sum_j |x_j w_j| <= |x| |w|``.  A true 2-norm is
+      at most the computed one times ``1 + gamma_(n+2)``, plus ``sqrt(n+1)
+      2**-536`` for squares that underflow.  ``nx`` and ``nw`` are computed
+      norms so inflated, ``nx`` the largest over the samples and ``nw`` over
+      the classes, and ``nb = max_c |b_c|``.
+    - So two orders of any logit of the model differ by at most
+
+          E = 2 gamma_(n+2) (1 + 2**-20) (nx nw + nb) + 2**-1000,
+
+      where ``1 + 2**-20`` covers the rounding of ``E`` itself and of the
+      margins below, and ``2**-1000`` the subnormal terms.
+
+    With ``d_i = f_iy - max_{c != y} f_ic`` on the stacked logits, ``d_i >
+    2E`` proves that the reference logit of the label is the strict maximum,
+    and ``d_i < -2E`` that another class beats it.  A model with any other
+    sample (an exact tie, a NaN or Inf), or whose scale ``nx nw + nb`` could
+    overflow a partial sum, is scored by the reference, as is every model of
+    another task; so each result is the reference's on any BLAS.  All models
+    share one shape.
+    """
+    if not models:
+        return []
+    for m in models[1:]:
+        require_composable(models[0], m)
+    C, B = task.n_classes, len(y)
+    if not (isinstance(task, SoftmaxTask) and B and 0 <= y.min() and y.max() < C):
+        return [_reference_accuracy(m, task, X, y) for m in models]
+    n = X.shape[1]
+    gamma = (n + 2) * _U / (1.0 - (n + 2) * _U)
+    coef = 2.0 * gamma * (1.0 + 2.0 ** -20)
+    tiny_norm = math.sqrt(n + 1) * 2.0 ** -536
+    x_bound = math.sqrt(np.einsum("ij,ij->i", X, X).max()) * (1.0 + gamma) + tiny_norm
+    # each model's logits are a (C, B) block; the label's is at row y_i of column i
+    at = y * B + np.arange(B)
+    per_chunk = max(1, _SCORE_CHUNK_BYTES // (C * B * 8))
+    w_sq, b_max, hits, closest = (np.empty(len(models)) for _ in range(4))
+    for start in range(0, len(models), per_chunk):
+        part = slice(start, start + per_chunk)
+        layers = _stack_layers(np.array([m.params for m in models[part]]), models[0].shape)
+        w, b = layers["w"], layers["b"]
+        s = len(w)
+        w_sq[part] = np.einsum("scd,scd->sc", w, w).max(axis=1)
+        b_max[part] = np.abs(b).max(axis=1)
+        logits = w.reshape(s * C, n) @ X.T
+        logits += b.reshape(s * C, 1)
+        logits = logits.reshape(s, C * B)
+        label = logits[:, at]
+        logits[:, at] = -np.inf
+        margin = label - logits.reshape(s, C, B).max(axis=1)
+        hits[part] = np.count_nonzero(margin > 0, axis=1)
+        closest[part] = np.abs(margin).min(axis=1)
+    scale = (np.sqrt(w_sq) * (1.0 + gamma) + tiny_norm) * x_bound + b_max
+    # a NaN or Inf parameter makes its scale NaN or Inf, and the test False
+    certified = (closest > 2.0 * (coef * scale + _TINY)) & (scale < _HUGE)
+    return [int(h) / B if ok else _reference_accuracy(m, task, X, y)
+            for m, ok, h in zip(models, certified.tolist(), hits.tolist())]

@@ -208,11 +208,11 @@ class BasilRing:
     def _benign_model_pool(self) -> list[ModelVector]:
         return [self.latest_benign[i] for i in sorted(self.latest_benign)]
 
-    def _test_accuracy(self, model: ModelVector) -> float | None:
+    def _test_accuracies(self, models: list[ModelVector]) -> list[float | None]:
         if self.test_set is None:
-            return None
+            return [None] * len(models)
         X, y = self.test_set
-        return accuracy(model, self.task, X, y)
+        return accuracy(models, self.task, X, y)
 
     # -- protocol --------------------------------------------------------
 
@@ -221,6 +221,9 @@ class BasilRing:
         width = self.connectivity
         n = len(self.order)
         lr = self.lr_schedule(k)
+        # (node, selection, train loss, output) of each benign activation; the
+        # pass's outputs are scored on the test set together at its end
+        benign: list[tuple[int, Selection, float, ModelVector]] = []
         for pos, node in enumerate(self.order):
             X, y = local_batch(self.dataset, node, self.batch_size,
                                [self.seed, TAG_BATCH, node, k])
@@ -234,15 +237,7 @@ class BasilRing:
             if self.is_benign(node):
                 out = honest
                 self.latest_benign[node] = out
-                self.history.add_row(HistoryRow(
-                    round=k,
-                    node=node,
-                    selected_sender=selection.sender,
-                    train_loss=evaluate_loss(out, self.task, X, y),
-                    test_acc=self._test_accuracy(out),
-                    group=self.group,
-                    candidate_losses=selection.candidate_losses,
-                ))
+                benign.append((node, selection, evaluate_loss(out, self.task, X, y), out))
             else:
                 rng = np.random.default_rng([self.seed, TAG_ATTACK, node, k])
                 out = apply_attack(
@@ -260,6 +255,17 @@ class BasilRing:
                 self.fifos[target].insert(node, out)
                 self.history.bump("fifo_inserts")
             self.history.bump("activations")
+        accs = self._test_accuracies([out for *_, out in benign])
+        for (node, selection, loss, _), acc in zip(benign, accs):
+            self.history.add_row(HistoryRow(
+                round=k,
+                node=node,
+                selected_sender=selection.sender,
+                train_loss=loss,
+                test_acc=acc,
+                group=self.group,
+                candidate_losses=selection.candidate_losses,
+            ))
         self.round_idx = k
 
     def run(self, rounds: int) -> TrainHistory:

@@ -1,10 +1,12 @@
 import ast
 import importlib.util
+import inspect
 import json
 import re
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import basilsim
@@ -13,6 +15,7 @@ from basilsim.errors import ConfigError
 from basilsim.harness import FIELDS, SCHEMES, run_experiment, validate_config
 from basilsim.ring import sample_byzantine_ids
 from test_golden import CONFIGS as GOLDEN_CONFIGS
+from test_idx import write_idx_images, write_idx_labels
 
 
 def desk_config(**overrides):
@@ -432,8 +435,56 @@ class TestCli:
         cfg_path.write_text(json.dumps(desk_config(dataset=NOT_IDX)))
         out = tmp_path / "out"
         assert cli_main(["run", str(cfg_path), "--output-dir", str(out)]) == 2
-        assert "dataset.train_images" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "dataset.train_images" in err and "dataset.train_labels" not in err
+        assert not out.exists()
+
+    @staticmethod
+    def idx_dataset(tmp_path, train=40, test=10):
+        """An mnist-idx dataset section over 2x2 images, 4 classes."""
+        paths = {}
+        for split, n in (("train", train), ("test", test)):
+            rng = np.random.default_rng(n)
+            for part, write, data in (
+                    ("images", write_idx_images, rng.integers(0, 256, (n, 2, 2))),
+                    ("labels", write_idx_labels, np.arange(n) % 4)):
+                paths[f"{split}_{part}"] = path = tmp_path / f"{split}-{part}.idx"
+                write(path, data)
+        return {"kind": "mnist-idx", **{k: str(v) for k, v in paths.items()}}
+
+    def run_cli(self, tmp_path, dataset, out):
+        cfg_path = tmp_path / "idx.json"
+        cfg_path.write_text(json.dumps(desk_config(dataset=dataset)))
+        return cli_main(["run", str(cfg_path), "--output-dir", str(out)])
+
+    def test_idx_pair_runs(self, tmp_path):
+        assert self.run_cli(tmp_path, self.idx_dataset(tmp_path), tmp_path / "out") == 0
+
+    def test_bad_labels_next_to_good_images_names_only_the_labels(self, tmp_path, capsys):
+        dataset = {**self.idx_dataset(tmp_path), "train_labels": __file__}
+        assert self.run_cli(tmp_path, dataset, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "dataset.train_labels:" in err and "dataset.train_images" not in err
+
+    def test_count_mismatch_names_both_files(self, tmp_path, capsys):
+        dataset = self.idx_dataset(tmp_path)
+        dataset["test_labels"] = dataset["train_labels"]
+        assert self.run_cli(tmp_path, dataset, tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "dataset.test_images and dataset.test_labels" in err
+
+    def test_idx_training_file_below_the_node_count_names_it(self, tmp_path, capsys):
+        out = tmp_path / "new" / "out"
+        assert self.run_cli(tmp_path, self.idx_dataset(tmp_path, train=4), out) == 2
+        assert "dataset.train_images: must hold at least ring.nodes = 8" in capsys.readouterr().err
+        # the run created both directories and removed both
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_run_keeps_a_directory_it_did_not_create(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self.run_cli(tmp_path, self.idx_dataset(tmp_path, train=4), out) == 2
+        assert out.is_dir() and list(out.iterdir()) == []
 
     def test_missing_config_file_exit_code(self):
         assert cli_main(["run", "/nonexistent/config.json"]) == 2
@@ -475,6 +526,29 @@ def test_perfbench_traced_names_exist():
         module = importlib.import_module(f"basilsim.{layer}")
         original = getattr(importlib.import_module("basilsim.ring"), attr)
         assert vars(module).get(attr) is original, f"{layer}.{attr}"
+    # every "layer.function" span the runner reports must be a public function
+    # defined in that module, or a renamed function silently reports zero
+    aliases = set(tracing.ALIASES.values())
+    spans = [name for _, (kind, *names) in _perfbench_per_layer().values()
+             if kind in ("calls", "s", "self_s") for name in names]
+    functions = [name for name in spans if name.count(".") == 1 and name not in aliases]
+    assert "models.accuracy" in functions
+    for name in functions:
+        layer, attr = name.split(".")
+        assert layer in tracing.LAYERS, name
+        module = importlib.import_module(f"basilsim.{layer}")
+        fn = vars(module).get(attr)
+        assert (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                and not attr.startswith("_")), name
+
+
+def _perfbench_per_layer() -> dict:
+    """perfbench's ``PER_LAYER`` table, read from its source without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "runner.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PER_LAYER"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/runner.py has no PER_LAYER")
 
 
 def test_perfbench_byzantine_set_matches_the_seeded_placement(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import basilsim.models as models_mod
 from basilsim.errors import ConfigError, NumericFaultError
 from basilsim.models import (
     MlpTask,
@@ -298,4 +299,141 @@ def test_accuracy_counts_argmax_hits():
     model = ModelVector(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), task.model_shape())
     X = np.array([[2.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
     y = np.array([0, 1, 1])
-    assert accuracy(model, task, X, y) == pytest.approx(2 / 3)
+    assert accuracy([model], task, X, y) == [pytest.approx(2 / 3)]
+
+
+def reference_accuracy(model, task, X, y):
+    """One model at a time, through the task's own forward and ``argmax``."""
+    return float((task.predict(model, X) == y).mean())
+
+
+def softmax_model(task, w, b):
+    return ModelVector(np.concatenate([np.ravel(w), b]), task.model_shape())
+
+
+def random_models(task, count, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    n = task.n_classes * (task.n_features + 1)
+    return [ModelVector(scale * rng.standard_normal(n), task.model_shape())
+            for _ in range(count)]
+
+
+def labelled_batch(task, size, seed):
+    rng = np.random.default_rng([seed, 1])
+    X = rng.standard_normal((size, task.n_features))
+    return X, rng.integers(0, task.n_classes, size)
+
+
+class TestAccuracy:
+    """The stacked, certified scoring against the one-model reference."""
+
+    def check(self, models, task, X, y):
+        got = accuracy(models, task, X, y)
+        assert got == [reference_accuracy(m, task, X, y) for m in models]
+        return got
+
+    @pytest.mark.parametrize("D,C,B", [(64, 16, 2000), (8, 4, 50), (100, 4, 300),
+                                       (7, 5, 40), (30, 13, 200), (3, 2, 1)])
+    def test_random_models(self, D, C, B):
+        # C = 5 and 13 are not multiples of 8
+        task = SoftmaxTask(D, C)
+        X, y = labelled_batch(task, B, D)
+        self.check(random_models(task, 5, D), task, X, y)
+
+    def test_zero_model_ties_every_class(self):
+        task = SoftmaxTask(6, 4)
+        X, y = labelled_batch(task, 80, 1)
+        zero = task.initial_model(0)
+        # argmax of a tied row is its first class
+        assert self.check([zero, zero], task, X, y) == [float((y == 0).mean())] * 2
+
+    def test_identical_weight_rows_tie(self):
+        task = SoftmaxTask(5, 4)
+        rng = np.random.default_rng(2)
+        w, b = rng.standard_normal((4, 5)), rng.standard_normal(4)
+        w[3], b[3] = w[1], b[1]
+        w[2], b[2] = w[0], b[0]
+        X, y = labelled_batch(task, 60, 2)
+        self.check([softmax_model(task, w, b)] + random_models(task, 2, 3), task, X, y)
+
+    def test_one_step_from_zero_on_a_batch_missing_classes(self):
+        # classes absent from the batch get identical rows, so they tie
+        task = SoftmaxTask(6, 5)
+        X, _ = labelled_batch(task, 40, 4)
+        stepped = sgd_step(task.initial_model(0), task, X, np.arange(40) % 2, lr=0.5)
+        Xt, yt = labelled_batch(task, 200, 5)
+        self.check([stepped, task.initial_model(0), stepped], task, Xt, yt)
+
+    def test_one_ulp_near_ties(self):
+        task = SoftmaxTask(1, 3)
+        X = np.array([[1.0], [1.0], [-1.0]])
+        y = np.array([0, 1, 2])
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        models = [softmax_model(task, [[1.0], [w1], [0.0]], np.zeros(3))
+                  for w1 in (up, down, 1.0)]
+        assert self.check(models, task, X, y) == [2 / 3] * 3
+
+    def test_orders_that_disagree_on_the_label(self):
+        # the label's reference logit ties class 1's bias; where the stacked
+        # product rounds the label's logit lower, only the bound keeps the hit
+        task = SoftmaxTask(100, 4)
+        X, _ = labelled_batch(task, 300, 6)
+        y = np.zeros(300, dtype=np.int64)
+        rng = np.random.default_rng(7)
+        w = np.zeros((3, 4, 100))
+        w[:, 0] = rng.standard_normal((3, 100))
+        b = np.tile([0.0, 0.0, -1e3, -1e3], (3, 1))
+        stacked = w.reshape(12, 100) @ X.T
+        for k in range(3):
+            reference = np.matmul(X, w[k].T[None])[0][:, 0]
+            lower = np.flatnonzero(stacked[4 * k] < reference)
+            b[k, 1] = reference[lower[k]] if len(lower) > k else -1e3
+        self.check([softmax_model(task, w[k], b[k]) for k in range(3)], task, X, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_non_finite_parameters(self, bad, where):
+        # where 0 is a weight, -1 a bias
+        task = SoftmaxTask(4, 3)
+        X, y = labelled_batch(task, 30, 8)
+        good = random_models(task, 2, 9)
+        params = good[0].params.copy()
+        params[where] = bad
+        self.check([good[1], good[0].with_params(params), good[0]], task, X, y)
+
+    def test_one_model_and_none(self):
+        task = SoftmaxTask(8, 4)
+        X, y = labelled_batch(task, 50, 10)
+        self.check(random_models(task, 1, 11), task, X, y)
+        assert accuracy([], task, X, y) == []
+
+    @pytest.mark.parametrize("budget", [1, 2 * 3 * 40 * 8, None])
+    def test_more_models_than_one_chunk(self, monkeypatch, budget):
+        # budgets of one model, two models, and the default (two desk-sized models)
+        task = SoftmaxTask(64, 16) if budget is None else SoftmaxTask(5, 3)
+        if budget is not None:
+            monkeypatch.setattr(models_mod, "_SCORE_CHUNK_BYTES", budget)
+        X, y = labelled_batch(task, 2000 if budget is None else 40, 12)
+        zero = task.initial_model(0)
+        self.check(random_models(task, 3, 13) + [zero] + random_models(task, 3, 14),
+                   task, X, y)
+
+    def test_labels_outside_the_classes_and_other_tasks(self):
+        task = SoftmaxTask(4, 3)
+        X, y = labelled_batch(task, 30, 15)
+        y[:5] = 3
+        self.check(random_models(task, 3, 16), task, X, y)
+        mlp = MlpTask((4, 6, 5, 3))
+        self.check([mlp.initial_model(1), mlp.initial_model(2)], mlp, X, y % 3)
+
+    def test_only_uncertain_models_take_the_reference(self, monkeypatch):
+        task = SoftmaxTask(1, 2)
+        X, y = np.array([[1.0], [2.0]]), np.array([1, 0])
+        near = softmax_model(task, [[1.0], [np.nextafter(1.0, 2.0)]], np.zeros(2))
+        clear = softmax_model(task, [[1.0], [2.0]], np.zeros(2))
+        scored = []
+        real = models_mod._reference_accuracy
+        monkeypatch.setattr(models_mod, "_reference_accuracy",
+                            lambda m, *a: scored.append(m) or real(m, *a))
+        assert accuracy([clear, near, clear], task, X, y) == [0.5, 0.5, 0.5]
+        assert scored == [near]
