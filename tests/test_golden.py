@@ -59,6 +59,10 @@ CONFIGS = {
     "basil-quadratic": base_config(
         "basil", dataset={"kind": "quadratic", "dim": 6, "samples": 240,
                           "noise_scale": 0.5, "seed": 5}),
+    # the sign flip draws from its keyed generator; the hidden attack reads
+    # the graph round's benign pool
+    "basil-sign-flip": base_config("basil", attack={"kind": "random-sign-flip"}),
+    "ubar-hidden": base_config("ubar", attack={"kind": "hidden", "activation_round": 1}),
 }
 
 #: name -> (history.csv, series.csv, counters and events, manifest.json)
@@ -140,6 +144,18 @@ GOLDENS = {
         "98bf799a85364519d211e73e198b826778eca32614dc96d74027116f07369478",
         "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
         "7cc720dc48beb9d6e20cad2b249e092044fba2dd7ebf8538bde5c6b560a29fd6",
+    ),
+    "basil-sign-flip": (
+        "4ec414899e7e19c63f8db00591ea75944771dd1396b2d65c6dddcd4631bb44f9",
+        "725db22a3e9a199d888be228bccb984f4a56b5f336b9c23c4d745704123b16bf",
+        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
+        "7d9704749c567801882982b00dd076c96cbdae7300336cdd72f96f59221f2223",
+    ),
+    "ubar-hidden": (
+        "20dc32708e2158fed3f21570510b8ef0d4cf7acef2e6181966c22bf69e0b91f9",
+        "7a088645ad0f16394666069d0dc327175617d4da704b67430e8524b0de0d9994",
+        "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
+        "85df76e86c88ffc24bda3ee6a2d386d66847017f0f75accd0fb1a2e71b1bee67",
     ),
 }
 
