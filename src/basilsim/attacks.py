@@ -2,7 +2,8 @@
 
 Every attack is a pure function of its inputs and an explicit RNG, so runs
 stay reproducible.  ``apply_attack`` is the dispatcher the protocol loops
-call in place of a benign node's honest update.
+call in place of a benign node's honest update; it draws the random attacks
+from a generator seeded by the caller's key.
 """
 
 from __future__ import annotations
@@ -99,15 +100,16 @@ def apply_attack(
     prior: ModelVector,
     benign_models: list[ModelVector],
     round_k: int,
-    rng: np.random.Generator,
+    key: list[int],
 ) -> ModelVector:
-    """What a Byzantine node emits instead of ``honest_update`` in round ``round_k``."""
+    """What a Byzantine node emits instead of ``honest_update`` in round
+    ``round_k``; a random attack draws from ``default_rng(key)``."""
     if not spec.active(round_k):
         return honest_update
     if spec.kind == "gaussian":
-        return gaussian_attack(honest_update.shape, rng)
+        return gaussian_attack(honest_update.shape, np.random.default_rng(key))
     if spec.kind == "random-sign-flip":
-        return sign_flip_attack(honest_update, rng)
+        return sign_flip_attack(honest_update, np.random.default_rng(key))
     if spec.kind == "hidden":
         if not benign_models:
             return honest_update

@@ -1,4 +1,4 @@
-"""Graph comparison schemes: one synchronous round on a random graph, with
+"""Graph comparison schemes: a synchronous driver on a random graph, with
 plain gossip averaging or the two-stage distance/performance defence as the
 benign nodes' rule.
 
@@ -9,7 +9,6 @@ connectivity one, where every selection has a single candidate."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -30,24 +29,6 @@ from .models import (
 from .ring import DEFAULT_BATCH_SIZE, TAG_ATTACK, TAG_BATCH, default_lr, local_batch
 
 TAG_GRAPH = 0xD0
-
-
-@dataclass(frozen=True)
-class GraphTopology:
-    """Undirected communication graph without self-loops."""
-
-    adjacency: dict[int, frozenset[int]]
-
-    def __post_init__(self):
-        for node, nbrs in self.adjacency.items():
-            if node in nbrs:
-                raise ConfigError(f"self-loop at node {node}")
-            for other in nbrs:
-                if node not in self.adjacency.get(other, frozenset()):
-                    raise ConfigError(f"edge {node}-{other} is not symmetric")
-
-    def neighbours(self, node: int) -> frozenset[int]:
-        return self.adjacency[node]
 
 
 def _benign_connected(adj: dict[int, set[int]], benign: list[int]) -> bool:
@@ -72,9 +53,10 @@ def build_random_graph(
     edge_prob_benign: float = 0.4,
     edge_prob_byzantine: float = 0.4,
     max_retries: int = 100,
-) -> GraphTopology:
+) -> dict[int, frozenset[int]]:
     """Random graph: benign-benign edges with one probability, benign-Byzantine
-    with another.  Retries seeds until the benign subgraph is connected."""
+    with another, as an adjacency dict.  Retries seeds until the benign
+    subgraph is connected."""
     ids = sorted(node_ids)
     byz = set(byzantine_ids)
     benign = [i for i in ids if i not in byz]
@@ -91,33 +73,13 @@ def build_random_graph(
                     adj[a].add(b)
                     adj[b].add(a)
         if _benign_connected(adj, benign):
-            return GraphTopology({i: frozenset(adj[i]) for i in ids})
+            return {i: frozenset(adj[i]) for i in ids}
     raise ConfigError(f"no connected benign subgraph within {max_retries} seeds")
-
-
-@dataclass
-class GraphState:
-    """Synchronous graph training state: all reads in a round use the
-    previous round's models."""
-
-    topology: GraphTopology
-    models: dict[int, ModelVector]
-    byzantine: frozenset[int]
-    seed: int
-    round_idx: int = 0
-    audit: dict[int, dict] = field(default_factory=dict)
-
-
-def make_graph_state(
-    topology: GraphTopology, byzantine_ids, seed: int, initial_model: ModelVector
-) -> GraphState:
-    models = {i: initial_model for i in topology.adjacency}
-    return GraphState(topology, models, frozenset(byzantine_ids), seed)
 
 
 #: ``rule(node, own, received, task, X, y, lr) -> (model, audit)``: a benign
 #: node's update from its own model, its neighbours' (sender -> model) and its
-#: batch; the audit, if not None, lands in ``GraphState.audit[node]``
+#: batch; the audit, if not None, lands in ``GraphDriver.audit[node]``
 GraphRule = Callable[..., tuple[ModelVector, dict | None]]
 
 
@@ -163,72 +125,87 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
     return rule
 
 
-def graph_round(
-    state: GraphState, rule: GraphRule, task: LossTask, dataset: Dataset,
-    attack: AttackSpec | None = None,
-    lr_schedule: Callable[[int], float] | None = None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE,
-    history: TrainHistory | None = None,
-    test_set=None,
-) -> GraphState:
-    """One synchronous round: each Byzantine node sends one attacked model to
-    all its neighbours, and each benign node applies ``rule``.
+class GraphDriver:
+    """Stateful driver for a synchronous graph scheme: every round each
+    Byzantine node sends one attacked model to all its neighbours, and each
+    benign node applies ``rule``; all reads in a round use the previous
+    round's models.
 
     A Byzantine node never reads what it receives: it takes one SGD step on
     its own model, sends the attack of that step and keeps it, so under
     ``attack: none`` it trains alone.  A Byzantine ring member
     (``ring.BasilRing``) instead selects and forwards like a benign one and
     replaces only what it sends."""
-    attack = attack or AttackSpec()
-    k = state.round_idx + 1
-    lr = (lr_schedule or default_lr)(k)
-    sent = dict(state.models)
-    benign_pool = [state.models[i] for i in sorted(state.models)
-                   if i not in state.byzantine]
-    for node in sorted(state.byzantine):
-        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
-        honest = sgd_step(state.models[node], task, X, y, lr)
-        rng = np.random.default_rng([state.seed, TAG_ATTACK, node, k])
-        sent[node] = apply_attack(attack, honest_update=honest, prior=state.models[node],
-                                  benign_models=benign_pool, round_k=k, rng=rng)
-    new_models: dict[int, ModelVector] = {}
-    rows: list[HistoryRow] = []
-    state.audit = {}
-    for node in sorted(state.models):
-        if node in state.byzantine:
-            new_models[node] = sent[node]
-            continue
-        X, y = local_batch(dataset, node, batch_size, [state.seed, TAG_BATCH, node, k])
-        received = {j: sent[j] for j in sorted(state.topology.neighbours(node))}
-        out, audit = rule(node, state.models[node], received, task, X, y, lr)
-        new_models[node] = out
-        if audit is not None:
-            state.audit[node] = audit
-        if history is not None:
-            rows.append(HistoryRow(
-                round=k, node=node, selected_sender=None,
-                train_loss=evaluate_loss(out, task, X, y), test_acc=None,
-            ))
-    if rows:
-        # the round's benign outputs are scored on the test set together
-        outs = [new_models[row.node] for row in rows]
-        accs = accuracy(outs, task, *test_set) if test_set else [None] * len(rows)
-        for row, acc in zip(rows, accs):
-            history.add_row(replace(row, test_acc=acc))
-    state.models = new_models
-    state.round_idx = k
-    return state
 
+    def __init__(
+        self,
+        adjacency: dict[int, frozenset[int]],
+        byzantine: frozenset[int],
+        rule: GraphRule,
+        seed: int,
+        task: LossTask,
+        dataset: Dataset,
+        *,
+        attack: AttackSpec | None = None,
+        lr_schedule: Callable[[int], float] | None = None,
+        batch_size: int | None = DEFAULT_BATCH_SIZE,
+        test_set=None,
+    ):
+        for node, nbrs in adjacency.items():
+            if node in nbrs:
+                raise ConfigError(f"self-loop at node {node}")
+            for other in nbrs:
+                if node not in adjacency.get(other, frozenset()):
+                    raise ConfigError(f"edge {node}-{other} is not symmetric")
+        self.adjacency = adjacency
+        self.byzantine = frozenset(byzantine)
+        self.rule = rule
+        self.seed = seed
+        self.task = task
+        self.dataset = dataset
+        self.attack = attack or AttackSpec()
+        self.lr_schedule = lr_schedule or default_lr
+        self.batch_size = batch_size
+        self.test_set = test_set
+        initial_model = task.initial_model(seed)
+        self.models: dict[int, ModelVector] = {i: initial_model for i in adjacency}
+        self.audit: dict[int, dict] = {}
+        self.round_idx = 0
+        self.history = TrainHistory()
 
-def run_graph(
-    rule: GraphRule, topology: GraphTopology, byzantine_ids, seed: int,
-    task: LossTask, dataset: Dataset, rounds: int, *, attack=None, lr_schedule=None,
-    batch_size: int | None = DEFAULT_BATCH_SIZE, test_set=None,
-) -> TrainHistory:
-    """Run ``rounds`` graph rounds of ``rule`` from the task's seeded start model."""
-    state = make_graph_state(topology, byzantine_ids, seed, task.initial_model(seed))
-    history = TrainHistory()
-    for _ in range(rounds):
-        graph_round(state, rule, task, dataset, attack, lr_schedule, batch_size,
-                    history, test_set)
-    return history
+    def run_round(self) -> None:
+        k = self.round_idx + 1
+        lr = self.lr_schedule(k)
+        benign = [i for i in sorted(self.models) if i not in self.byzantine]
+        sent = dict(self.models)
+        benign_pool = [self.models[i] for i in benign]
+        for node in sorted(self.byzantine):
+            X, y = local_batch(self.dataset, node, self.batch_size, [self.seed, TAG_BATCH, node, k])
+            honest = sgd_step(self.models[node], self.task, X, y, lr)
+            sent[node] = apply_attack(self.attack, honest_update=honest, prior=self.models[node],
+                                      benign_models=benign_pool, round_k=k,
+                                      key=[self.seed, TAG_ATTACK, node, k])
+        # each benign node's output and train loss; the round's outputs are
+        # scored on the test set together
+        outs: dict[int, ModelVector] = {}
+        losses: list[float] = []
+        self.audit = {}
+        for node in benign:
+            X, y = local_batch(self.dataset, node, self.batch_size, [self.seed, TAG_BATCH, node, k])
+            received = {j: sent[j] for j in sorted(self.adjacency[node])}
+            outs[node], audit = self.rule(node, self.models[node], received, self.task, X, y, lr)
+            if audit is not None:
+                self.audit[node] = audit
+            losses.append(evaluate_loss(outs[node], self.task, X, y))
+        accs = (accuracy(list(outs.values()), self.task, *self.test_set)
+                if self.test_set is not None else [None] * len(outs))
+        for node, loss, acc in zip(outs, losses, accs):
+            self.history.add_row(HistoryRow(round=k, node=node, selected_sender=None,
+                                            train_loss=loss, test_acc=acc))
+        self.models = {**sent, **outs}
+        self.round_idx = k
+
+    def run(self, rounds: int) -> TrainHistory:
+        for _ in range(rounds):
+            self.run_round()
+        return self.history

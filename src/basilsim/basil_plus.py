@@ -124,16 +124,13 @@ class BasilPlusDriver:
     def _emit(self, node: int, honest: ModelVector, prior: ModelVector, stage: str) -> ModelVector:
         if self.is_benign(node):
             return honest
-        rng = np.random.default_rng(
-            [self.seed, TAG_STAGE_ATTACK, self._STAGE_IDS[stage], node, self.global_round]
-        )
         return apply_attack(
             self.attack,
             honest_update=honest,
             prior=prior,
             benign_models=self._benign_pool(),
             round_k=self.global_round * max(self.tau, 1),
-            rng=rng,
+            key=[self.seed, TAG_STAGE_ATTACK, self._STAGE_IDS[stage], node, self.global_round],
         )
 
     def _select(self, stage: str, node: int, gid: int, candidates) -> Selection:

@@ -383,29 +383,28 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str, dict]:
     # where every selection has a single candidate
     if scheme in RING_SCHEMES:
         S = 1 if scheme == "r-plain" else cfg["ring"]["connectivity"]
-        ring = BasilRing(range(n_nodes), byzantine, S, seed, task, dataset,
-                         epochs=cfg["training"]["epochs"], **common)
-        return ring.run(cfg["rounds"]), "worst", manifest
-    if scheme in GRAPH_SCHEMES:
-        topo = baselines.build_random_graph(
+        driver = BasilRing(range(n_nodes), byzantine, S, seed, task, dataset,
+                           epochs=cfg["training"]["epochs"], **common)
+    elif scheme in GRAPH_SCHEMES:
+        adjacency = baselines.build_random_graph(
             range(n_nodes), byzantine, seed,
             edge_prob_benign=cfg["graph"]["edge_prob_benign"],
             edge_prob_byzantine=cfg["graph"]["edge_prob_byzantine"],
         )
         rule = (baselines.gossip_rule if scheme == "g-plain"
                 else baselines.ubar_rule(cfg["graph"]["rho"], cfg["graph"]["mixing"]))
-        history = baselines.run_graph(rule, topo, byzantine, seed, task, dataset,
-                                      cfg["rounds"], **common)
-        return history, "worst", manifest
-    n_groups = cfg["groups"]["count"]
-    if scheme == "r-plain-plus":
-        S = 1
-    elif "connectivity" in cfg["ring"]:
-        S = cfg["ring"]["connectivity"]
+        driver = baselines.GraphDriver(adjacency, byzantine, rule, seed, task, dataset, **common)
     else:
-        # b+1 stored models, capped at the group size less one; a one-node
-        # group stores one model (S=1), the shape r-plain-plus runs
-        S = max(1, min(n_nodes // n_groups - 1, cfg["ring"]["byzantine"] + 1))
-    driver = BasilPlusDriver(n_groups, byzantine, S, seed, task, dataset, n_nodes=n_nodes,
-                             tau=cfg["tau"], epochs=cfg["training"]["epochs"], **common)
-    return driver.run(cfg["rounds"]), "mean", manifest
+        n_groups = cfg["groups"]["count"]
+        if scheme == "r-plain-plus":
+            S = 1
+        elif "connectivity" in cfg["ring"]:
+            S = cfg["ring"]["connectivity"]
+        else:
+            # b+1 stored models, capped at the group size less one; a one-node
+            # group stores one model (S=1), the shape r-plain-plus runs
+            S = max(1, min(n_nodes // n_groups - 1, cfg["ring"]["byzantine"] + 1))
+        driver = BasilPlusDriver(n_groups, byzantine, S, seed, task, dataset, n_nodes=n_nodes,
+                                 tau=cfg["tau"], epochs=cfg["training"]["epochs"], **common)
+    stat = "mean" if scheme in GROUPED_SCHEMES else "worst"
+    return driver.run(cfg["rounds"]), stat, manifest

@@ -46,11 +46,6 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8)
 
 
-def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
-    """Parse an image/label IDX pair into a Dataset, pixels scaled to [0, 1]."""
-    return idx_dataset(read_idx_images(images_path), read_idx_labels(labels_path))
-
-
 def idx_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
     """The Dataset of read IDX images and labels, pixels scaled to [0, 1]."""
     if len(images) != len(labels):

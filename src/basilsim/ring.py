@@ -205,15 +205,6 @@ class BasilRing:
                 model = sgd_step(model, self.task, bx, by, lr)
         return model
 
-    def _benign_model_pool(self) -> list[ModelVector]:
-        return [self.latest_benign[i] for i in sorted(self.latest_benign)]
-
-    def _test_accuracies(self, models: list[ModelVector]) -> list[float | None]:
-        if self.test_set is None:
-            return [None] * len(models)
-        X, y = self.test_set
-        return accuracy(models, self.task, X, y)
-
     # -- protocol --------------------------------------------------------
 
     def run_round(self) -> None:
@@ -239,14 +230,13 @@ class BasilRing:
                 self.latest_benign[node] = out
                 benign.append((node, selection, evaluate_loss(out, self.task, X, y), out))
             else:
-                rng = np.random.default_rng([self.seed, TAG_ATTACK, node, k])
                 out = apply_attack(
                     self.attack,
                     honest_update=honest,
                     prior=selection.model,
-                    benign_models=self._benign_model_pool(),
+                    benign_models=[self.latest_benign[i] for i in sorted(self.latest_benign)],
                     round_k=k,
-                    rng=rng,
+                    key=[self.seed, TAG_ATTACK, node, k],
                 )
             self.latest_output[node] = out
             for s in range(1, width + 1):
@@ -255,7 +245,9 @@ class BasilRing:
                 self.fifos[target].insert(node, out)
                 self.history.bump("fifo_inserts")
             self.history.bump("activations")
-        accs = self._test_accuracies([out for *_, out in benign])
+        outs = [out for *_, out in benign]
+        accs = (accuracy(outs, self.task, *self.test_set)
+                if self.test_set is not None else [None] * len(outs))
         for (node, selection, loss, _), acc in zip(benign, accs):
             self.history.add_row(HistoryRow(
                 round=k,

@@ -45,7 +45,7 @@ from basilsim.analytics import (
     ubar_training_time,
 )
 from basilsim.attacks import AttackSpec
-from basilsim.baselines import build_random_graph, gossip_rule, run_graph
+from basilsim.baselines import GraphDriver, build_random_graph, gossip_rule
 from basilsim.basil_plus import BasilPlusDriver
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.harness import run_experiment
@@ -92,10 +92,10 @@ def desk():
         runs[("r-plain", kind)] = BasilRing(
             range(DESK_NODES), byz, 1, DESK_SEED, task, train, attack=attack,
             batch_size=DESK_BATCH, test_set=test).run(DESK_ROUNDS)
-    topo = build_random_graph(range(DESK_NODES), byz, DESK_SEED)
-    runs[("g-plain", "hidden")] = run_graph(
-        gossip_rule, topo, byz, DESK_SEED, task, train, DESK_ROUNDS,
-        attack=AttackSpec.make("hidden"), batch_size=DESK_BATCH, test_set=test)
+    adjacency = build_random_graph(range(DESK_NODES), byz, DESK_SEED)
+    runs[("g-plain", "hidden")] = GraphDriver(
+        adjacency, byz, gossip_rule, DESK_SEED, task, train,
+        attack=AttackSpec.make("hidden"), batch_size=DESK_BATCH, test_set=test).run(DESK_ROUNDS)
     return {"task": task, "train": train, "test": test, "runs": runs,
             "byzantine": byz}
 

@@ -112,7 +112,7 @@ class TestHidden:
         out = apply_attack(
             spec, honest_update=honest, prior=honest,
             benign_models=[mv([9.0, 9.0, 9.0, 9.0])],
-            round_k=19, rng=np.random.default_rng(0),
+            round_k=19, key=[0],
         )
         assert np.array_equal(out.params, honest.params)
 
@@ -153,19 +153,29 @@ class TestSpecAndDispatch:
         honest = mv([1.0, 2.0, 3.0, 4.0])
         outs = [
             apply_attack(spec, honest_update=honest, prior=honest,
-                         benign_models=[], round_k=3,
-                         rng=np.random.default_rng([4, 2])).params
+                         benign_models=[], round_k=3, key=[4, 2]).params
             for _ in range(2)
         ]
         assert np.array_equal(outs[0], outs[1])
+
+    def test_random_attacks_draw_from_the_keyed_generator(self):
+        honest = ModelVector(np.arange(1.0, 11.0), SHAPE_3)
+        key = [7, 0xA3, 2, 5]
+        for kind, want in (
+            ("gaussian", gaussian_attack(SHAPE_3, np.random.default_rng(key))),
+            ("random-sign-flip", sign_flip_attack(honest, np.random.default_rng(key))),
+        ):
+            out = apply_attack(AttackSpec.make(kind), honest_update=honest, prior=honest,
+                               benign_models=[], round_k=1, key=key)
+            assert out.params.tobytes() == want.params.tobytes(), kind
+            assert out.shape == want.shape
 
     def test_all_attacks_preserve_shape(self):
         honest = ModelVector(np.ones(10), SHAPE_3)
         for kind in ("gaussian", "random-sign-flip", "hidden", "inverse"):
             spec = AttackSpec.make(kind, activation_round=0)
             out = apply_attack(spec, honest_update=honest, prior=honest,
-                               benign_models=[honest], round_k=5,
-                               rng=np.random.default_rng(0))
+                               benign_models=[honest], round_k=5, key=[0])
             assert out.shape == SHAPE_3
 
     def test_inverse_definition_flagged_in_manifest(self):

@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 
 from basilsim.attacks import AttackSpec
-from basilsim.baselines import (
-    GraphTopology,
-    build_random_graph,
-    gossip_rule,
-    graph_round,
-    make_graph_state,
-    ubar_rule,
-)
+from basilsim.baselines import GraphDriver, build_random_graph, gossip_rule, ubar_rule
 from basilsim.basil_plus import BasilPlusDriver, _group_seed, cluster_nodes
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError
 from basilsim.harness import run_experiment
-from basilsim.history import TrainHistory
-from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
-from basilsim.ring import BasilRing, sample_byzantine_ids
+from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step
+from basilsim.ring import (
+    TAG_BATCH,
+    BasilRing,
+    constant_lr,
+    default_lr,
+    local_batch,
+    sample_byzantine_ids,
+)
 
 
 def quad_setup(n_nodes, dim=3, noise=0.0, seed=0):
@@ -39,23 +38,27 @@ def softmax_setup(n_nodes, samples=900, classes=4, dim=6, seed=1):
     return SoftmaxTask(dim, classes), train, test
 
 
+def complete_graph(n):
+    return {i: frozenset(set(range(n)) - {i}) for i in range(n)}
+
+
 class TestGraphTopology:
     def test_generator_is_reproducible(self):
         a = build_random_graph(range(12), {3, 7}, seed=5)
         b = build_random_graph(range(12), {3, 7}, seed=5)
-        assert a.adjacency == b.adjacency
+        assert a == b
 
     def test_symmetric_no_self_loops(self):
-        topo = build_random_graph(range(15), {1, 2}, seed=0)
-        for node, nbrs in topo.adjacency.items():
+        adj = build_random_graph(range(15), {1, 2}, seed=0)
+        for node, nbrs in adj.items():
             assert node not in nbrs
             for other in nbrs:
-                assert node in topo.adjacency[other]
+                assert node in adj[other]
 
     def test_no_byzantine_byzantine_edges(self):
-        topo = build_random_graph(range(15), {1, 2, 3}, seed=0)
+        adj = build_random_graph(range(15), {1, 2, 3}, seed=0)
         for a in (1, 2, 3):
-            assert not (topo.adjacency[a] & {1, 2, 3})
+            assert not (adj[a] & {1, 2, 3})
 
     def test_benign_connectivity_enforced(self):
         with pytest.raises(ConfigError):
@@ -63,8 +66,16 @@ class TestGraphTopology:
                                edge_prob_benign=0.0, max_retries=3)
 
     def test_asymmetric_adjacency_rejected(self):
-        with pytest.raises(ConfigError):
-            GraphTopology({0: frozenset({1}), 1: frozenset()})
+        task, dataset = quad_setup(2)
+        with pytest.raises(ConfigError, match="not symmetric"):
+            GraphDriver({0: frozenset({1}), 1: frozenset()}, set(), gossip_rule, 0,
+                        task, dataset)
+
+    def test_self_loop_rejected(self):
+        task, dataset = quad_setup(2)
+        with pytest.raises(ConfigError, match="self-loop"):
+            GraphDriver({0: frozenset({0, 1}), 1: frozenset({0})}, set(), gossip_rule, 0,
+                        task, dataset)
 
 
 def run_config(scheme, out_dir, **overrides):
@@ -120,106 +131,113 @@ class TestGPlain:
     def test_complete_graph_keeps_symmetric_models_identical(self):
         # deterministic gradients: every node stays at the common trajectory
         task, dataset = quad_setup(4)
-        adj = {i: frozenset(set(range(4)) - {i}) for i in range(4)}
-        state = make_graph_state(GraphTopology(adj), set(), 0, task.initial_model(0))
-        for _ in range(3):
-            graph_round(state, gossip_rule, task, dataset, batch_size=None)
-        first = state.models[0].params
+        driver = GraphDriver(complete_graph(4), set(), gossip_rule, 0, task, dataset,
+                             batch_size=None)
+        driver.run(3)
+        first = driver.models[0].params
         for node in range(1, 4):
-            np.testing.assert_allclose(state.models[node].params, first)
+            np.testing.assert_allclose(driver.models[node].params, first)
 
     def test_disconnected_components_never_mix(self):
         task, dataset = quad_setup(4, noise=0.5, seed=5)
         adj = {0: frozenset({1}), 1: frozenset({0}),
                2: frozenset({3}), 3: frozenset({2})}
-        state = make_graph_state(GraphTopology(adj), set(), 3, task.initial_model(3))
-        twin = make_graph_state(
-            GraphTopology({0: frozenset({1}), 1: frozenset({0})}), set(), 3,
-            task.initial_model(3))
-        for _ in range(4):
-            graph_round(state, gossip_rule, task, dataset, batch_size=10)
-            graph_round(twin, gossip_rule, task, dataset, batch_size=10)
+        driver = GraphDriver(adj, set(), gossip_rule, 3, task, dataset, batch_size=10)
+        twin = GraphDriver({0: frozenset({1}), 1: frozenset({0})}, set(), gossip_rule, 3,
+                           task, dataset, batch_size=10)
+        driver.run(4)
+        twin.run(4)
         for node in (0, 1):
-            np.testing.assert_allclose(state.models[node].params,
+            np.testing.assert_allclose(driver.models[node].params,
                                        twin.models[node].params)
 
     def test_benign_quadratic_loss_nonincreasing(self):
         task, dataset = quad_setup(5)
-        topo = build_random_graph(range(5), set(), seed=1)
-        history = TrainHistory(manifest={})
-        state = make_graph_state(topo, set(), 1, task.initial_model(1))
-        from basilsim.ring import constant_lr
+        driver = GraphDriver(build_random_graph(range(5), set(), seed=1), set(), gossip_rule,
+                             1, task, dataset, lr_schedule=constant_lr(0.5 / task.smoothness),
+                             batch_size=None)
         X, y = dataset.batch(np.arange(len(dataset)))
         losses = []
         for _ in range(6):
-            graph_round(state, gossip_rule, task, dataset,
-                        lr_schedule=constant_lr(0.5 / task.smoothness),
-                        batch_size=None, history=history)
+            driver.run_round()
             losses.append(np.mean([
-                evaluate_loss(state.models[i], task, X, y) for i in range(5)
+                evaluate_loss(driver.models[i], task, X, y) for i in range(5)
             ]))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+    def test_byzantine_node_without_attack_trains_alone(self):
+        task, dataset = quad_setup(4, noise=0.5, seed=3)
+        driver = GraphDriver(complete_graph(4), {0}, gossip_rule, 3, task, dataset,
+                             batch_size=10)
+        # neighbours far from the start model change nothing for node 0
+        for node in (1, 2, 3):
+            driver.models[node] = task.make_model(task.x_star + 5.0 * node)
+        expected = driver.models[0]
+        for k in range(1, 5):
+            X, y = local_batch(dataset, 0, 10, [3, TAG_BATCH, 0, k])
+            expected = sgd_step(expected, task, X, y, default_lr(k))
+        driver.run(4)
+        assert np.array_equal(driver.models[0].params, expected.params)
+        assert all(row.node != 0 for row in driver.history.rows)
 
 
 class TestUbar:
     def test_identical_neighbours_reduce_to_local_sgd(self):
         task, dataset = quad_setup(4)
-        adj = {i: frozenset(set(range(4)) - {i}) for i in range(4)}
-        state = make_graph_state(GraphTopology(adj), set(), 0, task.initial_model(0))
-        before = state.models[0]
-        graph_round(state, ubar_rule(rho=1.0, mixing=0.5), task, dataset, batch_size=None)
+        driver = GraphDriver(complete_graph(4), set(), ubar_rule(rho=1.0, mixing=0.5), 0,
+                             task, dataset, batch_size=None)
+        before = driver.models[0]
+        driver.run_round()
         lr = 0.03 / 1.03  # decaying schedule at round one
         expected = before.params - lr * task.gradient(
             before, *dataset.batch(dataset.node_indices(0)))
-        np.testing.assert_allclose(state.models[0].params, expected)
+        np.testing.assert_allclose(driver.models[0].params, expected)
 
     def test_stage_one_pool_size_is_ceil_rho_degree(self):
         task, train, _ = softmax_setup(8)
-        topo = build_random_graph(range(8), {7}, seed=4)
-        state = make_graph_state(topo, {7}, 4, task.initial_model(4))
+        adj = build_random_graph(range(8), {7}, seed=4)
+        driver = GraphDriver(adj, {7}, ubar_rule(rho=0.33), 4, task, train,
+                             attack=AttackSpec.make("gaussian"), batch_size=40)
         for _ in range(3):
-            graph_round(state, ubar_rule(rho=0.33), task, train, batch_size=40,
-                        attack=AttackSpec.make("gaussian"))
-            for node, audit in state.audit.items():
-                degree = len(topo.adjacency[node])
+            driver.run_round()
+            for node, audit in driver.audit.items():
+                degree = len(adj[node])
                 assert len(audit["pool"]) == math.ceil(0.33 * degree)
 
     def test_gaussian_neighbour_excluded(self):
         task, train, _ = softmax_setup(6)
-        adj = {i: frozenset(set(range(6)) - {i}) for i in range(6)}
-        state = make_graph_state(GraphTopology(adj), {5}, 2, task.initial_model(2))
+        driver = GraphDriver(complete_graph(6), {5}, ubar_rule(rho=0.4), 2, task, train,
+                             attack=AttackSpec.make("gaussian"), batch_size=40)
         for _ in range(4):
-            graph_round(state, ubar_rule(rho=0.4), task, train, batch_size=40,
-                        attack=AttackSpec.make("gaussian"))
-            for node, audit in state.audit.items():
+            driver.run_round()
+            for node, audit in driver.audit.items():
                 assert 5 not in audit["accepted"]
 
     def test_rho_one_with_better_neighbours_averages_them(self):
         task, dataset = quad_setup(3)
-        adj = {0: frozenset({1, 2}), 1: frozenset({0, 2}), 2: frozenset({0, 1})}
-        state = make_graph_state(GraphTopology(adj), set(), 0, task.initial_model(0))
+        driver = GraphDriver(complete_graph(3), set(), ubar_rule(rho=1.0, mixing=0.5), 0,
+                             task, dataset, batch_size=None)
         # place node 0 far from the optimum, neighbours at the optimum
         before = task.make_model(task.x_star + 4.0)
-        state.models[0] = before
-        state.models[1] = task.optimum()
-        state.models[2] = task.optimum()
-        graph_round(state, ubar_rule(rho=1.0, mixing=0.5), task, dataset, batch_size=None)
-        audit = state.audit[0]
+        driver.models[0] = before
+        driver.models[1] = task.optimum()
+        driver.models[2] = task.optimum()
+        driver.run_round()
+        audit = driver.audit[0]
         assert sorted(audit["accepted"]) == [1, 2]
         # reduces to neighbourhood averaging plus a gradient step
         lr = 0.03 / 1.03
         X, y = dataset.batch(dataset.node_indices(0))
         expected = (0.5 * before.params + 0.5 * task.x_star
                     - lr * task.gradient(before, X, y))
-        np.testing.assert_allclose(state.models[0].params, expected)
+        np.testing.assert_allclose(driver.models[0].params, expected)
 
     def test_isolated_node_rejected(self):
         task, dataset = quad_setup(2)
+        driver = GraphDriver({0: frozenset(), 1: frozenset()}, set(), ubar_rule(), 0,
+                             task, dataset, batch_size=None)
         with pytest.raises(ConfigError):
-            adj = {0: frozenset(), 1: frozenset()}
-            state = make_graph_state(GraphTopology(adj), set(), 0,
-                                     task.initial_model(0))
-            graph_round(state, ubar_rule(), task, dataset, batch_size=None)
+            driver.run_round()
 
 
 class TestRPlainPlus:

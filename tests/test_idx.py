@@ -7,7 +7,7 @@ from basilsim.errors import IdxFormatError
 from basilsim.idx import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
-    load_idx,
+    idx_dataset,
     read_idx_images,
     read_idx_labels,
 )
@@ -44,7 +44,7 @@ def test_roundtrip_fixture(fixture_pair):
     img_path, lab_path, images, labels = fixture_pair
     assert np.array_equal(read_idx_images(img_path), images)
     assert np.array_equal(read_idx_labels(lab_path), labels)
-    ds = load_idx(img_path, lab_path)
+    ds = idx_dataset(read_idx_images(img_path), read_idx_labels(lab_path))
     assert len(ds) == 4
     assert ds.features.shape == (4, 784)
     assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
@@ -82,7 +82,7 @@ def test_count_mismatch_between_files(fixture_pair, tmp_path):
     lab_path = tmp_path / "short.idx1-ubyte"
     write_idx_labels(lab_path, np.array([1, 2], dtype=np.uint8))
     with pytest.raises(IdxFormatError, match="does not match"):
-        load_idx(img_path, lab_path)
+        idx_dataset(read_idx_images(img_path), read_idx_labels(lab_path))
 
 
 def test_label_magic_checked(fixture_pair):
