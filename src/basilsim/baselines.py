@@ -16,7 +16,7 @@ import numpy as np
 from .attacks import AttackSpec, apply_attack
 from .data import Dataset
 from .errors import ConfigError
-from .history import HistoryRow, TrainHistory
+from .history import HistoryRow, SelectionRecord, TrainHistory
 from .models import (
     LossTask,
     ModelVector,
@@ -77,15 +77,15 @@ def build_random_graph(
     raise ConfigError(f"no connected benign subgraph within {max_retries} seeds")
 
 
-#: ``rule(node, own, received, task, X, y, lr) -> (model, audit)``: a benign
-#: node's update from its own model, its neighbours' (sender -> model) and its
-#: batch; the audit, if not None, lands in ``GraphDriver.audit[node]``
-GraphRule = Callable[..., tuple[ModelVector, dict | None]]
+#: ``rule(node, own, received, task, X, y, lr) -> (model, candidates, winners)``:
+#: a benign node's update from its own model, its neighbours' (sender -> model)
+#: and its batch, with the (sender, loss) pairs it scored and the senders it kept
+GraphRule = Callable[..., tuple[ModelVector, tuple, tuple]]
 
 
 def gossip_rule(node, own, received, task, X, y, lr):
     """Plain gossip: average own model with all neighbours', then step."""
-    return sgd_step(average_models([own, *received.values()]), task, X, y, lr), None
+    return sgd_step(average_models([own, *received.values()]), task, X, y, lr), (), tuple(received)
 
 
 def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
@@ -109,18 +109,17 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
         pool = by_distance[:math.ceil(rho * len(received))]
         own_loss, *pool_losses = evaluate_losses(
             [own] + [received[j] for j in pool], task, X, y)
-        losses = dict(zip(pool, pool_losses))
-        accepted = [j for j in pool if losses[j] <= own_loss]
+        candidates = tuple(zip(pool, pool_losses))
+        accepted = tuple(j for j, loss in candidates if loss <= own_loss)
         if accepted:
             aggregate = average_models([received[j] for j in accepted])
         else:
-            accepted = [min(pool, key=lambda j: (losses[j], j))]
+            accepted = (min(candidates, key=lambda c: (c[1], c[0]))[0],)
             aggregate = received[accepted[0]]
         grad_step = sgd_step(own, task, X, y, lr)
         mixed = mixing * own.params + (1.0 - mixing) * aggregate.params
         out = own.with_params(mixed - (own.params - grad_step.params))
-        return out, {"pool": pool, "accepted": accepted, "own_loss": own_loss,
-                     "losses": losses}
+        return out, candidates, accepted
 
     return rule
 
@@ -169,7 +168,6 @@ class GraphDriver:
         self.test_set = test_set
         initial_model = task.initial_model(seed)
         self.models: dict[int, ModelVector] = {i: initial_model for i in adjacency}
-        self.audit: dict[int, dict] = {}
         self.round_idx = 0
         self.history = TrainHistory()
 
@@ -189,13 +187,13 @@ class GraphDriver:
         # scored on the test set together
         outs: dict[int, ModelVector] = {}
         losses: list[float] = []
-        self.audit = {}
         for node in benign:
             X, y = local_batch(self.dataset, node, self.batch_size, [self.seed, TAG_BATCH, node, k])
             received = {j: sent[j] for j in sorted(self.adjacency[node])}
-            outs[node], audit = self.rule(node, self.models[node], received, self.task, X, y, lr)
-            if audit is not None:
-                self.audit[node] = audit
+            outs[node], candidates, winners = self.rule(
+                node, self.models[node], received, self.task, X, y, lr)
+            self.history.selections.append(SelectionRecord(
+                k, "graph", None, node, True, candidates, winners, len(received)))
             losses.append(evaluate_loss(outs[node], self.task, X, y))
         accs = (accuracy(list(outs.values()), self.task, *self.test_set)
                 if self.test_set is not None else [None] * len(outs))

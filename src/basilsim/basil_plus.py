@@ -18,7 +18,7 @@ import numpy as np
 from .attacks import AttackSpec, apply_attack
 from .data import Dataset
 from .errors import ConfigError
-from .history import TrainHistory
+from .history import SelectionRecord, TrainHistory
 from .models import LossTask, ModelVector
 from .ring import (
     DEFAULT_BATCH_SIZE,
@@ -133,21 +133,15 @@ class BasilPlusDriver:
             key=[self.seed, TAG_STAGE_ATTACK, self._STAGE_IDS[stage], node, self.global_round],
         )
 
-    def _select(self, stage: str, node: int, gid: int, candidates) -> Selection:
+    def _select(self, stage: str, node: int, gid: int, candidates, fanout: int) -> Selection:
         """``node``'s performance-based pick from (sender, model) ``candidates``
-        on its stage batch; a benign node's pick is audited."""
+        on its stage batch, recorded with the ``fanout`` its output goes to."""
         X, y = local_batch(self.dataset, node, self.batch_size, [
             self.seed, TAG_STAGE_BATCH, self._STAGE_IDS[stage], node, self.global_round])
         selection = basil_select(candidates, self.task, X, y)
-        if self.is_benign(node):
-            self.history.events.append({
-                "event": f"{stage}-select",
-                "round": self.global_round,
-                "group": gid,
-                "node": node,
-                "sender": selection.sender,
-                "losses": list(selection.candidate_losses),
-            })
+        self.history.selections.append(SelectionRecord(
+            self.global_round, stage, gid, node, self.is_benign(node),
+            selection.candidate_losses, (selection.sender,), fanout))
         return selection
 
     # -- driver --------------------------------------------------------------
@@ -169,7 +163,7 @@ class BasilPlusDriver:
         for g_mult, ring in enumerate(self.rings[1:], 1):
             upstream, aggregates = aggregates, []
             for node in ring.order[-S:]:
-                sel = self._select("aggregate", node, ring.group, upstream)
+                sel = self._select("aggregate", node, ring.group, upstream, S)
                 own = ring.latest_output[node]
                 honest = own.with_params((own.params + g_mult * sel.model.params) / (g_mult + 1))
                 aggregates.append((node, self._emit(node, honest, sel.model, "aggregate")))
@@ -178,11 +172,13 @@ class BasilPlusDriver:
         # aggregates, and every head node adopts its pick of theirs
         filtered = []
         for node in first.order[-S:]:
-            sel = self._select("multicast", node, first.group, aggregates)
+            sel = self._select("multicast", node, first.group, aggregates,
+                               len(self.rings) * S)
             filtered.append((node, self._emit(node, sel.model, sel.model, "multicast")))
         for ring in self.rings:
             for node in ring.order[:S]:
-                ring.latest_output[node] = self._select("adopt", node, ring.group, filtered).model
+                sel = self._select("adopt", node, ring.group, filtered, 0)
+                ring.latest_output[node] = sel.model
 
     def run(self, K: int) -> TrainHistory:
         for _ in range(K):

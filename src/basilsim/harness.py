@@ -200,6 +200,15 @@ def validate_config(cfg: dict) -> dict:
                 raise ConfigError(f"ring.byzantine{'' if ids is None else '_ids'}: the "
                                   f"placement at seed {out['seed']} leaves group "
                                   f"{gid} with only Byzantine nodes")
+    if scheme == "ubar" and n_byzantine >= n_nodes - 1:
+        # two or more benign nodes are kept connected, but a sole benign node
+        # may draw no edge, and UBAR has no neighbour to filter
+        byzantine = _byzantine_set(out)
+        field = "graph.edge_prob_byzantine" if n_nodes > 1 else "ring.nodes"
+        for node, nbrs in _graph(out, byzantine).items():
+            if not nbrs and node not in byzantine:
+                raise ConfigError(f"{field}: the graph at seed {out['seed']} gives benign "
+                                  f"node {node} no neighbours, and ubar needs one")
     if "connectivity" in ring and scheme in ("basil", "basil-plus"):
         # basil-plus runs one ring per group; a ring of one node stores one model
         size = n_nodes if scheme == "basil" else n_nodes // out["groups"]["count"]
@@ -230,6 +239,13 @@ def _byzantine_set(cfg: dict) -> frozenset[int]:
     if ring["byzantine_ids"] is not None:
         return frozenset(ring["byzantine_ids"])
     return sample_byzantine_ids(range(ring["nodes"]), ring["byzantine"], cfg["seed"])
+
+
+def _graph(cfg: dict, byzantine: frozenset[int]) -> dict[int, frozenset[int]]:
+    """The graph schemes' random graph over ``ring.nodes``."""
+    graph = cfg["graph"]
+    return baselines.build_random_graph(range(cfg["ring"]["nodes"]), byzantine, cfg["seed"],
+                                        graph["edge_prob_benign"], graph["edge_prob_byzantine"])
 
 
 def _build_lr(cfg: dict):
@@ -386,14 +402,10 @@ def _dispatch(cfg: dict) -> tuple[TrainHistory, str, dict]:
         driver = BasilRing(range(n_nodes), byzantine, S, seed, task, dataset,
                            epochs=cfg["training"]["epochs"], **common)
     elif scheme in GRAPH_SCHEMES:
-        adjacency = baselines.build_random_graph(
-            range(n_nodes), byzantine, seed,
-            edge_prob_benign=cfg["graph"]["edge_prob_benign"],
-            edge_prob_byzantine=cfg["graph"]["edge_prob_byzantine"],
-        )
         rule = (baselines.gossip_rule if scheme == "g-plain"
                 else baselines.ubar_rule(cfg["graph"]["rho"], cfg["graph"]["mixing"]))
-        driver = baselines.GraphDriver(adjacency, byzantine, rule, seed, task, dataset, **common)
+        driver = baselines.GraphDriver(_graph(cfg, byzantine), byzantine, rule, seed, task,
+                                       dataset, **common)
     else:
         n_groups = cfg["groups"]["count"]
         if scheme == "r-plain-plus":

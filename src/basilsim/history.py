@@ -1,9 +1,11 @@
-"""Run records: per-activation rows, audit events, and file export."""
+"""Run records: per-activation rows, one record per selection, the counters
+and audit events derived from those records, and file export."""
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,8 +18,30 @@ class HistoryRow:
     train_loss: float
     test_acc: float | None
     group: int | None = None
-    #: (sender, evaluated loss) for every stored model considered, newest first
-    candidate_losses: tuple[tuple[int | None, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class SelectionRecord:
+    """One pick: ``node`` scored ``candidates`` ((sender, loss) pairs, in the
+    order offered), kept the senders in ``winners`` and sent its output to
+    ``fanout`` nodes.
+
+    ``stage`` is ``ring`` for a ring activation; ``aggregate``, ``multicast``
+    or ``adopt`` for a Basil+ hand-off stage; ``graph`` for a benign graph
+    node's round, whose candidates are the losses it scored (none for gossip)
+    and whose winners are the neighbours it averaged.  ``round`` is the round
+    of the loop that picked: under Basil+ a ring record's is the ring round
+    (1..K·tau) and a stage record's the global round (1..K).
+    """
+
+    round: int
+    stage: str
+    group: int | None
+    node: int
+    benign: bool
+    candidates: tuple[tuple[int | None, float], ...]
+    winners: tuple[int | None, ...]
+    fanout: int
 
 
 @dataclass
@@ -26,14 +50,38 @@ class TrainHistory:
 
     manifest: dict = field(default_factory=dict)
     rows: list[HistoryRow] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
-    counters: dict[str, int] = field(default_factory=dict)
+    selections: list[SelectionRecord] = field(default_factory=list)
 
     def add_row(self, row: HistoryRow) -> None:
         self.rows.append(row)
 
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + amount
+    @property
+    def counters(self) -> dict[str, int]:
+        """The ring's work: losses scored, models sent (each one FIFO insert)
+        and activations; empty when no ring activated."""
+        ring = [s for s in self.selections if s.stage == "ring"]
+        if not ring:
+            return {}
+        sent = sum(s.fanout for s in ring)
+        return {"loss_evaluations": sum(len(s.candidates) for s in ring),
+                "models_sent": sent, "fifo_inserts": sent, "activations": len(ring)}
+
+    @property
+    def events(self) -> list[dict]:
+        """In selection order: a ``protocol-failure`` for each ring pick whose
+        candidates all scored +inf, and a ``<stage>-select`` for each benign
+        Basil+ stage pick."""
+        events = []
+        for s in self.selections:
+            if s.stage == "ring":
+                if all(math.isinf(loss) for _, loss in s.candidates):
+                    events.append({"event": "protocol-failure", "round": s.round,
+                                   "node": s.node})
+            elif s.benign and s.stage != "graph":
+                events.append({"event": f"{s.stage}-select", "round": s.round,
+                               "group": s.group, "node": s.node, "sender": s.winners[0],
+                               "losses": list(s.candidates)})
+        return events
 
     def accuracy_series(self, stat: str = "worst") -> list[tuple[int, float]]:
         """Per-round benign test accuracy, reduced by ``worst`` or ``mean``."""

@@ -12,7 +12,6 @@ configuration are bit-identical.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .attacks import AttackSpec, apply_attack
 from .data import Dataset
 from .errors import ConfigError, ProtocolError
-from .history import HistoryRow, TrainHistory
+from .history import HistoryRow, SelectionRecord, TrainHistory
 from .models import LossTask, ModelVector, accuracy, evaluate_loss, evaluate_losses, sgd_step
 
 # rng stream tags; every consumer derives default_rng([seed, tag, ...])
@@ -219,11 +218,9 @@ class BasilRing:
             X, y = local_batch(self.dataset, node, self.batch_size,
                                [self.seed, TAG_BATCH, node, k])
             selection = basil_select(self.fifos[node], self.task, X, y)
-            self.history.bump("loss_evaluations", len(selection.candidate_losses))
-            if all(math.isinf(l) for _, l in selection.candidate_losses):
-                self.history.events.append(
-                    {"event": "protocol-failure", "round": k, "node": node}
-                )
+            self.history.selections.append(SelectionRecord(
+                k, "ring", self.group, node, self.is_benign(node),
+                selection.candidate_losses, (selection.sender,), width))
             honest = self._update(selection.model, node, k, X, y, lr)
             if self.is_benign(node):
                 out = honest
@@ -241,10 +238,7 @@ class BasilRing:
             self.latest_output[node] = out
             for s in range(1, width + 1):
                 target = self.order[(pos + s) % n]
-                self.history.bump("models_sent")
                 self.fifos[target].insert(node, out)
-                self.history.bump("fifo_inserts")
-            self.history.bump("activations")
         outs = [out for *_, out in benign]
         accs = (accuracy(outs, self.task, *self.test_set)
                 if self.test_set is not None else [None] * len(outs))
@@ -256,7 +250,6 @@ class BasilRing:
                 train_loss=loss,
                 test_acc=acc,
                 group=self.group,
-                candidate_losses=selection.candidate_losses,
             ))
         self.round_idx = k
 

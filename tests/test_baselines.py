@@ -180,6 +180,17 @@ class TestGPlain:
         assert np.array_equal(driver.models[0].params, expected.params)
         assert all(row.node != 0 for row in driver.history.rows)
 
+    def test_gossip_records_every_neighbour_as_a_winner(self):
+        task, dataset = quad_setup(5)
+        adj = build_random_graph(range(5), {4}, seed=1)
+        driver = GraphDriver(adj, {4}, gossip_rule, 1, task, dataset, batch_size=None)
+        driver.run(2)
+        assert [(r.round, r.node) for r in driver.history.selections] == [
+            (k, node) for k in (1, 2) for node in range(4)]
+        for record in driver.history.selections:
+            assert record.candidates == ()
+            assert record.winners == tuple(sorted(adj[record.node]))
+
 
 class TestUbar:
     def test_identical_neighbours_reduce_to_local_sgd(self):
@@ -198,20 +209,21 @@ class TestUbar:
         adj = build_random_graph(range(8), {7}, seed=4)
         driver = GraphDriver(adj, {7}, ubar_rule(rho=0.33), 4, task, train,
                              attack=AttackSpec.make("gaussian"), batch_size=40)
-        for _ in range(3):
-            driver.run_round()
-            for node, audit in driver.audit.items():
-                degree = len(adj[node])
-                assert len(audit["pool"]) == math.ceil(0.33 * degree)
+        driver.run(3)
+        assert {r.round for r in driver.history.selections} == {1, 2, 3}
+        for record in driver.history.selections:
+            degree = len(adj[record.node])
+            assert len(record.candidates) == math.ceil(0.33 * degree)
+            assert record.fanout == degree
 
     def test_gaussian_neighbour_excluded(self):
         task, train, _ = softmax_setup(6)
         driver = GraphDriver(complete_graph(6), {5}, ubar_rule(rho=0.4), 2, task, train,
                              attack=AttackSpec.make("gaussian"), batch_size=40)
-        for _ in range(4):
-            driver.run_round()
-            for node, audit in driver.audit.items():
-                assert 5 not in audit["accepted"]
+        driver.run(4)
+        assert {r.round for r in driver.history.selections} == {1, 2, 3, 4}
+        for record in driver.history.selections:
+            assert 5 not in record.winners
 
     def test_rho_one_with_better_neighbours_averages_them(self):
         task, dataset = quad_setup(3)
@@ -223,14 +235,29 @@ class TestUbar:
         driver.models[1] = task.optimum()
         driver.models[2] = task.optimum()
         driver.run_round()
-        audit = driver.audit[0]
-        assert sorted(audit["accepted"]) == [1, 2]
+        record = next(r for r in driver.history.selections if r.node == 0)
+        assert sorted(record.winners) == [1, 2]
         # reduces to neighbourhood averaging plus a gradient step
         lr = 0.03 / 1.03
         X, y = dataset.batch(dataset.node_indices(0))
         expected = (0.5 * before.params + 0.5 * task.x_star
                     - lr * task.gradient(before, X, y))
         np.testing.assert_allclose(driver.models[0].params, expected)
+
+    def test_one_record_per_benign_node_per_round(self):
+        task, train, _ = softmax_setup(8)
+        byzantine = {6, 7}
+        adj = build_random_graph(range(8), byzantine, seed=2)
+        driver = GraphDriver(adj, byzantine, ubar_rule(rho=0.5), 2, task, train,
+                             attack=AttackSpec.make("gaussian"), batch_size=40)
+        driver.run(3)
+        records = driver.history.selections
+        assert [(r.round, r.node) for r in records] == [
+            (k, node) for k in (1, 2, 3) for node in range(6)]
+        for record in records:
+            assert record.stage == "graph" and record.benign
+            assert set(record.winners) <= {s for s, _ in record.candidates}
+        assert driver.history.counters == {} and driver.history.events == []
 
     def test_isolated_node_rejected(self):
         task, dataset = quad_setup(2)

@@ -185,6 +185,28 @@ class TestDriver:
             if event["round"] >= 1:
                 assert event["sender"] not in byz
 
+    def test_stage_events_are_the_benign_stage_records(self):
+        task, dataset = quad_group_setup(n_nodes=12)
+        byzantine = sample_byzantine_ids(range(12), 3, 5)
+        history = BasilPlusDriver(3, byzantine, 2, 5, task, dataset, n_nodes=12, tau=2,
+                                  attack=AttackSpec.make("gaussian"), batch_size=10).run(2)
+        ring = [r for r in history.selections if r.stage == "ring"]
+        stage = [r for r in history.selections if r.stage != "ring"]
+        # ring records count ring rounds (1..K*tau), stage records global rounds
+        assert sorted({r.round for r in ring}) == [1, 2, 3, 4]
+        assert sorted({r.round for r in stage}) == [1, 2]
+        # per global round: S picks per downstream group, S tails, S heads per group
+        per_round = ["aggregate"] * 4 + ["multicast"] * 2 + ["adopt"] * 6
+        assert [r.stage for r in stage] == per_round * 2
+        fanout = {"aggregate": 2, "multicast": 3 * 2, "adopt": 0}
+        assert all(r.fanout == fanout[r.stage] for r in stage)
+        assert any(not r.benign for r in stage)
+        selects = [e for e in history.events if e["event"].endswith("-select")]
+        assert selects == [
+            {"event": f"{r.stage}-select", "round": r.round, "group": r.group, "node": r.node,
+             "sender": r.winners[0], "losses": list(r.candidates)}
+            for r in stage if r.benign]
+
     def test_history_rows_carry_group_ids(self):
         task, dataset = quad_group_setup()
         history = BasilPlusDriver(2, frozenset(), 1, 3, task, dataset, n_nodes=8, tau=1,

@@ -3,6 +3,8 @@ import importlib.util
 import inspect
 import json
 import re
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -91,6 +93,11 @@ MALFORMED = {
     # seed 3 places six Byzantine nodes over both members of group 0
     "ring.byzantine=6": {"scheme": "basil-plus", "groups": {"count": 4},
                          "ring": {"nodes": 8, "byzantine": 6, "connectivity": 1}},
+    # the sole benign node of a ubar graph draws no edge
+    "graph.edge_prob_byzantine=0": {"scheme": "ubar", "seed": 1,
+                                    "ring": {"nodes": 3, "byzantine": 2},
+                                    "graph": {"edge_prob_byzantine": 0}},
+    "ring.nodes=1": {"scheme": "ubar", "ring": {"nodes": 1}},
 }
 
 
@@ -369,6 +376,16 @@ class TestCli:
             ring={"nodes": 8, "byzantine": 2, "connectivity": 1})))
         assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "o")]) == 0
 
+    def test_sole_benign_ubar_node_needs_a_neighbour(self, tmp_path):
+        # validation fails before any data is built; at edge probability one
+        # the benign node is joined to both Byzantine nodes and the run goes on
+        cfg = desk_config(scheme="ubar", seed=1, ring={"nodes": 3, "byzantine": 2})
+        with pytest.raises(ConfigError, match="graph.edge_prob_byzantine: .* benign node 0 "):
+            validate_config({**cfg, "graph": {"edge_prob_byzantine": 0}})
+        result = run_experiment({**cfg, "graph": {"edge_prob_byzantine": 1}},
+                                output_dir=tmp_path)
+        assert [(r.node, r.fanout) for r in result.history.selections] == [(0, 2)] * 2
+
     @pytest.mark.parametrize("dataset, task", [
         ({"kind": "quadratic", "samples": 400, "dim": 4}, "softmax-regression"),
         ({"kind": "quadratic", "samples": 400, "dim": 4}, "mlp-3fc"),
@@ -559,3 +576,21 @@ def test_perfbench_byzantine_set_matches_the_seeded_placement(tmp_path):
     given = run_experiment(desk_config(ring={**cfg["ring"], "byzantine_ids": sorted(ids)}),
                            output_dir=tmp_path / "given")
     assert seeded.csv_path.read_bytes() == given.csv_path.read_bytes()
+
+
+@pytest.mark.parametrize("workload", ["ring-desk", "grouped-noniid"])
+def test_perfbench_smoke_reads_the_run_counters(workload):
+    # the benchmark reads the history's counters and traces the drivers by
+    # name; a traced smoke run must pass its checks and see the ring's work
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0",
+         "--trace", "1", "--smoke"], capture_output=True, text=True, timeout=300, cwd=root)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    for name in ("ring.loss_evaluations", "ring.models_sent", "ring.fifo_inserts"):
+        assert metrics[name] > 0, name
+    if workload == "grouped-noniid":
+        assert metrics["basil_plus.stage_select.calls"] > 0

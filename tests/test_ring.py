@@ -227,10 +227,10 @@ class TestRunBasil:
             range(6), sample_byzantine_ids(range(6), 2, 7), 3, 7, task, train, attack=AttackSpec.make("random-sign-flip"),
             batch_size=40,
         ).run(6)
-        for row in history.rows:
-            losses = [l for _, l in row.candidate_losses]
-            selected = dict(row.candidate_losses)[row.selected_sender]
-            assert selected <= min(losses) + 1e-12
+        assert len(history.selections) == 6 * 6
+        for record in history.selections:
+            losses = dict(record.candidates)
+            assert losses[record.winners[0]] <= min(losses.values()) + 1e-12
 
     def test_cost_counters_scale_with_connectivity(self):
         task, train, _ = cluster_setup(n_nodes=6)
@@ -242,6 +242,22 @@ class TestRunBasil:
             assert history.counters["models_sent"] == acts * S
             assert history.counters["fifo_inserts"] == acts * S
             assert history.counters["loss_evaluations"] <= acts * S
+
+    def test_counters_are_sums_over_the_ring_records(self):
+        task, train, _ = cluster_setup(n_nodes=6)
+        history = BasilRing(range(6), sample_byzantine_ids(range(6), 2, 2), 3, 2, task, train,
+                            attack=AttackSpec.make("gaussian"), batch_size=20).run(3)
+        records = history.selections
+        assert [r.stage for r in records] == ["ring"] * 18
+        assert history.counters == {
+            "loss_evaluations": sum(len(r.candidates) for r in records),
+            "models_sent": 3 * 18,
+            "fifo_inserts": 3 * 18,
+            "activations": 18,
+        }
+        # the first pass's picks see 1..S stored models, later ones S
+        assert [len(r.candidates) for r in records[:6]] == [1, 2, 3, 3, 3, 3]
+        assert all(len(r.candidates) == 3 for r in records[6:])
 
     def test_benign_connectivity_under_random_placements(self):
         # placements with no S-run of Byzantine nodes keep a benign model in view
@@ -259,8 +275,8 @@ class TestRunBasil:
             found += 1
             history = ring.run(4)
             benign_ok = set(m for m in ring.order if m not in ring.byzantine)
-            for row in history.rows:
-                senders = [s for s, _ in row.candidate_losses]
+            for record in history.selections:
+                senders = [s for s, _ in record.candidates]
                 assert any(s is None or s in benign_ok for s in senders)
         assert found >= 5
 
