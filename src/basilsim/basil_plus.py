@@ -152,7 +152,7 @@ class BasilPlusDriver:
         self.global_round += 1
         for ring in self.rings:
             if self.global_round > 1:
-                ring.restart(ring.latest_output)
+                ring.restart()
             ring.run(self.tau)
 
         # circular aggregation: each downstream tail picks one upstream tail's

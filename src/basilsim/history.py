@@ -57,8 +57,9 @@ class TrainHistory:
 
     @property
     def counters(self) -> dict[str, int]:
-        """The ring's work: losses scored, models sent (each one FIFO insert)
-        and activations; empty when no ring activated."""
+        """The ring's work: losses scored, models sent and FIFO inserts (one
+        per successor, though the simulator stores each output once) and
+        activations; empty when no ring activated."""
         ring = [s for s in self.selections if s.stage == "ring"]
         if not ring:
             return {}
@@ -68,16 +69,15 @@ class TrainHistory:
 
     @property
     def events(self) -> list[dict]:
-        """In selection order: a ``protocol-failure`` for each ring pick whose
-        candidates all scored +inf, and a ``<stage>-select`` for each benign
+        """In selection order: a ``protocol-failure`` for each pick whose
+        candidates all scored +inf, then a ``<stage>-select`` for each benign
         Basil+ stage pick."""
         events = []
         for s in self.selections:
-            if s.stage == "ring":
-                if all(math.isinf(loss) for _, loss in s.candidates):
-                    events.append({"event": "protocol-failure", "round": s.round,
-                                   "node": s.node})
-            elif s.benign and s.stage != "graph":
+            if s.candidates and all(loss == math.inf for _, loss in s.candidates):
+                events.append({"event": "protocol-failure", "round": s.round,
+                               "node": s.node})
+            if s.benign and s.stage not in ("ring", "graph"):
                 events.append({"event": f"{s.stage}-select", "round": s.round,
                                "group": s.group, "node": s.node, "sender": s.winners[0],
                                "losses": list(s.candidates)})

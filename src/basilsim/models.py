@@ -103,12 +103,10 @@ class LossTask:
     """Interface every task implements.
 
     ``kind`` is one of ``quadratic-convex``, ``softmax-regression``,
-    ``mlp-3fc``.  ``smoothness`` is the exact largest Hessian eigenvalue for
-    the quadratic task and a supplied upper bound otherwise.
+    ``mlp-3fc``.
     """
 
     kind: str
-    smoothness: float | None
     n_classes: int
 
     def initial_model(self, seed: int) -> ModelVector:
@@ -137,7 +135,8 @@ class LossTask:
 
 @dataclass
 class QuadraticTask(LossTask):
-    """Convex quadratic with closed-form optimum and exact smoothness.
+    """Convex quadratic with closed-form optimum; ``smoothness`` is the exact
+    largest Hessian eigenvalue.
 
     Per-sample loss for sample feature vector ``e`` (drawn at dataset build
     time, mean-centred over the full dataset):
@@ -205,7 +204,6 @@ class SoftmaxTask(LossTask):
 
     n_features: int
     n_classes: int
-    smoothness: float | None = None
     kind: str = field(default="softmax-regression", init=False)
 
     def model_shape(self) -> LayerShape:
@@ -262,7 +260,6 @@ class MlpTask(LossTask):
     """
 
     layer_dims: tuple[int, ...] = MLP_LAYERS
-    smoothness: float | None = None
     kind: str = field(default="mlp-3fc", init=False)
 
     def __post_init__(self):

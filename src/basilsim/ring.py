@@ -1,13 +1,13 @@
 """Sequential robust training over a logical ring.
 
-Each round walks the agreed ring order once.  A benign node keeps a
-bounded FIFO of the latest models multicast by its counterclockwise
-neighbours, picks the stored model with the lowest loss on a fresh local
-mini-batch, updates it (one SGD step on the same mini-batch, or ``epochs``
-passes of mini-batch SGD over its local data), and multicasts the result to
-its next ``S`` clockwise neighbours.  Byzantine nodes emit attack output
-instead.  Everything is driven by explicit seeds, so two runs with the same
-configuration are bit-identical.
+Each round walks the agreed ring order once.  A benign node stores the
+models multicast by its ``S`` counterclockwise neighbours, picks the one
+with the lowest loss on a fresh local mini-batch, updates it (one SGD step
+on the same mini-batch, or ``epochs`` passes of mini-batch SGD over its
+local data), and multicasts the result to its next ``S`` clockwise
+neighbours.  Byzantine nodes emit attack output instead.  Everything is
+driven by explicit seeds, so two runs with the same configuration are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def agree_order(node_ids, seed: int) -> tuple[int, ...]:
 
 
 class StoredModels:
-    """Bounded FIFO of received models, newest first."""
+    """Bounded window of (sender, model) pairs, newest first."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -119,7 +119,13 @@ def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[i
 class BasilRing:
     """Stateful driver for the ring protocol over ``node_ids``, of which the
     resolved set ``byzantine`` attack; each node stores ``connectivity``
-    models and multicasts to that many successors."""
+    models and multicasts to that many successors.  A node's S predecessors
+    are the ring's S most recent senders, so one ``window`` of the S latest
+    (sender, output) pairs stands for every node's queue.  Until S nodes have
+    sent since the restart, a node's queue also holds its start model, which
+    is still its ``latest_output`` as it has not activated; the window is
+    then below capacity, and its candidates end with that model.
+    """
 
     def __init__(
         self,
@@ -173,16 +179,13 @@ class BasilRing:
         self.history = TrainHistory()
         if initial_model is None:
             initial_model = task.initial_model(seed)
-        self.restart({node: initial_model for node in self.node_ids})
+        self.latest_output = {node: initial_model for node in self.node_ids}
+        self.restart()
 
-    def restart(self, models: dict[int, ModelVector]) -> None:
-        """Seed each member's FIFO and latest output with its start model."""
-        self.fifos: dict[int, StoredModels] = {}
-        self.latest_output: dict[int, ModelVector] = {}
-        for node in self.node_ids:
-            self.fifos[node] = StoredModels(self.connectivity)
-            self.fifos[node].insert(None, models[node])
-            self.latest_output[node] = models[node]
+    def restart(self) -> None:
+        """Empty the window, so every member restarts from its ``latest_output``;
+        a one-node ring is its own only sender and stores one model."""
+        self.window = StoredModels(min(self.connectivity, len(self.order)))
 
     # -- helpers ---------------------------------------------------------
 
@@ -208,19 +211,20 @@ class BasilRing:
 
     def run_round(self) -> None:
         k = self.round_idx + 1
-        width = self.connectivity
-        n = len(self.order)
         lr = self.lr_schedule(k)
         # (node, selection, train loss, output) of each benign activation; the
         # pass's outputs are scored on the test set together at its end
         benign: list[tuple[int, Selection, float, ModelVector]] = []
-        for pos, node in enumerate(self.order):
+        for node in self.order:
             X, y = local_batch(self.dataset, node, self.batch_size,
                                [self.seed, TAG_BATCH, node, k])
-            selection = basil_select(self.fifos[node], self.task, X, y)
+            candidates = self.window.entries
+            if len(self.window) < self.window.capacity:
+                candidates = [*candidates, (None, self.latest_output[node])]
+            selection = basil_select(candidates, self.task, X, y)
             self.history.selections.append(SelectionRecord(
                 k, "ring", self.group, node, self.is_benign(node),
-                selection.candidate_losses, (selection.sender,), width))
+                selection.candidate_losses, (selection.sender,), self.connectivity))
             honest = self._update(selection.model, node, k, X, y, lr)
             if self.is_benign(node):
                 out = honest
@@ -236,9 +240,7 @@ class BasilRing:
                     key=[self.seed, TAG_ATTACK, node, k],
                 )
             self.latest_output[node] = out
-            for s in range(1, width + 1):
-                target = self.order[(pos + s) % n]
-                self.fifos[target].insert(node, out)
+            self.window.insert(node, out)
         outs = [out for *_, out in benign]
         accs = (accuracy(outs, self.task, *self.test_set)
                 if self.test_set is not None else [None] * len(outs))

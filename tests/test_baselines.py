@@ -8,7 +8,7 @@ from basilsim.attacks import AttackSpec
 from basilsim.baselines import GraphDriver, build_random_graph, gossip_rule, ubar_rule
 from basilsim.basil_plus import BasilPlusDriver, _group_seed, cluster_nodes
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
-from basilsim.errors import ConfigError
+from basilsim.errors import ConfigError, NumericFaultError
 from basilsim.harness import run_experiment
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step
 from basilsim.ring import (
@@ -190,6 +190,8 @@ class TestGPlain:
         for record in driver.history.selections:
             assert record.candidates == ()
             assert record.winners == tuple(sorted(adj[record.node]))
+        # a pick with no candidates is no protocol failure
+        assert driver.history.events == []
 
 
 class TestUbar:
@@ -258,6 +260,18 @@ class TestUbar:
             assert record.stage == "graph" and record.benign
             assert set(record.winners) <= {s for s, _ in record.candidates}
         assert driver.history.counters == {} and driver.history.events == []
+
+    def test_all_infinite_pool_is_a_protocol_failure(self):
+        task, dataset = quad_setup(3)
+        driver = GraphDriver(complete_graph(3), set(), ubar_rule(rho=1.0), 0, task, dataset,
+                             batch_size=None)
+        driver.models[1] = driver.models[2] = task.make_model(np.full(3, np.inf))
+        # node 0 scores only +inf neighbours; node 1 then cannot step from +inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericFaultError):
+            driver.run_round()
+        [record] = driver.history.selections
+        assert record.node == 0 and [l for _, l in record.candidates] == [math.inf] * 2
+        assert driver.history.events == [{"event": "protocol-failure", "round": 1, "node": 0}]
 
     def test_isolated_node_rejected(self):
         task, dataset = quad_setup(2)

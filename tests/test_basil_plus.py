@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,25 @@ class TestRobustMulticast:
         driver.run_global_round()
         for value in head_values(driver).values():
             assert value == pytest.approx(3.0)
+
+
+class TestNonFiniteStagePicks:
+    def test_all_infinite_candidates_raise_a_protocol_failure(self):
+        # group 0's models are +inf, so every stage pick scores only +inf
+        driver = scalar_driver([math.inf, 2.0])
+        driver.run_global_round()
+        stage = [r for r in driver.history.selections if r.stage != "ring"]
+        assert [r.stage for r in stage] == ["aggregate", "multicast", "adopt", "adopt"]
+        assert all(loss == math.inf for r in stage for _, loss in r.candidates)
+        # each pick's failure comes before its select event
+        assert [e["event"] for e in driver.history.events] == [
+            "protocol-failure", "aggregate-select", "protocol-failure", "multicast-select",
+            "protocol-failure", "adopt-select", "protocol-failure", "adopt-select"]
+        failures = [e for e in driver.history.events if e["event"] == "protocol-failure"]
+        assert failures == [{"event": "protocol-failure", "round": 1, "node": r.node}
+                            for r in stage]
+        # the heads still adopt the pick; the events are what make it visible
+        assert all(math.isinf(v) for v in head_values(driver).values())
 
 
 def quad_group_setup(n_nodes=8, groups=2, dim=3, seed=0):

@@ -255,6 +255,18 @@ class TestRunExperiment:
         assert history(3) == history(3, connectivity=3)
         assert history(1) != history(1, connectivity=1)
 
+    def test_one_node_ring_stores_one_model_whatever_s(self, tmp_path):
+        # its only sender is itself, so any S keeps one model and one candidate
+        def run(connectivity):
+            cfg = desk_config(rounds=3, attack={"kind": "none"},
+                              ring={"nodes": 1, "byzantine": 0, "connectivity": connectivity})
+            return run_experiment(cfg, output_dir=tmp_path / str(connectivity))
+
+        wide, one = run(3), run(1)
+        assert wide.csv_path.read_bytes() == one.csv_path.read_bytes()
+        assert [len(r.candidates) for r in wide.history.selections] == [1, 1, 1]
+        assert wide.history.counters["loss_evaluations"] == 3
+
     def test_acds_augments_training_pools(self, tmp_path):
         cfg = desk_config(
             partition={"mode": "non-iid"},

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from basilsim.attacks import AttackSpec
+from basilsim.basil_plus import BasilPlusDriver
 from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
 from basilsim.models import MlpTask, QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step
@@ -190,10 +191,10 @@ class TestRunBasil:
         ring = BasilRing(range(4), frozenset(), 2, 1, task, dataset)
         history = ring.run(0)
         assert history.rows == []
+        assert len(ring.window) == 0
+        x0 = task.initial_model(1)
         for node in range(4):
-            fifo = ring.fifos[node]
-            assert len(fifo) == 1
-            assert fifo.entries[0][0] is None
+            assert np.array_equal(ring.latest_output[node].params, x0.params)
 
     def test_bit_identical_reruns(self):
         task, train, test = cluster_setup(n_nodes=5)
@@ -285,12 +286,61 @@ class TestRunBasil:
         ring = BasilRing(range(3), frozenset(), 1, 0, task, dataset, batch_size=None)
         bad = task.make_model(np.full(4, np.inf))
         first = ring.order[0]
-        ring.fifos[first] = StoredModels(capacity=1)
-        ring.fifos[first].insert(None, bad)
+        ring.latest_output[first] = bad
         with pytest.raises(NumericFaultError):
             ring.run_round()
         assert any(e["event"] == "protocol-failure" and e["node"] == first
                    for e in ring.history.events)
+
+
+def assert_candidates_are_recent_predecessors(records, orders, S, restarts):
+    """Each ring record's candidate senders are its node's nearest predecessors
+    in ``orders[group]`` that activated since the ring's last restart, at most
+    S of them, then ``None`` when fewer than S did; ``restarts(round)`` says
+    whether the rings restart before that ring round's first activation."""
+    done: dict = {}  # group -> nodes that activated since its ring's restart
+    last_round: dict = {}  # group -> ring round of its latest record
+    for record in (r for r in records if r.stage == "ring"):
+        group = record.group
+        if last_round.get(group) != record.round and restarts(record.round):
+            done[group] = set()
+        last_round[group] = record.round
+        order = orders[group]
+        pos = order.index(record.node)
+        expected = [order[(pos - j) % len(order)] for j in range(1, S + 1)]
+        expected = [node for node in expected if node in done[group]]
+        if len(expected) < S:
+            expected.append(None)
+        assert [sender for sender, _ in record.candidates] == expected, record
+        done[group].add(record.node)
+
+
+class TestCandidateSet:
+    """The candidates a node scores are those its queue of the S models last
+    multicast to it holds, under every driver that runs a ring."""
+
+    @pytest.mark.parametrize("S", [1, 3, 7])
+    def test_basil_with_a_gaussian_attacker(self, S):
+        task, train, _ = cluster_setup(n_nodes=8)
+        ring = BasilRing(range(8), sample_byzantine_ids(range(8), 2, 4), S, 4, task, train,
+                         attack=AttackSpec.make("gaussian"), batch_size=20)
+        history = ring.run(3)
+        assert len(history.selections) == 24
+        assert_candidates_are_recent_predecessors(
+            history.selections, {None: ring.order}, S, lambda k: k == 1)
+
+    @pytest.mark.parametrize("epochs", [None, 2])
+    def test_basil_plus_restarts_every_global_round(self, epochs):
+        task, train, _ = cluster_setup(n_nodes=12)
+        tau = 2
+        driver = BasilPlusDriver(2, sample_byzantine_ids(range(12), 2, 8), 3, 8, task, train,
+                                 n_nodes=12, tau=tau, attack=AttackSpec.make("gaussian"),
+                                 batch_size=20, epochs=epochs)
+        history = driver.run(2)
+        assert sum(r.stage == "ring" for r in history.selections) == 12 * tau * 2
+        assert_candidates_are_recent_predecessors(
+            history.selections, {ring.group: ring.order for ring in driver.rings}, 3,
+            lambda k: (k - 1) % tau == 0)
 
 
 def _longest_circular_run(mask):
