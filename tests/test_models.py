@@ -257,6 +257,129 @@ class TestGradientChecks:
             assert np.linalg.norm(analytic - oracle) / denom < 1e-4
 
 
+def ref_log_softmax(z):
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def ref_layers(params, shape):
+    """Each layer of an ``(S, P)`` stack as an ``(S, *dims)`` view."""
+    out, start = {}, 0
+    for name, dims in shape:
+        n = int(np.prod(dims))
+        out[name] = params[:, start:start + n].reshape((len(params),) + dims)
+        start += n
+    return out
+
+
+def ref_softmax_logits(params, shape, X):
+    layers = ref_layers(params, shape)
+    return np.matmul(X, layers["w"].transpose(0, 2, 1)) + layers["b"][:, None, :]
+
+
+def ref_softmax_gradient(model, X, y):
+    p = np.exp(ref_log_softmax(ref_softmax_logits(model.params[None], model.shape, X)[0]))
+    p[np.arange(len(y)), y] -= 1.0
+    p /= len(y)
+    return np.concatenate([(p.T @ X).ravel(), p.sum(axis=0)])
+
+
+def ref_mlp_forward(params, shape, X):
+    layers = ref_layers(params, shape)
+
+    def dense(h, name):
+        return (np.matmul(h, layers[f"{name}_w"].transpose(0, 2, 1))
+                + layers[f"{name}_b"][:, None, :])
+
+    a1 = dense(X, "fc1")
+    h1 = np.maximum(a1, 0.0)
+    a2 = dense(h1, "fc2")
+    h2 = np.maximum(a2, 0.0)
+    return a1, h1, a2, h2, dense(h2, "fc3")
+
+
+def ref_mlp_gradient(model, X, y):
+    m = len(y)
+    a1, h1, a2, h2, logits = (a[0] for a in ref_mlp_forward(model.params[None],
+                                                             model.shape, X))
+    p = np.exp(ref_log_softmax(logits))
+    p[np.arange(m), y] -= 1.0
+    p /= m
+    d2 = (p @ model.layer("fc3_w")) * (a2 > 0)
+    d1 = (d2 @ model.layer("fc2_w")) * (a1 > 0)
+    return np.concatenate([
+        (d1.T @ X).ravel(), d1.sum(axis=0), (d2.T @ h1).ravel(), d2.sum(axis=0),
+        (p.T @ h2).ravel(), p.sum(axis=0),
+    ])
+
+
+def ref_logits(task, params, shape, X):
+    if task.kind == "softmax-regression":
+        return ref_softmax_logits(params, shape, X)
+    return ref_mlp_forward(params, shape, X)[-1]
+
+
+def ref_gradient(task, model, X, y):
+    if task.kind == "softmax-regression":
+        return ref_softmax_gradient(model, X, y)
+    return ref_mlp_gradient(model, X, y)
+
+
+def models_with_zero_preactivations(task, rng):
+    """Random models, the task's initial model, and one whose first hidden
+    unit's pre-activation is feature 0 itself (zero on half the samples) and
+    whose second hidden unit's is exactly 0; for softmax, the zero model's
+    logits are all exactly 0."""
+    start = task.initial_model(0)
+    models = [start.with_params(rng.standard_normal(start.size) * 0.5) for _ in range(4)]
+    models.append(start)
+    if task.kind == "mlp-3fc":
+        params = models[0].params.copy()
+        w1 = params[models[0].layer_slices()["fc1_w"]].reshape(task.layer_dims[1], -1)
+        b1 = params[models[0].layer_slices()["fc1_b"]]
+        w1[0], b1[0] = np.eye(w1.shape[1])[0], 0.0
+        w1[1], b1[1] = 0.0, 0.0
+        models.append(start.with_params(params))
+    return models
+
+
+#: tasks pinned against the plain-numpy reference above
+REFERENCE_TASKS = [lambda: SoftmaxTask(64, 16), lambda: MlpTask((6, 100, 100, 4)),
+                   lambda: MlpTask((12, 5, 4, 3))]
+
+
+class TestDenseMathsAgainstReference:
+    """Forward, gradient and predict equal the plain-numpy formulas bit for
+    bit: candidate scoring breaks ties by position, and every run's digest
+    depends on the last digit of each step."""
+
+    @pytest.mark.parametrize("make", REFERENCE_TASKS, ids=["64-16", "6-100-100-4", "12-5-4-3"])
+    @pytest.mark.parametrize("batch", [1, 8, 80])
+    def test_losses_gradient_and_predict(self, make, batch):
+        task = make()
+        features = task.model_shape()[0][1][1]
+        rng = np.random.default_rng([batch, features])
+        X = rng.standard_normal((batch, features)) * 2.0
+        X[::2, 0] = 0.0
+        y = rng.integers(0, task.n_classes, size=batch)
+        models = models_with_zero_preactivations(task, rng)
+        if task.kind == "mlp-3fc":
+            a1 = ref_mlp_forward(models[-1].params[None], models[-1].shape, X)[0][0]
+            assert (a1[::2, 0] == 0).all() and (a1[:, 1] == 0).all()
+        shape = models[0].shape
+        for count in (1, 3, len(models)):
+            stack = np.array([m.params for m in models[:count]])
+            logp = ref_log_softmax(ref_logits(task, stack, shape, X))
+            want = -logp[:, np.arange(batch), y]
+            assert np.array_equal(task.stacked_losses(stack, shape, X, y), want)
+        for model in models:
+            assert np.array_equal(task.gradient(model, X, y),
+                                  ref_gradient(task, model, X, y))
+            assert np.array_equal(task.predict(model, X),
+                                  ref_logits(task, model.params[None], shape, X)[0]
+                                  .argmax(axis=1))
+
+
 class TestSmoothnessWitness:
     def test_descent_at_inverse_smoothness_is_monotone(self):
         rng = np.random.default_rng(3)
