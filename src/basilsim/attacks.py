@@ -74,8 +74,7 @@ def hidden_attack(benign_models: list[ModelVector]) -> ModelVector:
     """
     if not benign_models:
         raise ConfigError("hidden attack needs at least one benign model")
-    for m in benign_models[1:]:
-        require_composable(benign_models[0], m)
+    require_composable(*benign_models)
     stacked = np.stack([m.params for m in benign_models])
     mu = stacked.mean(axis=0)
     eps = float(np.linalg.norm(stacked - mu, axis=1).max())

@@ -76,7 +76,7 @@ class TrainHistory:
         for s in self.selections:
             if s.candidates and all(loss == math.inf for _, loss in s.candidates):
                 events.append({"event": "protocol-failure", "round": s.round,
-                               "node": s.node})
+                               "stage": s.stage, "group": s.group, "node": s.node})
             if s.benign and s.stage not in ("ring", "graph"):
                 events.append({"event": f"{s.stage}-select", "round": s.round,
                                "group": s.group, "node": s.node, "sender": s.winners[0],

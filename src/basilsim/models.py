@@ -44,11 +44,12 @@ def _layout(shape: LayerShape) -> _Layout:
     return _Layout(MappingProxyType(slices), MappingProxyType(dict(shape)), start)
 
 
-def _stack_layers(params: np.ndarray, shape: LayerShape) -> dict[str, np.ndarray]:
-    """Each layer of an ``(S, P)`` parameter stack as an ``(S, *dims)`` view."""
+def _stack_layers(params: np.ndarray, shape: LayerShape) -> list[np.ndarray]:
+    """Each layer of an ``(S, P)`` parameter stack as an ``(S, *dims)`` view,
+    in shape order."""
     layout = _layout(shape)
-    return {name: params[:, sl].reshape((len(params),) + layout.dims[name])
-            for name, sl in layout.slices.items()}
+    return [params[:, sl].reshape((len(params),) + layout.dims[name])
+            for name, sl in layout.slices.items()]
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,17 @@ class ModelVector:
         return self.params[layout.slices[name]].reshape(layout.dims[name])
 
 
-def require_composable(a: ModelVector, b: ModelVector) -> None:
-    if a.shape != b.shape:
-        raise ConfigError(f"model shapes differ: {a.shape} vs {b.shape}")
+def require_composable(*models: ModelVector) -> None:
+    """Raise unless all ``models`` share the first one's shape."""
+    for m in models[1:]:
+        if m.shape != models[0].shape:
+            raise ConfigError(f"model shapes differ: {models[0].shape} vs {m.shape}")
 
 
 def average_models(models: list[ModelVector]) -> ModelVector:
     if not models:
         raise ConfigError("cannot average an empty model list")
-    for m in models[1:]:
-        require_composable(models[0], m)
+    require_composable(*models)
     stacked = np.stack([m.params for m in models])
     return models[0].with_params(stacked.mean(axis=0))
 
@@ -198,9 +200,63 @@ class QuadraticTask(LossTask):
         raise ConfigError("quadratic task has no labels to predict")
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+class DenseTask(LossTask):
+    """Dense network: the (weight, bias) pairs of ``model_shape()`` in order,
+    a ReLU between layers, softmax cross-entropy on the last one's logits."""
+
+    @staticmethod
+    def _forward(layers: list[np.ndarray], X: np.ndarray) -> list[np.ndarray]:
+        """Each layer's ``(S, B, width)`` output, the logits last, for
+        ``layers`` alternating ``(S, width, fan_in)`` weight and ``(S, width)``
+        bias stacks.
+
+        The 3-D matmul runs one gemm per model on the operands of a lone
+        model's ``h @ w.T``, so every slice is bit-identical to it; one
+        ``(B, S*width)`` product is not.
+        """
+        outputs, h = [], X
+        last = len(layers) - 2
+        for i in range(0, len(layers), 2):
+            h = np.matmul(h, layers[i].transpose(0, 2, 1)) + layers[i + 1][:, None, :]
+            if i < last:
+                np.maximum(h, 0.0, out=h)  # ReLU
+            outputs.append(h)
+        return outputs
+
+    def stacked_losses(self, params, shape, X, y):
+        logits = self._forward(_stack_layers(params, shape), X)[-1]
+        return -_log_softmax(logits)[:, np.arange(len(y)), y]
+
+    def gradient(self, model, X, y):
+        self._check_batch(X, y)
+        layers = _stack_layers(model.params[None], model.shape)
+        *hidden, logits = self._forward(layers, X)
+        delta = np.exp(_log_softmax(logits[0]))
+        delta[np.arange(len(y)), y] -= 1.0
+        delta /= len(y)
+        # backward from the last layer; a ReLU output is > 0 exactly where its
+        # pre-activation is, NaN included
+        inputs = [X] + [h[0] for h in hidden]
+        grads = []
+        for k in range(len(inputs) - 1, -1, -1):
+            grads += [delta.sum(axis=0), (delta.T @ inputs[k]).ravel()]
+            if k:
+                delta = (delta @ layers[2 * k][0]) * (inputs[k] > 0)
+        return np.concatenate(grads[::-1])
+
+    def predict(self, model, X):
+        logits = self._forward(_stack_layers(model.params[None], model.shape), X)[-1]
+        return logits[0].argmax(axis=1)
+
+
 @dataclass
-class SoftmaxTask(LossTask):
-    """Multinomial logistic regression (softmax) with cross-entropy loss."""
+class SoftmaxTask(DenseTask):
+    """Multinomial logistic regression: the dense network with no hidden layer."""
 
     n_features: int
     n_classes: int
@@ -214,46 +270,13 @@ class SoftmaxTask(LossTask):
         n = self.n_classes * self.n_features + self.n_classes
         return ModelVector(np.zeros(n), self.model_shape())
 
-    @staticmethod
-    def _logits(params: np.ndarray, shape: LayerShape, X: np.ndarray) -> np.ndarray:
-        """``(S, B, C)`` logits of an ``(S, P)`` parameter stack.
-
-        The 3-D matmul runs one gemm per model on the operands of a lone
-        model's ``X @ w.T``, so every slice is bit-identical to it; one
-        ``(B, S*C)`` product is not.
-        """
-        layers = _stack_layers(params, shape)
-        return np.matmul(X, layers["w"].transpose(0, 2, 1)) + layers["b"][:, None, :]
-
-    @staticmethod
-    def _log_softmax(z: np.ndarray) -> np.ndarray:
-        z = z - z.max(axis=-1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-    def stacked_losses(self, params, shape, X, y):
-        logp = self._log_softmax(self._logits(params, shape, X))
-        return -logp[:, np.arange(len(y)), y]
-
-    def gradient(self, model, X, y):
-        self._check_batch(X, y)
-        logp = self._log_softmax(self._logits(model.params[None], model.shape, X)[0])
-        p = np.exp(logp)
-        p[np.arange(len(y)), y] -= 1.0
-        p /= len(y)
-        grad_w = p.T @ X
-        grad_b = p.sum(axis=0)
-        return np.concatenate([grad_w.ravel(), grad_b])
-
-    def predict(self, model, X):
-        return self._logits(model.params[None], model.shape, X)[0].argmax(axis=1)
-
 
 #: layer sizes of the small fully-connected MNIST-scale network
 MLP_LAYERS = (784, 100, 100, 10)
 
 
 @dataclass
-class MlpTask(LossTask):
+class MlpTask(DenseTask):
     """Three fully-connected layers, ReLU on the first two, softmax output.
 
     Weights initialise from a seeded uniform in +-1/sqrt(fan_in), biases zero.
@@ -287,51 +310,6 @@ class MlpTask(LossTask):
                 parts.append(rng.uniform(-bound, bound, size=int(np.prod(dims))))
         return ModelVector(np.concatenate(parts), self.model_shape())
 
-    @staticmethod
-    def _forward(params: np.ndarray, shape: LayerShape, X: np.ndarray):
-        """Pre-activations, activations and logits of an ``(S, P)`` parameter
-        stack, each ``(S, B, width)``; one gemm per model and layer, as in
-        :meth:`SoftmaxTask._logits`."""
-        layers = _stack_layers(params, shape)
-
-        def dense(h, name):
-            return (np.matmul(h, layers[f"{name}_w"].transpose(0, 2, 1))
-                    + layers[f"{name}_b"][:, None, :])
-
-        a1 = dense(X, "fc1")
-        h1 = np.maximum(a1, 0.0)
-        a2 = dense(h1, "fc2")
-        h2 = np.maximum(a2, 0.0)
-        logits = dense(h2, "fc3")
-        return a1, h1, a2, h2, logits
-
-    def stacked_losses(self, params, shape, X, y):
-        logp = SoftmaxTask._log_softmax(self._forward(params, shape, X)[-1])
-        return -logp[:, np.arange(len(y)), y]
-
-    def gradient(self, model, X, y):
-        self._check_batch(X, y)
-        m = len(y)
-        a1, h1, a2, h2, logits = (
-            a[0] for a in self._forward(model.params[None], model.shape, X))
-        p = np.exp(SoftmaxTask._log_softmax(logits))
-        p[np.arange(m), y] -= 1.0
-        p /= m
-        g3_w = p.T @ h2
-        g3_b = p.sum(axis=0)
-        d2 = (p @ model.layer("fc3_w")) * (a2 > 0)
-        g2_w = d2.T @ h1
-        g2_b = d2.sum(axis=0)
-        d1 = (d2 @ model.layer("fc2_w")) * (a1 > 0)
-        g1_w = d1.T @ X
-        g1_b = d1.sum(axis=0)
-        return np.concatenate([
-            g1_w.ravel(), g1_b, g2_w.ravel(), g2_b, g3_w.ravel(), g3_b,
-        ])
-
-    def predict(self, model, X):
-        return self._forward(model.params[None], model.shape, X)[-1][0].argmax(axis=1)
-
 
 def evaluate_loss(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
     """Mean per-sample loss of ``model`` on the batch, +inf for a non-finite model."""
@@ -350,8 +328,7 @@ def evaluate_losses(
     """
     if not models:
         return []
-    for m in models[1:]:
-        require_composable(models[0], m)
+    require_composable(*models)
     task._check_batch(X, y)
     # np.array copies equal-length rows into one block faster than np.stack
     stack = np.array([m.params for m in models])
@@ -435,8 +412,7 @@ def accuracy(
     """
     if not models:
         return []
-    for m in models[1:]:
-        require_composable(models[0], m)
+    require_composable(*models)
     C, B = task.n_classes, len(y)
     if not (isinstance(task, SoftmaxTask) and B and 0 <= y.min() and y.max() < C):
         return [_reference_accuracy(m, task, X, y) for m in models]
@@ -451,8 +427,7 @@ def accuracy(
     w_sq, b_max, hits, closest = (np.empty(len(models)) for _ in range(4))
     for start in range(0, len(models), per_chunk):
         part = slice(start, start + per_chunk)
-        layers = _stack_layers(np.array([m.params for m in models[part]]), models[0].shape)
-        w, b = layers["w"], layers["b"]
+        w, b = _stack_layers(np.array([m.params for m in models[part]]), models[0].shape)
         s = len(w)
         w_sq[part] = np.einsum("scd,scd->sc", w, w).max(axis=1)
         b_max[part] = np.abs(b).max(axis=1)

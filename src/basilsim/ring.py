@@ -87,7 +87,7 @@ def basil_select(
 
     All candidates are scored in one stacked forward pass.  Non-finite models
     score +inf so the rule stays total; exact ties go to the earliest
-    candidate (a FIFO iterates newest first).
+    candidate (the ring's window lists them newest first).
     """
     candidates = list(candidates)
     if not candidates:

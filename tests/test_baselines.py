@@ -271,7 +271,8 @@ class TestUbar:
             driver.run_round()
         [record] = driver.history.selections
         assert record.node == 0 and [l for _, l in record.candidates] == [math.inf] * 2
-        assert driver.history.events == [{"event": "protocol-failure", "round": 1, "node": 0}]
+        assert driver.history.events == [{"event": "protocol-failure", "round": 1,
+                                          "stage": "graph", "group": None, "node": 0}]
 
     def test_isolated_node_rejected(self):
         task, dataset = quad_setup(2)

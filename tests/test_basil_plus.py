@@ -139,8 +139,11 @@ class TestNonFiniteStagePicks:
             "protocol-failure", "aggregate-select", "protocol-failure", "multicast-select",
             "protocol-failure", "adopt-select", "protocol-failure", "adopt-select"]
         failures = [e for e in driver.history.events if e["event"] == "protocol-failure"]
-        assert failures == [{"event": "protocol-failure", "round": 1, "node": r.node}
-                            for r in stage]
+        assert failures == [{"event": "protocol-failure", "round": 1, "stage": r.stage,
+                             "group": r.group, "node": r.node} for r in stage]
+        # group 1's tail aggregates, group 0's tail multicasts, each group's head adopts
+        assert [(e["stage"], e["group"]) for e in failures] == [
+            ("aggregate", 1), ("multicast", 0), ("adopt", 0), ("adopt", 1)]
         # the heads still adopt the pick; the events are what make it visible
         assert all(math.isinf(v) for v in head_values(driver).values())
 

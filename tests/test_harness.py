@@ -590,7 +590,7 @@ def test_perfbench_byzantine_set_matches_the_seeded_placement(tmp_path):
     assert seeded.csv_path.read_bytes() == given.csv_path.read_bytes()
 
 
-@pytest.mark.parametrize("workload", ["ring-desk", "grouped-noniid"])
+@pytest.mark.parametrize("workload", ["ring-desk", "grouped-noniid", "ring-mlp"])
 def test_perfbench_smoke_reads_the_run_counters(workload):
     # the benchmark reads the history's counters and traces the drivers by
     # name; a traced smoke run must pass its checks and see the ring's work

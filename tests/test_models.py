@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import basilsim.models as models_mod
+from basilsim.attacks import hidden_attack
 from basilsim.errors import ConfigError, NumericFaultError
 from basilsim.models import (
     MlpTask,
@@ -222,8 +223,14 @@ class TestEvaluateLosses:
         a = SoftmaxTask(6, 4).initial_model(0)
         b = SoftmaxTask(4, 6).initial_model(0)
         X, y = np.zeros((3, 6)), np.zeros(3, dtype=int)
-        with pytest.raises(ConfigError, match="shapes differ"):
-            evaluate_losses([a, b], SoftmaxTask(6, 4), X, y)
+        # every caller of the one shape check, with the odd model last or first
+        for models in ([a, b], [a, a, b], [b, a, a]):
+            for check in (lambda: evaluate_losses(models, SoftmaxTask(6, 4), X, y),
+                          lambda: accuracy(models, SoftmaxTask(6, 4), X, y),
+                          lambda: average_models(models),
+                          lambda: hidden_attack(models)):
+                with pytest.raises(ConfigError, match=r"model shapes differ: .* vs .*"):
+                    check()
 
     def test_empty_batch_raises(self):
         task = SoftmaxTask(6, 4)
@@ -357,7 +364,7 @@ class TestDenseMathsAgainstReference:
     @pytest.mark.parametrize("batch", [1, 8, 80])
     def test_losses_gradient_and_predict(self, make, batch):
         task = make()
-        features = task.model_shape()[0][1][1]
+        features = task.model_shape()[0][1][1]  # the first weight is (width, features)
         rng = np.random.default_rng([batch, features])
         X = rng.standard_normal((batch, features)) * 2.0
         X[::2, 0] = 0.0

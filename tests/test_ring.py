@@ -290,7 +290,7 @@ class TestRunBasil:
         with pytest.raises(NumericFaultError):
             ring.run_round()
         assert any(e["event"] == "protocol-failure" and e["node"] == first
-                   for e in ring.history.events)
+                   and e["stage"] == "ring" for e in ring.history.events)
 
 
 def assert_candidates_are_recent_predecessors(records, orders, S, restarts):
