@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ from basilsim.acds import (
     plan_acds,
     run_acds,
 )
-from basilsim.data import Dataset, flag_sensitive_by_class, partition
+from basilsim.data import Dataset, flag_sensitive_by_class, make_cluster_dataset, partition
 from basilsim.errors import ConfigError
 
 
@@ -209,6 +211,40 @@ class TestAnonymity:
                             if s in plan.node_batches[m][0].sample_ids
                         ]
                         assert owners and group.index(owners[0]) < pos
+
+
+#: sha256 of pool_json at the benchmark's ACDS shape, per seed
+POOL_DIGESTS = {
+    6: "6f558b1e2e478a048d9679ad5de531ec3f2db6e64582a491d93948d2de146dc0",
+    2027: "9095e3afe2f45d791043696943b9d67b0a692b34c56e1cfcd13ca4fed82b27a2",
+}
+
+
+def pool_json(seed):
+    """Canonical JSON of a pool at N=100, G=4, alpha=0.1, H=4, D=200: the
+    summary, each node's received ids, dummy count and pre-dummy missing set,
+    and the anonymity level of every sample received by four nodes a group."""
+    N, D = 100, 200
+    ds = partition(make_cluster_dataset(N * D, 10, 8, 2.0, seed), N, "iid", seed)
+    plan = plan_acds(ds, range(N), G=4, alpha=0.1, H=4, seed=seed)
+    pool = run_acds(plan, shuffle_seed=seed)
+    n = plan.group_size
+    spread = [g[pos] for g in plan.groups for pos in (0, 1, n // 2, n - 1)]
+    out = {
+        "summary": pool.summary(24500, 1e8),
+        "nodes": {str(node): [pool.received_ids(node), pool.dummy_sample_count(node),
+                              sorted(pool.pre_dummy_missing[node])]
+                  for node in range(N)},
+        "anonymity": {str(node): [anonymity_level(pool, node, s)
+                                  for s in pool.received_ids(node)] for node in spread},
+    }
+    return json.dumps(out, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", sorted(POOL_DIGESTS))
+def test_pool_is_pinned(seed):
+    digest = hashlib.sha256(pool_json(seed).encode()).hexdigest()
+    assert digest == POOL_DIGESTS[seed]
 
 
 class TestCostAccounting:
