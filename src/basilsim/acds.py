@@ -7,8 +7,9 @@ final dummy pass (placeholder batches, first ``n-2`` nodes forwarding)
 delivers the last-round batches to the nodes that still miss them, then each
 group's first node multicasts the gathered set to every other group.
 
-The simulator keeps an omniscient provenance ledger (candidate-owner sets)
-that protocol participants never see; anonymity queries read that ledger.
+The simulator keeps an omniscient delivery ledger per node, each stored batch
+with its candidate-owner set, that protocol participants never see;
+anonymity queries read that ledger.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ class AcdsPlan:
     @property
     def group_size(self) -> int:
         return len(self.groups[0])
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_groups * self.group_size
 
     @property
     def actual_shared_fraction(self) -> float:
@@ -129,33 +126,29 @@ class SharedPool:
     """Omniscient record of what every node received, sent, and could infer."""
 
     plan: AcdsPlan
-    stored_batches: dict[int, list[DataBatch]] = field(default_factory=dict)
-    provenance: dict[int, dict[int, frozenset[int]]] = field(default_factory=dict)
-    uploaded_samples: dict[int, int] = field(default_factory=dict)
-    global_downloaded_samples: dict[int, int] = field(default_factory=dict)
+    # per node, each stored batch with its candidate owners, in delivery order
+    stored: dict[int, list[tuple[DataBatch, frozenset[int]]]] = field(default_factory=dict)
+    # per node, the samples the closed-form cost model counts: all uploads plus
+    # downloads during the global-sharing phase
+    cost_samples: dict[int, int] = field(default_factory=dict)
     pre_dummy_missing: dict[int, frozenset[tuple[int, int]]] = field(default_factory=dict)
 
     def received_ids(self, node: int) -> list[int]:
-        return [
-            s for b in self.stored_batches[node] if not b.dummy for s in b.sample_ids
-        ]
+        return [s for b, _ in self.stored[node] if not b.dummy for s in b.sample_ids]
 
     def dummy_sample_count(self, node: int) -> int:
-        return sum(len(b) for b in self.stored_batches[node] if b.dummy)
-
-    def comm_cost_samples(self, node: int) -> int:
-        """Sample-count ledger matching the closed-form cost model: all uploads
-        plus downloads during the global-sharing phase."""
-        return self.uploaded_samples[node] + self.global_downloaded_samples[node]
+        return sum(len(b) for b, _ in self.stored[node] if b.dummy)
 
     def comm_cost_bits(self, node: int, bits_per_sample: int) -> int:
-        return self.comm_cost_samples(node) * bits_per_sample
+        return self.cost_samples[node] * bits_per_sample
 
     def anonymity_histogram(self) -> dict[int, int]:
+        """Received (non-dummy) samples per candidate-owner count."""
         hist: dict[int, int] = {}
-        for per_node in self.provenance.values():
-            for cands in per_node.values():
-                hist[len(cands)] = hist.get(len(cands), 0) + 1
+        for stored in self.stored.values():
+            for b, cands in stored:
+                if not b.dummy:
+                    hist[len(cands)] = hist.get(len(cands), 0) + len(b)
         return dict(sorted(hist.items()))
 
     def summary(self, bits_per_sample: int | None = None, bandwidth: float | None = None) -> dict:
@@ -167,14 +160,14 @@ class SharedPool:
             "batch_size": plan.batch_size,
             "batches_per_node": plan.n_batches,
             "received_counts": {
-                str(i): len(self.received_ids(i)) for i in sorted(self.stored_batches)
+                str(i): len(self.received_ids(i)) for i in sorted(self.stored)
             },
             "anonymity_histogram": {str(k): v for k, v in self.anonymity_histogram().items()},
         }
         if bits_per_sample is not None:
             out["comm_cost_bits"] = {
                 str(i): self.comm_cost_bits(i, bits_per_sample)
-                for i in sorted(self.stored_batches)
+                for i in sorted(self.stored)
             }
             out["worst_case_cost_bits"] = acds_comm_cost(
                 plan.actual_shared_fraction, plan.local_data_size, bits_per_sample,
@@ -193,10 +186,8 @@ def run_acds(plan: AcdsPlan, shuffle_seed: int = 0) -> SharedPool:
     pool = SharedPool(plan)
     all_nodes = [i for g in plan.groups for i in g]
     for node in all_nodes:
-        pool.stored_batches[node] = []
-        pool.provenance[node] = {}
-        pool.uploaded_samples[node] = 0
-        pool.global_downloaded_samples[node] = 0
+        pool.stored[node] = []
+        pool.cost_samples[node] = 0
 
     H, M, n = plan.n_batches, plan.batch_size, plan.group_size
     position = {node: i for i, node in enumerate(all_nodes)}
@@ -208,10 +199,7 @@ def run_acds(plan: AcdsPlan, shuffle_seed: int = 0) -> SharedPool:
         if delivered[mark]:
             raise AssertionError(f"batch {batch.key} delivered twice to node {node}")
         delivered[mark] = True
-        pool.stored_batches[node].append(batch)
-        if not batch.dummy:
-            for s in batch.sample_ids:
-                pool.provenance[node][s] = candidates
+        pool.stored[node].append((batch, candidates))
 
     for gid, group in enumerate(plan.groups):
         rng = np.random.default_rng([int(shuffle_seed), TAG_SHUFFLE, gid])
@@ -233,12 +221,12 @@ def run_acds(plan: AcdsPlan, shuffle_seed: int = 0) -> SharedPool:
             for pos, node in enumerate(group):
                 cand = frozenset(group[:pos]) if h == 1 else frozenset(group) - {node}
                 pass_through(node, plan.node_batches[node][h - 1], h - 1, cand)
-                pool.uploaded_samples[node] += sum(len(b) for b in shared)
+                pool.cost_samples[node] += sum(len(b) for b in shared)
 
         all_keys = {b.key for m in group for b in plan.node_batches[m]}
         for node in group:
             mine = {b.key for b in plan.node_batches[node]}
-            have = {b.key for b in pool.stored_batches[node] if not b.dummy}
+            have = {b.key for b, _ in pool.stored[node] if not b.dummy}
             pool.pre_dummy_missing[node] = frozenset(all_keys - mine - have)
 
         # dummy pass: first n-1 nodes receive and store, first n-2 forward
@@ -246,19 +234,19 @@ def run_acds(plan: AcdsPlan, shuffle_seed: int = 0) -> SharedPool:
             cand = frozenset(group) - {node}
             pass_through(node, _dummy_batch(node, H, M), H, cand)
             if pos < n - 2:
-                pool.uploaded_samples[node] += sum(len(b) for b in shared)
+                pool.cost_samples[node] += sum(len(b) for b in shared)
 
     # global sharing: each group's first node multicasts all the group's batches
     for gid, group in enumerate(plan.groups):
         leader = group[0]
         content = [b for node in group for b in plan.node_batches[node]]
-        pool.uploaded_samples[leader] += sum(len(b) for b in content)
+        pool.cost_samples[leader] += sum(len(b) for b in content)
         cand = frozenset(group)
         for other_gid, other_group in enumerate(plan.groups):
             if other_gid == gid:
                 continue
             for node in other_group:
-                pool.global_downloaded_samples[node] += sum(len(b) for b in content)
+                pool.cost_samples[node] += sum(len(b) for b in content)
                 for b in content:
                     store(node, b, cand)
     return pool
@@ -266,10 +254,10 @@ def run_acds(plan: AcdsPlan, shuffle_seed: int = 0) -> SharedPool:
 
 def anonymity_level(pool: SharedPool, node: int, sample_id: int) -> int:
     """Number of equally likely candidate owners for a received data point."""
-    try:
-        return len(pool.provenance[node][sample_id])
-    except KeyError:
-        raise ConfigError(f"sample {sample_id} was not received by node {node}") from None
+    for b, cands in pool.stored[node]:
+        if not b.dummy and sample_id in b.sample_ids:
+            return len(cands)
+    raise ConfigError(f"sample {sample_id} was not received by node {node}")
 
 
 def _rat(x: float) -> Fraction:

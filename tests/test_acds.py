@@ -86,7 +86,7 @@ class TestRun:
         # after the dummy pass nobody misses anything
         for node in g:
             mine = {b.key for b in plan.node_batches[node]}
-            have = {b.key for b in pool.stored_batches[node] if not b.dummy}
+            have = {b.key for b, _ in pool.stored[node] if not b.dummy}
             everything = {b.key for m in g for b in plan.node_batches[m]}
             assert everything - mine - have == set()
 
@@ -128,7 +128,7 @@ class TestRun:
         pool = run_acds(plan)
         for node in range(6):
             own = {b.key for b in plan.node_batches[node]}
-            stored = {b.key for b in pool.stored_batches[node]}
+            stored = {b.key for b, _ in pool.stored[node]}
             assert own.isdisjoint(stored)
 
     def test_shuffle_seed_never_changes_the_multiset(self):
@@ -203,9 +203,11 @@ class TestAnonymity:
         for group in plan.groups:
             for node in group:
                 pos = group.index(node)
-                for s, cands in pool.provenance[node].items():
-                    if len(cands) < n - 1:
-                        # must be a round-1 batch from a predecessor
+                for b, cands in pool.stored[node]:
+                    if b.dummy or len(cands) >= n - 1:
+                        continue
+                    # must be a round-1 batch from a predecessor
+                    for s in b.sample_ids:
                         owners = [
                             m for m in group
                             if s in plan.node_batches[m][0].sample_ids
