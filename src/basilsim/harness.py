@@ -314,8 +314,14 @@ def _apply_acds(cfg: dict, dataset: Dataset, manifest: dict) -> Dataset:
         return dataset
     if "sensitive_gamma" in ac:
         dataset = flag_sensitive_by_class(dataset, float(ac["sensitive_gamma"]))
-    plan = acds_mod.plan_acds(dataset, sorted(dataset.partition), ac["groups"], ac["alpha"],
-                              ac["batches"], cfg["seed"])
+    try:
+        plan = acds_mod.plan_acds(dataset, sorted(dataset.partition), ac["groups"],
+                                  ac["alpha"], ac["batches"], cfg["seed"])
+    except ConfigError as exc:
+        # validate_config checks the rest: only the per-node size, known once
+        # partitioned, can still empty a batch or starve a node of shareable samples
+        field = "acds.sensitive_gamma" if "non-sensitive" in str(exc) else "acds.alpha"
+        raise ConfigError(f"{field}: {exc}") from exc
     pool = acds_mod.run_acds(plan, shuffle_seed=cfg["seed"])
     augmented = {
         node: np.sort(np.concatenate([

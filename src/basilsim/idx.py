@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -20,30 +21,29 @@ def _read_exact(buf: bytes, offset: int, n: int, what: str) -> bytes:
     return buf[offset:offset + n]
 
 
-def read_idx_images(path: str | Path) -> np.ndarray:
-    """Return (n, rows, cols) uint8 pixels from an IDX image file."""
+def _read_idx(path: str | Path, ndim: int, what: str) -> np.ndarray:
+    """The uint8 array of an IDX file of ``ndim`` dimensions: magic
+    ``0x0800 + ndim``, big-endian dimensions, then exactly their payload."""
     buf = Path(path).read_bytes()
     magic = struct.unpack(">I", _read_exact(buf, 0, 4, "magic number"))[0]
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(f"bad image magic 0x{magic:08x}", 0)
-    n, rows, cols = struct.unpack(">III", _read_exact(buf, 4, 12, "image header"))
-    data = _read_exact(buf, 16, n * rows * cols, "pixel data")
-    if len(buf) != 16 + n * rows * cols:
-        raise IdxFormatError("trailing bytes after pixel data", 16 + n * rows * cols)
-    return np.frombuffer(data, dtype=np.uint8).reshape(n, rows, cols)
+    if magic != 0x0800 + ndim:
+        raise IdxFormatError(f"bad {what} magic 0x{magic:08x}", 0)
+    dims = struct.unpack(f">{ndim}I", _read_exact(buf, 4, 4 * ndim, f"{what} header"))
+    start, size = 4 + 4 * ndim, math.prod(dims)
+    data = _read_exact(buf, start, size, f"{what} data")
+    if len(buf) != start + size:
+        raise IdxFormatError(f"trailing bytes after {what} data", start + size)
+    return np.frombuffer(data, dtype=np.uint8).reshape(dims)
+
+
+def read_idx_images(path: str | Path) -> np.ndarray:
+    """Return (n, rows, cols) uint8 pixels from an IDX image file."""
+    return _read_idx(path, 3, "image")
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
     """Return (n,) uint8 labels from an IDX label file."""
-    buf = Path(path).read_bytes()
-    magic = struct.unpack(">I", _read_exact(buf, 0, 4, "magic number"))[0]
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(f"bad label magic 0x{magic:08x}", 0)
-    n = struct.unpack(">I", _read_exact(buf, 4, 4, "label count"))[0]
-    data = _read_exact(buf, 8, n, "label data")
-    if len(buf) != 8 + n:
-        raise IdxFormatError("trailing bytes after label data", 8 + n)
-    return np.frombuffer(data, dtype=np.uint8)
+    return _read_idx(path, 1, "label")
 
 
 def idx_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:

@@ -81,6 +81,11 @@ MALFORMED = {
     "graph": {"scheme": "ubar", "graph": 5},
     "acds.sensitive_gamma": {"acds": {**ACDS, "sensitive_gamma": "x"}},
     "acds.sensitive_gamma=2": {"acds": {**ACDS, "sensitive_gamma": 2}},
+    # found once partitioned, at 50 samples a node: 0.001 * 50 / 2 rounds
+    # down to an empty batch, and with every class sensitive no node can
+    # share its 2 samples
+    "acds.alpha=0.001": {"acds": {**ACDS, "alpha": 0.001}},
+    "acds.sensitive_gamma=0": {"acds": {**ACDS, "alpha": 0.05, "sensitive_gamma": 0}},
     "output.dir": {"output": {"dir": 5}},
     "dataset_typo": {"dataset_typo": 1},
     "ring.conectivity": {"ring": {"nodes": 8, "byzantine": 2, "connectivity": 3,
@@ -364,8 +369,10 @@ class TestCli:
     def test_malformed_field_exit_code_names_the_field(self, tmp_path, capsys, name):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(desk_config(**MALFORMED[name])))
-        assert cli_main(["run", str(cfg_path)]) == 2
+        out = tmp_path / "out"
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(out)]) == 2
         assert name.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["basil", "basil-plus", "r-plain", "r-plain-plus",
                                         "g-plain", "ubar"])
@@ -590,10 +597,22 @@ def test_perfbench_byzantine_set_matches_the_seeded_placement(tmp_path):
     assert seeded.csv_path.read_bytes() == given.csv_path.read_bytes()
 
 
-@pytest.mark.parametrize("workload", ["ring-desk", "grouped-noniid", "ring-mlp"])
+_RING_COUNTERS = ("ring.loss_evaluations", "ring.models_sent", "ring.fifo_inserts")
+#: per workload, the traced metrics a smoke run must see nonzero; analysis is
+#: the benchmark's caller of the ACDS API (plan, run, received ids,
+#: anonymity levels, costs and the summary)
+SMOKE_METRICS = {
+    "ring-desk": _RING_COUNTERS,
+    "grouped-noniid": _RING_COUNTERS + ("basil_plus.stage_select.calls",),
+    "ring-mlp": _RING_COUNTERS,
+    "analysis": ("acds.run_acds.s",),
+}
+
+
+@pytest.mark.parametrize("workload", SMOKE_METRICS)
 def test_perfbench_smoke_reads_the_run_counters(workload):
     # the benchmark reads the history's counters and traces the drivers by
-    # name; a traced smoke run must pass its checks and see the ring's work
+    # name; a traced smoke run must pass its checks and see the work
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0",
@@ -602,7 +621,5 @@ def test_perfbench_smoke_reads_the_run_counters(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    for name in ("ring.loss_evaluations", "ring.models_sent", "ring.fifo_inserts"):
+    for name in SMOKE_METRICS[workload]:
         assert metrics[name] > 0, name
-    if workload == "grouped-noniid":
-        assert metrics["basil_plus.stage_select.calls"] > 0
