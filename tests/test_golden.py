@@ -63,6 +63,13 @@ CONFIGS = {
     # the graph round's benign pool
     "basil-sign-flip": base_config("basil", attack={"kind": "random-sign-flip"}),
     "ubar-hidden": base_config("ubar", attack={"kind": "hidden", "activation_round": 1}),
+    # the hidden attack is inactive in round 1, so the Byzantine nodes select
+    # and step like benign ones, and active from round 2 on
+    "basil-hidden": base_config("basil", attack={"kind": "hidden", "activation_round": 2}),
+    # the inverse attack reads the honest update and the prior; at connectivity
+    # one each node adopts its predecessor's output, so the history reads it too
+    "basil-inverse": base_config("basil", ring={"nodes": 8, "byzantine": 2, "connectivity": 1},
+                                 attack={"kind": "inverse"}),
 }
 
 #: name -> (history.csv, series.csv, counters and events, manifest.json)
@@ -156,6 +163,18 @@ GOLDENS = {
         "7a088645ad0f16394666069d0dc327175617d4da704b67430e8524b0de0d9994",
         "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
         "85df76e86c88ffc24bda3ee6a2d386d66847017f0f75accd0fb1a2e71b1bee67",
+    ),
+    "basil-hidden": (
+        "772a728ca188d37c87a7542b7504ec8659d1d779314c5f799b40dc1088cf3609",
+        "9355e4394c289efcbef8cb5f45ff23add8c15288ba48f5fb1fbd8f27613685d2",
+        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
+        "77f75f1fd89f77b50028df45a041c00a636e56363b555abf48a93d8cbf185231",
+    ),
+    "basil-inverse": (
+        "b303fd33a6bddfbf52857d7be5bbc97e8b7e79608e54fe1a6983ed551746aef6",
+        "216dcd31b6e811b38e8043b7442199ec782cc4ef6cef5ed55a60e83dd4624878",
+        "ad4c9193bc2e5f30bdf908397061eae3274c3c12e25fa5570548d6182dfd7055",
+        "4be85098904d9b1cc262b98986809e161ec67277ab598a186a2d169981f839cc",
     ),
 }
 
