@@ -3,7 +3,9 @@
 Every attack is a pure function of its inputs and an explicit RNG, so runs
 stay reproducible.  ``apply_attack`` is the dispatcher the protocol loops
 call in place of a benign node's honest update; it draws the random attacks
-from a generator seeded by the caller's key.
+from a generator seeded by the caller's key.  ``ignores_honest_update`` says
+when that output reads neither the honest update nor the prior, so that a
+driver need not compute them.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ def inverse_attack(honest_update: ModelVector, prior: ModelVector) -> ModelVecto
     """Reflect the honest step about the prior: ``prior - (honest - prior)``."""
     require_composable(honest_update, prior)
     return prior.with_params(2.0 * prior.params - honest_update.params)
+
+
+def ignores_honest_update(
+    spec: AttackSpec, *, benign_models: list[ModelVector], round_k: int
+) -> bool:
+    """Whether ``apply_attack`` with these arguments emits the same model for
+    every ``honest_update`` and ``prior`` of the run's shape: the active
+    gaussian attack, and the active hidden attack over a nonempty pool."""
+    return spec.active(round_k) and (
+        spec.kind == "gaussian" or (spec.kind == "hidden" and bool(benign_models)))
 
 
 def apply_attack(

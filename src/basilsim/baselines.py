@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack
+from .attacks import AttackSpec, apply_attack, ignores_honest_update
 from .data import Dataset
 from .errors import ConfigError
 from .history import HistoryRow, SelectionRecord, TrainHistory
@@ -132,9 +132,10 @@ class GraphDriver:
 
     A Byzantine node never reads what it receives: it takes one SGD step on
     its own model, sends the attack of that step and keeps it, so under
-    ``attack: none`` it trains alone.  A Byzantine ring member
-    (``ring.BasilRing``) instead selects and forwards like a benign one and
-    replaces only what it sends."""
+    ``attack: none`` it trains alone; it skips the step when the attack
+    ignores it.  A Byzantine ring member (``ring.BasilRing``) instead
+    selects and updates like a benign one and replaces only what it sends,
+    and likewise selects and updates nothing when the attack ignores it."""
 
     def __init__(
         self,
@@ -178,8 +179,11 @@ class GraphDriver:
         sent = dict(self.models)
         benign_pool = [self.models[i] for i in benign]
         for node in sorted(self.byzantine):
-            X, y = local_batch(self.dataset, node, self.batch_size, [self.seed, TAG_BATCH, node, k])
-            honest = sgd_step(self.models[node], self.task, X, y, lr)
+            honest = self.models[node]
+            if not ignores_honest_update(self.attack, benign_models=benign_pool, round_k=k):
+                X, y = local_batch(self.dataset, node, self.batch_size,
+                                   [self.seed, TAG_BATCH, node, k])
+                honest = sgd_step(honest, self.task, X, y, lr)
             sent[node] = apply_attack(self.attack, honest_update=honest, prior=self.models[node],
                                       benign_models=benign_pool, round_k=k,
                                       key=[self.seed, TAG_ATTACK, node, k])

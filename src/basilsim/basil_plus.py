@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack
+from .attacks import AttackSpec, apply_attack, ignores_honest_update
 from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord, TrainHistory
@@ -121,18 +121,6 @@ class BasilPlusDriver:
             pool.update(ring.latest_benign)
         return [pool[i] for i in sorted(pool)]
 
-    def _emit(self, node: int, honest: ModelVector, prior: ModelVector, stage: str) -> ModelVector:
-        if self.is_benign(node):
-            return honest
-        return apply_attack(
-            self.attack,
-            honest_update=honest,
-            prior=prior,
-            benign_models=self._benign_pool(),
-            round_k=self.global_round * max(self.tau, 1),
-            key=[self.seed, TAG_STAGE_ATTACK, self._STAGE_IDS[stage], node, self.global_round],
-        )
-
     def _select(self, stage: str, node: int, gid: int, candidates, fanout: int) -> Selection:
         """``node``'s performance-based pick from (sender, model) ``candidates``
         on its stage batch, recorded with the ``fanout`` its output goes to."""
@@ -143,6 +131,26 @@ class BasilPlusDriver:
             self.global_round, stage, gid, node, self.is_benign(node),
             selection.candidate_losses, (selection.sender,), fanout))
         return selection
+
+    def _output(self, stage: str, node: int, gid: int, candidates, fanout: int,
+                update: Callable[[ModelVector], ModelVector]) -> ModelVector:
+        """What ``node`` sends at ``stage``: ``update`` of its pick from
+        ``candidates``, or for a Byzantine node the attack of it, which makes
+        no pick when the attack ignores it."""
+        if self.is_benign(node):
+            return update(self._select(stage, node, gid, candidates, fanout).model)
+        pool = self._benign_pool()
+        round_k = self.global_round * max(self.tau, 1)
+        if ignores_honest_update(self.attack, benign_models=pool, round_k=round_k):
+            self.history.selections.append(SelectionRecord(
+                self.global_round, stage, gid, node, False, (), (), fanout))
+            honest = prior = candidates[0][1]  # the attack reads only its shape
+        else:
+            prior = self._select(stage, node, gid, candidates, fanout).model
+            honest = update(prior)
+        return apply_attack(
+            self.attack, honest_update=honest, prior=prior, benign_models=pool, round_k=round_k,
+            key=[self.seed, TAG_STAGE_ATTACK, self._STAGE_IDS[stage], node, self.global_round])
 
     # -- driver --------------------------------------------------------------
 
@@ -163,18 +171,16 @@ class BasilPlusDriver:
         for g_mult, ring in enumerate(self.rings[1:], 1):
             upstream, aggregates = aggregates, []
             for node in ring.order[-S:]:
-                sel = self._select("aggregate", node, ring.group, upstream, S)
                 own = ring.latest_output[node]
-                honest = own.with_params((own.params + g_mult * sel.model.params) / (g_mult + 1))
-                aggregates.append((node, self._emit(node, honest, sel.model, "aggregate")))
+                aggregates.append((node, self._output(
+                    "aggregate", node, ring.group, upstream, S,
+                    lambda m: own.with_params((own.params + g_mult * m.params) / (g_mult + 1)))))
 
         # robust multicast: the first group's tails filter the last group's
         # aggregates, and every head node adopts its pick of theirs
-        filtered = []
-        for node in first.order[-S:]:
-            sel = self._select("multicast", node, first.group, aggregates,
-                               len(self.rings) * S)
-            filtered.append((node, self._emit(node, sel.model, sel.model, "multicast")))
+        filtered = [(node, self._output("multicast", node, first.group, aggregates,
+                                        len(self.rings) * S, lambda m: m))
+                    for node in first.order[-S:]]
         for ring in self.rings:
             for node in ring.order[:S]:
                 sel = self._select("adopt", node, ring.group, filtered, 0)

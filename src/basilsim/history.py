@@ -32,6 +32,11 @@ class SelectionRecord:
     and whose winners are the neighbours it averaged.  ``round`` is the round
     of the loop that picked: under Basil+ a ring record's is the ring round
     (1..K·tau) and a stage record's the global round (1..K).
+
+    A record with no candidates and no winners is a Byzantine ring,
+    aggregate or multicast activation whose attack ignores the honest update
+    (``attacks.ignores_honest_update``): the node scored nothing, took no
+    step and sent its attack to ``fanout`` nodes.
     """
 
     round: int
@@ -59,7 +64,9 @@ class TrainHistory:
     def counters(self) -> dict[str, int]:
         """The ring's work: losses scored, models sent and FIFO inserts (one
         per successor, though the simulator stores each output once) and
-        activations; empty when no ring activated."""
+        activations; empty when no ring activated.  A Byzantine activation
+        whose attack ignores the honest update counts as an activation that
+        sent its models and scored no loss."""
         ring = [s for s in self.selections if s.stage == "ring"]
         if not ring:
             return {}

@@ -5,9 +5,9 @@ models multicast by its ``S`` counterclockwise neighbours, picks the one
 with the lowest loss on a fresh local mini-batch, updates it (one SGD step
 on the same mini-batch, or ``epochs`` passes of mini-batch SGD over its
 local data), and multicasts the result to its next ``S`` clockwise
-neighbours.  Byzantine nodes emit attack output instead.  Everything is
-driven by explicit seeds, so two runs with the same configuration are
-bit-identical.
+neighbours.  Byzantine nodes emit attack output instead, with no pick or
+update when the attack ignores them.  Everything is driven by explicit
+seeds, so two runs with the same configuration are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack
+from .attacks import AttackSpec, apply_attack, ignores_honest_update
 from .data import Dataset
 from .errors import ConfigError, ProtocolError
 from .history import HistoryRow, SelectionRecord, TrainHistory
@@ -216,29 +216,34 @@ class BasilRing:
         # pass's outputs are scored on the test set together at its end
         benign: list[tuple[int, Selection, float, ModelVector]] = []
         for node in self.order:
-            X, y = local_batch(self.dataset, node, self.batch_size,
-                               [self.seed, TAG_BATCH, node, k])
-            candidates = self.window.entries
-            if len(self.window) < self.window.capacity:
-                candidates = [*candidates, (None, self.latest_output[node])]
-            selection = basil_select(candidates, self.task, X, y)
-            self.history.selections.append(SelectionRecord(
-                k, "ring", self.group, node, self.is_benign(node),
-                selection.candidate_losses, (selection.sender,), self.connectivity))
-            honest = self._update(selection.model, node, k, X, y, lr)
-            if self.is_benign(node):
+            byzantine = not self.is_benign(node)
+            pool = [self.latest_benign[i] for i in sorted(self.latest_benign)] if byzantine else []
+            if byzantine and ignores_honest_update(self.attack, benign_models=pool, round_k=k):
+                # the attack would discard a pick and step, so the node makes
+                # none; of the model handed in, it reads only the shape
+                self.history.selections.append(SelectionRecord(
+                    k, "ring", self.group, node, False, (), (), self.connectivity))
+                honest = prior = self.latest_output[node]
+            else:
+                X, y = local_batch(self.dataset, node, self.batch_size,
+                                   [self.seed, TAG_BATCH, node, k])
+                candidates = self.window.entries
+                if len(self.window) < self.window.capacity:
+                    candidates = [*candidates, (None, self.latest_output[node])]
+                selection = basil_select(candidates, self.task, X, y)
+                self.history.selections.append(SelectionRecord(
+                    k, "ring", self.group, node, not byzantine,
+                    selection.candidate_losses, (selection.sender,), self.connectivity))
+                prior = selection.model
+                honest = self._update(prior, node, k, X, y, lr)
+            if not byzantine:
                 out = honest
                 self.latest_benign[node] = out
                 benign.append((node, selection, evaluate_loss(out, self.task, X, y), out))
             else:
-                out = apply_attack(
-                    self.attack,
-                    honest_update=honest,
-                    prior=selection.model,
-                    benign_models=[self.latest_benign[i] for i in sorted(self.latest_benign)],
-                    round_k=k,
-                    key=[self.seed, TAG_ATTACK, node, k],
-                )
+                out = apply_attack(self.attack, honest_update=honest, prior=prior,
+                                   benign_models=pool, round_k=k,
+                                   key=[self.seed, TAG_ATTACK, node, k])
             self.latest_output[node] = out
             self.window.insert(node, out)
         outs = [out for *_, out in benign]

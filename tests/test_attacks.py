@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from basilsim.attacks import (
+    ATTACK_KINDS,
     AttackSpec,
     apply_attack,
     gaussian_attack,
     hidden_attack,
+    ignores_honest_update,
     inverse_attack,
     sign_flip_attack,
 )
@@ -177,6 +179,31 @@ class TestSpecAndDispatch:
             out = apply_attack(spec, honest_update=honest, prior=honest,
                                benign_models=[honest], round_k=5, key=[0])
             assert out.shape == SHAPE_3
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_ignored_update_is_exactly_what_the_dispatch_ignores(self, kind):
+        # two (honest update, prior) pairs give the same output exactly where
+        # the predicate holds, over rounds before and from activation and an
+        # empty and a nonempty benign pool
+        rng = np.random.default_rng(9)
+        pairs = [[ModelVector(rng.standard_normal(10), SHAPE_3) for _ in range(2)]
+                 for _ in range(2)]
+        held = []
+        for activation_round in (0, 1, 3):
+            spec = AttackSpec.make(kind, activation_round)
+            for round_k in range(5):
+                for pool in ([], [ModelVector(rng.standard_normal(10), SHAPE_3)]):
+                    outs = [apply_attack(spec, honest_update=honest, prior=prior,
+                                         benign_models=pool, round_k=round_k,
+                                         key=[5, round_k]).params.tobytes()
+                            for honest, prior in pairs]
+                    ignored = ignores_honest_update(spec, benign_models=pool, round_k=round_k)
+                    assert (outs[0] == outs[1]) == ignored, (activation_round, round_k, pool)
+                    if ignored:
+                        held.append((activation_round, round_k, len(pool)))
+        active = [(a, k) for a in (0, 1, 3) for k in range(5) if k >= max(a, 1)]
+        assert held == {"gaussian": [(a, k, n) for a, k in active for n in (0, 1)],
+                        "hidden": [(a, k, 1) for a, k in active]}.get(kind, [])
 
     def test_inverse_definition_flagged_in_manifest(self):
         manifest = AttackSpec.make("inverse").to_manifest()

@@ -180,6 +180,21 @@ class TestGPlain:
         assert np.array_equal(driver.models[0].params, expected.params)
         assert all(row.node != 0 for row in driver.history.rows)
 
+    @pytest.mark.parametrize("kind, byzantine_steps", [
+        ("none", 4), ("random-sign-flip", 4), ("inverse", 4), ("gaussian", 0), ("hidden", 0)])
+    def test_byzantine_node_steps_only_when_its_attack_reads_the_step(
+            self, kind, byzantine_steps, monkeypatch):
+        import basilsim.baselines as baselines
+
+        steps = []
+        monkeypatch.setattr(baselines, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+        task, dataset = quad_setup(4, noise=0.5, seed=3)
+        GraphDriver(complete_graph(4), {0}, gossip_rule, 3, task, dataset, batch_size=10,
+                    attack=AttackSpec.make(kind, activation_round=1)).run(4)
+        # one gossip step per benign node and round; the hidden attack's pool
+        # (the benign models) is never empty
+        assert len(steps) == 3 * 4 + byzantine_steps
+
     def test_gossip_records_every_neighbour_as_a_winner(self):
         task, dataset = quad_setup(5)
         adj = build_random_graph(range(5), {4}, seed=1)

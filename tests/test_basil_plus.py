@@ -9,6 +9,7 @@ from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partitio
 from basilsim.errors import ConfigError
 from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
 from basilsim.ring import constant_lr, sample_byzantine_ids
+from test_ring import assert_skips_are_the_attacks_that_ignore_the_pick
 
 
 def scalar_task():
@@ -225,11 +226,30 @@ class TestDriver:
         fanout = {"aggregate": 2, "multicast": 3 * 2, "adopt": 0}
         assert all(r.fanout == fanout[r.stage] for r in stage)
         assert any(not r.benign for r in stage)
+        # the Byzantine aggregate and multicast picks the attack discards are
+        # not made; Byzantine heads still adopt
+        assert_skips_are_the_attacks_that_ignore_the_pick(history.selections,
+                                                          AttackSpec.make("gaussian"), tau=2)
+        assert any(not r.candidates and r.stage != "ring" for r in stage)
+        assert all(r.candidates for r in stage if r.stage == "adopt")
         selects = [e for e in history.events if e["event"].endswith("-select")]
         assert selects == [
             {"event": f"{r.stage}-select", "round": r.round, "group": r.group, "node": r.node,
              "sender": r.winners[0], "losses": list(r.candidates)}
             for r in stage if r.benign]
+
+    def test_stage_attacks_activate_by_ring_round(self):
+        # with tau = 2 the hidden attack from ring round 3 is off in global
+        # round 1 (ring round 2) and on in global round 2 (ring round 4), so
+        # the Byzantine tails pick in the first and not in the second
+        task, dataset = quad_group_setup(n_nodes=12)
+        attack = AttackSpec.make("hidden", activation_round=3)
+        history = BasilPlusDriver(3, sample_byzantine_ids(range(12), 3, 5), 2, 5, task, dataset,
+                                  n_nodes=12, tau=2, attack=attack, batch_size=10).run(2)
+        assert_skips_are_the_attacks_that_ignore_the_pick(history.selections, attack, tau=2)
+        byzantine_tails = [r for r in history.selections
+                           if not r.benign and r.stage in ("aggregate", "multicast")]
+        assert {(r.round, bool(r.candidates)) for r in byzantine_tails} == {(1, True), (2, False)}
 
     def test_history_rows_carry_group_ids(self):
         task, dataset = quad_group_setup()

@@ -77,25 +77,25 @@ GOLDENS = {
     "basil": (
         "b97268ba01e560df88429c51d88c3789f84b5ccfa9453609dbe15be97fab77dd",
         "dc1111f15dd665b12d4a2229997137c9c096362eb7338dd444b866e8ad554815",
-        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
+        "203998475f76602e4a84bc09b02bd70e656b09ced427eff2d3a48040be28196a",
         "eaf9c6e20cc81a9c41b56dc4d096491e84d0f1d1f8952e1bb8e368e157b697e7",
     ),
     "basil-plus": (
         "b4d98f4d08fe92de63ca02eeab6c8cf01b997cfaf53265f1d3e600756f8f0e4b",
         "22908547b30df34240d61410553a7f8c95304f8a081e8a06df2ae32f5506c113",
-        "19692eb88aa67bb80cb6e4b5e93f3fed6be0fa61d2876dbec700b8d0d9454cd4",
+        "31960157391d02530b817043a2a97a008a389e2cb51f80eeca8c0431b93898bf",
         "5a23c50577c36aa0e2b0c116b88a7efae63090e05ab18dfab12ed2fb8b0e2da0",
     ),
     "r-plain": (
         "556a2db19c36b8fa1c9d8e2f3ca78929ee4ee532b64dbb49dc3e1cde677959ed",
         "3dbf0e77ccd9f690a107d5133cb6c19148b298f93f818d7e1cdfbf3e2ec54c92",
-        "ad4c9193bc2e5f30bdf908397061eae3274c3c12e25fa5570548d6182dfd7055",
+        "41c4b7b7ca8c113a3c272d54321f5a9fdf4b889803b9debb9598f3d63f4cce57",
         "94f27afe50a63e1ac2073dcef059bb1398d408f278b2bd426ea0b34de041ce34",
     ),
     "r-plain-plus": (
         "ba3b81ae492f70647e7f5608b7c67595155512f794fff59cba6ea032419b975f",
         "c5d33b08ff770b4dce51ad87f0c6738881686781800262a6f095f110a320b22d",
-        "12d3b24afe3cd1983d18eb0340f6407edb9e61ff62569327dbc6f77fcc87e157",
+        "6ffef4f460795c8e817a9b024c1b379ecd1f9e563c1bcf42fed91bfa4c35c8a0",
         "0b10c6802df6834b22d5a534e6cf17e0b8fcfe2b3b01979ab8e984d458565bd2",
     ),
     "g-plain": (
@@ -113,19 +113,19 @@ GOLDENS = {
     "basil-b1-s2": (
         "b787e279acf1050414c1636eed97174ade06a2169f9c0199c3272dba42b8e4ed",
         "8e593a707efa28c5cbe07243cd21c2277e9e984ef2a41068845e185b2be69712",
-        "87f5ddccb240a0ab5b8a1dab2324ea1b156f01b785c22426aa031d17dd1acdeb",
+        "90863c899179adb7e3f1c37914441f1dec1596db7fbc7eb98ef1b600eb26281e",
         "6130b3b264da53afa49019c6cdcccbd9dddc11c8be8e016c0c63e47bf5e61487",
     ),
     "basil-plus-acds-noniid": (
         "d3c02e30f96c72016079a38696fe847544642dee564a76b04afb928981993e90",
         "3d788a1c9121ce45dfee817287afea144c0fcba97299c4f78684b52834b30cb8",
-        "3ae7576a6ebba1b98be287b8476acc2bd8155a3026ce067f7cc3a5d31622f95b",
+        "08ba0d938d13f671f0755eb607e54a04eea21b7b697b68bb70511753b1a3d485",
         "1c0b9b8910c54de2c67baa5688e90b5acb0603f7672e09c5269aacd73c40e4b6",
     ),
     "basil-plus-default-s": (
         "ba403998383ae81be3c8556e2061c39277de974ba8d169e9aa1136c174f13d00",
         "29c908cbb960f1cab29a3512cae1b71aa9852332f1dc484b7dd395ea772d2718",
-        "53abf6da4b2f37b61803af4c2b07f7aac5b7068ad1a1486446df7cc6af741dcc",
+        "0d83836abf7b62afd7fe0810a25a941f2e2c48b61bca6946ca8e8954a915e02c",
         "d424d7c029060cebb201f2446d1fcf82fe1b06c41ce698fe8f4d1ffc7e3670d0",
     ),
     "basil-plus-epochs-b0": (
@@ -137,19 +137,19 @@ GOLDENS = {
     "basil-plus-epochs-b2": (
         "1a8698dab0d75d4da52f7e3c0f61ebd9130a011d8e59ca1091584f905e0dcbbf",
         "326e0334595161aa22ca73ae27062e732915064defa659cf1a4aa61f18fed863",
-        "a8fd7e39f652259554725650f5a8ede3351db65c2a406b95c1b50689a75c42ef",
+        "f044aa49e306e2f6d6363ec5b78699536cab2234f4ce1bf353c0fecf476971e0",
         "c509d8a04623230149376a901b6b739b01375198de37024168955287bf04190b",
     ),
     "basil-mlp": (
         "b6a9643c71d7fe1d8b388e32920598d3f58f1ac8f2466875cdb4723094c4189b",
         "a4208e2dfe0dec374d529c2b72c9353bf693bd4527759305dad8f0b4830c0a70",
-        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
+        "203998475f76602e4a84bc09b02bd70e656b09ced427eff2d3a48040be28196a",
         "3a5b46f8c8586ce2e364c58006920f3968e2a3cb79e0a8607c86a8c7e4650c7d",
     ),
     "basil-quadratic": (
         "3f9fb34793a92c4091897aa030b260e8864852f4b0539e6e2e5f10c0110ddaef",
         "98bf799a85364519d211e73e198b826778eca32614dc96d74027116f07369478",
-        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
+        "203998475f76602e4a84bc09b02bd70e656b09ced427eff2d3a48040be28196a",
         "7cc720dc48beb9d6e20cad2b249e092044fba2dd7ebf8538bde5c6b560a29fd6",
     ),
     "basil-sign-flip": (
@@ -167,7 +167,7 @@ GOLDENS = {
     "basil-hidden": (
         "772a728ca188d37c87a7542b7504ec8659d1d779314c5f799b40dc1088cf3609",
         "9355e4394c289efcbef8cb5f45ff23add8c15288ba48f5fb1fbd8f27613685d2",
-        "6deaee9c61f822a50efdc777ae7a94c80da7747f295c78ababb2b9670a294bb8",
+        "ec0b79b5f79cea77fb01d62ad9e14980f07e48c1ca06b1d5654f633792e749ba",
         "77f75f1fd89f77b50028df45a041c00a636e56363b555abf48a93d8cbf185231",
     ),
     "basil-inverse": (

@@ -463,8 +463,10 @@ class TestCli:
         cfg_path = tmp_path / "epochs.json"
         cfg_path.write_text(json.dumps(desk_config(training={"batch_size": 16, "epochs": 2})))
         assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 0
-        # 8 nodes x 2 rounds, each 2 passes over 50 local samples in batches of 16
-        assert len(steps) == 8 * 2 * 2 * 3
+        # 6 benign nodes x 2 rounds, each 2 passes over 50 local samples in
+        # batches of 16; the gaussian attack of the 2 Byzantine nodes ignores
+        # the update, so they take no step
+        assert len(steps) == 6 * 2 * 2 * 3
 
     def test_file_that_is_not_idx_names_the_field(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

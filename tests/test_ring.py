@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from basilsim.attacks import AttackSpec
+from basilsim.attacks import AttackSpec, ignores_honest_update
 from basilsim.basil_plus import BasilPlusDriver
 from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
@@ -256,9 +256,12 @@ class TestRunBasil:
             "fifo_inserts": 3 * 18,
             "activations": 18,
         }
-        # the first pass's picks see 1..S stored models, later ones S
-        assert [len(r.candidates) for r in records[:6]] == [1, 2, 3, 3, 3, 3]
-        assert all(len(r.candidates) == 3 for r in records[6:])
+        # the first pass's picks see 1..S stored models, later ones S; the
+        # Byzantine nodes, whose gaussian attack discards a pick, score none
+        assert_skips_are_the_attacks_that_ignore_the_pick(records, AttackSpec.make("gaussian"))
+        assert sum(not r.candidates for r in records) == 2 * 3
+        want = [1, 2, 3, 3, 3, 3] + [3] * 12
+        assert all(len(r.candidates) == n for r, n in zip(records, want) if r.candidates)
 
     def test_benign_connectivity_under_random_placements(self):
         # placements with no S-run of Byzantine nodes keep a benign model in view
@@ -275,10 +278,11 @@ class TestRunBasil:
                 continue
             found += 1
             history = ring.run(4)
+            assert_skips_are_the_attacks_that_ignore_the_pick(history.selections, ring.attack)
             benign_ok = set(m for m in ring.order if m not in ring.byzantine)
             for record in history.selections:
                 senders = [s for s, _ in record.candidates]
-                assert any(s is None or s in benign_ok for s in senders)
+                assert not senders or any(s is None or s in benign_ok for s in senders)
         assert found >= 5
 
     def test_protocol_failure_event_recorded(self):
@@ -292,12 +296,47 @@ class TestRunBasil:
         assert any(e["event"] == "protocol-failure" and e["node"] == first
                    and e["stage"] == "ring" for e in ring.history.events)
 
+    def test_byzantine_node_whose_attack_ignores_the_pick_cannot_fail_it(self):
+        # the same non-finite start model in a gaussian attacker's queue: it
+        # scores nothing and steps on nothing, so its activation finishes
+        task, dataset = quad_setup(n_nodes=3)
+        first = agree_order(range(3), 0)[0]
+        ring = BasilRing(range(3), frozenset({first}), 1, 0, task, dataset, batch_size=None,
+                         attack=AttackSpec.make("gaussian"))
+        ring.latest_output[first] = task.make_model(np.full(4, np.inf))
+        ring.run_round()
+        assert ring.history.events == []
+        record = ring.history.selections[0]
+        assert (record.node, record.benign, record.candidates, record.winners) == (
+            first, False, (), ())
+        assert np.isfinite(ring.latest_output[first].params).all()
+
+
+def assert_skips_are_the_attacks_that_ignore_the_pick(records, attack, tau=1):
+    """The records with no candidates are exactly the Byzantine ring,
+    aggregate and multicast picks whose ``attack`` ignores the honest update,
+    replayed with the benign pool each saw (a ring pick its group's benign
+    activations so far, a stage pick every group's), and they name no winner."""
+    pools: dict = {}  # group -> benign ring records so far
+    for record in records:
+        if record.stage == "ring":
+            pool, round_k = pools.get(record.group, []), record.round
+        else:
+            pool, round_k = [p for g in pools.values() for p in g], record.round * max(tau, 1)
+        skipped = (not record.benign and record.stage != "adopt"
+                   and ignores_honest_update(attack, benign_models=pool, round_k=round_k))
+        assert (record.candidates == ()) == skipped, record
+        assert (record.winners == ()) == skipped, record
+        if record.stage == "ring" and record.benign:
+            pools.setdefault(record.group, []).append(record)
+
 
 def assert_candidates_are_recent_predecessors(records, orders, S, restarts):
-    """Each ring record's candidate senders are its node's nearest predecessors
-    in ``orders[group]`` that activated since the ring's last restart, at most
-    S of them, then ``None`` when fewer than S did; ``restarts(round)`` says
-    whether the rings restart before that ring round's first activation."""
+    """Each ring record that picked has as candidate senders its node's nearest
+    predecessors in ``orders[group]`` that activated since the ring's last
+    restart, at most S of them, then ``None`` when fewer than S did;
+    ``restarts(round)`` says whether the rings restart before that ring
+    round's first activation."""
     done: dict = {}  # group -> nodes that activated since its ring's restart
     last_round: dict = {}  # group -> ring round of its latest record
     for record in (r for r in records if r.stage == "ring"):
@@ -311,7 +350,8 @@ def assert_candidates_are_recent_predecessors(records, orders, S, restarts):
         expected = [node for node in expected if node in done[group]]
         if len(expected) < S:
             expected.append(None)
-        assert [sender for sender, _ in record.candidates] == expected, record
+        if record.candidates:
+            assert [sender for sender, _ in record.candidates] == expected, record
         done[group].add(record.node)
 
 
@@ -326,8 +366,25 @@ class TestCandidateSet:
                          attack=AttackSpec.make("gaussian"), batch_size=20)
         history = ring.run(3)
         assert len(history.selections) == 24
+        assert_skips_are_the_attacks_that_ignore_the_pick(history.selections, ring.attack)
         assert_candidates_are_recent_predecessors(
             history.selections, {None: ring.order}, S, lambda k: k == 1)
+
+    def test_basil_with_a_hidden_attacker_from_round_one(self):
+        # the attackers that activate before any benign node have an empty
+        # pool, so they still pick and update; later ones do not
+        task, train, _ = cluster_setup(n_nodes=8)
+        attack = AttackSpec.make("hidden", activation_round=1)
+        seed = next(s for s in range(50)
+                    if agree_order(range(8), s)[0] in sample_byzantine_ids(range(8), 2, s))
+        ring = BasilRing(range(8), sample_byzantine_ids(range(8), 2, seed), 3, seed, task,
+                         train, attack=attack, batch_size=20)
+        history = ring.run(3)
+        assert history.selections[0].candidates and not history.selections[0].benign
+        assert_skips_are_the_attacks_that_ignore_the_pick(history.selections, attack)
+        assert sum(not r.candidates for r in history.selections) == 2 * 3 - 1
+        assert_candidates_are_recent_predecessors(
+            history.selections, {None: ring.order}, 3, lambda k: k == 1)
 
     @pytest.mark.parametrize("epochs", [None, 2])
     def test_basil_plus_restarts_every_global_round(self, epochs):
@@ -338,6 +395,7 @@ class TestCandidateSet:
                                  batch_size=20, epochs=epochs)
         history = driver.run(2)
         assert sum(r.stage == "ring" for r in history.selections) == 12 * tau * 2
+        assert_skips_are_the_attacks_that_ignore_the_pick(history.selections, driver.attack, tau)
         assert_candidates_are_recent_predecessors(
             history.selections, {ring.group: ring.order for ring in driver.rings}, 3,
             lambda k: (k - 1) % tau == 0)
