@@ -70,6 +70,15 @@ CONFIGS = {
     # one each node adopts its predecessor's output, so the history reads it too
     "basil-inverse": base_config("basil", ring={"nodes": 8, "byzantine": 2, "connectivity": 1},
                                  attack={"kind": "inverse"}),
+    # node 1 is a group-1 tail, so it runs the aggregate stage, and node 2 a
+    # group-0 tail, so it runs multicast; the inverse attack reads each
+    # stage's pick and update
+    "basil-plus-inverse": base_config(
+        "basil-plus", ring={"nodes": 8, "byzantine": 2, "byzantine_ids": [1, 2],
+                            "connectivity": 3}, attack={"kind": "inverse"}),
+    # a Byzantine graph node steps on its own model, and the inverse attack
+    # reflects that step
+    "g-plain-inverse": base_config("g-plain", attack={"kind": "inverse"}),
 }
 
 #: name -> (history.csv, series.csv, counters and events, manifest.json)
@@ -175,6 +184,18 @@ GOLDENS = {
         "216dcd31b6e811b38e8043b7442199ec782cc4ef6cef5ed55a60e83dd4624878",
         "ad4c9193bc2e5f30bdf908397061eae3274c3c12e25fa5570548d6182dfd7055",
         "4be85098904d9b1cc262b98986809e161ec67277ab598a186a2d169981f839cc",
+    ),
+    "basil-plus-inverse": (
+        "2524dfcb43e0341e704a02ce08d5588bca61e480cec94122ee7be8e670691880",
+        "f7e73c29c9856b658bb5c2995464c2b9758755a565cbcc1e600605b06db9a618",
+        "ebde78e71ad204e0d61416c5cecbde48b8d0ad59f3aa91f5e77cc194229e9a19",
+        "bd71bb57751079574095b2bde164f0843b138d35aa033691f7ec8dee96914683",
+    ),
+    "g-plain-inverse": (
+        "3266c3304c8de490bc772f52f213d01b3bfcfa86030b7e29c8e9802668bd18cd",
+        "f67a1c896de89241a50e1a5d67a476da076ca7db9eec874f78f07e0cb543c116",
+        "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
+        "693d7baa41226c46f2ebb09427f2a04dcac13629e454242c314dfe9a93fc704c",
     ),
 }
 
