@@ -1,11 +1,11 @@
 """Byzantine behaviour generators.
 
 Every attack is a pure function of its inputs and an explicit RNG, so runs
-stay reproducible.  ``apply_attack`` is the dispatcher the protocol loops
-call in place of a benign node's honest update; it draws the random attacks
-from a generator seeded by the caller's key.  ``ignores_honest_update`` says
-when that output reads neither the honest update nor the prior, so that a
-driver need not compute them.
+stay reproducible.  ``apply_attack`` is the dispatcher the one activation
+(``ring.Driver.activate``) calls in place of a benign node's honest update;
+it draws the random attacks from a generator seeded by the caller's key.
+``ignores_honest_update`` says when that output reads neither the honest
+update nor the prior, so that the activation need not compute them.
 """
 
 from __future__ import annotations

@@ -13,20 +13,12 @@ from typing import Callable
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack, ignores_honest_update
+from .attacks import AttackSpec
 from .data import Dataset
 from .errors import ConfigError
-from .history import HistoryRow, SelectionRecord, TrainHistory
-from .models import (
-    LossTask,
-    ModelVector,
-    accuracy,
-    average_models,
-    evaluate_loss,
-    evaluate_losses,
-    sgd_step,
-)
-from .ring import DEFAULT_BATCH_SIZE, TAG_ATTACK, TAG_BATCH, default_lr, local_batch
+from .history import SelectionRecord
+from .models import LossTask, ModelVector, average_models, evaluate_loss, evaluate_losses, sgd_step
+from .ring import DEFAULT_BATCH_SIZE, TAG_BATCH, Driver, Selection, local_batch
 
 TAG_GRAPH = 0xD0
 
@@ -124,18 +116,26 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
     return rule
 
 
-class GraphDriver:
+def _own_model(candidates, task, X, y) -> Selection:
+    """A Byzantine graph node's pick: its own model, the one candidate, unscored."""
+    ((node, own),) = candidates
+    return Selection(own, node, ())
+
+
+class GraphDriver(Driver):
     """Stateful driver for a synchronous graph scheme: every round each
     Byzantine node sends one attacked model to all its neighbours, and each
     benign node applies ``rule``; all reads in a round use the previous
     round's models.
 
-    A Byzantine node never reads what it receives: it takes one SGD step on
-    its own model, sends the attack of that step and keeps it, so under
-    ``attack: none`` it trains alone; it skips the step when the attack
-    ignores it.  A Byzantine ring member (``ring.BasilRing``) instead
-    selects and updates like a benign one and replaces only what it sends,
-    and likewise selects and updates nothing when the attack ignores it."""
+    A Byzantine node runs the ring's activation (:meth:`Driver.activate`)
+    with its own model as its pick, recording nothing: it never reads what
+    it receives, takes one SGD step, sends the attack of that step and keeps
+    it, so under ``attack: none`` it trains alone; it skips the step when
+    the attack ignores it.  A Byzantine ring member instead picks from what
+    it stores and replaces only what it sends."""
+
+    TOPOLOGY = "graph"
 
     def __init__(
         self,
@@ -157,57 +157,37 @@ class GraphDriver:
             for other in nbrs:
                 if node not in adjacency.get(other, frozenset()):
                     raise ConfigError(f"edge {node}-{other} is not symmetric")
+        super().__init__(adjacency, byzantine, seed, task, dataset, attack, lr_schedule,
+                         batch_size, test_set)
         self.adjacency = adjacency
-        self.byzantine = frozenset(byzantine)
         self.rule = rule
-        self.seed = seed
-        self.task = task
-        self.dataset = dataset
-        self.attack = attack or AttackSpec()
-        self.lr_schedule = lr_schedule or default_lr
-        self.batch_size = batch_size
-        self.test_set = test_set
         initial_model = task.initial_model(seed)
         self.models: dict[int, ModelVector] = {i: initial_model for i in adjacency}
         self.round_idx = 0
-        self.history = TrainHistory()
+
+    def _benign_pool(self) -> list[ModelVector]:
+        return [m for i, m in sorted(self.models.items()) if i not in self.byzantine]
 
     def run_round(self) -> None:
         k = self.round_idx + 1
         lr = self.lr_schedule(k)
-        benign = [i for i in sorted(self.models) if i not in self.byzantine]
         sent = dict(self.models)
-        benign_pool = [self.models[i] for i in benign]
         for node in sorted(self.byzantine):
-            honest = self.models[node]
-            if not ignores_honest_update(self.attack, benign_models=benign_pool, round_k=k):
-                X, y = local_batch(self.dataset, node, self.batch_size,
-                                   [self.seed, TAG_BATCH, node, k])
-                honest = sgd_step(honest, self.task, X, y, lr)
-            sent[node] = apply_attack(self.attack, honest_update=honest, prior=self.models[node],
-                                      benign_models=benign_pool, round_k=k,
-                                      key=[self.seed, TAG_ATTACK, node, k])
-        # each benign node's output and train loss; the round's outputs are
-        # scored on the test set together
-        outs: dict[int, ModelVector] = {}
-        losses: list[float] = []
-        for node in benign:
+            sent[node] = self.activate(
+                node, ((node, self.models[node]),), _own_model,
+                lambda m, _, X, y: sgd_step(m, self.task, X, y, lr), None, k, (node, k))[0]
+        # (node, selected sender, train loss, output) of each benign node
+        benign = []
+        for node in sorted(self.models):
+            if node in self.byzantine:
+                continue
             X, y = local_batch(self.dataset, node, self.batch_size, [self.seed, TAG_BATCH, node, k])
             received = {j: sent[j] for j in sorted(self.adjacency[node])}
-            outs[node], candidates, winners = self.rule(
+            out, candidates, winners = self.rule(
                 node, self.models[node], received, self.task, X, y, lr)
             self.history.selections.append(SelectionRecord(
                 k, "graph", None, node, True, candidates, winners, len(received)))
-            losses.append(evaluate_loss(outs[node], self.task, X, y))
-        accs = (accuracy(list(outs.values()), self.task, *self.test_set)
-                if self.test_set is not None else [None] * len(outs))
-        for node, loss, acc in zip(outs, losses, accs):
-            self.history.add_row(HistoryRow(round=k, node=node, selected_sender=None,
-                                            train_loss=loss, test_acc=acc))
-        self.models = {**sent, **outs}
+            benign.append((node, None, evaluate_loss(out, self.task, X, y), out))
+        self._end_pass(k, benign)
+        self.models = {**sent, **{node: out for node, *_, out in benign}}
         self.round_idx = k
-
-    def run(self, rounds: int) -> TrainHistory:
-        for _ in range(rounds):
-            self.run_round()
-        return self.history

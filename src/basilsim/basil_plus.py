@@ -11,11 +11,12 @@ round's start.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack, ignores_honest_update
+from .attacks import AttackSpec
 from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord, TrainHistory
@@ -23,10 +24,9 @@ from .models import LossTask, ModelVector
 from .ring import (
     DEFAULT_BATCH_SIZE,
     BasilRing,
-    Selection,
+    Driver,
     agree_order,
     basil_select,
-    default_lr,
     local_batch,
 )
 
@@ -50,10 +50,14 @@ def cluster_nodes(node_ids, G: int, seed: int) -> list[tuple[int, ...]]:
     return [agree_order(perm[g * n:(g + 1) * n], _group_seed(seed, g)) for g in range(G)]
 
 
-class BasilPlusDriver:
+class BasilPlusDriver(Driver):
     """Stateful driver for grouped training: one :class:`BasilRing` per group,
     each with connectivity ``connectivity``, over nodes ``0..n_nodes-1`` of
-    which the resolved set ``byzantine`` attack."""
+    which the resolved set ``byzantine`` attack.  The aggregate and multicast
+    stages are activations (:meth:`Driver.activate`) on the stage streams;
+    a head node's adopt is a plain pick, never attacked."""
+
+    BATCH_TAG, ATTACK_TAG = TAG_STAGE_BATCH, TAG_STAGE_ATTACK
 
     def __init__(
         self,
@@ -74,15 +78,9 @@ class BasilPlusDriver:
     ):
         if tau < 0:
             raise ConfigError("tau must be >= 0")
-        self.byzantine = frozenset(byzantine)
-        self.seed = seed
-        self.task = task
-        self.dataset = dataset
+        super().__init__(range(n_nodes), byzantine, seed, task, dataset, attack, lr_schedule,
+                         batch_size, test_set)
         self.tau = tau
-        self.attack = attack or AttackSpec()
-        self.base_lr = lr_schedule or default_lr
-        self.batch_size = batch_size
-        self.history = TrainHistory()
         self.global_round = 0
 
         # ring round k falls in global round (k - 1) // tau + 1
@@ -98,7 +96,7 @@ class BasilPlusDriver:
                 task,
                 dataset,
                 attack=self.attack,
-                lr_schedule=lambda k: self.base_lr((k - 1) // tau_ + 1),
+                lr_schedule=lambda k: self.lr_schedule((k - 1) // tau_ + 1),
                 batch_size=batch_size,
                 epochs=epochs,
                 test_set=test_set,
@@ -110,9 +108,6 @@ class BasilPlusDriver:
 
     # -- helpers -----------------------------------------------------------
 
-    def is_benign(self, node: int) -> bool:
-        return node not in self.byzantine
-
     _STAGE_IDS = {"aggregate": 1, "multicast": 2, "adopt": 3}
 
     def _benign_pool(self) -> list[ModelVector]:
@@ -121,36 +116,15 @@ class BasilPlusDriver:
             pool.update(ring.latest_benign)
         return [pool[i] for i in sorted(pool)]
 
-    def _select(self, stage: str, node: int, gid: int, candidates, fanout: int) -> Selection:
-        """``node``'s performance-based pick from (sender, model) ``candidates``
-        on its stage batch, recorded with the ``fanout`` its output goes to."""
-        X, y = local_batch(self.dataset, node, self.batch_size, [
-            self.seed, TAG_STAGE_BATCH, self._STAGE_IDS[stage], node, self.global_round])
-        selection = basil_select(candidates, self.task, X, y)
-        self.history.selections.append(SelectionRecord(
-            self.global_round, stage, gid, node, self.is_benign(node),
-            selection.candidate_losses, (selection.sender,), fanout))
-        return selection
-
     def _output(self, stage: str, node: int, gid: int, candidates, fanout: int,
-                update: Callable[[ModelVector], ModelVector]) -> ModelVector:
+                update: Callable[..., ModelVector]) -> ModelVector:
         """What ``node`` sends at ``stage``: ``update`` of its pick from
-        ``candidates``, or for a Byzantine node the attack of it, which makes
-        no pick when the attack ignores it."""
-        if self.is_benign(node):
-            return update(self._select(stage, node, gid, candidates, fanout).model)
-        pool = self._benign_pool()
-        round_k = self.global_round * max(self.tau, 1)
-        if ignores_honest_update(self.attack, benign_models=pool, round_k=round_k):
-            self.history.selections.append(SelectionRecord(
-                self.global_round, stage, gid, node, False, (), (), fanout))
-            honest = prior = candidates[0][1]  # the attack reads only its shape
-        else:
-            prior = self._select(stage, node, gid, candidates, fanout).model
-            honest = update(prior)
-        return apply_attack(
-            self.attack, honest_update=honest, prior=prior, benign_models=pool, round_k=round_k,
-            key=[self.seed, TAG_STAGE_ATTACK, self._STAGE_IDS[stage], node, self.global_round])
+        ``candidates``, recorded with the ``fanout`` its output goes to."""
+        return self.activate(
+            node, candidates, basil_select, update,
+            partial(SelectionRecord, self.global_round, stage, gid, fanout=fanout),
+            self.global_round * max(self.tau, 1),
+            (self._STAGE_IDS[stage], node, self.global_round))[0]
 
     # -- driver --------------------------------------------------------------
 
@@ -174,16 +148,22 @@ class BasilPlusDriver:
                 own = ring.latest_output[node]
                 aggregates.append((node, self._output(
                     "aggregate", node, ring.group, upstream, S,
-                    lambda m: own.with_params((own.params + g_mult * m.params) / (g_mult + 1)))))
+                    lambda m, *_: own.with_params(
+                        (own.params + g_mult * m.params) / (g_mult + 1)))))
 
         # robust multicast: the first group's tails filter the last group's
         # aggregates, and every head node adopts its pick of theirs
         filtered = [(node, self._output("multicast", node, first.group, aggregates,
-                                        len(self.rings) * S, lambda m: m))
+                                        len(self.rings) * S, lambda m, *_: m))
                     for node in first.order[-S:]]
         for ring in self.rings:
             for node in ring.order[:S]:
-                sel = self._select("adopt", node, ring.group, filtered, 0)
+                X, y = local_batch(self.dataset, node, self.batch_size, [
+                    self.seed, TAG_STAGE_BATCH, self._STAGE_IDS["adopt"], node, self.global_round])
+                sel = basil_select(filtered, self.task, X, y)
+                self.history.selections.append(SelectionRecord(
+                    self.global_round, "adopt", ring.group, node, node not in self.byzantine,
+                    sel.candidate_losses, (sel.sender,), 0))
                 ring.latest_output[node] = sel.model
 
     def run(self, K: int) -> TrainHistory:

@@ -8,10 +8,15 @@ local data), and multicasts the result to its next ``S`` clockwise
 neighbours.  Byzantine nodes emit attack output instead, with no pick or
 update when the attack ignores them.  Everything is driven by explicit
 seeds, so two runs with the same configuration are bit-identical.
+
+That turn is :meth:`Driver.activate`, the one activation every driver runs:
+the ring here, the Basil+ aggregate and multicast stages
+(``basil_plus``) and the graph schemes' Byzantine nodes (``baselines``).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -116,7 +121,85 @@ def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[i
     return dataset.batch(picked)
 
 
-class BasilRing:
+class Driver:
+    """What the ring, Basil+ and graph drivers share: the run's settings, the
+    check of the Byzantine set against the ``members``, a node's activation
+    and the end of a pass.  A driver defines ``_benign_pool``, the benign
+    models a Byzantine node's attack reads."""
+
+    #: stream tags of an activation's batch and attack draws
+    BATCH_TAG, ATTACK_TAG = TAG_BATCH, TAG_ATTACK
+    TOPOLOGY = "ring"
+    group: int | None = None
+
+    def __init__(self, members, byzantine, seed, task, dataset, attack, lr_schedule,
+                 batch_size, test_set):
+        self.byzantine = frozenset(byzantine)
+        unknown = self.byzantine.difference(members)
+        if unknown:
+            raise ConfigError(f"byzantine ids {sorted(unknown)} are not {self.TOPOLOGY} members")
+        if self.byzantine and len(self.byzantine) == len(members):
+            raise ConfigError(f"every {self.TOPOLOGY} member is Byzantine")
+        self.seed = seed
+        self.task = task
+        self.dataset = dataset
+        self.attack = attack or AttackSpec()
+        self.lr_schedule = lr_schedule or default_lr
+        self.batch_size = batch_size
+        self.test_set = test_set
+        self.history = TrainHistory()
+
+    def activate(
+        self, node: int, candidates, pick: Callable[..., Selection],
+        update: Callable[..., ModelVector], record: Callable[..., SelectionRecord] | None,
+        round_k: int, stream: tuple[int, ...],
+    ) -> tuple[ModelVector, Selection | None, np.ndarray | None, np.ndarray | None]:
+        """``node``'s turn: ``pick(candidates, task, X, y)`` on its batch from
+        ``[seed, BATCH_TAG, *stream]``, then ``update(model, node, X, y)`` of
+        the pick; ``record(node, benign, candidates, winners)`` makes the
+        pick's record (none when ``record`` is None), appended before the
+        step.  A Byzantine node sends the attack of that update, keyed by
+        ``[seed, ATTACK_TAG, *stream]``, and picks, steps and scores nothing
+        when the attack ignores them.  Returns the output, the selection
+        and the batch (None for a node that picked nothing)."""
+        byzantine = node in self.byzantine
+        pool = self._benign_pool() if byzantine else None
+        if byzantine and ignores_honest_update(self.attack, benign_models=pool, round_k=round_k):
+            if record is not None:
+                self.history.selections.append(record(node, False, (), ()))
+            # the attack reads only the shape of the model handed in
+            selection = X = y = None
+            honest = prior = candidates[0][1]
+        else:
+            X, y = local_batch(self.dataset, node, self.batch_size,
+                               [self.seed, self.BATCH_TAG, *stream])
+            selection = pick(candidates, self.task, X, y)
+            if record is not None:
+                self.history.selections.append(record(
+                    node, not byzantine, selection.candidate_losses, (selection.sender,)))
+            prior = selection.model
+            honest = update(prior, node, X, y)
+        if not byzantine:
+            return honest, selection, X, y
+        out = apply_attack(self.attack, honest_update=honest, prior=prior, benign_models=pool,
+                           round_k=round_k, key=[self.seed, self.ATTACK_TAG, *stream])
+        return out, selection, X, y
+
+    def _end_pass(self, k: int, benign) -> None:
+        """Score a pass's benign outputs, (node, selected sender, train loss,
+        output) in order, on the test set together and add a row for each."""
+        accs = (accuracy([out for *_, out in benign], self.task, *self.test_set)
+                if self.test_set is not None else [None] * len(benign))
+        for (node, sender, loss, _), acc in zip(benign, accs):
+            self.history.add_row(HistoryRow(k, node, sender, loss, acc, self.group))
+
+    def run(self, rounds: int) -> TrainHistory:
+        for _ in range(rounds):
+            self.run_round()
+        return self.history
+
+
+class BasilRing(Driver):
     """Stateful driver for the ring protocol over ``node_ids``, of which the
     resolved set ``byzantine`` attack; each node stores ``connectivity``
     models and multicasts to that many successors.  A node's S predecessors
@@ -144,30 +227,18 @@ class BasilRing:
         initial_model: ModelVector | None = None,
         group: int | None = None,
     ):
-        self.task = task
-        self.dataset = dataset
-        self.attack = attack or AttackSpec()
-        self.lr_schedule = lr_schedule or default_lr
         if epochs is not None and epochs < 1:
             raise ConfigError("epochs must be None or >= 1")
-        self.batch_size = batch_size
         self.epochs = epochs
-        self.test_set = test_set
         self.group = group
-        self.seed = seed
         self.connectivity = connectivity
-
         self.node_ids = list(node_ids)
         self.order = agree_order(self.node_ids, seed)
         n = len(self.order)
         if n > 1 and not 1 <= connectivity <= n - 1:
             raise ConfigError(f"need 1 <= S <= N-1 = {n - 1}, got S = {connectivity}")
-        self.byzantine = frozenset(byzantine)
-        unknown = self.byzantine - set(self.node_ids)
-        if unknown:
-            raise ConfigError(f"byzantine ids {sorted(unknown)} are not ring members")
-        if len(self.byzantine) == n:
-            raise ConfigError("every ring member is Byzantine")
+        super().__init__(self.node_ids, byzantine, seed, task, dataset, attack, lr_schedule,
+                         batch_size, test_set)
         if dataset.partition is None:
             raise ConfigError("dataset must be partitioned before training")
         missing = [i for i in self.node_ids if i not in dataset.partition]
@@ -176,7 +247,6 @@ class BasilRing:
 
         self.latest_benign: dict[int, ModelVector] = {}
         self.round_idx = 0
-        self.history = TrainHistory()
         if initial_model is None:
             initial_model = task.initial_model(seed)
         self.latest_output = {node: initial_model for node in self.node_ids}
@@ -189,10 +259,10 @@ class BasilRing:
 
     # -- helpers ---------------------------------------------------------
 
-    def is_benign(self, node: int) -> bool:
-        return node not in self.byzantine
+    def _benign_pool(self) -> list[ModelVector]:
+        return [self.latest_benign[i] for i in sorted(self.latest_benign)]
 
-    def _update(self, model: ModelVector, node: int, k: int, X, y, lr: float) -> ModelVector:
+    def _update(self, model: ModelVector, node: int, X, y, k: int, lr: float) -> ModelVector:
         """One SGD step on the selection batch, or ``epochs`` passes of
         mini-batch SGD over the node's local data (batch clamped to its size)."""
         if self.epochs is None:
@@ -211,56 +281,20 @@ class BasilRing:
 
     def run_round(self) -> None:
         k = self.round_idx + 1
-        lr = self.lr_schedule(k)
-        # (node, selection, train loss, output) of each benign activation; the
-        # pass's outputs are scored on the test set together at its end
-        benign: list[tuple[int, Selection, float, ModelVector]] = []
+        update = partial(self._update, k=k, lr=self.lr_schedule(k))
+        record = partial(SelectionRecord, k, "ring", self.group, fanout=self.connectivity)
+        # (node, selected sender, train loss, output) of each benign activation
+        benign: list[tuple[int, int | None, float, ModelVector]] = []
         for node in self.order:
-            byzantine = not self.is_benign(node)
-            pool = [self.latest_benign[i] for i in sorted(self.latest_benign)] if byzantine else []
-            if byzantine and ignores_honest_update(self.attack, benign_models=pool, round_k=k):
-                # the attack would discard a pick and step, so the node makes
-                # none; of the model handed in, it reads only the shape
-                self.history.selections.append(SelectionRecord(
-                    k, "ring", self.group, node, False, (), (), self.connectivity))
-                honest = prior = self.latest_output[node]
-            else:
-                X, y = local_batch(self.dataset, node, self.batch_size,
-                                   [self.seed, TAG_BATCH, node, k])
-                candidates = self.window.entries
-                if len(self.window) < self.window.capacity:
-                    candidates = [*candidates, (None, self.latest_output[node])]
-                selection = basil_select(candidates, self.task, X, y)
-                self.history.selections.append(SelectionRecord(
-                    k, "ring", self.group, node, not byzantine,
-                    selection.candidate_losses, (selection.sender,), self.connectivity))
-                prior = selection.model
-                honest = self._update(prior, node, k, X, y, lr)
-            if not byzantine:
-                out = honest
+            candidates = self.window.entries
+            if len(self.window) < self.window.capacity:
+                candidates = [*candidates, (None, self.latest_output[node])]
+            out, selection, X, y = self.activate(node, candidates, basil_select, update, record,
+                                                 k, (node, k))
+            if node not in self.byzantine:
                 self.latest_benign[node] = out
-                benign.append((node, selection, evaluate_loss(out, self.task, X, y), out))
-            else:
-                out = apply_attack(self.attack, honest_update=honest, prior=prior,
-                                   benign_models=pool, round_k=k,
-                                   key=[self.seed, TAG_ATTACK, node, k])
+                benign.append((node, selection.sender, evaluate_loss(out, self.task, X, y), out))
             self.latest_output[node] = out
             self.window.insert(node, out)
-        outs = [out for *_, out in benign]
-        accs = (accuracy(outs, self.task, *self.test_set)
-                if self.test_set is not None else [None] * len(outs))
-        for (node, selection, loss, _), acc in zip(benign, accs):
-            self.history.add_row(HistoryRow(
-                round=k,
-                node=node,
-                selected_sender=selection.sender,
-                train_loss=loss,
-                test_acc=acc,
-                group=self.group,
-            ))
+        self._end_pass(k, benign)
         self.round_idx = k
-
-    def run(self, rounds: int) -> TrainHistory:
-        for _ in range(rounds):
-            self.run_round()
-        return self.history

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import basilsim
 from basilsim.attacks import (
     ATTACK_KINDS,
     AttackSpec,
@@ -208,3 +212,30 @@ class TestSpecAndDispatch:
     def test_inverse_definition_flagged_in_manifest(self):
         manifest = AttackSpec.make("inverse").to_manifest()
         assert "definition_note" in manifest
+
+
+def callers(name: str) -> set[str]:
+    """``module.qualname`` of each package function (or module body) that calls ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.add(scope)
+            visit(child, scope)
+
+    for path in sorted(Path(basilsim.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+@pytest.mark.parametrize("name", ["ignores_honest_update", "apply_attack"])
+def test_one_activation_decides_and_applies_the_attack(name):
+    # the ring, the Basil+ stages and the graph's Byzantine nodes share one
+    # activation; a second caller would fork the Byzantine path again
+    assert callers(name) == {"ring.Driver.activate"}

@@ -77,6 +77,16 @@ class TestGraphTopology:
             GraphDriver({0: frozenset({0, 1}), 1: frozenset({0})}, set(), gossip_rule, 0,
                         task, dataset)
 
+    def test_byzantine_set_must_name_members(self):
+        task, dataset = quad_setup(4)
+        with pytest.raises(ConfigError, match="not graph members"):
+            GraphDriver(complete_graph(4), {7}, gossip_rule, 0, task, dataset)
+
+    def test_byzantine_set_must_leave_a_benign_member(self):
+        task, dataset = quad_setup(4)
+        with pytest.raises(ConfigError, match="every graph member"):
+            GraphDriver(complete_graph(4), set(range(4)), gossip_rule, 0, task, dataset)
+
 
 def run_config(scheme, out_dir, **overrides):
     cfg = {

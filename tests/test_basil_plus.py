@@ -299,3 +299,8 @@ class TestDriver:
         task, dataset = quad_group_setup()
         with pytest.raises(ConfigError, match="epochs"):
             BasilPlusDriver(2, frozenset(), 1, 6, task, dataset, n_nodes=8, epochs=epochs)
+
+    def test_byzantine_set_must_name_members(self):
+        task, dataset = quad_group_setup()
+        with pytest.raises(ConfigError, match="not ring members"):
+            BasilPlusDriver(2, frozenset({8}), 1, 6, task, dataset, n_nodes=8)
