@@ -361,14 +361,42 @@ def sgd_step(
     return model.with_params(model.params - lr * grad)
 
 
-#: byte budget of one stacked logit block in :func:`accuracy`
+#: byte budget of one stacked float32 logit block in :func:`accuracy`
 _SCORE_CHUNK_BYTES = 1 << 19
-#: unit roundoff of float64
-_U = 2.0 ** -53
+#: unit roundoffs of float64 and float32
+_U, _U32 = 2.0 ** -53, 2.0 ** -24
+#: the least float32 subnormal
+_TINY32 = 2.0 ** -149
 #: absolute slack for subnormal products and underflow in the bound's own arithmetic
 _TINY = 2.0 ** -1000
-#: a logit scale from here up might overflow a partial sum; such a model is not certified
-_HUGE = 2.0 ** 1000
+#: a scale from here up might overflow a float64 or a float32 partial sum;
+#: a model of such a scale is not decided in that precision
+_HUGE, _HUGE32 = 2.0 ** 1000, 2.0 ** 120
+
+
+def _gamma(k: int, u: float) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, or inf (deciding nothing) from
+    ``k u >= 1/16`` on, so a finite one is at most 1/15."""
+    return k * u / (1.0 - k * u) if 16 * k * u < 1 else math.inf
+
+
+def _label_margins(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``f_iy - max_{c != y_i} f_ic`` of each ``(C, B)`` block of an ``(s, C,
+    B)`` logit stack, as ``(s, B)``; the label logits are overwritten."""
+    s, C, B = logits.shape
+    flat = logits.reshape(s, C * B)
+    at = y * B + np.arange(B)
+    label = flat[:, at]
+    flat[:, at] = -np.inf
+    return label - logits.max(axis=1)
+
+
+def _float64_hits(w: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
+                  tol: float) -> int | None:
+    """Label hits of one model ``(w, b)`` on the samples ``X`` in float64, or
+    None if a margin is NaN or within ``tol`` of zero."""
+    margin = _label_margins((w @ X.T + b[:, None])[None], y)
+    return int(np.count_nonzero(margin > 0)) if (np.abs(margin) > tol).all() else None
 
 
 def _reference_accuracy(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
@@ -381,34 +409,62 @@ def accuracy(
     """Test accuracy of each model: the share of samples whose ``argmax`` logit
     is the label, equal to :func:`_reference_accuracy` of the model alone.
 
-    Softmax models are scored in chunks of one stacked product ``(s*C, D) @
-    X.T``, whose logits may round differently from the reference's ``X @ w.T``.
-    A model's result is kept only where that cannot change any outcome.  Let
-    ``n = D`` and ``gamma_k = k u / (1 - k u)`` with ``u = 2**-53``:
+    Softmax models are scored in float32, and a (model, sample) pair that
+    float32 cannot decide is rechecked in float64.  An outcome is kept only
+    where a bound proves it is the reference's, whose float64 logits
+    ``x.w + b`` may round differently.  Let ``n = D``, ``gamma_k = k u / (1 -
+    k u)`` with ``u = 2**-53`` (``gamma32_k`` with ``u32 = 2**-24``), and ``t
+    = 2**-149``, the least float32 subnormal:
 
-    - Any summation order of ``x.w + b`` (with or without FMA) is within
-      ``gamma_(n+1) (sum_j |x_j w_j| + |b|) + (n+1) 2**-1074`` of the exact
-      value (Higham, Thm. 3.1, plus ``2**-1075`` for each product that
-      underflows), so two orders differ by at most twice that.
-    - Cauchy-Schwarz gives ``sum_j |x_j w_j| <= |x| |w|``.  A true 2-norm is
-      at most the computed one times ``1 + gamma_(n+2)``, plus ``sqrt(n+1)
+    - Any float64 summation order of ``x.w + b`` (with or without FMA) is
+      within ``gamma_(n+1) S + (n+1) 2**-1074`` of the exact value, where ``S
+      = sum_j |x_j w_j| + |b|`` (Higham, Thm. 3.1, plus ``2**-1075`` for each
+      product that underflows).
+    - Cauchy-Schwarz gives ``S <= |x| |w| + |b|``.  A true 2-norm is at most
+      the computed one times ``1 + gamma_(n+2)``, plus ``sqrt(n+1)
       2**-536`` for squares that underflow.  ``nx`` and ``nw`` are computed
       norms so inflated, ``nx`` the largest over the samples and ``nw`` over
-      the classes, and ``nb = max_c |b_c|``.
-    - So two orders of any logit of the model differ by at most
+      the classes, ``nb = max_c |b_c|``, and ``scale = nx nw + nb``.
 
-          E = 2 gamma_(n+2) (1 + 2**-20) (nx nw + nb) + 2**-1000,
+    The float32 tier computes each chunk of ``s`` models as one product
+    ``(s*C, n+1) @ (n+1, B)``, the bias folded in as the weight of an
+    all-ones input column, so each logit is a sum of ``n+1`` products
+    ``a_j c_j`` of ``a = (x, 1)`` and ``c = (w, b)``:
 
-      where ``1 + 2**-20`` covers the rounding of ``E`` itself and of the
-      margins below, and ``2**-1000`` the subnormal terms.
+    - Rounding ``a_j`` to float32 moves it by at most ``u32 |a_j| + t/2``
+      (``t/2`` below the normal range), and likewise ``c_j``.  So
+      ``a32_j c32_j`` is within ``(2 u32 + u32**2) |a_j c_j| + (t/2) (1 +
+      u32) (|a_j| + |c_j|) + t**2/4`` of ``a_j c_j``.
+    - Any float32 summation order of those products adds at most
+      ``gamma32_(n+1) sum_j |a32_j c32_j|``, plus ``t/2`` for each product
+      that underflows.
+    - With ``(1 + gamma32_(n+1)) (1 + u32)**2 - 1 <= gamma32_(n+3)``
+      (Higham, Lemma 3.3), ``gamma32_(n+3) <= 1/15`` and ``sum_j |x_j| <=
+      sqrt(n) nx``, a float32 logit and the reference's differ by at most
 
-    With ``d_i = f_iy - max_{c != y} f_ic`` on the stacked logits, ``d_i >
-    2E`` proves that the reference logit of the label is the strict maximum,
-    and ``d_i < -2E`` that another class beats it.  A model with any other
-    sample (an exact tie, a NaN or Inf), or whose scale ``nx nw + nb`` could
-    overflow a partial sum, is scored by the reference, as is every model of
-    another task; so each result is the reference's on any BLAS.  All models
-    share one shape.
+          E32 = (gamma32_(n+3) + gamma_(n+2)) scale
+                + t (sqrt(n) (nx + nw) + nb + 2n + 3).
+
+      That last term is at least ``(n+1) t / 2`` more than the subnormal
+      terms need, which covers the reference's ``(n+1) 2**-1074`` and any
+      underflow in computing ``E32``.
+    - Overflow: if ``(nx + 1) (nw + nb + 1) < 2**120``, no entry, product,
+      partial sum or margin can reach float32's ``2**128``.  Otherwise the
+      model's pairs are all left to the float64 recheck.
+
+    The recheck scores a model's undecided samples with one float64 product
+    ``(C, n) @ (n, k)``.  Two float64 orders differ by at most ``E64 = 2
+    gamma_(n+2) scale + 2**-1000``, the last term for the subnormal terms.
+
+    With ``d_i = f_iy - max_{c != y} f_ic`` on a tier's logits and ``E`` its
+    bound, ``d_i > 2E`` proves that the reference logit of the label is the
+    strict maximum, and ``d_i < -2E`` that another class beats it.  The
+    factor ``1 + 2**-20`` on each ``2E`` covers the rounding of ``E`` and of
+    the margins.  A NaN or Inf margin decides nothing.  A model with a
+    sample that neither tier decides (an exact tie, say), or whose scale
+    could overflow float64 (``scale >= 2**1000``), is scored by the
+    reference, as is every model of another task; so each result is the
+    reference's on any BLAS.  All models share one shape.
     """
     if not models:
         return []
@@ -417,30 +473,42 @@ def accuracy(
     if not (isinstance(task, SoftmaxTask) and B and 0 <= y.min() and y.max() < C):
         return [_reference_accuracy(m, task, X, y) for m in models]
     n = X.shape[1]
-    gamma = (n + 2) * _U / (1.0 - (n + 2) * _U)
-    coef = 2.0 * gamma * (1.0 + 2.0 ** -20)
+    gamma = _gamma(n + 2, _U)
+    slack = 2.0 * (1.0 + 2.0 ** -20)
     tiny_norm = math.sqrt(n + 1) * 2.0 ** -536
-    x_bound = math.sqrt(np.einsum("ij,ij->i", X, X).max()) * (1.0 + gamma) + tiny_norm
-    # each model's logits are a (C, B) block; the label's is at row y_i of column i
-    at = y * B + np.arange(B)
-    per_chunk = max(1, _SCORE_CHUNK_BYTES // (C * B * 8))
-    w_sq, b_max, hits, closest = (np.empty(len(models)) for _ in range(4))
+    nx = math.sqrt(np.einsum("ij,ij->i", X, X).max()) * (1.0 + gamma) + tiny_norm
+    # each sample with a trailing 1 that multiplies the bias
+    x32 = np.ones((B, n + 1), np.float32)
+    np.copyto(x32[:, :n], X, where=nx < _HUGE32)
+    w, b = _stack_layers(np.array([m.params for m in models]), models[0].shape)
+    nw = np.sqrt(np.einsum("scd,scd->sc", w, w).max(axis=1)) * (1.0 + gamma) + tiny_norm
+    nb = np.abs(b).max(axis=1)
+    scale = nx * nw + nb
+    # a NaN or Inf parameter makes its norms NaN or Inf, and fits False
+    fits = (nx + 1.0) * (nw + nb + 1.0) < _HUGE32
+    w32 = np.zeros((len(models), C, n + 1), np.float32)
+    np.copyto(w32[..., :n], w, where=fits[:, None, None])
+    np.copyto(w32[..., n], b, where=fits[:, None])
+    e32 = ((_gamma(n + 3, _U32) + gamma) * scale
+           + _TINY32 * (math.sqrt(n) * (nx + nw) + nb + 2 * n + 3))
+    tol32 = np.where(fits, slack * e32, np.inf)[:, None]
+    per_chunk = max(1, _SCORE_CHUNK_BYTES // (C * B * 4))
+    hits: list[int | None] = []
+    undecided = []
     for start in range(0, len(models), per_chunk):
         part = slice(start, start + per_chunk)
-        w, b = _stack_layers(np.array([m.params for m in models[part]]), models[0].shape)
-        s = len(w)
-        w_sq[part] = np.einsum("scd,scd->sc", w, w).max(axis=1)
-        b_max[part] = np.abs(b).max(axis=1)
-        logits = w.reshape(s * C, n) @ X.T
-        logits += b.reshape(s * C, 1)
-        logits = logits.reshape(s, C * B)
-        label = logits[:, at]
-        logits[:, at] = -np.inf
-        margin = label - logits.reshape(s, C, B).max(axis=1)
-        hits[part] = np.count_nonzero(margin > 0, axis=1)
-        closest[part] = np.abs(margin).min(axis=1)
-    scale = (np.sqrt(w_sq) * (1.0 + gamma) + tiny_norm) * x_bound + b_max
-    # a NaN or Inf parameter makes its scale NaN or Inf, and the test False
-    certified = (closest > 2.0 * (coef * scale + _TINY)) & (scale < _HUGE)
-    return [int(h) / B if ok else _reference_accuracy(m, task, X, y)
-            for m, ok, h in zip(models, certified.tolist(), hits.tolist())]
+        s = len(w32[part])
+        margin = _label_margins((w32[part].reshape(s * C, n + 1) @ x32.T).reshape(s, C, B), y)
+        size = np.abs(margin)
+        # a NaN or Inf margin decides nothing
+        decided = (size > tol32[part]) & (size < np.inf)
+        hits += np.count_nonzero(decided & (margin > 0), axis=1).tolist()
+        undecided += [(start + i, np.flatnonzero(~decided[i]))
+                      for i in np.flatnonzero(~decided.all(axis=1)).tolist()]
+    e64 = 2.0 * gamma * scale + _TINY
+    for i, k in undecided:
+        more = (_float64_hits(w[i], b[i], X[k], y[k], slack * e64[i])
+                if scale[i] < _HUGE else None)
+        hits[i] = None if more is None else hits[i] + more
+    return [h / B if h is not None else _reference_accuracy(m, task, X, y)
+            for m, h in zip(models, hits)]

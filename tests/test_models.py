@@ -465,10 +465,34 @@ class TestAccuracy:
     @pytest.mark.parametrize("D,C,B", [(64, 16, 2000), (8, 4, 50), (100, 4, 300),
                                        (7, 5, 40), (30, 13, 200), (3, 2, 1)])
     def test_random_models(self, D, C, B):
-        # C = 5 and 13 are not multiples of 8
+        # C = 5 and 13 are not multiples of 8; at a parameter scale of 1e-44
+        # the float32 weights are a few subnormal steps, at 1e-40 subnormal,
+        # and at 1e30 the logits near 1e31
         task = SoftmaxTask(D, C)
         X, y = labelled_batch(task, B, D)
-        self.check(random_models(task, 5, D), task, X, y)
+        for scale in (1e-44, 1e-40, 1e-3, 1.0, 1e30):
+            self.check(random_models(task, 5, D, scale), task, X, y)
+
+    def test_weights_beyond_float32_and_inputs_below_it(self):
+        task = SoftmaxTask(8, 4)
+        X, _ = labelled_batch(task, 200, 17)
+        rng = np.random.default_rng(18)
+        # weights that overflow float32 on a batch of norm near 1e-40, so
+        # that the logits are near 0.1 and their scale is small; in float32
+        # every logit is Inf or NaN
+        huge = [softmax_model(task, 1e39 * rng.standard_normal((4, 8)),
+                              rng.standard_normal(4)) for _ in range(3)]
+        tiny = 1e-41 * X
+        y = task.predict(huge[0], tiny)
+        y[::5] = (y[::5] + 1) % 4
+        assert self.check(huge, task, tiny, y)[0] == 0.8
+        # an Inf logit off the label leaves the float32 margin finite: class
+        # 2's reference logit 0.4 beats the label's 0, its float32 one is -Inf
+        hidden = softmax_model(SoftmaxTask(1, 3), [[0.0], [0.0], [-1e39]], [0.0, -1.0, 0.5])
+        assert self.check([hidden], SoftmaxTask(1, 3), np.array([[1e-40]]), np.zeros(1, int)) == [0.0]
+        # inputs that float32 rounds to zero, leaving only the biases
+        gone = 1e-50 * X
+        self.check(random_models(task, 3, 19), task, gone, task.predict(huge[1], tiny))
 
     def test_zero_model_ties_every_class(self):
         task = SoftmaxTask(6, 4)
@@ -520,6 +544,20 @@ class TestAccuracy:
             b[k, 1] = reference[lower[k]] if len(lower) > k else -1e3
         self.check([softmax_model(task, w[k], b[k]) for k in range(3)], task, X, y)
 
+    def test_float32_logits_that_miss_a_tie(self):
+        # class 1 (the label) is all bias, tying class 0's reference logit at
+        # one sample per model, and the argmax of a tie is class 0; float32
+        # rounds class 0's logit off the tie, so only the bound sends the
+        # sample on
+        task = SoftmaxTask(100, 2)
+        X, _ = labelled_batch(task, 300, 20)
+        y = np.ones(300, dtype=np.int64)
+        w = np.zeros((8, 2, 100))
+        w[:, 0] = np.random.default_rng(21).standard_normal((8, 100))
+        b = np.zeros((8, 2))
+        b[:, 1] = [np.matmul(X, w[k].T[None])[0][k, 0] for k in range(8)]
+        self.check([softmax_model(task, w[k], b[k]) for k in range(8)], task, X, y)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [0, -1])
     def test_non_finite_parameters(self, bad, where):
@@ -539,7 +577,7 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("budget", [1, 2 * 3 * 40 * 8, None])
     def test_more_models_than_one_chunk(self, monkeypatch, budget):
-        # budgets of one model, two models, and the default (two desk-sized models)
+        # budgets of one model, four models, and the default (four desk-sized models)
         task = SoftmaxTask(64, 16) if budget is None else SoftmaxTask(5, 3)
         if budget is not None:
             monkeypatch.setattr(models_mod, "_SCORE_CHUNK_BYTES", budget)
@@ -560,10 +598,17 @@ class TestAccuracy:
         task = SoftmaxTask(1, 2)
         X, y = np.array([[1.0], [2.0]]), np.array([1, 0])
         near = softmax_model(task, [[1.0], [np.nextafter(1.0, 2.0)]], np.zeros(2))
+        # float32 rounds 1 + 1e-9 to 1, so only float64 decides this one
+        mid = softmax_model(task, [[1.0], [1.0 + 1e-9]], np.zeros(2))
         clear = softmax_model(task, [[1.0], [2.0]], np.zeros(2))
-        scored = []
+        scored, rechecked = [], []
         real = models_mod._reference_accuracy
         monkeypatch.setattr(models_mod, "_reference_accuracy",
                             lambda m, *a: scored.append(m) or real(m, *a))
-        assert accuracy([clear, near, clear], task, X, y) == [0.5, 0.5, 0.5]
+        recheck = models_mod._float64_hits
+        monkeypatch.setattr(models_mod, "_float64_hits",
+                            lambda w, b, X, *a: rechecked.append(len(X)) or recheck(w, b, X, *a))
+        assert accuracy([clear, near, mid, clear], task, X, y) == [0.5] * 4
         assert scored == [near]
+        # both samples of near and mid, none of clear
+        assert rechecked == [2, 2]
