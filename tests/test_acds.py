@@ -232,13 +232,25 @@ def pool_json(seed):
     pool = run_acds(plan, shuffle_seed=seed)
     n = plan.group_size
     spread = [g[pos] for g in plan.groups for pos in (0, 1, n // 2, n - 1)]
+    anonymity = {}
+    for node in spread:
+        # one pass over the node's deliveries; a sample's level is that of its
+        # first real batch, as anonymity_level finds it
+        level = {}
+        for batch, cands in pool.stored[node]:
+            if not batch.dummy:
+                for s in batch.sample_ids:
+                    level.setdefault(s, len(cands))
+        received = pool.received_ids(node)
+        for s in (received[0], received[-1]):
+            assert anonymity_level(pool, node, s) == level[s]
+        anonymity[str(node)] = [level[s] for s in received]
     out = {
         "summary": pool.summary(24500, 1e8),
         "nodes": {str(node): [pool.received_ids(node), pool.dummy_sample_count(node),
                               sorted(pool.pre_dummy_missing[node])]
                   for node in range(N)},
-        "anonymity": {str(node): [anonymity_level(pool, node, s)
-                                  for s in pool.received_ids(node)] for node in spread},
+        "anonymity": anonymity,
     }
     return json.dumps(out, sort_keys=True)
 
