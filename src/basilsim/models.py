@@ -477,7 +477,8 @@ def accuracy(
     slack = 2.0 * (1.0 + 2.0 ** -20)
     tiny_norm = math.sqrt(n + 1) * 2.0 ** -536
     nx = math.sqrt(np.einsum("ij,ij->i", X, X).max()) * (1.0 + gamma) + tiny_norm
-    # each sample with a trailing 1 that multiplies the bias
+    # each sample with a trailing 1 that multiplies the bias; inputs past
+    # float32's range stay 0, and then no model fits
     x32 = np.ones((B, n + 1), np.float32)
     np.copyto(x32[:, :n], X, where=nx < _HUGE32)
     w, b = _stack_layers(np.array([m.params for m in models]), models[0].shape)

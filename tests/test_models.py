@@ -488,8 +488,9 @@ class TestAccuracy:
         assert self.check(huge, task, tiny, y)[0] == 0.8
         # an Inf logit off the label leaves the float32 margin finite: class
         # 2's reference logit 0.4 beats the label's 0, its float32 one is -Inf
-        hidden = softmax_model(SoftmaxTask(1, 3), [[0.0], [0.0], [-1e39]], [0.0, -1.0, 0.5])
-        assert self.check([hidden], SoftmaxTask(1, 3), np.array([[1e-40]]), np.zeros(1, int)) == [0.0]
+        one = SoftmaxTask(1, 3)
+        hidden = softmax_model(one, [[0.0], [0.0], [-1e39]], [0.0, -1.0, 0.5])
+        assert self.check([hidden], one, np.array([[1e-40]]), np.zeros(1, int)) == [0.0]
         # inputs that float32 rounds to zero, leaving only the biases
         gone = 1e-50 * X
         self.check(random_models(task, 3, 19), task, gone, task.predict(huge[1], tiny))
