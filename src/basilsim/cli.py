@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 run failure, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -28,84 +29,55 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_analyze_failure(args) -> int:
-    query = {"N": args.N, "b": args.b}
-    if args.S is not None:
-        query["S"] = args.S
-    grouped = args.n is not None or args.G is not None
-    if grouped and (args.n is None or args.G is None):
-        raise ConfigError("grouped queries need both --n and --G")
-    if args.case1 and not grouped:
-        raise ConfigError("--case1 is a grouped query and needs --n and --G")
-    if args.case1 and args.S not in (None, args.n - 1):
-        raise ConfigError(f"--case1 is the S = n-1 event, got --S {args.S} with n-1 = {args.n - 1}")
-    if grouped:
-        query.update({"n": args.n, "G": args.G})
-        if args.case1:
-            query["case1"] = True
-            bound = analytics.basil_plus_failure_case1(args.N, args.b, args.n, args.G)
-        else:
-            if args.S is None:
-                raise ConfigError("grouped run-length queries need --S")
-            bound = analytics.basil_plus_failure_prob(args.N, args.b, args.n, args.G, args.S)
+def _case1_oracle(N: int, b: int, n: int, G: int, trials: int, seed: int):
+    """The grouped oracle at S = n-1, the event case 1 bounds."""
+    return analytics.monte_carlo_basil_plus_failure(N, b, n, G, n - 1, trials, seed)
+
+
+#: analyze query -> (help, key of the value, {kind: (formula, oracle)}). A kind's
+#: flags are its formula's parameters. A failure kind also names the Monte-Carlo
+#: oracle of its event and prints the bound's fields; the one kind of ``cost``
+#: takes no positional word.
+QUERIES = {
+    "failure": ("ring or grouped failure probability bounds", None, {
+        "ring": (analytics.basil_failure_prob, analytics.monte_carlo_ring_failure),
+        "grouped": (analytics.basil_plus_failure_prob,
+                    analytics.monte_carlo_basil_plus_failure),
+        "case1": (analytics.basil_plus_failure_case1, _case1_oracle),
+    }),
+    "time": ("training and data-sharing time models", "time", {
+        "basil": (analytics.basil_training_time, None),
+        "basil-recursion": (analytics.basil_training_time_recursion, None),
+        "basil-plus": (analytics.basil_plus_training_time, None),
+        "ubar": (analytics.ubar_training_time, None),
+        "acds": (acds_mod.acds_comm_time, None),
+    }),
+    "cost": ("data-sharing communication cost", "cost_bits", {
+        None: (acds_mod.acds_comm_cost, None),
+    }),
+}
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _cmd_analyze(args) -> int:
+    inputs = {name: getattr(args, name) for name in inspect.signature(args.formula).parameters}
+    value = args.formula(**inputs)
+    record = {"query": {"kind": args.kind, **inputs} if args.kind else inputs}
+    if args.oracle is None:
+        record[args.value_key] = value
     else:
-        if args.S is None:
-            raise ConfigError("ring queries need --S")
-        bound = analytics.basil_failure_prob(args.N, args.b, args.S)
-    record = {
-        "query": query,
-        "analytic": bound.probability,
-        "raw_bound": bound.raw_bound,
-        "monte_carlo": None,
-        "std_error": None,
-        "trials": None,
-    }
-    if args.trials:
-        if grouped:
-            s_mc = args.S if args.S is not None else args.n - 1
-            est, se = analytics.monte_carlo_basil_plus_failure(
-                args.N, args.b, args.n, args.G, s_mc, args.trials, args.seed)
-        else:
-            est, se = analytics.monte_carlo_ring_failure(
-                args.N, args.b, args.S, args.trials, args.seed)
-        record.update({"monte_carlo": est, "std_error": se, "trials": args.trials})
+        record.update(analytic=value.probability, raw_bound=value.raw_bound,
+                      monte_carlo=None, std_error=None, trials=None)
+        if args.trials:
+            est, se = args.oracle(**inputs, trials=args.trials, seed=args.seed)
+            record.update(monte_carlo=est, std_error=se, trials=args.trials)
     print(json.dumps(record, indent=2))
-    return 0
-
-
-def _cmd_analyze_cost(args) -> int:
-    bits = acds_mod.acds_comm_cost(args.alpha, args.D, args.I, args.H, args.n, args.G)
-    print(json.dumps({
-        "query": {"alpha": args.alpha, "D": args.D, "I": args.I,
-                  "H": args.H, "n": args.n, "G": args.G},
-        "cost_bits": bits,
-    }, indent=2))
-    return 0
-
-
-def _cmd_analyze_time(args) -> int:
-    query = vars(args).copy()
-    query.pop("func", None)
-    query.pop("command", None)
-    query.pop("analyze_what", None)
-    model = args.model
-    if model == "basil":
-        value = analytics.basil_training_time(
-            args.tau, args.n, args.G, args.t_perf, args.t_comm, args.t_sgd)
-    elif model == "basil-recursion":
-        value = analytics.basil_training_time_recursion(
-            args.tau, args.n * args.G, args.S, args.t_perf, args.t_comm, args.t_sgd)
-    elif model == "basil-plus":
-        value = analytics.basil_plus_training_time(
-            args.tau, args.n, args.G, args.S, args.t_perf, args.t_comm, args.t_sgd)
-    elif model == "ubar":
-        value = analytics.ubar_training_time(
-            args.K, args.S, args.d, args.R,
-            args.t_dist, args.t_perf, args.t_agg, args.t_sgd)
-    else:  # acds
-        value = acds_mod.acds_comm_time(
-            args.alpha, args.D, args.I, args.H, args.n, args.G, args.R)
-    print(json.dumps({"query": query, "time": value}, indent=2))
     return 0
 
 
@@ -135,48 +107,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_an = sub.add_parser("analyze", help="closed-form reliability/cost/time queries")
-    an_sub = p_an.add_subparsers(dest="analyze_what", required=True)
+    an_sub = p_an.add_subparsers(dest="query", required=True)
 
-    p_fail = an_sub.add_parser("failure", help="ring or grouped failure probability")
-    p_fail.add_argument("--N", type=int, required=True)
-    p_fail.add_argument("--b", type=int, required=True)
-    p_fail.add_argument("--S", type=int, default=None,
-                        help="run length / connectivity (not needed with --case1)")
-    p_fail.add_argument("--n", type=int, default=None, help="group size (grouped query)")
-    p_fail.add_argument("--G", type=int, default=None, help="group count (grouped query)")
-    p_fail.add_argument("--case1", action="store_true",
-                        help="fully connected groups (S = n-1 variant)")
-    p_fail.add_argument("--trials", type=int, default=0,
-                        help="also run a Monte-Carlo estimate")
-    p_fail.add_argument("--seed", type=int, default=0)
-    p_fail.set_defaults(func=_cmd_analyze_failure)
-
-    p_cost = an_sub.add_parser("cost", help="data-sharing communication cost")
-    for flag, typ in (("--alpha", float), ("--D", int), ("--I", int),
-                      ("--H", int), ("--n", int), ("--G", int)):
-        p_cost.add_argument(flag, type=typ, required=True)
-    p_cost.set_defaults(func=_cmd_analyze_cost)
-
-    p_time = an_sub.add_parser("time", help="training/communication time models")
-    p_time.add_argument("--model", required=True,
-                        choices=["basil", "basil-recursion", "basil-plus", "ubar", "acds"])
-    p_time.add_argument("--tau", type=int, default=1)
-    p_time.add_argument("--n", type=int, default=1)
-    p_time.add_argument("--G", type=int, default=1)
-    p_time.add_argument("--S", type=int, default=1)
-    p_time.add_argument("--K", type=int, default=1)
-    p_time.add_argument("--d", type=int, default=1)
-    p_time.add_argument("--R", type=float, default=1.0)
-    p_time.add_argument("--alpha", type=float, default=0.05)
-    p_time.add_argument("--D", type=int, default=1)
-    p_time.add_argument("--I", type=int, default=1)
-    p_time.add_argument("--H", type=int, default=1)
-    p_time.add_argument("--t-perf", type=float, default=0.0)
-    p_time.add_argument("--t-comm", type=float, default=0.0)
-    p_time.add_argument("--t-sgd", type=float, default=0.0)
-    p_time.add_argument("--t-dist", type=float, default=0.0)
-    p_time.add_argument("--t-agg", type=float, default=0.0)
-    p_time.set_defaults(func=_cmd_analyze_time)
+    for query, (summary, value_key, kinds) in QUERIES.items():
+        p_query = an_sub.add_parser(query, help=summary)
+        kind_sub = None if None in kinds else p_query.add_subparsers(dest="kind", required=True)
+        for kind, (formula, oracle) in kinds.items():
+            p = p_query if kind is None else kind_sub.add_parser(
+                kind, help=inspect.getdoc(formula).split("\n\n")[0])
+            for name, param in inspect.signature(formula, eval_str=True).parameters.items():
+                p.add_argument("--" + name.replace("_", "-"), type=param.annotation,
+                               required=True)
+            if oracle:
+                p.add_argument("--trials", type=int, default=0,
+                               help="also run a Monte-Carlo estimate of the same event")
+                p.add_argument("--seed", type=_seed, default=0)
+            p.set_defaults(func=_cmd_analyze, kind=kind, formula=formula, oracle=oracle,
+                           value_key=value_key)
 
     p_demo = sub.add_parser("acds-demo", help="run anonymous data sharing on synthetic data")
     p_demo.add_argument("--nodes", type=int, default=8)
@@ -186,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--samples-per-node", type=int, default=200)
     p_demo.add_argument("--classes", type=int, default=4)
     p_demo.add_argument("--dim", type=int, default=8)
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=_seed, default=0)
     p_demo.add_argument("--bits-per-sample", type=int, default=None)
     p_demo.add_argument("--bandwidth", type=float, default=None)
     p_demo.set_defaults(func=_cmd_acds_demo)

@@ -119,6 +119,4 @@ def flag_sensitive_by_class(dataset: Dataset, gamma: float) -> Dataset:
         raise ConfigError("gamma must lie in [0, 1]")
     classes = np.unique(dataset.labels)
     n_open = int(np.ceil(gamma * len(classes)))
-    open_set = set(classes[:n_open].tolist())
-    sens = np.array([lab not in open_set for lab in dataset.labels.tolist()])
-    return replace(dataset, sensitive=sens)
+    return replace(dataset, sensitive=~np.isin(dataset.labels, classes[:n_open]))

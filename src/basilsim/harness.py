@@ -290,6 +290,8 @@ def _build_dataset(cfg: dict) -> tuple[Dataset, tuple | None]:
         if len(train) < cfg["ring"]["nodes"]:
             raise ConfigError(f"dataset.train_images: must hold at least ring.nodes = "
                               f"{cfg['ring']['nodes']} samples, holds {len(train)}")
+        if not len(test):
+            raise ConfigError("dataset.test_images: holds no images to score")
         return train, (test.features, test.labels)
     train = make_quadratic_dataset(d["samples"], d["dim"], d["seed"])
     return train, None

@@ -52,6 +52,6 @@ def idx_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
         raise IdxFormatError(
             f"image count {len(images)} does not match label count {len(labels)}", 4
         )
-    feats = images.reshape(len(images), -1).astype(np.float64) / 255.0
+    feats = images.reshape(len(images), math.prod(images.shape[1:])).astype(np.float64) / 255.0
     return Dataset(feats, labels.astype(np.int64))
 

@@ -94,6 +94,15 @@ class TestSensitiveFlagging:
         for lab, sens in zip(flagged.labels.tolist(), flagged.sensitive.tolist()):
             assert sens == (lab not in open_classes)
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 1.0])
+    def test_mask_matches_the_per_label_loop(self, gamma):
+        ds = toy_dataset(n=5000, classes=7, seed=3)
+        classes = np.unique(ds.labels)
+        open_set = set(classes[:int(np.ceil(gamma * len(classes)))].tolist())
+        loop = np.array([lab not in open_set for lab in ds.labels.tolist()])
+        flagged = flag_sensitive_by_class(ds, gamma).sensitive
+        assert flagged.dtype == bool and np.array_equal(flagged, loop)
+
     def test_bad_gamma_rejected(self):
         with pytest.raises(ConfigError):
             flag_sensitive_by_class(toy_dataset(), 1.5)

@@ -3,6 +3,7 @@ import importlib.util
 import inspect
 import json
 import re
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 import basilsim
+from basilsim.analytics import monte_carlo_basil_plus_failure
+from basilsim.cli import QUERIES
 from basilsim.cli import main as cli_main
 from basilsim.errors import ConfigError
 from basilsim.harness import FIELDS, SCHEMES, run_experiment, validate_config
@@ -33,6 +36,14 @@ def desk_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def usage_error(capsys, argv):
+    """The message of an argv the parser rejects with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 SYNTHETIC = {"kind": "synthetic", "samples": 400, "test_samples": 100, "classes": 4, "dim": 8}
@@ -293,30 +304,36 @@ class TestCli:
         assert Path(out["csv"]).exists()
 
     def test_analyze_failure_reference_value(self, capsys):
-        assert cli_main(["analyze", "failure", "--N", "100", "--b", "33",
+        assert cli_main(["analyze", "failure", "ring", "--N", "100", "--b", "33",
                          "--S", "10"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["analytic"] == pytest.approx(5.347e-4, rel=1e-3)
 
     def test_analyze_failure_negative_trials_exit_code(self, capsys):
-        assert cli_main(["analyze", "failure", "--N", "400", "--b", "60", "--n", "100",
-                         "--G", "4", "--S", "7", "--trials", "-5"]) == 2
+        assert cli_main(["analyze", "failure", "grouped", "--N", "400", "--b", "60",
+                         "--n", "100", "--G", "4", "--S", "7", "--trials", "-5"]) == 2
         assert "trials" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
-        ["--S", "3"],                          # no groups: would print the ring bound
-        ["--n", "4", "--G", "5", "--S", "2"],  # case 1 is the S = n-1 event
+        ["--S", "3"],  # S = n-1 is the event case 1 already bounds
+        ["--S", "2"],  # the run event is the grouped kind
     ])
     def test_analyze_failure_case1_misuse_exit_code(self, capsys, flags):
-        assert cli_main(["analyze", "failure", "--N", "20", "--b", "6", "--case1",
-                         *flags]) == 2
-        assert "--case1" in capsys.readouterr().err
+        assert "--S" in usage_error(capsys, ["analyze", "failure", "case1", "--N", "20",
+                                             "--b", "6", "--n", "4", "--G", "5", *flags])
 
     def test_analyze_failure_case1_query(self, capsys):
-        assert cli_main(["analyze", "failure", "--N", "20", "--b", "6", "--n", "4",
-                         "--G", "5", "--S", "3", "--case1"]) == 0
+        assert cli_main(["analyze", "failure", "case1", "--N", "20", "--b", "6",
+                         "--n", "4", "--G", "5"]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["query"] == {"N": 20, "b": 6, "S": 3, "n": 4, "G": 5, "case1": True}
+        assert record["query"] == {"kind": "case1", "N": 20, "b": 6, "n": 4, "G": 5}
+
+    def test_analyze_failure_case1_trials_run_the_grouped_oracle_at_n_minus_1(self, capsys):
+        assert cli_main(["analyze", "failure", "case1", "--N", "20", "--b", "6", "--n", "4",
+                         "--G", "5", "--trials", "2000", "--seed", "7"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        est, se = monte_carlo_basil_plus_failure(20, 6, 4, 5, 3, 2000, 7)
+        assert (record["monte_carlo"], record["std_error"], record["trials"]) == (est, se, 2000)
 
     def test_analyze_cost_reference_value(self, capsys):
         assert cli_main(["analyze", "cost", "--alpha", "0.05", "--D", "500",
@@ -325,10 +342,57 @@ class TestCli:
         assert record["cost_bits"] == 76_685_000
 
     def test_analyze_time_models(self, capsys):
-        assert cli_main(["analyze", "time", "--model", "basil-plus", "--tau", "1",
-                         "--n", "25", "--G", "16", "--S", "6", "--t-perf", "1",
-                         "--t-comm", "1", "--t-sgd", "1"]) == 0
+        assert cli_main(["analyze", "time", "basil-plus", "--tau", "1", "--n", "25",
+                         "--G", "16", "--S", "6", "--t-perf", "1", "--t-comm", "1",
+                         "--t-sgd", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["time"] == 187
+
+    def test_analyze_time_without_costs_exit_code(self, capsys):
+        # the costs once defaulted to zero, and this printed a time of 0.0
+        err = usage_error(capsys, ["analyze", "time", "basil-plus", "--tau", "1",
+                                   "--n", "25", "--G", "16", "--S", "6"])
+        assert "required: --t-perf, --t-comm, --t-sgd" in err
+
+    @pytest.mark.parametrize("query, kind", [
+        (query, kind) for query, (_, _, kinds) in QUERIES.items() for kind in kinds])
+    def test_analyze_flags_are_the_formula_parameters(self, capsys, query, kind):
+        formula, oracle = QUERIES[query][2][kind]
+        flags = ["--" + name.replace("_", "-") for name in inspect.signature(formula).parameters]
+        every = {"--trials", "--seed"} | {
+            "--" + name.replace("_", "-")
+            for _, _, kinds in QUERIES.values() for fn, _ in kinds.values()
+            for name in inspect.signature(fn).parameters}
+        foreign = sorted(every - set(flags) - ({"--trials", "--seed"} if oracle else set()))
+        assert foreign
+
+        def argv(*given):
+            words = ["analyze", query, *([kind] if kind else [])]
+            return [*words, *(x for flag in given for x in (flag, "1"))]
+
+        for drop in flags:
+            err = usage_error(capsys, argv(*(f for f in flags if f != drop)))
+            assert f"required: {drop}" in err
+        for extra in foreign:
+            err = usage_error(capsys, argv(*flags, extra))
+            assert f"unrecognized arguments: {extra} 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "failure", "ring", "--N", "100", "--b", "33", "--S", "10",
+         "--trials", "10", "--seed", "-1"],
+        ["acds-demo", "--seed", "-1"],
+    ])
+    def test_negative_seed_exit_code_names_it(self, capsys, argv):
+        assert "argument --seed: must be a non-negative integer" in usage_error(capsys, argv)
+
+    def test_readme_commands_run(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```sh\n")[1].split("```")[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith(("basilsim analyze ", "basilsim acds-demo "))]
+        assert len(lines) >= 6
+        for line in lines:
+            assert cli_main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
     def test_acds_demo(self, capsys):
         assert cli_main(["acds-demo", "--nodes", "6", "--groups", "2",
@@ -517,6 +581,12 @@ class TestCli:
         assert "dataset.train_images: must hold at least ring.nodes = 8" in capsys.readouterr().err
         # the run created both directories and removed both
         assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_idx_file_of_zero_images_names_it(self, tmp_path, capsys, split):
+        dataset = self.idx_dataset(tmp_path, **{split: 0})
+        assert self.run_cli(tmp_path, dataset, tmp_path / "out") == 2
+        assert f"dataset.{split}_images:" in capsys.readouterr().err
 
     def test_failed_run_keeps_a_directory_it_did_not_create(self, tmp_path):
         out = tmp_path / "out"
