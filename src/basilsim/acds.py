@@ -52,7 +52,6 @@ class AcdsPlan:
     batch_size: int         # M
     node_batches: dict[int, tuple[DataBatch, ...]]
     local_data_size: int    # D
-    seed: int
 
     @property
     def n_groups(self) -> int:
@@ -113,7 +112,7 @@ def plan_acds(
             DataBatch(node, h + 1, tuple(int(s) for s in picked[h * M:(h + 1) * M]))
             for h in range(H)
         )
-    return AcdsPlan(groups, alpha, H, M, node_batches, D, seed)
+    return AcdsPlan(groups, alpha, H, M, node_batches, D)
 
 
 def _dummy_batch(owner: int, H: int, M: int) -> DataBatch:
@@ -260,24 +259,25 @@ def anonymity_level(pool: SharedPool, node: int, sample_id: int) -> int:
     raise ConfigError(f"sample {sample_id} was not received by node {node}")
 
 
-def _rat(x: float) -> Fraction:
-    """Nearest simple rational; lets decimal-looking floats stay exact."""
-    return Fraction(x).limit_denominator(10**9)
+def _shared_bits(alpha: float, D: int, I: int, H: int, n: int, G: int) -> Fraction:
+    """``alpha * D * I`` once the inputs check out, with ``alpha`` as its nearest
+    simple rational so that decimal-looking floats stay exact."""
+    if not 0 < alpha <= 1:
+        raise ConfigError("alpha must lie in (0, 1]")
+    for name, v in {"D": D, "I": I, "H": H, "n": n, "G": G}.items():
+        if v <= 0:
+            raise ConfigError(f"{name} must be positive")
+    return Fraction(alpha).limit_denominator(10**9) * D * I
 
 
 def acds_comm_cost(alpha: float, D: int, I: int, H: int, n: int, G: int) -> float:
     """Worst-case communication cost per node in bits."""
-    for name, v in {"D": D, "I": I, "H": H, "n": n, "G": G}.items():
-        if v <= 0:
-            raise ConfigError(f"{name} must be positive")
-    a = _rat(alpha)
-    return float(a * D * I * (Fraction(1, H) + n * (G + 1)))
+    return float(_shared_bits(alpha, D, I, H, n, G) * (Fraction(1, H) + n * (G + 1)))
 
 
 def acds_comm_time(alpha: float, D: int, I: int, H: int, n: int, G: int, R: float) -> float:
     """Total seconds to complete all sharing phases at per-node bandwidth ``R`` b/s."""
-    if R <= 0:
+    if not R > 0:  # NaN too
         raise ConfigError("bandwidth R must be positive")
-    a = _rat(alpha)
     bracket = Fraction(n * n) * (Fraction(2 * H + 1, 2)) + n * (H * (G - 1) - Fraction(3, 2))
-    return float(a * D * I * bracket / H) / R
+    return float(_shared_bits(alpha, D, I, H, n, G) * bracket / H) / R

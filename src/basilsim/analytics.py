@@ -24,9 +24,6 @@ class ProbabilityBound:
     probability: float
     raw_bound: float
 
-    def __float__(self) -> float:
-        return self.probability
-
 
 def _clamped(raw: Fraction) -> ProbabilityBound:
     raw_f = float(raw)
@@ -287,7 +284,7 @@ def basil_training_time(
     tau: int, n: int, G: int, t_perf: float, t_comm: float, t_sgd: float
 ) -> float:
     """Upper bound on one global round of sequential ring training."""
-    _check_times(t_perf, t_comm, t_sgd)
+    _check_inputs(t_perf, t_comm, t_sgd, tau=tau, n=n, G=G)
     return tau * n * G * (t_perf + t_comm + t_sgd)
 
 
@@ -301,7 +298,7 @@ def basil_training_time_recursion(
     evaluate ``S`` models each.  Returns the finish time of the last node in
     round ``tau``.
     """
-    _check_times(t_perf, t_comm, t_sgd)
+    _check_inputs(t_perf, t_comm, t_sgd)
     if tau < 1 or N < 1 or not 1 <= S <= max(N - 1, 1):
         raise ConfigError("need tau >= 1, N >= 1, 1 <= S <= N-1")
     t_comp = t_perf + t_sgd
@@ -322,7 +319,7 @@ def basil_plus_training_time(
 ) -> float:
     """One global round of grouped training: parallel rings, circular
     aggregation, and the final multicast."""
-    _check_times(t_perf, t_comm, t_sgd)
+    _check_inputs(t_perf, t_comm, t_sgd, tau=tau, n=n, G=G, S=S)
     return (
         (tau * n + G + 1) * t_perf
         + (S * G + tau * n - 1) * t_comm
@@ -335,12 +332,18 @@ def ubar_training_time(
     t_dist: float, t_perf: float, t_agg: float, t_sgd: float,
 ) -> float:
     """Total graph-baseline training time over ``K`` parallel rounds."""
-    _check_times(t_dist, t_perf, t_agg, t_sgd)
-    if R <= 0:
+    _check_inputs(t_dist, t_perf, t_agg, t_sgd, K=K, S=S, d=d)
+    if not R > 0:  # NaN too
         raise ConfigError("bandwidth R must be positive")
     return K * (t_dist + t_perf + t_agg + t_sgd + S * 32.0 * d / R)
 
 
-def _check_times(*times: float) -> None:
-    if any(t < 0 for t in times):
+def _check_inputs(*times: float, **counts: int) -> None:
+    """Times >= 0, ``tau`` >= 0 (a global round may run no ring round) and
+    any other count >= 1."""
+    if not all(t >= 0 for t in times):  # NaN too
         raise ConfigError("times must be nonnegative")
+    for name, value in counts.items():
+        least = 0 if name == "tau" else 1
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}")

@@ -9,16 +9,16 @@ connectivity one, where every selection has a single candidate."""
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .attacks import AttackSpec
 from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord
 from .models import LossTask, ModelVector, average_models, evaluate_loss, evaluate_losses, sgd_step
-from .ring import DEFAULT_BATCH_SIZE, TAG_BATCH, Driver, Selection, local_batch
+from .ring import Driver, Selection
 
 TAG_GRAPH = 0xD0
 
@@ -69,15 +69,17 @@ def build_random_graph(
     raise ConfigError(f"no connected benign subgraph within {max_retries} seeds")
 
 
-#: ``rule(node, own, received, task, X, y, lr) -> (model, candidates, winners)``:
-#: a benign node's update from its own model, its neighbours' (sender -> model)
-#: and its batch, with the (sender, loss) pairs it scored and the senders it kept
-GraphRule = Callable[..., tuple[ModelVector, tuple, tuple]]
+#: ``rule(node, own, received, task, X, y, lr) -> Selection``: a benign
+#: node's pick from its neighbours' (sender, model) pairs on its batch, whose
+#: model is its stepped output, with the (sender, loss) pairs it scored and
+#: the senders it kept
+GraphRule = Callable[..., Selection]
 
 
-def gossip_rule(node, own, received, task, X, y, lr):
+def gossip_rule(node, own, received, task, X, y, lr) -> Selection:
     """Plain gossip: average own model with all neighbours', then step."""
-    return sgd_step(average_models([own, *received.values()]), task, X, y, lr), (), tuple(received)
+    averaged = average_models([own, *(model for _, model in received)])
+    return Selection(sgd_step(averaged, task, X, y, lr), (), tuple(j for j, _ in received))
 
 
 def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
@@ -92,9 +94,10 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
     if not 0 < rho <= 1:
         raise ConfigError("rho must lie in (0, 1]")
 
-    def rule(node, own, received, task, X, y, lr):
+    def rule(node, own, received, task, X, y, lr) -> Selection:
         if not received:
             raise ConfigError(f"node {node} has no neighbours")
+        received = dict(received)
         by_distance = sorted(
             received, key=lambda j: (float(np.linalg.norm(received[j].params - own.params)), j)
         )
@@ -110,8 +113,8 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
             aggregate = received[accepted[0]]
         grad_step = sgd_step(own, task, X, y, lr)
         mixed = mixing * own.params + (1.0 - mixing) * aggregate.params
-        out = own.with_params(mixed - (own.params - grad_step.params))
-        return out, candidates, accepted
+        return Selection(own.with_params(mixed - (own.params - grad_step.params)),
+                         candidates, accepted)
 
     return rule
 
@@ -119,14 +122,15 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
 def _own_model(candidates, task, X, y) -> Selection:
     """A Byzantine graph node's pick: its own model, the one candidate, unscored."""
     ((node, own),) = candidates
-    return Selection(own, node, ())
+    return Selection(own, (), (node,))
 
 
 class GraphDriver(Driver):
     """Stateful driver for a synchronous graph scheme: every round each
     Byzantine node sends one attacked model to all its neighbours, and each
-    benign node applies ``rule``; all reads in a round use the previous
-    round's models.
+    benign node picks (:meth:`Driver._pick`) by ``rule``; all reads in a
+    round use the previous round's models.  ``settings`` are
+    :class:`Driver`'s.
 
     A Byzantine node runs the ring's activation (:meth:`Driver.activate`)
     with its own model as its pick, recording nothing: it never reads what
@@ -145,11 +149,7 @@ class GraphDriver(Driver):
         seed: int,
         task: LossTask,
         dataset: Dataset,
-        *,
-        attack: AttackSpec | None = None,
-        lr_schedule: Callable[[int], float] | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
-        test_set=None,
+        **settings,
     ):
         for node, nbrs in adjacency.items():
             if node in nbrs:
@@ -157,8 +157,7 @@ class GraphDriver(Driver):
             for other in nbrs:
                 if node not in adjacency.get(other, frozenset()):
                     raise ConfigError(f"edge {node}-{other} is not symmetric")
-        super().__init__(adjacency, byzantine, seed, task, dataset, attack, lr_schedule,
-                         batch_size, test_set)
+        super().__init__(adjacency, byzantine, seed, task, dataset, **settings)
         self.adjacency = adjacency
         self.rule = rule
         initial_model = task.initial_model(seed)
@@ -181,12 +180,11 @@ class GraphDriver(Driver):
         for node in sorted(self.models):
             if node in self.byzantine:
                 continue
-            X, y = local_batch(self.dataset, node, self.batch_size, [self.seed, TAG_BATCH, node, k])
-            received = {j: sent[j] for j in sorted(self.adjacency[node])}
-            out, candidates, winners = self.rule(
-                node, self.models[node], received, self.task, X, y, lr)
-            self.history.selections.append(SelectionRecord(
-                k, "graph", None, node, True, candidates, winners, len(received)))
+            received = [(j, sent[j]) for j in sorted(self.adjacency[node])]
+            selection, X, y = self._pick(
+                node, received, partial(self.rule, node, self.models[node], lr=lr),
+                partial(SelectionRecord, k, "graph", None, fanout=len(received)), (node, k), True)
+            out = selection.model
             benign.append((node, None, evaluate_loss(out, self.task, X, y), out))
         self._end_pass(k, benign)
         self.models = {**sent, **{node: out for node, *_, out in benign}}

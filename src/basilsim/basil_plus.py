@@ -16,19 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .attacks import AttackSpec
 from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord, TrainHistory
 from .models import LossTask, ModelVector
-from .ring import (
-    DEFAULT_BATCH_SIZE,
-    BasilRing,
-    Driver,
-    agree_order,
-    basil_select,
-    local_batch,
-)
+from .ring import BasilRing, Driver, agree_order, basil_select
 
 TAG_CLUSTER = 0xC0
 TAG_STAGE_BATCH = 0xC1
@@ -53,9 +45,11 @@ def cluster_nodes(node_ids, G: int, seed: int) -> list[tuple[int, ...]]:
 class BasilPlusDriver(Driver):
     """Stateful driver for grouped training: one :class:`BasilRing` per group,
     each with connectivity ``connectivity``, over nodes ``0..n_nodes-1`` of
-    which the resolved set ``byzantine`` attack.  The aggregate and multicast
-    stages are activations (:meth:`Driver.activate`) on the stage streams;
-    a head node's adopt is a plain pick, never attacked."""
+    which the resolved set ``byzantine`` attack; ``settings`` are
+    :class:`Driver`'s, and every ring shares them.  The aggregate and
+    multicast stages are activations (:meth:`Driver.activate`) on the stage
+    streams; a head node's adopt is a plain pick (:meth:`Driver._pick`),
+    never attacked."""
 
     BATCH_TAG, ATTACK_TAG = TAG_STAGE_BATCH, TAG_STAGE_ATTACK
 
@@ -70,16 +64,12 @@ class BasilPlusDriver(Driver):
         *,
         n_nodes: int,
         tau: int = 1,
-        attack: AttackSpec | None = None,
-        lr_schedule: Callable[[int], float] | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
         epochs: int | None = None,
-        test_set=None,
+        **settings,
     ):
         if tau < 0:
             raise ConfigError("tau must be >= 0")
-        super().__init__(range(n_nodes), byzantine, seed, task, dataset, attack, lr_schedule,
-                         batch_size, test_set)
+        super().__init__(range(n_nodes), byzantine, seed, task, dataset, **settings)
         self.tau = tau
         self.global_round = 0
 
@@ -97,9 +87,9 @@ class BasilPlusDriver(Driver):
                 dataset,
                 attack=self.attack,
                 lr_schedule=lambda k: self.lr_schedule((k - 1) // tau_ + 1),
-                batch_size=batch_size,
+                batch_size=self.batch_size,
                 epochs=epochs,
-                test_set=test_set,
+                test_set=self.test_set,
                 initial_model=initial_model,
                 group=gid,
             )
@@ -158,13 +148,11 @@ class BasilPlusDriver(Driver):
                     for node in first.order[-S:]]
         for ring in self.rings:
             for node in ring.order[:S]:
-                X, y = local_batch(self.dataset, node, self.batch_size, [
-                    self.seed, TAG_STAGE_BATCH, self._STAGE_IDS["adopt"], node, self.global_round])
-                sel = basil_select(filtered, self.task, X, y)
-                self.history.selections.append(SelectionRecord(
-                    self.global_round, "adopt", ring.group, node, node not in self.byzantine,
-                    sel.candidate_losses, (sel.sender,), 0))
-                ring.latest_output[node] = sel.model
+                ring.latest_output[node] = self._pick(
+                    node, filtered, basil_select,
+                    partial(SelectionRecord, self.global_round, "adopt", ring.group, fanout=0),
+                    (self._STAGE_IDS["adopt"], node, self.global_round),
+                    node not in self.byzantine)[0].model
 
     def run(self, K: int) -> TrainHistory:
         for _ in range(K):

@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment from a JSON config or manifest")
     p_run.add_argument("config")
     p_run.add_argument("--output-dir", default=None)
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_an = sub.add_parser("analyze", help="closed-form reliability/cost/time queries")
     an_sub = p_an.add_subparsers(dest="query", required=True)
@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--trials", type=int, default=0,
                                help="also run a Monte-Carlo estimate of the same event")
                 p.add_argument("--seed", type=_seed, default=0)
-            p.set_defaults(func=_cmd_analyze, kind=kind, formula=formula, oracle=oracle,
-                           value_key=value_key)
+            p.set_defaults(func=_cmd_analyze, parser=p, kind=kind, formula=formula,
+                           oracle=oracle, value_key=value_key)
 
     p_demo = sub.add_parser("acds-demo", help="run anonymous data sharing on synthetic data")
     p_demo.add_argument("--nodes", type=int, default=8)
@@ -136,13 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--seed", type=_seed, default=0)
     p_demo.add_argument("--bits-per-sample", type=int, default=None)
     p_demo.add_argument("--bandwidth", type=float, default=None)
-    p_demo.set_defaults(func=_cmd_acds_demo)
+    p_demo.set_defaults(func=_cmd_acds_demo, parser=p_demo)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # nested subparsers hand unknown flags up to the root: report them with the command's usage
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -57,9 +57,6 @@ class TrainHistory:
     rows: list[HistoryRow] = field(default_factory=list)
     selections: list[SelectionRecord] = field(default_factory=list)
 
-    def add_row(self, row: HistoryRow) -> None:
-        self.rows.append(row)
-
     @property
     def counters(self) -> dict[str, int]:
         """The ring's work: losses scored, models sent and FIFO inserts (one

@@ -10,8 +10,9 @@ update when the attack ignores them.  Everything is driven by explicit
 seeds, so two runs with the same configuration are bit-identical.
 
 That turn is :meth:`Driver.activate`, the one activation every driver runs:
-the ring here, the Basil+ aggregate and multicast stages
-(``basil_plus``) and the graph schemes' Byzantine nodes (``baselines``).
+the ring here, the Basil+ aggregate and multicast stages (``basil_plus``)
+and the graph schemes' Byzantine nodes (``baselines``).  Its pick, a Basil+
+head node's adopt and a benign graph node's rule are each one :meth:`Driver._pick`.
 """
 
 from __future__ import annotations
@@ -80,9 +81,11 @@ class StoredModels:
 
 
 class Selection(NamedTuple):
+    """A pick: the model it yields, and its record's ``candidates`` and ``winners``."""
+
     model: ModelVector
-    sender: int | None
-    candidate_losses: tuple[tuple[int | None, float], ...]
+    candidates: tuple[tuple[int | None, float], ...]
+    winners: tuple[int | None, ...]
 
 
 def basil_select(
@@ -100,8 +103,7 @@ def basil_select(
     losses = evaluate_losses([model for _, model in candidates], task, X, y)
     best = min(range(len(losses)), key=lambda i: (losses[i], i))
     sender, model = candidates[best]
-    audit = tuple((s, l) for (s, _), l in zip(candidates, losses))
-    return Selection(model, sender, audit)
+    return Selection(model, tuple((s, l) for (s, _), l in zip(candidates, losses)), (sender,))
 
 
 def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
@@ -123,17 +125,20 @@ def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[i
 
 class Driver:
     """What the ring, Basil+ and graph drivers share: the run's settings, the
-    check of the Byzantine set against the ``members``, a node's activation
-    and the end of a pass.  A driver defines ``_benign_pool``, the benign
-    models a Byzantine node's attack reads."""
+    check of the Byzantine set against the ``members``, a node's pick and
+    activation, and the end of a pass.  The keyword settings are declared
+    here alone, and each driver forwards them.  A driver defines
+    ``_benign_pool``, the benign models a Byzantine node's attack reads."""
 
     #: stream tags of an activation's batch and attack draws
     BATCH_TAG, ATTACK_TAG = TAG_BATCH, TAG_ATTACK
     TOPOLOGY = "ring"
     group: int | None = None
 
-    def __init__(self, members, byzantine, seed, task, dataset, attack, lr_schedule,
-                 batch_size, test_set):
+    def __init__(self, members, byzantine, seed, task, dataset, *,
+                 attack: AttackSpec | None = None,
+                 lr_schedule: Callable[[int], float] | None = None,
+                 batch_size: int | None = DEFAULT_BATCH_SIZE, test_set=None):
         self.byzantine = frozenset(byzantine)
         unknown = self.byzantine.difference(members)
         if unknown:
@@ -149,16 +154,28 @@ class Driver:
         self.test_set = test_set
         self.history = TrainHistory()
 
+    def _pick(self, node: int, candidates, pick: Callable[..., Selection],
+              record: Callable[..., SelectionRecord] | None, stream: tuple[int, ...], benign: bool):
+        """``pick(candidates, task, X, y)`` on ``node``'s batch from
+        ``[seed, BATCH_TAG, *stream]``; appends the pick's record
+        ``record(node, benign, candidates, winners)`` unless ``record`` is
+        None.  Returns the selection and the batch."""
+        X, y = local_batch(self.dataset, node, self.batch_size,
+                           [self.seed, self.BATCH_TAG, *stream])
+        selection = pick(candidates, self.task, X, y)
+        if record is not None:
+            self.history.selections.append(
+                record(node, benign, selection.candidates, selection.winners))
+        return selection, X, y
+
     def activate(
         self, node: int, candidates, pick: Callable[..., Selection],
         update: Callable[..., ModelVector], record: Callable[..., SelectionRecord] | None,
         round_k: int, stream: tuple[int, ...],
     ) -> tuple[ModelVector, Selection | None, np.ndarray | None, np.ndarray | None]:
-        """``node``'s turn: ``pick(candidates, task, X, y)`` on its batch from
-        ``[seed, BATCH_TAG, *stream]``, then ``update(model, node, X, y)`` of
-        the pick; ``record(node, benign, candidates, winners)`` makes the
-        pick's record (none when ``record`` is None), appended before the
-        step.  A Byzantine node sends the attack of that update, keyed by
+        """``node``'s turn: its :meth:`_pick` on ``stream``, then
+        ``update(model, node, X, y)`` of the pick on the same batch.  A
+        Byzantine node sends the attack of that update, keyed by
         ``[seed, ATTACK_TAG, *stream]``, and picks, steps and scores nothing
         when the attack ignores them.  Returns the output, the selection
         and the batch (None for a node that picked nothing)."""
@@ -171,12 +188,7 @@ class Driver:
             selection = X = y = None
             honest = prior = candidates[0][1]
         else:
-            X, y = local_batch(self.dataset, node, self.batch_size,
-                               [self.seed, self.BATCH_TAG, *stream])
-            selection = pick(candidates, self.task, X, y)
-            if record is not None:
-                self.history.selections.append(record(
-                    node, not byzantine, selection.candidate_losses, (selection.sender,)))
+            selection, X, y = self._pick(node, candidates, pick, record, stream, not byzantine)
             prior = selection.model
             honest = update(prior, node, X, y)
         if not byzantine:
@@ -191,7 +203,7 @@ class Driver:
         accs = (accuracy([out for *_, out in benign], self.task, *self.test_set)
                 if self.test_set is not None else [None] * len(benign))
         for (node, sender, loss, _), acc in zip(benign, accs):
-            self.history.add_row(HistoryRow(k, node, sender, loss, acc, self.group))
+            self.history.rows.append(HistoryRow(k, node, sender, loss, acc, self.group))
 
     def run(self, rounds: int) -> TrainHistory:
         for _ in range(rounds):
@@ -208,6 +220,7 @@ class BasilRing(Driver):
     sent since the restart, a node's queue also holds its start model, which
     is still its ``latest_output`` as it has not activated; the window is
     then below capacity, and its candidates end with that model.
+    ``settings`` are :class:`Driver`'s.
     """
 
     def __init__(
@@ -219,13 +232,10 @@ class BasilRing(Driver):
         task: LossTask,
         dataset: Dataset,
         *,
-        attack: AttackSpec | None = None,
-        lr_schedule: Callable[[int], float] | None = None,
-        batch_size: int | None = DEFAULT_BATCH_SIZE,
         epochs: int | None = None,
-        test_set: tuple[np.ndarray, np.ndarray] | None = None,
         initial_model: ModelVector | None = None,
         group: int | None = None,
+        **settings,
     ):
         if epochs is not None and epochs < 1:
             raise ConfigError("epochs must be None or >= 1")
@@ -237,8 +247,7 @@ class BasilRing(Driver):
         n = len(self.order)
         if n > 1 and not 1 <= connectivity <= n - 1:
             raise ConfigError(f"need 1 <= S <= N-1 = {n - 1}, got S = {connectivity}")
-        super().__init__(self.node_ids, byzantine, seed, task, dataset, attack, lr_schedule,
-                         batch_size, test_set)
+        super().__init__(self.node_ids, byzantine, seed, task, dataset, **settings)
         if dataset.partition is None:
             raise ConfigError("dataset must be partitioned before training")
         missing = [i for i in self.node_ids if i not in dataset.partition]
@@ -293,7 +302,8 @@ class BasilRing(Driver):
                                                  k, (node, k))
             if node not in self.byzantine:
                 self.latest_benign[node] = out
-                benign.append((node, selection.sender, evaluate_loss(out, self.task, X, y), out))
+                benign.append((node, selection.winners[0],
+                               evaluate_loss(out, self.task, X, y), out))
             self.latest_output[node] = out
             self.window.insert(node, out)
         self._end_pass(k, benign)

@@ -319,5 +319,21 @@ class TestTimeModel:
         assert acds_comm_time(0.5, 10, 8, 1, 1, 1, 100.0) == pytest.approx(0.0)
 
     def test_invalid_bandwidth_rejected(self):
-        with pytest.raises(ConfigError):
-            acds_comm_time(0.05, 500, 24500, 5, 25, 4, 0.0)
+        for R in (0.0, float("nan")):
+            with pytest.raises(ConfigError):
+                acds_comm_time(0.05, 500, 24500, 5, 25, 4, R)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.5, 2.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        for formula, rate in ((acds_comm_cost, ()), (acds_comm_time, (1e8,))):
+            with pytest.raises(ConfigError, match="alpha"):
+                formula(alpha, 500, 24500, 5, 25, 4, *rate)
+
+    def test_alpha_one_shares_all_local_data(self):
+        assert acds_comm_cost(1.0, 500, 24500, 5, 25, 4) == 20 * 76_685_000
+
+    @pytest.mark.parametrize("name", ["D", "I", "H", "n", "G"])
+    def test_nonpositive_size_rejected(self, name):
+        sizes = {"D": 500, "I": 24500, "H": 5, "n": 25, "G": 4, name: 0}
+        with pytest.raises(ConfigError, match=f"^{name} must be positive"):
+            acds_comm_time(0.05, **sizes, R=1e8)

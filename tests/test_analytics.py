@@ -393,6 +393,8 @@ class TestTimeModels:
         assert basil_plus_training_time(1, 25, 16, 6, 1, 1, 1) == 187
         assert basil_plus_training_time(1, 25, 1, 6, 1, 1, 1) == 82
         assert basil_plus_training_time(1, 5, 2, 2, 0, 0, 0) == 0
+        # the grouped driver runs tau = 0: a global round of the hand-off alone
+        assert basil_plus_training_time(0, 25, 16, 6, 1, 1, 1) == 17 + 6 * 16 - 1
 
     def test_recursion_replay_stays_within_bound(self):
         replay = basil_training_time_recursion(1, 6, 3, 1, 1, 1)
@@ -408,13 +410,36 @@ class TestTimeModels:
         assert two - one == pytest.approx(8 * (0.5 + 1.0 + 0.25))
 
     def test_ubar_time(self):
-        assert ubar_training_time(0, 5, 100, 1e6, 1, 1, 1, 1) == 0
+        one = ubar_training_time(1, 5, 100, 1e6, 1, 1, 1, 1)
+        assert ubar_training_time(3, 5, 100, 1e6, 1, 1, 1, 1) == 3 * one
         assert ubar_training_time(1, 1, 32, 1024, 0, 0, 0, 0) == pytest.approx(1.0)
         comp = 0.027 + 0.012 + 0.002 + 0.006  # measured per-round computation parts
-        assert ubar_training_time(1, 0, 1, 1.0, 0.027, 0.012, 0.002, 0.006) == (
+        # at unbounded bandwidth a round costs its computation alone
+        assert ubar_training_time(1, 1, 1, float("inf"), 0.027, 0.012, 0.002, 0.006) == (
             pytest.approx(comp))
         assert comp == pytest.approx(0.047)
+
+    @pytest.mark.parametrize("formula, args, name", [
+        (basil_training_time, (-1, 2, 2, 1, 1, 1), "tau"),
+        (basil_training_time, (1, 0, 2, 1, 1, 1), "n"),
+        (basil_training_time, (1, 2, 0, 1, 1, 1), "G"),
+        (basil_plus_training_time, (-1, 5, 2, 2, 1, 1, 1), "tau"),
+        (basil_plus_training_time, (1, 5, 2, 0, 1, 1, 1), "S"),
+        (ubar_training_time, (0, 5, 100, 1e6, 1, 1, 1, 1), "K"),
+        (ubar_training_time, (1, 0, 100, 1e6, 1, 1, 1, 1), "S"),
+        (ubar_training_time, (1, 5, 0, 1e6, 1, 1, 1, 1), "d"),
+    ])
+    def test_counts_below_range_rejected(self, formula, args, name):
+        # tau = 0 is a grouped round with no ring round; every other count is >= 1
+        with pytest.raises(ConfigError, match=f"^{name} must be >= "):
+            formula(*args)
 
     def test_negative_times_rejected(self):
         with pytest.raises(ConfigError):
             basil_training_time(1, 2, 3, -1, 0, 0)
+        # a NaN cost printed "time": NaN, which is not JSON
+        for costs in ((float("nan"), 1, 1), (1, float("nan"), 1), (1, 1, float("nan"))):
+            with pytest.raises(ConfigError):
+                basil_training_time(1, 2, 3, *costs)
+        with pytest.raises(ConfigError, match="bandwidth"):
+            ubar_training_time(1, 1, 1, float("nan"), 1, 1, 1, 1)

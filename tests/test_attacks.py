@@ -215,7 +215,9 @@ class TestSpecAndDispatch:
 
 
 def callers(name: str) -> set[str]:
-    """``module.qualname`` of each package function (or module body) that calls ``name``."""
+    """``module.qualname`` of each package function (or module body) with a
+    call whose callee ends in ``name``, such as ``apply_attack`` or
+    ``selections.append``."""
     found = set()
 
     def visit(node, scope):
@@ -223,10 +225,8 @@ def callers(name: str) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if getattr(func, "id", getattr(func, "attr", None)) == name:
-                    found.add(scope)
+            if isinstance(child, ast.Call) and f".{ast.unparse(child.func)}".endswith(f".{name}"):
+                found.add(scope)
             visit(child, scope)
 
     for path in sorted(Path(basilsim.__file__).parent.glob("*.py")):
@@ -234,8 +234,19 @@ def callers(name: str) -> set[str]:
     return found
 
 
-@pytest.mark.parametrize("name", ["ignores_honest_update", "apply_attack"])
-def test_one_activation_decides_and_applies_the_attack(name):
-    # the ring, the Basil+ stages and the graph's Byzantine nodes share one
-    # activation; a second caller would fork the Byzantine path again
-    assert callers(name) == {"ring.Driver.activate"}
+#: (call, its only callers): the ring, the Basil+ stages and the graph's
+#: Byzantine nodes share one activation, and every pick (theirs, a Basil+
+#: adopt and a benign graph node's rule) draws its batch and appends its
+#: record in one method; the activation records the pick its attack skips
+SOLE_CALLERS = [
+    ("ignores_honest_update", {"ring.Driver.activate"}),
+    ("apply_attack", {"ring.Driver.activate"}),
+    ("local_batch", {"ring.Driver._pick"}),
+    ("selections.append", {"ring.Driver._pick", "ring.Driver.activate"}),
+]
+
+
+@pytest.mark.parametrize("name, expected", [pytest.param(*c, id=c[0]) for c in SOLE_CALLERS])
+def test_one_activation_decides_and_applies_the_attack(name, expected):
+    # a second caller would fork the Byzantine path or the pick again
+    assert callers(name) == expected

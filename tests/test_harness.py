@@ -295,6 +295,10 @@ class TestRunExperiment:
         assert all(v > 0 for v in counts.values())
 
 
+#: the paper's ACDS sharing sizes (D = 500, I = 24,500, H = 5, n = 25, G = 4)
+SHARING = ["--D", "500", "--I", "24500", "--H", "5", "--n", "25", "--G", "4"]
+
+
 class TestCli:
     def test_run_and_analyze_roundtrip(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -365,8 +369,9 @@ class TestCli:
         foreign = sorted(every - set(flags) - ({"--trials", "--seed"} if oracle else set()))
         assert foreign
 
+        words = ["analyze", query, *([kind] if kind else [])]
+
         def argv(*given):
-            words = ["analyze", query, *([kind] if kind else [])]
             return [*words, *(x for flag in given for x in (flag, "1"))]
 
         for drop in flags:
@@ -375,6 +380,21 @@ class TestCli:
         for extra in foreign:
             err = usage_error(capsys, argv(*flags, extra))
             assert f"unrecognized arguments: {extra} 1" in err
+            # the kind's own usage, not the root's
+            assert err.startswith(f"usage: basilsim {' '.join(words)} [-h]")
+
+    @pytest.mark.parametrize("argv, name", [
+        # each printed a negative time, or more bits than sharing all the data, and exit 0
+        (["analyze", "time", "basil", "--tau", "-3", "--n", "2", "--G", "2",
+          "--t-perf", "1", "--t-comm", "1", "--t-sgd", "1"], "tau"),
+        (["analyze", "time", "ubar", "--K", "-1", "--S", "1", "--d", "8", "--R", "1",
+          "--t-dist", "1", "--t-perf", "1", "--t-agg", "1", "--t-sgd", "1"], "K"),
+        (["analyze", "time", "acds", "--alpha", "-1", *SHARING, "--R", "1"], "alpha"),
+        (["analyze", "cost", "--alpha", "2", *SHARING], "alpha"),
+    ])
+    def test_analyze_out_of_range_input_exit_code_names_it(self, capsys, argv, name):
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {name} must ")
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "failure", "ring", "--N", "100", "--b", "33", "--S", "10",

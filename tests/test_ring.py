@@ -67,7 +67,7 @@ class TestBasilSelect:
         fifo.insert(9, model)
         X, y = dataset.batch(dataset.node_indices(0))
         sel = basil_select(fifo, task, X, y)
-        assert sel.sender == 9
+        assert sel.winners[0] == 9
         assert np.array_equal(sel.model.params, model.params)
 
     def test_descent_ordering_prefers_most_steps(self):
@@ -83,7 +83,7 @@ class TestBasilSelect:
         for sender, m in [(1, m1), (2, m2), (3, m3)]:
             fifo.insert(sender, m)
         sel = basil_select(fifo, task, X, y)
-        assert sel.sender == 3
+        assert sel.winners[0] == 3
 
     def test_benign_beats_gaussian_noise_model(self):
         task, train, test = cluster_setup(n_nodes=2)
@@ -96,8 +96,8 @@ class TestBasilSelect:
         fifo.insert(1, benign)
         fifo.insert(2, noise)  # newer, but worse
         sel = basil_select(fifo, task, X, y)
-        assert sel.sender == 1
-        losses = dict(sel.candidate_losses)
+        assert sel.winners[0] == 1
+        losses = dict(sel.candidates)
         assert losses[2] > losses[1]
 
     def test_tie_breaks_toward_newest(self):
@@ -107,7 +107,7 @@ class TestBasilSelect:
         fifo = StoredModels(capacity=2)
         fifo.insert(1, model)
         fifo.insert(2, model.with_params(model.params.copy()))
-        assert basil_select(fifo, task, X, y).sender == 2
+        assert basil_select(fifo, task, X, y).winners[0] == 2
 
     def test_non_finite_models_evaluate_to_infinity(self):
         task, dataset = quad_setup()
@@ -118,8 +118,8 @@ class TestBasilSelect:
         fifo.insert(1, good)
         fifo.insert(2, bad)
         sel = basil_select(fifo, task, X, y)
-        assert sel.sender == 1
-        assert math.isinf(dict(sel.candidate_losses)[2])
+        assert sel.winners[0] == 1
+        assert math.isinf(dict(sel.candidates)[2])
 
     @pytest.mark.parametrize("task", [
         QuadraticTask(np.linspace(0.3, 1.0, 6), np.zeros(6), noise_scale=0.5),
@@ -139,9 +139,9 @@ class TestBasilSelect:
         candidates = [(10, nan), (11, worse), (12, best), (13, inf), (14, tie)]
         with np.errstate(all="raise"):
             sel = basil_select(candidates, task, X, y)
-        assert sel.sender == 12 and sel.model is best
-        assert [s for s, _ in sel.candidate_losses] == [10, 11, 12, 13, 14]
-        assert [l for _, l in sel.candidate_losses] == [
+        assert sel.winners[0] == 12 and sel.model is best
+        assert [s for s, _ in sel.candidates] == [10, 11, 12, 13, 14]
+        assert [l for _, l in sel.candidates] == [
             math.inf, evaluate_loss(worse, task, X, y), evaluate_loss(best, task, X, y),
             math.inf, evaluate_loss(best, task, X, y)]
 
@@ -151,8 +151,8 @@ class TestBasilSelect:
         bad = [task.make_model(np.full(4, v)) for v in (np.nan, np.inf, -np.inf)]
         with np.errstate(all="raise"):
             sel = basil_select(list(enumerate(bad)), task, X, y)
-        assert sel.sender == 0
-        assert all(math.isinf(l) for _, l in sel.candidate_losses)
+        assert sel.winners[0] == 0
+        assert all(math.isinf(l) for _, l in sel.candidates)
 
     def test_empty_queue_is_a_protocol_error(self):
         task, dataset = quad_setup()
