@@ -79,6 +79,14 @@ CONFIGS = {
     # a Byzantine graph node steps on its own model, and the inverse attack
     # reflects that step
     "g-plain-inverse": base_config("g-plain", attack={"kind": "inverse"}),
+    # four groups of four, so the aggregate chain runs through three groups;
+    # the hidden attack is active from round 1, so Byzantine ring and
+    # aggregate activations skip their pick, and Byzantine head nodes adopt
+    "basil-plus-g4-hidden": base_config(
+        "basil-plus", ring={"nodes": 16, "byzantine": 3, "connectivity": 2},
+        groups={"count": 4}, attack={"kind": "hidden", "activation_round": 1}),
+    # a 6-100-100-4 network, so every grouped step goes back through the ReLUs
+    "basil-plus-mlp": base_config("basil-plus", task={"kind": "mlp-3fc"}),
 }
 
 #: name -> (history.csv, series.csv, counters and events, manifest.json)
@@ -196,6 +204,18 @@ GOLDENS = {
         "f67a1c896de89241a50e1a5d67a476da076ca7db9eec874f78f07e0cb543c116",
         "fe0e5858c7080055155715a060e8163e1e5c9a89b7162fe526ec77b30aa086cd",
         "693d7baa41226c46f2ebb09427f2a04dcac13629e454242c314dfe9a93fc704c",
+    ),
+    "basil-plus-g4-hidden": (
+        "9a7d8f1f7e32039ac9398b7f9b1141be107c173f556738198a9fd0c93d4a9d2a",
+        "5fb4f667fed1825cff761ed2e146ace11f18ca4600649e9eab23b3aeebc72fe3",
+        "2fd6752a93f7b4fbc7713badaaa1ce9501a40ec0c6f73128b87016b7091e7696",
+        "5cd8b6a0798ee1d4a14a28e05ef92fe473967907fa7b999a0ae5e6ab60994539",
+    ),
+    "basil-plus-mlp": (
+        "473c664cc61b8ddbe285722eb586a515d22932a1c44991b550d48d607d7e5f22",
+        "a478152d2f8823bab91a7a87e6663989c406540133057acd7352067ecfceb9f9",
+        "59860cf972ba5ddf13fa18e5033188de7673f8d98f7f93c0965818f9e9f9fe41",
+        "d5308fd3a00ec7e5451f001bf4146fd4f0fa31912616a5a39276ec51ab149f13",
     ),
 }
 
