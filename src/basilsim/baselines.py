@@ -17,8 +17,8 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord
-from .models import LossTask, ModelVector, average_models, evaluate_loss, evaluate_losses, sgd_step
-from .ring import Driver, Selection
+from .models import LossTask, ModelVector, average_models, evaluate_losses, sgd_step
+from .ring import Driver, Picks, Selection, Turn
 
 TAG_GRAPH = 0xD0
 
@@ -119,10 +119,9 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
     return rule
 
 
-def _own_model(candidates, task, X, y) -> Selection:
-    """A Byzantine graph node's pick: its own model, the one candidate, unscored."""
-    ((node, own),) = candidates
-    return Selection(own, (), (node,))
+def _own_model(candidates, task, X, y) -> Picks:
+    """Byzantine graph nodes' pick: each its own model, its one candidate, unscored."""
+    return Picks([Selection(own, (), (node,)) for ((node, own),) in candidates])
 
 
 class GraphDriver(Driver):
@@ -132,8 +131,9 @@ class GraphDriver(Driver):
     round use the previous round's models.  ``settings`` are
     :class:`Driver`'s.
 
-    A Byzantine node runs the ring's activation (:meth:`Driver.activate`)
-    with its own model as its pick, recording nothing: it never reads what
+    The Byzantine nodes run the ring's activation (:meth:`Driver.activate`)
+    as one wave, each with its own model as its pick, recording nothing: a
+    Byzantine node never reads what
     it receives, takes one SGD step, sends the attack of that step and keeps
     it, so under ``attack: none`` it trains alone; it skips the step when
     the attack ignores it.  A Byzantine ring member instead picks from what
@@ -171,21 +171,26 @@ class GraphDriver(Driver):
         k = self.round_idx + 1
         lr = self.lr_schedule(k)
         sent = dict(self.models)
-        for node in sorted(self.byzantine):
-            sent[node] = self.activate(
-                node, ((node, self.models[node]),), _own_model,
-                lambda m, _, X, y: sgd_step(m, self.task, X, y, lr), None, k, (node, k))[0]
-        # (node, selected sender, train loss, output) of each benign node
+        turns = [Turn(self, node, ((node, self.models[node]),), (node, k))
+                 for node in sorted(self.byzantine)]
+        for turn, (out, *_) in zip(turns, self.activate(
+                turns, _own_model,
+                lambda turns, picks, X, y: [sgd_step(s.model, self.task, bx, by, lr)
+                                            for s, bx, by in zip(picks.selections, X, y)],
+                None, k)):
+            sent[turn.node] = out
+        # (driver, node, selected sender, output, batch) of each benign node
         benign = []
         for node in sorted(self.models):
             if node in self.byzantine:
                 continue
             received = [(j, sent[j]) for j in sorted(self.adjacency[node])]
-            selection, X, y = self._pick(
-                node, received, partial(self.rule, node, self.models[node], lr=lr),
-                partial(SelectionRecord, k, "graph", None, fanout=len(received)), (node, k), True)
-            out = selection.model
-            benign.append((node, None, evaluate_loss(out, self.task, X, y), out))
+            rule = partial(self.rule, node, self.models[node], lr=lr)
+            ((selection, _, batch),) = self._pick(
+                [Turn(self, node, received, (node, k))],
+                lambda candidates, task, X, y: Picks([rule(candidates[0], task, X[0], y[0])]),
+                partial(SelectionRecord, k, "graph", fanout=len(received)))
+            benign.append((self, node, None, selection.model, batch))
         self._end_pass(k, benign)
-        self.models = {**sent, **{node: out for node, *_, out in benign}}
+        self.models = {**sent, **{node: out for _, node, _, out, _ in benign}}
         self.round_idx = k

@@ -7,6 +7,10 @@ received candidates with the performance-based rule, (3) the last group's
 tails hand the result to the first group's tails, which filter and multicast
 to every group's head nodes, and those adopt the filtered model as the next
 round's start.
+
+The groups run in lock-step (:func:`ring.run_rings`): the turns at one
+position of every ring are one wave.  Each group's aggregate tails, the
+multicast tails and all head nodes' adopts are a wave each.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord, TrainHistory
 from .models import LossTask, ModelVector
-from .ring import BasilRing, Driver, agree_order, basil_select
+from .ring import BasilRing, Driver, Turn, agree_order, basil_select, run_rings
 
 TAG_CLUSTER = 0xC0
 TAG_STAGE_BATCH = 0xC1
@@ -49,7 +53,8 @@ class BasilPlusDriver(Driver):
     :class:`Driver`'s, and every ring shares them.  The aggregate and
     multicast stages are activations (:meth:`Driver.activate`) on the stage
     streams; a head node's adopt is a plain pick (:meth:`Driver._pick`),
-    never attacked."""
+    never attacked.  A ring keeps its records and rows in its own history
+    until its ``tau`` rounds end, then hands them on in ring order."""
 
     BATCH_TAG, ATTACK_TAG = TAG_STAGE_BATCH, TAG_STAGE_ATTACK
 
@@ -78,7 +83,7 @@ class BasilPlusDriver(Driver):
         initial_model = task.initial_model(seed)
         self.rings: list[BasilRing] = []
         for gid, members in enumerate(cluster_nodes(range(n_nodes), n_groups, seed)):
-            ring = BasilRing(
+            self.rings.append(BasilRing(
                 members,
                 self.byzantine.intersection(members),
                 connectivity,
@@ -92,9 +97,8 @@ class BasilPlusDriver(Driver):
                 test_set=self.test_set,
                 initial_model=initial_model,
                 group=gid,
-            )
-            ring.history = self.history
-            self.rings.append(ring)
+            ))
+        self._ring_of = {node: ring for ring in self.rings for node in ring.order}
 
     # -- helpers -----------------------------------------------------------
 
@@ -106,15 +110,25 @@ class BasilPlusDriver(Driver):
             pool.update(ring.latest_benign)
         return [pool[i] for i in sorted(pool)]
 
-    def _output(self, stage: str, node: int, gid: int, candidates, fanout: int,
-                update: Callable[..., ModelVector]) -> ModelVector:
-        """What ``node`` sends at ``stage``: ``update`` of its pick from
-        ``candidates``, recorded with the ``fanout`` its output goes to."""
-        return self.activate(
-            node, candidates, basil_select, update,
-            partial(SelectionRecord, self.global_round, stage, gid, fanout=fanout),
-            self.global_round * max(self.tau, 1),
-            (self._STAGE_IDS[stage], node, self.global_round))[0]
+    def _group_of(self, node: int) -> int | None:
+        return self._ring_of[node].group
+
+    def _stage(self, stage: str, nodes, candidates, fanout: int,
+               update: Callable[[ModelVector, int], ModelVector] | None = None) -> list[ModelVector]:
+        """The wave of ``nodes``' picks at ``stage`` from their shared
+        ``candidates``, recorded with the ``fanout`` each output goes to:
+        what each sends, ``update(pick, node)`` (an activation), or its pick
+        (an adopt, when ``update`` is None)."""
+        turns = [Turn(self, node, candidates, (self._STAGE_IDS[stage], node, self.global_round))
+                 for node in nodes]
+        record = partial(SelectionRecord, self.global_round, stage, fanout=fanout)
+        if update is None:
+            return [selection.model for selection, *_ in self._pick(turns, basil_select, record)]
+        return [out for out, *_ in self.activate(
+            turns, basil_select,
+            lambda turns, picks, *_: [update(s.model, t.node)
+                                      for t, s in zip(turns, picks.selections)],
+            record, self.global_round * max(self.tau, 1))]
 
     # -- driver --------------------------------------------------------------
 
@@ -122,10 +136,15 @@ class BasilPlusDriver(Driver):
         """Train every ring for ``tau`` rounds, aggregate around the ring of
         groups, then hand the filtered result to every group's head nodes."""
         self.global_round += 1
-        for ring in self.rings:
-            if self.global_round > 1:
+        if self.global_round > 1:
+            for ring in self.rings:
                 ring.restart()
-            ring.run(self.tau)
+        for _ in range(self.tau):
+            run_rings(self.rings)
+        for ring in self.rings:
+            self.history.rows += ring.history.rows
+            self.history.selections += ring.history.selections
+            ring.history = TrainHistory()
 
         # circular aggregation: each downstream tail picks one upstream tail's
         # running average and folds its own model into it
@@ -133,26 +152,20 @@ class BasilPlusDriver(Driver):
         S = first.connectivity
         aggregates = [(node, first.latest_output[node]) for node in first.order[-S:]]
         for g_mult, ring in enumerate(self.rings[1:], 1):
-            upstream, aggregates = aggregates, []
-            for node in ring.order[-S:]:
-                own = ring.latest_output[node]
-                aggregates.append((node, self._output(
-                    "aggregate", node, ring.group, upstream, S,
-                    lambda m, *_: own.with_params(
-                        (own.params + g_mult * m.params) / (g_mult + 1)))))
+            tails = ring.order[-S:]
+            aggregates = list(zip(tails, self._stage(
+                "aggregate", tails, aggregates, S,
+                lambda m, node: ring.latest_output[node].with_params(
+                    (ring.latest_output[node].params + g_mult * m.params) / (g_mult + 1)))))
 
         # robust multicast: the first group's tails filter the last group's
         # aggregates, and every head node adopts its pick of theirs
-        filtered = [(node, self._output("multicast", node, first.group, aggregates,
-                                        len(self.rings) * S, lambda m, *_: m))
-                    for node in first.order[-S:]]
-        for ring in self.rings:
-            for node in ring.order[:S]:
-                ring.latest_output[node] = self._pick(
-                    node, filtered, basil_select,
-                    partial(SelectionRecord, self.global_round, "adopt", ring.group, fanout=0),
-                    (self._STAGE_IDS["adopt"], node, self.global_round),
-                    node not in self.byzantine)[0].model
+        tails = first.order[-S:]
+        filtered = list(zip(tails, self._stage("multicast", tails, aggregates,
+                                               len(self.rings) * S, lambda m, _: m)))
+        heads = [node for ring in self.rings for node in ring.order[:S]]
+        for node, model in zip(heads, self._stage("adopt", heads, filtered, 0)):
+            self._ring_of[node].latest_output[node] = model
 
     def run(self, K: int) -> TrainHistory:
         for _ in range(K):

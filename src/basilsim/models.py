@@ -45,10 +45,10 @@ def _layout(shape: LayerShape) -> _Layout:
 
 
 def _stack_layers(params: np.ndarray, shape: LayerShape) -> list[np.ndarray]:
-    """Each layer of an ``(S, P)`` parameter stack as an ``(S, *dims)`` view,
-    in shape order."""
+    """Each layer of an ``(..., P)`` parameter stack as an ``(..., *dims)``
+    view, in shape order."""
     layout = _layout(shape)
-    return [params[:, sl].reshape((len(params),) + layout.dims[name])
+    return [params[..., sl].reshape(params.shape[:-1] + layout.dims[name])
             for name, sl in layout.slices.items()]
 
 
@@ -114,11 +114,23 @@ class LossTask:
     def initial_model(self, seed: int) -> ModelVector:
         raise NotImplementedError
 
-    def stacked_losses(
+    def stacked_forward(
         self, params: np.ndarray, shape: LayerShape, X: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        """``(S, B)`` per-sample losses of the ``S`` models in an ``(S, P)``
-        parameter stack; row ``s`` equals the losses of model ``s`` alone."""
+    ) -> tuple[np.ndarray, list[np.ndarray] | None]:
+        """``(T, S, B)`` per-sample losses of ``S`` models on each of ``T``
+        batches, ``X`` of shape ``(T, B, d)`` and ``y`` ``(T, B)``, with the
+        forward :meth:`stacked_gradient` reads (None if it reads none).  The
+        ``(T, S, P)`` parameter stack may be ``(1, S, P)``, the same ``S``
+        models on every batch.  Entry ``[t, s]`` equals the losses of model
+        ``s`` alone on batch ``t``."""
+        raise NotImplementedError
+
+    def stacked_gradient(self, params: np.ndarray, shape: LayerShape, outputs,
+                         X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``(T, P)`` mean gradients of the ``T`` models of a ``(T, P)`` stack,
+        each on its own batch of ``X`` and ``y``, from ``outputs``, each model's
+        row of :meth:`stacked_forward`'s; row ``t`` equals :meth:`gradient` of
+        model ``t`` alone."""
         raise NotImplementedError
 
     def gradient(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -129,10 +141,11 @@ class LossTask:
         raise NotImplementedError
 
     def _check_batch(self, X: np.ndarray, y: np.ndarray) -> None:
-        if len(X) == 0:
+        """A batch ``(B, d)``, or a stack of them ``(T, B, d)``, with one label per sample."""
+        if X.shape[-2] == 0:
             raise ConfigError("batch is empty")
-        if len(X) != len(y):
-            raise ConfigError(f"features/labels length mismatch: {len(X)} vs {len(y)}")
+        if X.shape[:-1] != y.shape:
+            raise ConfigError(f"features/labels length mismatch: {X.shape[-2]} vs {y.shape[-1]}")
 
 
 @dataclass
@@ -183,18 +196,22 @@ class QuadraticTask(LossTask):
     def optimum(self) -> ModelVector:
         return self.make_model(self.x_star)
 
-    def stacked_losses(self, params, shape, X, y):
-        rows = []
-        for p in params:
-            delta = p - self.x_star
-            quad = 0.5 * float(delta @ (self.hessian_diag * delta))
-            rows.append(quad + self.noise_scale * (X @ delta))
-        return np.stack(rows)
+    def stacked_forward(self, params, shape, X, y):
+        stacks = np.broadcast_to(params, (len(X),) + params.shape[1:])
+        losses = np.empty(stacks.shape[:2] + (X.shape[1],))
+        for row, stack, x in zip(losses, stacks, X):
+            for out, p in zip(row, stack):
+                delta = p - self.x_star
+                out[:] = 0.5 * float(delta @ (self.hessian_diag * delta)) + self.noise_scale * (x @ delta)
+        return losses, None
+
+    def stacked_gradient(self, params, shape, outputs, X, y):
+        return np.array([self.hessian_diag * (p - self.x_star) + self.noise_scale * x.mean(axis=0)
+                         for p, x in zip(params, X)])
 
     def gradient(self, model, X, y):
         self._check_batch(X, y)
-        delta = model.params - self.x_star
-        return self.hessian_diag * delta + self.noise_scale * X.mean(axis=0)
+        return self.stacked_gradient(model.params[None], model.shape, None, X[None], y[None])[0]
 
     def predict(self, model, X):
         raise ConfigError("quadratic task has no labels to predict")
@@ -211,43 +228,55 @@ class DenseTask(LossTask):
 
     @staticmethod
     def _forward(layers: list[np.ndarray], X: np.ndarray) -> list[np.ndarray]:
-        """Each layer's ``(S, B, width)`` output, the logits last, for
-        ``layers`` alternating ``(S, width, fan_in)`` weight and ``(S, width)``
-        bias stacks.
+        """Each layer's ``(..., B, width)`` output, the logits last, for
+        ``layers`` alternating ``(..., width, fan_in)`` weight and ``(...,
+        width)`` bias stacks and samples ``X`` whose leading axes broadcast
+        with theirs.
 
-        The 3-D matmul runs one gemm per model on the operands of a lone
-        model's ``h @ w.T``, so every slice is bit-identical to it; one
+        The matmul runs one gemm per (batch, model) pair on the operands of a
+        lone model's ``h @ w.T``, so every slice is bit-identical to it; one
         ``(B, S*width)`` product is not.
         """
         outputs, h = [], X
         last = len(layers) - 2
         for i in range(0, len(layers), 2):
-            h = np.matmul(h, layers[i].transpose(0, 2, 1)) + layers[i + 1][:, None, :]
+            h = np.matmul(h, layers[i].swapaxes(-1, -2))
+            h += layers[i + 1][..., None, :]
             if i < last:
                 np.maximum(h, 0.0, out=h)  # ReLU
             outputs.append(h)
         return outputs
 
-    def stacked_losses(self, params, shape, X, y):
-        logits = self._forward(_stack_layers(params, shape), X)[-1]
-        return -_log_softmax(logits)[:, np.arange(len(y)), y]
+    def stacked_forward(self, params, shape, X, y):
+        outputs = self._forward(_stack_layers(params, shape), X[:, None])
+        z = outputs[-1] - outputs[-1].max(axis=-1, keepdims=True)
+        T, S, B, C = z.shape
+        label = z.ravel()[np.arange(T * S * B).reshape(T, S, B) * C + y[:, None, :]]
+        # -log_softmax(z) at the label, negated exactly: lse - z_y
+        return np.log(np.exp(z, out=z).sum(axis=-1)) - label, outputs
+
+    def stacked_gradient(self, params, shape, outputs, X, y):
+        T, B = y.shape
+        layers = _stack_layers(params, shape)
+        *hidden, logits = outputs
+        delta = np.exp(_log_softmax(logits))
+        delta[np.arange(T)[:, None], np.arange(B), y] -= 1.0
+        delta /= B
+        # backward from the last layer; a ReLU output is > 0 exactly where its
+        # pre-activation is, NaN included
+        inputs = [X, *hidden]
+        grads = []
+        for k in range(len(inputs) - 1, -1, -1):
+            grads += [delta.sum(axis=1), (delta.swapaxes(1, 2) @ inputs[k]).reshape(T, -1)]
+            if k:
+                delta = (delta @ layers[2 * k]) * (inputs[k] > 0)
+        return np.concatenate(grads[::-1], axis=1)
 
     def gradient(self, model, X, y):
         self._check_batch(X, y)
-        layers = _stack_layers(model.params[None], model.shape)
-        *hidden, logits = self._forward(layers, X)
-        delta = np.exp(_log_softmax(logits[0]))
-        delta[np.arange(len(y)), y] -= 1.0
-        delta /= len(y)
-        # backward from the last layer; a ReLU output is > 0 exactly where its
-        # pre-activation is, NaN included
-        inputs = [X] + [h[0] for h in hidden]
-        grads = []
-        for k in range(len(inputs) - 1, -1, -1):
-            grads += [delta.sum(axis=0), (delta.T @ inputs[k]).ravel()]
-            if k:
-                delta = (delta @ layers[2 * k][0]) * (inputs[k] > 0)
-        return np.concatenate(grads[::-1])
+        params, X, y = model.params[None], X[None], y[None]
+        outputs = self._forward(_stack_layers(params, model.shape), X)
+        return self.stacked_gradient(params, model.shape, outputs, X, y)[0]
 
     def predict(self, model, X):
         logits = self._forward(_stack_layers(model.params[None], model.shape), X)[-1]
@@ -319,32 +348,80 @@ def evaluate_loss(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarr
 def evaluate_losses(
     models: Sequence[ModelVector], task: LossTask, X: np.ndarray, y: np.ndarray
 ) -> list[float]:
-    """Mean per-sample loss of each model on the batch, in one forward pass
-    over the stack of the finite ones.
-
-    A finite model's loss is the same whatever the other models in the
-    stack; a model with a NaN/Inf parameter is not evaluated and scores
-    +inf.  All models must share one shape.
-    """
+    """Mean per-sample loss of each model on the batch: the one row of
+    :func:`score_wave` over that batch."""
     if not models:
         return []
-    require_composable(*models)
+    return score_wave([models], task, X[None], y[None]).losses[0].tolist()
+
+
+class WaveScores(NamedTuple):
+    """A wave's stacked forward (:func:`score_wave`): ``losses[t, s]`` is the
+    mean loss of model ``s`` of row ``t`` on batch ``t``; ``params`` and
+    ``finite`` (whether a model is, None if all are) have one row per row of
+    models; the rest is what :func:`step_winners` reads."""
+
+    losses: np.ndarray
+    params: np.ndarray
+    finite: np.ndarray
+    outputs: list[np.ndarray] | None
+    task: LossTask
+    shape: LayerShape
+    X: np.ndarray
+    y: np.ndarray
+
+
+def score_wave(
+    models: Sequence[Sequence[ModelVector]], task: LossTask, X: np.ndarray, y: np.ndarray
+) -> WaveScores:
+    """Mean per-sample loss of each row of ``models`` on its own batch, in one
+    stacked forward.  ``X`` ``(T, B, d)`` and ``y`` ``(T, B)`` hold ``T``
+    batches, and ``models`` ``T`` lists of ``S`` models, or one list that
+    every batch shares and that broadcasts.
+
+    A finite model's loss is the same whatever else the wave holds; a model
+    with a NaN/Inf parameter is not evaluated (zeros stand in for it) and
+    scores +inf.  A loss is the sum along a contiguous row of per-sample
+    losses, the 1-D sum ``row.mean()`` computes, over its length.  All models
+    must share one shape.
+    """
+    require_composable(*(m for row in models for m in row))
     task._check_batch(X, y)
+    shape = models[0][0].shape
     # np.array copies equal-length rows into one block faster than np.stack
-    stack = np.array([m.params for m in models])
-    finite_ids = range(len(models))
-    if not np.isfinite(stack).all():
-        finite = np.isfinite(stack).all(axis=1)
-        finite_ids = np.flatnonzero(finite).tolist()
-        stack = stack[finite]
-    losses = [math.inf] * len(models)
-    if finite_ids:
-        # the 1-D sum of each row, divided by its length, is what row.mean()
-        # computes; a sum along axis 1 of the (S, B) block may add in another
-        # order
-        for i, row in zip(finite_ids, task.stacked_losses(stack, models[0].shape, X, y)):
-            losses[i] = float(np.add.reduce(row)) / len(row)
-    return losses
+    params = np.array([[m.params for m in row] for row in models])
+    finite = None if np.isfinite(params).all() else np.isfinite(params).all(axis=-1)
+    live = params if finite is None else np.where(finite[..., None], params, 0.0)
+    per_sample, outputs = task.stacked_forward(live, shape, X, y)
+    losses = np.add.reduce(per_sample, axis=-1) / X.shape[1]
+    if finite is not None:
+        losses = np.where(finite, losses, np.inf)
+    return WaveScores(losses, params, finite, outputs, task, shape, X, y)
+
+
+def step_winners(scores: WaveScores, rows: Sequence[int], lr: float) -> list[ModelVector]:
+    """One SGD step of model ``rows[t]`` of each row of ``scores`` on its batch
+    ``t``, all in one stacked backward from their rows of its forward, with
+    no second forward; each equals :func:`sgd_step` of that model alone.  A
+    non-finite model has no row of the forward, so a wave that steps one is
+    forwarded again (and its gradient is NaN/Inf)."""
+    T = len(scores.X)
+    # one batch: a slice and an int index views where index arrays copy
+    at = (slice(None), int(rows[0])) if T == 1 else (np.arange(T), np.asarray(rows))
+    # a list every batch shares has one row of parameters
+    own = at if len(scores.params) == T else (0, at[1])
+    params = scores.params[own]
+    outputs = scores.outputs
+    if outputs is not None and (scores.finite is None or scores.finite[own].all()):
+        outputs = [h[at] for h in outputs]
+    elif outputs is not None:
+        outputs = [h[:, 0] for h in scores.task.stacked_forward(
+            params[:, None], scores.shape, scores.X, scores.y)[1]]
+    grads = scores.task.stacked_gradient(params, scores.shape, outputs, scores.X, scores.y)
+    if not np.isfinite(grads).all():
+        raise NumericFaultError("gradient contains NaN/Inf")
+    # a row of its own per model: a view would keep the whole block alive
+    return [ModelVector(p - lr * g, scores.shape) for p, g in zip(params, grads)]
 
 
 def sgd_step(
@@ -403,11 +480,42 @@ def _reference_accuracy(model: ModelVector, task: LossTask, X: np.ndarray, y: np
     return float((task.predict(model, X) == y).mean())
 
 
+def _inflated(norm, n: int):
+    """A computed 2-norm of at most ``n + 1`` terms, raised to bound the true one."""
+    return norm * (1.0 + _gamma(n + 2, _U)) + math.sqrt(n + 1) * 2.0 ** -536
+
+
+def _float32_inputs(X: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x32`` and ``nx`` of :func:`accuracy` for the samples ``X``."""
+    B, n = X.shape
+    nx = _inflated(math.sqrt(np.einsum("ij,ij->i", X, X).max()), n)
+    # each sample with a trailing 1 that multiplies the bias; inputs past
+    # float32's range stay 0, and then no model fits
+    x32 = np.ones((B, n + 1), np.float32)
+    np.copyto(x32[:, :n], X, where=nx < _HUGE32)
+    return x32, nx
+
+
+class EvalSet:
+    """Test samples ``X``, ``y`` with what :func:`accuracy` reads of them to
+    score in float32, ``x32`` and ``nx``, built on first use and then kept."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X, self.y = X, y
+
+    @functools.cached_property
+    def float32(self) -> tuple[np.ndarray, float]:
+        return _float32_inputs(self.X)
+
+
 def accuracy(
-    models: Sequence[ModelVector], task: LossTask, X: np.ndarray, y: np.ndarray
+    models: Sequence[ModelVector], task: LossTask, X: np.ndarray, y: np.ndarray,
+    inputs: EvalSet | None = None,
 ) -> list[float]:
     """Test accuracy of each model: the share of samples whose ``argmax`` logit
     is the label, equal to :func:`_reference_accuracy` of the model alone.
+    ``inputs``, the :class:`EvalSet` of ``X`` and ``y``, keeps ``x32`` and
+    ``nx`` (below) from one call to the next.
 
     Softmax models are scored in float32, and a (model, sample) pair that
     float32 cannot decide is rechecked in float64.  An outcome is kept only
@@ -469,45 +577,39 @@ def accuracy(
     if not models:
         return []
     require_composable(*models)
-    C, B = task.n_classes, len(y)
+    C, (B, n) = task.n_classes, X.shape
     if not (isinstance(task, SoftmaxTask) and B and 0 <= y.min() and y.max() < C):
         return [_reference_accuracy(m, task, X, y) for m in models]
-    n = X.shape[1]
+    inputs = inputs or EvalSet(X, y)
+    per_chunk = max(1, _SCORE_CHUNK_BYTES // (C * B * 4))
+    if len(models) > per_chunk:
+        # a chunk at a time, so every stack below is one chunk's
+        return [acc for start in range(0, len(models), per_chunk)
+                for acc in accuracy(models[start:start + per_chunk], task, X, y, inputs)]
+    x32, nx = inputs.float32
     gamma = _gamma(n + 2, _U)
     slack = 2.0 * (1.0 + 2.0 ** -20)
-    tiny_norm = math.sqrt(n + 1) * 2.0 ** -536
-    nx = math.sqrt(np.einsum("ij,ij->i", X, X).max()) * (1.0 + gamma) + tiny_norm
-    # each sample with a trailing 1 that multiplies the bias; inputs past
-    # float32's range stay 0, and then no model fits
-    x32 = np.ones((B, n + 1), np.float32)
-    np.copyto(x32[:, :n], X, where=nx < _HUGE32)
     w, b = _stack_layers(np.array([m.params for m in models]), models[0].shape)
-    nw = np.sqrt(np.einsum("scd,scd->sc", w, w).max(axis=1)) * (1.0 + gamma) + tiny_norm
+    nw = _inflated(np.sqrt(np.einsum("scd,scd->sc", w, w).max(axis=1)), n)
     nb = np.abs(b).max(axis=1)
     scale = nx * nw + nb
     # a NaN or Inf parameter makes its norms NaN or Inf, and fits False
     fits = (nx + 1.0) * (nw + nb + 1.0) < _HUGE32
-    w32 = np.zeros((len(models), C, n + 1), np.float32)
+    s = len(models)
+    w32 = np.zeros((s, C, n + 1), np.float32)
     np.copyto(w32[..., :n], w, where=fits[:, None, None])
     np.copyto(w32[..., n], b, where=fits[:, None])
     e32 = ((_gamma(n + 3, _U32) + gamma) * scale
            + _TINY32 * (math.sqrt(n) * (nx + nw) + nb + 2 * n + 3))
     tol32 = np.where(fits, slack * e32, np.inf)[:, None]
-    per_chunk = max(1, _SCORE_CHUNK_BYTES // (C * B * 4))
-    hits: list[int | None] = []
-    undecided = []
-    for start in range(0, len(models), per_chunk):
-        part = slice(start, start + per_chunk)
-        s = len(w32[part])
-        margin = _label_margins((w32[part].reshape(s * C, n + 1) @ x32.T).reshape(s, C, B), y)
-        size = np.abs(margin)
-        # a NaN or Inf margin decides nothing
-        decided = (size > tol32[part]) & (size < np.inf)
-        hits += np.count_nonzero(decided & (margin > 0), axis=1).tolist()
-        undecided += [(start + i, np.flatnonzero(~decided[i]))
-                      for i in np.flatnonzero(~decided.all(axis=1)).tolist()]
+    margin = _label_margins((w32.reshape(s * C, n + 1) @ x32.T).reshape(s, C, B), y)
+    size = np.abs(margin)
+    # a NaN or Inf margin decides nothing
+    decided = (size > tol32) & (size < np.inf)
+    hits: list[int | None] = np.count_nonzero(decided & (margin > 0), axis=1).tolist()
     e64 = 2.0 * gamma * scale + _TINY
-    for i, k in undecided:
+    for i in np.flatnonzero(~decided.all(axis=1)).tolist():
+        k = np.flatnonzero(~decided[i])
         more = (_float64_hits(w[i], b[i], X[k], y[k], slack * e64[i])
                 if scale[i] < _HUGE else None)
         hits[i] = None if more is None else hits[i] + more

@@ -11,14 +11,18 @@ seeds, so two runs with the same configuration are bit-identical.
 
 That turn is :meth:`Driver.activate`, the one activation every driver runs:
 the ring here, the Basil+ aggregate and multicast stages (``basil_plus``)
-and the graph schemes' Byzantine nodes (``baselines``).  Its pick, a Basil+
-head node's adopt and a benign graph node's rule are each one :meth:`Driver._pick`.
+and the graph schemes' Byzantine nodes (``baselines``).  It runs a *wave*:
+a list of independent turns, whose picks are scored in one stacked forward
+and stepped in one stacked backward.  A ring's wave is one turn; Basil+
+runs the turns at one position of all its rings as one wave
+(:func:`run_rings`).  Its pick, a Basil+ head node's adopt and a benign
+graph node's rule are each one :meth:`Driver._pick`.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,7 +30,8 @@ from .attacks import AttackSpec, apply_attack, ignores_honest_update
 from .data import Dataset
 from .errors import ConfigError, ProtocolError
 from .history import HistoryRow, SelectionRecord, TrainHistory
-from .models import LossTask, ModelVector, accuracy, evaluate_loss, evaluate_losses, sgd_step
+from .models import (EvalSet, LossTask, ModelVector, WaveScores, accuracy, score_wave, sgd_step,
+                     step_winners)
 
 # rng stream tags; every consumer derives default_rng([seed, tag, ...])
 TAG_ORDER = 0xA0
@@ -88,22 +93,34 @@ class Selection(NamedTuple):
     winners: tuple[int | None, ...]
 
 
-def basil_select(
-    candidates: Iterable[tuple[int | None, ModelVector]], task: LossTask, X, y
-) -> Selection:
-    """Pick the (sender, model) candidate with the lowest loss on the batch.
+class Picks(NamedTuple):
+    """A pick over a wave's turns: each turn's selection and, for a pick that
+    scored its candidates, that stacked forward and each winner's row in it."""
 
-    All candidates are scored in one stacked forward pass.  Non-finite models
-    score +inf so the rule stays total; exact ties go to the earliest
-    candidate (the ring's window lists them newest first).
+    selections: list[Selection]
+    scores: WaveScores | None = None
+    rows: Sequence[int] = ()
+
+
+def basil_select(candidates, task: LossTask, X, y) -> Picks:
+    """Each turn's (sender, model) candidate with the lowest loss on its batch.
+
+    ``X`` ``(T, B, d)`` and ``y`` ``(T, B)`` stack the ``T`` turns' batches,
+    and ``candidates`` holds each turn's sequence, or one that all share.  All
+    are scored in one stacked forward (:func:`models.score_wave`).  Non-finite
+    models score +inf, and a NaN loss ranks as +inf, so the rule stays total;
+    exact ties go to the earliest candidate (the ring's window lists them
+    newest first).  A record keeps the loss scored, NaN included.
     """
-    candidates = list(candidates)
-    if not candidates:
+    if not all(candidates):
         raise ProtocolError("model queue is empty")
-    losses = evaluate_losses([model for _, model in candidates], task, X, y)
-    best = min(range(len(losses)), key=lambda i: (losses[i], i))
-    sender, model = candidates[best]
-    return Selection(model, tuple((s, l) for (s, _), l in zip(candidates, losses)), (sender,))
+    scores = score_wave([[model for _, model in c] for c in candidates], task, X, y)
+    # fmin ranks a NaN as the +inf it is compared with
+    rows = np.fmin(scores.losses, np.inf).argmin(axis=1)
+    lists = candidates * len(X) if len(candidates) < len(X) else candidates
+    return Picks([Selection(c[row][1], tuple((s, l) for (s, _), l in zip(c, losses)), (c[row][0],))
+                  for row, losses, c in zip(rows.tolist(), scores.losses.tolist(), lists)],
+                 scores, rows)
 
 
 def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
@@ -123,12 +140,41 @@ def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[i
     return dataset.batch(picked)
 
 
+class Turn(NamedTuple):
+    """One node's turn in a wave: its pick from ``candidates``, (sender,
+    model) pairs, on the batch its ``stream`` keys.  ``driver`` is the ring
+    or driver whose seed, stream tags, Byzantine set, benign pool, groups and
+    history the turn uses."""
+
+    driver: "Driver"
+    node: int
+    candidates: Sequence[tuple[int | None, ModelVector]]
+    stream: tuple[int, ...]
+
+
+def _stack_by(batches: Sequence[tuple | None], keys: Sequence = ()
+              ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The indices of the ``batches`` that are not None, in sets of one batch
+    shape and key, in order of first appearance, each with its ``(X, y)``
+    batches stacked as ``(T, B, d)`` and ``(T, B)`` (a view for one)."""
+    if len(batches) == 1 and batches[0] is not None:
+        return [([0], batches[0][0][None], batches[0][1][None])]
+    groups: dict = {}
+    for i, batch in enumerate(batches):
+        if batch is not None:
+            groups.setdefault((batch[0].shape, keys[i] if keys else None), []).append(i)
+    return [(ids, *((batches[ids[0]][0][None], batches[ids[0]][1][None]) if len(ids) == 1 else
+                    (np.array([batches[i][0] for i in ids]), np.array([batches[i][1] for i in ids]))))
+            for ids in groups.values()]
+
+
 class Driver:
     """What the ring, Basil+ and graph drivers share: the run's settings, the
-    check of the Byzantine set against the ``members``, a node's pick and
+    check of the Byzantine set against the ``members``, a wave's picks and
     activation, and the end of a pass.  The keyword settings are declared
-    here alone, and each driver forwards them.  A driver defines
-    ``_benign_pool``, the benign models a Byzantine node's attack reads."""
+    here alone, and each driver forwards them; the test set is prepared for
+    :func:`models.accuracy` once.  A driver defines ``_benign_pool``, the
+    benign models a Byzantine node's attack reads."""
 
     #: stream tags of an activation's batch and attack draws
     BATCH_TAG, ATTACK_TAG = TAG_BATCH, TAG_ATTACK
@@ -151,59 +197,105 @@ class Driver:
         self.attack = attack or AttackSpec()
         self.lr_schedule = lr_schedule or default_lr
         self.batch_size = batch_size
+        if test_set is not None and not isinstance(test_set, EvalSet):
+            test_set = EvalSet(*test_set)
         self.test_set = test_set
         self.history = TrainHistory()
 
-    def _pick(self, node: int, candidates, pick: Callable[..., Selection],
-              record: Callable[..., SelectionRecord] | None, stream: tuple[int, ...], benign: bool):
-        """``pick(candidates, task, X, y)`` on ``node``'s batch from
-        ``[seed, BATCH_TAG, *stream]``; appends the pick's record
-        ``record(node, benign, candidates, winners)`` unless ``record`` is
-        None.  Returns the selection and the batch."""
-        X, y = local_batch(self.dataset, node, self.batch_size,
-                           [self.seed, self.BATCH_TAG, *stream])
-        selection = pick(candidates, self.task, X, y)
+    def _group_of(self, node: int) -> int | None:
+        """The group a record of ``node``'s turn names."""
+        return self.group
+
+    def _pick(self, turns: Sequence[Turn], pick: Callable[..., Picks],
+              record: Callable[..., SelectionRecord] | None,
+              update: Callable[..., list[ModelVector]] | None = None,
+              skip: Sequence[bool] = ()) -> list[tuple]:
+        """Each turn's ``pick(candidates, task, X, y)`` (as :func:`basil_select`)
+        on its batch from ``[seed, BATCH_TAG, *stream]`` of its driver, then
+        ``update(turns, picks, X, y)`` of those picks if given.  The turns
+        whose batches share a shape and whose candidate lists a length pick
+        and update in one call, a list they all share passed once.  A turn
+        whose ``skip`` is set draws, picks and updates nothing.  Appends
+        each turn's record ``record(group, node, benign, candidates,
+        winners)`` to its driver's history, in turn order, unless ``record``
+        is None.  Returns each turn's selection, update and batch (None for
+        a skipped turn)."""
+        batches = [None if skip and skip[i] else
+                   local_batch(self.dataset, t.node, self.batch_size,
+                               [t.driver.seed, t.driver.BATCH_TAG, *t.stream])
+                   for i, t in enumerate(turns)]
+        selections: list[Selection | None] = [None] * len(turns)
+        waves = _stack_by(batches, [len(t.candidates) for t in turns])
+        for i, (ids, X, y) in enumerate(waves):
+            lists = [turns[j].candidates for j in ids]
+            picks = pick(lists[:1] if all(c is lists[0] for c in lists) else lists,
+                         self.task, X, y)
+            for j, selection in zip(ids, picks.selections):
+                selections[j] = selection
+            waves[i] = ids, picks, X, y
         if record is not None:
-            self.history.selections.append(
-                record(node, benign, selection.candidates, selection.winners))
-        return selection, X, y
+            for turn, selection in zip(turns, selections):
+                driver, node = turn.driver, turn.node
+                driver.history.selections.append(record(
+                    driver._group_of(node), node, node not in driver.byzantine,
+                    *(selection[1:] if selection else ((), ()))))
+        outputs: list[ModelVector | None] = [None] * len(turns)
+        for ids, picks, X, y in waves if update else ():
+            for j, out in zip(ids, update([turns[j] for j in ids], picks, X, y)):
+                outputs[j] = out
+        return list(zip(selections, outputs, batches))
 
     def activate(
-        self, node: int, candidates, pick: Callable[..., Selection],
-        update: Callable[..., ModelVector], record: Callable[..., SelectionRecord] | None,
-        round_k: int, stream: tuple[int, ...],
-    ) -> tuple[ModelVector, Selection | None, np.ndarray | None, np.ndarray | None]:
-        """``node``'s turn: its :meth:`_pick` on ``stream``, then
-        ``update(model, node, X, y)`` of the pick on the same batch.  A
-        Byzantine node sends the attack of that update, keyed by
-        ``[seed, ATTACK_TAG, *stream]``, and picks, steps and scores nothing
-        when the attack ignores them.  Returns the output, the selection
-        and the batch (None for a node that picked nothing)."""
-        byzantine = node in self.byzantine
-        pool = self._benign_pool() if byzantine else None
-        if byzantine and ignores_honest_update(self.attack, benign_models=pool, round_k=round_k):
-            if record is not None:
-                self.history.selections.append(record(node, False, (), ()))
-            # the attack reads only the shape of the model handed in
-            selection = X = y = None
-            honest = prior = candidates[0][1]
-        else:
-            selection, X, y = self._pick(node, candidates, pick, record, stream, not byzantine)
-            prior = selection.model
-            honest = update(prior, node, X, y)
-        if not byzantine:
-            return honest, selection, X, y
-        out = apply_attack(self.attack, honest_update=honest, prior=prior, benign_models=pool,
-                           round_k=round_k, key=[self.seed, self.ATTACK_TAG, *stream])
-        return out, selection, X, y
+        self, turns: Sequence[Turn], pick: Callable[..., Picks],
+        update: Callable[..., list[ModelVector]], record: Callable[..., SelectionRecord] | None,
+        round_k: int,
+    ) -> list[tuple[ModelVector, Selection | None, tuple | None]]:
+        """The wave ``turns``: each turn's :meth:`_pick` and ``update`` of the
+        picks on the same batches.  A Byzantine node sends the attack of that
+        update, keyed by ``[seed, ATTACK_TAG, *stream]`` of its driver, and
+        picks, steps and scores nothing when the attack ignores them; each
+        driver's benign pool is read once per wave.  Returns each turn's
+        output, selection and batch (None for a node that picked nothing)."""
+        byzantine = [t.node in t.driver.byzantine for t in turns]
+        pools, skip = {}, []
+        for t, b in zip(turns, byzantine):
+            if b and t.driver not in pools:
+                pools[t.driver] = t.driver._benign_pool()
+            skip.append(b and ignores_honest_update(self.attack, benign_models=pools[t.driver],
+                                                    round_k=round_k))
+        picked = self._pick(turns, pick, record, update, skip)
+        if not pools:
+            return [(out, selection, batch) for selection, out, batch in picked]
+        outputs = []
+        for t, b, (selection, honest, batch) in zip(turns, byzantine, picked):
+            if b:
+                if selection is None:
+                    # the attack reads only the shape of the model handed in
+                    honest = prior = t.candidates[0][1]
+                else:
+                    prior = selection.model
+                honest = apply_attack(self.attack, honest_update=honest, prior=prior,
+                                      benign_models=pools[t.driver], round_k=round_k,
+                                      key=[t.driver.seed, t.driver.ATTACK_TAG, *t.stream])
+            outputs.append((honest, selection, batch))
+        return outputs
 
     def _end_pass(self, k: int, benign) -> None:
-        """Score a pass's benign outputs, (node, selected sender, train loss,
-        output) in order, on the test set together and add a row for each."""
-        accs = (accuracy([out for *_, out in benign], self.task, *self.test_set)
-                if self.test_set is not None else [None] * len(benign))
-        for (node, sender, loss, _), acc in zip(benign, accs):
-            self.history.rows.append(HistoryRow(k, node, sender, loss, acc, self.group))
+        """Score a pass's benign outputs, (driver, node, selected sender,
+        output, batch) in order: the train loss of each on its batch, in one
+        forward per batch shape, and the test accuracy of all in one call.
+        Adds each output's row to its driver's history."""
+        outs = [out for *_, out, _ in benign]
+        losses = [0.0] * len(benign)
+        for ids, X, y in _stack_by([batch for *_, batch in benign]):
+            scores = score_wave([[outs[i]] for i in ids], self.task, X, y)
+            for i, loss in zip(ids, scores.losses[:, 0].tolist()):
+                losses[i] = loss
+        test = self.test_set
+        accs = (accuracy(outs, self.task, test.X, test.y, test)
+                if test is not None else [None] * len(benign))
+        for (driver, node, sender, *_), loss, acc in zip(benign, losses, accs):
+            driver.history.rows.append(HistoryRow(k, node, sender, loss, acc, driver.group))
 
     def run(self, rounds: int) -> TrainHistory:
         for _ in range(rounds):
@@ -271,11 +363,18 @@ class BasilRing(Driver):
     def _benign_pool(self) -> list[ModelVector]:
         return [self.latest_benign[i] for i in sorted(self.latest_benign)]
 
-    def _update(self, model: ModelVector, node: int, X, y, k: int, lr: float) -> ModelVector:
-        """One SGD step on the selection batch, or ``epochs`` passes of
-        mini-batch SGD over the node's local data (batch clamped to its size)."""
+    def _update(self, turns, picks: Picks, X, y, k: int, lr: float) -> list[ModelVector]:
+        """One SGD step of each pick on its selection batch, all in the
+        backward of the forward that scored them, or ``epochs`` passes of
+        mini-batch SGD over each node's local data."""
         if self.epochs is None:
-            return sgd_step(model, self.task, X, y, lr)
+            return step_winners(picks.scores, picks.rows, lr)
+        return [t.driver._local_passes(s.model, t.node, k, lr)
+                for t, s in zip(turns, picks.selections)]
+
+    def _local_passes(self, model: ModelVector, node: int, k: int, lr: float) -> ModelVector:
+        """``epochs`` passes of mini-batch SGD over ``node``'s local data
+        (batch clamped to its size)."""
         indices = self.dataset.node_indices(node)
         bs = min(self.batch_size or len(indices), len(indices))
         rng = np.random.default_rng([self.seed, TAG_EPOCH, node, k])
@@ -288,23 +387,45 @@ class BasilRing(Driver):
 
     # -- protocol --------------------------------------------------------
 
+    def _turn(self, position: int, k: int) -> Turn:
+        """The turn at ``position`` of the ring order in round ``k``."""
+        node = self.order[position]
+        candidates = self.window.entries
+        if len(self.window) < self.window.capacity:
+            candidates = [*candidates, (None, self.latest_output[node])]
+        return Turn(self, node, candidates, (node, k))
+
+    def _emit(self, turn: Turn, out: ModelVector, selection: Selection | None, batch,
+              benign: list) -> None:
+        """Multicast ``turn``'s output; a benign node's joins the pool and
+        ``benign``, the pass's (driver, node, selected sender, output, batch)."""
+        node = turn.node
+        if node not in self.byzantine:
+            self.latest_benign[node] = out
+            benign.append((self, node, selection.winners[0], out, batch))
+        self.latest_output[node] = out
+        self.window.insert(node, out)
+
     def run_round(self) -> None:
-        k = self.round_idx + 1
-        update = partial(self._update, k=k, lr=self.lr_schedule(k))
-        record = partial(SelectionRecord, k, "ring", self.group, fanout=self.connectivity)
-        # (node, selected sender, train loss, output) of each benign activation
-        benign: list[tuple[int, int | None, float, ModelVector]] = []
-        for node in self.order:
-            candidates = self.window.entries
-            if len(self.window) < self.window.capacity:
-                candidates = [*candidates, (None, self.latest_output[node])]
-            out, selection, X, y = self.activate(node, candidates, basil_select, update, record,
-                                                 k, (node, k))
-            if node not in self.byzantine:
-                self.latest_benign[node] = out
-                benign.append((node, selection.winners[0],
-                               evaluate_loss(out, self.task, X, y), out))
-            self.latest_output[node] = out
-            self.window.insert(node, out)
-        self._end_pass(k, benign)
-        self.round_idx = k
+        run_rings([self])
+
+
+def run_rings(rings: Sequence[BasilRing]) -> None:
+    """One round of each ring, in lock-step: the turns at one position of
+    every ring run as one wave.  No ring reads another's state, so the
+    outputs are those of the rings run one after another.  The rings share
+    their settings, size and connectivity, and each adds its records and
+    rows to its own history."""
+    lead = rings[0]
+    k = lead.round_idx + 1
+    update = partial(lead._update, k=k, lr=lead.lr_schedule(k))
+    record = partial(SelectionRecord, k, "ring", fanout=lead.connectivity)
+    # (driver, node, selected sender, output, batch) of each benign activation
+    benign: list = []
+    for position in range(len(lead.order)):
+        turns = [ring._turn(position, k) for ring in rings]
+        for turn, result in zip(turns, lead.activate(turns, basil_select, update, record, k)):
+            turn.driver._emit(turn, *result, benign)
+    lead._end_pass(k, benign)
+    for ring in rings:
+        ring.round_idx = k

@@ -237,12 +237,21 @@ def callers(name: str) -> set[str]:
 #: (call, its only callers): the ring, the Basil+ stages and the graph's
 #: Byzantine nodes share one activation, and every pick (theirs, a Basil+
 #: adopt and a benign graph node's rule) draws its batch and appends its
-#: record in one method; the activation records the pick its attack skips
+#: record, that of a pick its attack skips included, in one method.  A
+#: wave's picks are scored in one stacked forward and its SGD steps taken in
+#: one stacked backward from it, and a pass's train losses scored in one
+#: forward: ``sgd_step`` is left to the local passes of epochs mode and the
+#: graph rules, and ``evaluate_losses`` to UBAR's rule
 SOLE_CALLERS = [
     ("ignores_honest_update", {"ring.Driver.activate"}),
     ("apply_attack", {"ring.Driver.activate"}),
     ("local_batch", {"ring.Driver._pick"}),
-    ("selections.append", {"ring.Driver._pick", "ring.Driver.activate"}),
+    ("selections.append", {"ring.Driver._pick"}),
+    ("score_wave", {"ring.basil_select", "ring.Driver._end_pass", "models.evaluate_losses"}),
+    ("step_winners", {"ring.BasilRing._update"}),
+    ("sgd_step", {"ring.BasilRing._local_passes", "baselines.gossip_rule",
+                  "baselines.ubar_rule.rule", "baselines.GraphDriver.run_round"}),
+    ("evaluate_losses", {"baselines.ubar_rule.rule", "models.evaluate_loss"}),
 ]
 
 

@@ -7,6 +7,7 @@ import basilsim.models as models_mod
 from basilsim.attacks import hidden_attack
 from basilsim.errors import ConfigError, NumericFaultError
 from basilsim.models import (
+    EvalSet,
     MlpTask,
     ModelVector,
     QuadraticTask,
@@ -15,7 +16,9 @@ from basilsim.models import (
     average_models,
     evaluate_loss,
     evaluate_losses,
+    score_wave,
     sgd_step,
+    step_winners,
 )
 
 
@@ -378,13 +381,134 @@ class TestDenseMathsAgainstReference:
             stack = np.array([m.params for m in models[:count]])
             logp = ref_log_softmax(ref_logits(task, stack, shape, X))
             want = -logp[:, np.arange(batch), y]
-            assert np.array_equal(task.stacked_losses(stack, shape, X, y), want)
+            got = task.stacked_forward(stack[None], shape, X[None], y[None])[0][0]
+            assert np.array_equal(got, want)
         for model in models:
             assert np.array_equal(task.gradient(model, X, y),
                                   ref_gradient(task, model, X, y))
             assert np.array_equal(task.predict(model, X),
                                   ref_logits(task, model.params[None], shape, X)[0]
                                   .argmax(axis=1))
+
+
+def ref_step(task, model, X, y, lr):
+    """One SGD step by the plain-numpy gradient of each task."""
+    if task.kind == "quadratic-convex":
+        grad = task.hessian_diag * (model.params - task.x_star) + task.noise_scale * X.mean(axis=0)
+    else:
+        grad = ref_gradient(task, model, X, y)
+    return model.params - lr * grad
+
+
+def wave_case(kind, batch, shared, seed=0):
+    """``T = 3`` batches and their models, ``S = 5`` per batch or one list all
+    share: in the first list model 3 ties model 1 exactly and model 4 is NaN,
+    and the last list's model 2 scores a NaN loss though it is finite."""
+    task, features, classes = STACK_TASKS[kind]()
+    rng = np.random.default_rng([seed, batch, features, shared])
+    T, S = 3, 5
+    X = rng.standard_normal((T, batch, features)) * 2.0
+    X[..., 0] = 2.0 + np.abs(X[..., 0])
+    y = rng.integers(0, classes, size=(T, batch))
+    start = task.initial_model(0)
+    rows = [[start.with_params(rng.standard_normal(start.size) * 0.5) for _ in range(S)]
+            for _ in range(1 if shared else T)]
+    rows[0][3] = rows[0][1].with_params(rows[0][1].params.copy())
+    rows[0][4] = start.with_params(np.full(start.size, np.nan))
+    if kind == "quadratic":
+        # an infinite quadratic term plus a noise term of -inf
+        huge = task.x_star.copy()
+        huge[0] -= 1e308
+    else:
+        # the first unit's output overflows to +inf on every sample, and
+        # +inf - +inf (or 0 * inf) is NaN
+        huge = np.zeros(start.size)
+        (weight, _), (bias, _) = start.shape[:2]
+        huge[start.layer_slices()[weight].start] = huge[start.layer_slices()[bias].start] = 1e308
+    rows[-1][2] = start.with_params(huge)
+    return task, rows, X, y
+
+
+class TestWaveAgainstReference:
+    """A wave's scores and steps equal the plain-numpy reference of each
+    model alone on its batch, bit for bit: a candidate's loss decides the
+    pick, and every run's digest hangs on each step's last digit."""
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-lists", "shared-list"])
+    @pytest.mark.parametrize("batch", [1, 8, 80])
+    @pytest.mark.parametrize("kind", sorted(STACK_TASKS))
+    def test_scores_and_steps(self, kind, batch, shared):
+        task, rows, X, y = wave_case(kind, batch, shared)
+        with np.errstate(all="ignore"):
+            scores = score_wave(rows, task, X, y)
+            want = [[plain_loss(task, m, x, yy) if np.isfinite(m.params).all() else math.inf
+                     for m in rows[0 if shared else t]] for t, (x, yy) in enumerate(zip(X, y))]
+        assert np.array_equal(scores.losses, np.array(want), equal_nan=True)
+        assert np.isnan(scores.losses[-1, 2]) and scores.losses[0, 4] == math.inf
+        assert (scores.losses[0, 3] == scores.losses[0, 1]) and len(scores.params) == len(rows)
+        for winners in ([0, 1, 3], [3, 0, 1]):
+            stepped = step_winners(scores, winners, 0.1)
+            for t, (model, row) in enumerate(zip(stepped, winners)):
+                alone = rows[0 if shared else t][row]
+                assert np.array_equal(model.params, ref_step(task, alone, X[t], y[t], 0.1))
+                assert np.array_equal(model.params, sgd_step(alone, task, X[t], y[t], 0.1).params)
+
+    @pytest.mark.parametrize("kind", sorted(STACK_TASKS))
+    def test_a_shared_list_scores_as_the_list_repeated(self, kind):
+        task, rows, X, y = wave_case(kind, 8, True)
+        with np.errstate(all="ignore"):
+            shared, repeated = (score_wave(r, task, X, y) for r in (rows, rows * len(X)))
+        assert np.array_equal(shared.losses, repeated.losses, equal_nan=True)
+
+    @pytest.mark.parametrize("kind", sorted(STACK_TASKS))
+    def test_a_nan_loss_or_non_finite_winner_steps_as_alone(self, kind):
+        # a NaN gradient raises, in the wave as alone; the quadratic's NaN-loss
+        # model has a finite gradient and steps
+        task, rows, X, y = wave_case(kind, 8, False)
+        with np.errstate(all="ignore"):
+            scores = score_wave(rows, task, X, y)
+            for winners in ([0, 0, 2], [4, 0, 0]):
+                alone = []
+                for t, row in enumerate(winners):
+                    try:
+                        alone.append(sgd_step(rows[t][row], task, X[t], y[t], 0.1).params)
+                    except NumericFaultError:
+                        alone.append(None)
+                if winners[-1] == 2:
+                    assert (alone[-1] is None) == (kind != "quadratic")
+                if any(params is None for params in alone):
+                    with pytest.raises(NumericFaultError):
+                        step_winners(scores, winners, 0.1)
+                    continue
+                for model, params in zip(step_winners(scores, winners, 0.1), alone):
+                    assert np.array_equal(model.params, params)
+
+    def test_a_non_finite_winner_is_forwarded_again(self):
+        # a -inf weight whose logit is -inf on every sample of a batch that
+        # never has its class: the gradient is finite and the step keeps it
+        task = SoftmaxTask(4, 3)
+        rng = np.random.default_rng(1)
+        X = np.abs(rng.standard_normal((2, 6, 4))) + 0.1
+        y = rng.integers(0, 2, size=(2, 6))
+        start = task.initial_model(0)
+        bad = start.with_params(np.where(np.arange(15) == 8, -np.inf, rng.standard_normal(15)))
+        good = start.with_params(rng.standard_normal(15))
+        scores = score_wave([[good, bad], [bad, good]], task, X, y)
+        assert scores.losses[0, 1] == scores.losses[1, 0] == math.inf
+        stepped = step_winners(scores, [1, 1], 0.1)
+        for model, alone, x, yy in zip(stepped, (bad, good), X, y):
+            assert np.array_equal(model.params, sgd_step(alone, task, x, yy, 0.1).params)
+        assert np.isneginf(stepped[0].params[8])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (2, 5, 8), (4, 9, 80), (2, 3, 2000),
+                                       (1, 2, 9000)])
+    def test_axis_sum_is_each_row_sum(self, shape):
+        # score_wave takes a loss as the sum along the last axis; it must add
+        # in the order of the 1-D sum row.mean() uses, or a tie could flip
+        rng = np.random.default_rng(list(shape))
+        rows = rng.standard_normal(shape) * np.logspace(-8, 8, shape[-1]) + 1e-3
+        want = [float(np.add.reduce(row)) for row in rows.reshape(-1, shape[-1])]
+        assert np.add.reduce(rows, axis=-1).ravel().tolist() == want
 
 
 class TestSmoothnessWitness:
@@ -460,7 +584,25 @@ class TestAccuracy:
     def check(self, models, task, X, y):
         got = accuracy(models, task, X, y)
         assert got == [reference_accuracy(m, task, X, y) for m in models]
+        assert accuracy(models, task, X, y, EvalSet(X, y)) == got
         return got
+
+    def test_the_float32_inputs_are_built_once_per_set(self, monkeypatch):
+        task = SoftmaxTask(8, 4)
+        X, y = labelled_batch(task, 50, 8)
+        builds = []
+        real = models_mod._float32_inputs
+        monkeypatch.setattr(models_mod, "_float32_inputs",
+                            lambda X: builds.append(len(X)) or real(X))
+        inputs, models = EvalSet(X, y), random_models(task, 3, 9)
+        for _ in range(3):
+            assert accuracy(models, task, X, y, inputs) == accuracy(models, task, X, y)
+        # the set's one build, and one per call without a set
+        assert len(builds) == 4
+        # a task scored by the reference never builds them
+        mlp, other = MlpTask((8, 6, 5, 4)), EvalSet(X, y)
+        accuracy([mlp.initial_model(1)], mlp, X, y, other)
+        assert "float32" not in vars(other) and len(builds) == 4
 
     @pytest.mark.parametrize("D,C,B", [(64, 16, 2000), (8, 4, 50), (100, 4, 300),
                                        (7, 5, 40), (30, 13, 200), (3, 2, 1)])

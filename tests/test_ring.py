@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,15 +8,22 @@ from basilsim.attacks import AttackSpec, ignores_honest_update
 from basilsim.basil_plus import BasilPlusDriver
 from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
-from basilsim.models import MlpTask, QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step
+from basilsim.models import (MlpTask, QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step,
+                             step_winners)
 from basilsim.ring import (
     BasilRing,
     StoredModels,
     agree_order,
     basil_select,
     constant_lr,
+    run_rings,
     sample_byzantine_ids,
 )
+
+
+def select_one(candidates, task, X, y):
+    """``basil_select`` of a wave of one turn: its selection."""
+    return basil_select([list(candidates)], task, X[None], y[None]).selections[0]
 
 
 def quad_setup(n_nodes=3, dim=4, samples=60, seed=0, noise=0.0):
@@ -66,7 +74,7 @@ class TestBasilSelect:
         model = task.make_model(np.ones(4))
         fifo.insert(9, model)
         X, y = dataset.batch(dataset.node_indices(0))
-        sel = basil_select(fifo, task, X, y)
+        sel = select_one(fifo, task, X, y)
         assert sel.winners[0] == 9
         assert np.array_equal(sel.model.params, model.params)
 
@@ -82,7 +90,7 @@ class TestBasilSelect:
         fifo = StoredModels(capacity=3)
         for sender, m in [(1, m1), (2, m2), (3, m3)]:
             fifo.insert(sender, m)
-        sel = basil_select(fifo, task, X, y)
+        sel = select_one(fifo, task, X, y)
         assert sel.winners[0] == 3
 
     def test_benign_beats_gaussian_noise_model(self):
@@ -95,7 +103,7 @@ class TestBasilSelect:
         fifo = StoredModels(capacity=2)
         fifo.insert(1, benign)
         fifo.insert(2, noise)  # newer, but worse
-        sel = basil_select(fifo, task, X, y)
+        sel = select_one(fifo, task, X, y)
         assert sel.winners[0] == 1
         losses = dict(sel.candidates)
         assert losses[2] > losses[1]
@@ -107,7 +115,7 @@ class TestBasilSelect:
         fifo = StoredModels(capacity=2)
         fifo.insert(1, model)
         fifo.insert(2, model.with_params(model.params.copy()))
-        assert basil_select(fifo, task, X, y).winners[0] == 2
+        assert select_one(fifo, task, X, y).winners[0] == 2
 
     def test_non_finite_models_evaluate_to_infinity(self):
         task, dataset = quad_setup()
@@ -117,7 +125,7 @@ class TestBasilSelect:
         fifo = StoredModels(capacity=2)
         fifo.insert(1, good)
         fifo.insert(2, bad)
-        sel = basil_select(fifo, task, X, y)
+        sel = select_one(fifo, task, X, y)
         assert sel.winners[0] == 1
         assert math.isinf(dict(sel.candidates)[2])
 
@@ -138,7 +146,7 @@ class TestBasilSelect:
         tie = best.with_params(best.params.copy())
         candidates = [(10, nan), (11, worse), (12, best), (13, inf), (14, tie)]
         with np.errstate(all="raise"):
-            sel = basil_select(candidates, task, X, y)
+            sel = select_one(candidates, task, X, y)
         assert sel.winners[0] == 12 and sel.model is best
         assert [s for s, _ in sel.candidates] == [10, 11, 12, 13, 14]
         assert [l for _, l in sel.candidates] == [
@@ -150,15 +158,74 @@ class TestBasilSelect:
         X, y = dataset.batch(dataset.node_indices(0))
         bad = [task.make_model(np.full(4, v)) for v in (np.nan, np.inf, -np.inf)]
         with np.errstate(all="raise"):
-            sel = basil_select(list(enumerate(bad)), task, X, y)
+            sel = select_one(list(enumerate(bad)), task, X, y)
         assert sel.winners[0] == 0
         assert all(math.isinf(l) for _, l in sel.candidates)
+
+    @pytest.mark.parametrize("order", [(7, 8), (8, 7)])
+    def test_nan_loss_ranks_as_infinity(self, order):
+        # weights of +-1e308 are finite, but their logits overflow and
+        # inf - inf makes the loss NaN: listed first, that model must not win
+        task = SoftmaxTask(4, 3)
+        rng = np.random.default_rng(0)
+        X, y = rng.standard_normal((5, 4)), rng.integers(0, 3, size=5)
+        good = task.initial_model(0)
+        huge = good.with_params(np.where(np.arange(good.size) % 2, 1e308, -1e308))
+        models = {7: huge, 8: good}
+        with np.errstate(all="ignore"):
+            picks = basil_select([[(s, models[s]) for s in order]], task, X[None], y[None])
+        sel = picks.selections[0]
+        assert sel.winners == (8,) and sel.model is good
+        # the record keeps the NaN it scored
+        losses = dict(sel.candidates)
+        assert math.isnan(losses[7]) and losses[8] == evaluate_loss(good, task, X, y)
+        # and the winner steps as it would alone
+        (stepped,) = step_winners(picks.scores, picks.rows, 0.1)
+        assert np.array_equal(stepped.params, sgd_step(good, task, X, y, 0.1).params)
 
     def test_empty_queue_is_a_protocol_error(self):
         task, dataset = quad_setup()
         X, y = dataset.batch(dataset.node_indices(0))
         with pytest.raises(ProtocolError):
-            basil_select(StoredModels(capacity=1), task, X, y)
+            select_one(StoredModels(capacity=1), task, X, y)
+
+
+class TestLockStep:
+    """Rings run in lock-step (a wave of their turns at each position) give
+    what they give one after another: each ring's rows and records, and
+    every output, bit for bit."""
+
+    @pytest.mark.parametrize("attack, epochs", [
+        ("gaussian", None), ("inverse", None), ("hidden", None), ("random-sign-flip", 2)])
+    def test_waves_equal_the_rings_one_after_another(self, attack, epochs):
+        task, train, test = cluster_setup(n_nodes=12, samples=900)
+        # shards of 30 to 120 samples: at batch 40 a wave mixes batch shapes
+        sizes = [30, 120, 45, 90, 60, 75] * 2
+        order = np.random.default_rng(3).permutation(900)[:sum(sizes)]
+        shards = np.split(order, np.cumsum(sizes)[:-1])
+        train = replace(train, partition={i: np.sort(part) for i, part in enumerate(shards)})
+
+        def rings():
+            return [BasilRing(members, byzantine, 2, seed, task, train, group=gid,
+                              attack=AttackSpec.make(attack, 1), batch_size=40,
+                              epochs=epochs, test_set=test)
+                    for gid, (members, byzantine, seed) in enumerate(
+                        [(range(6), {1}, 4), (range(6, 12), {8, 9}, 5)])]
+
+        apart, together = rings(), rings()
+        for _ in range(3):
+            for ring in apart:
+                ring.run_round()
+            run_rings(together)
+        # at some position one ring's batch holds 30 samples and the other's 40
+        assert {30, 40} in [{len(train.node_indices(ring.order[i])[:40]) for ring in together}
+                            for i in range(6)]
+        for a, b in zip(apart, together):
+            assert a.history.rows == b.history.rows
+            assert a.history.selections == b.history.selections
+            for node in a.order:
+                assert np.array_equal(a.latest_output[node].params,
+                                      b.latest_output[node].params)
 
 
 class TestRunBasil:
