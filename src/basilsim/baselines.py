@@ -133,11 +133,11 @@ class GraphDriver(Driver):
 
     The Byzantine nodes run the ring's activation (:meth:`Driver.activate`)
     as one wave, each with its own model as its pick, recording nothing: a
-    Byzantine node never reads what
-    it receives, takes one SGD step, sends the attack of that step and keeps
-    it, so under ``attack: none`` it trains alone; it skips the step when
-    the attack ignores it.  A Byzantine ring member instead picks from what
-    it stores and replaces only what it sends."""
+    Byzantine node never reads what it receives, takes one SGD step, sends
+    the attack of that step and keeps it, so under ``attack: none`` it trains
+    alone; it skips the step when the attack ignores it.  A Byzantine ring
+    member instead picks from what it stores and replaces only what it
+    sends."""
 
     TOPOLOGY = "graph"
 

@@ -114,7 +114,8 @@ class BasilPlusDriver(Driver):
         return self._ring_of[node].group
 
     def _stage(self, stage: str, nodes, candidates, fanout: int,
-               update: Callable[[ModelVector, int], ModelVector] | None = None) -> list[ModelVector]:
+               update: Callable[[ModelVector, int], ModelVector] | None = None
+               ) -> list[ModelVector]:
         """The wave of ``nodes``' picks at ``stage`` from their shared
         ``candidates``, recorded with the ``fanout`` each output goes to:
         what each sends, ``update(pick, node)`` (an activation), or its pick

@@ -202,7 +202,8 @@ class QuadraticTask(LossTask):
         for row, stack, x in zip(losses, stacks, X):
             for out, p in zip(row, stack):
                 delta = p - self.x_star
-                out[:] = 0.5 * float(delta @ (self.hessian_diag * delta)) + self.noise_scale * (x @ delta)
+                quad = 0.5 * float(delta @ (self.hessian_diag * delta))
+                out[:] = quad + self.noise_scale * (x @ delta)
         return losses, None
 
     def stacked_gradient(self, params, shape, outputs, X, y):
@@ -217,9 +218,12 @@ class QuadraticTask(LossTask):
         raise ConfigError("quadratic task has no labels to predict")
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def _softmax_terms(logits: np.ndarray) -> list[np.ndarray]:
+    """Each row's maximum and the log of its sum of ``exp(logit - max)``,
+    keeping the last axis: ``logits - max - lse`` is the log-softmax."""
+    top = logits.max(axis=-1, keepdims=True)
+    z = logits - top
+    return [top, np.log(np.exp(z, out=z).sum(axis=-1, keepdims=True))]
 
 
 class DenseTask(LossTask):
@@ -248,34 +252,37 @@ class DenseTask(LossTask):
         return outputs
 
     def stacked_forward(self, params, shape, X, y):
+        # each layer's output, then the logits' softmax terms
         outputs = self._forward(_stack_layers(params, shape), X[:, None])
-        z = outputs[-1] - outputs[-1].max(axis=-1, keepdims=True)
-        T, S, B, C = z.shape
-        label = z.ravel()[np.arange(T * S * B).reshape(T, S, B) * C + y[:, None, :]]
-        # -log_softmax(z) at the label, negated exactly: lse - z_y
-        return np.log(np.exp(z, out=z).sum(axis=-1)) - label, outputs
+        outputs += _softmax_terms(outputs[-1])
+        *_, logits, top, lse = outputs
+        T, S, B, C = logits.shape
+        label = logits.ravel()[np.arange(T * S * B).reshape(T, S, B) * C + y[:, None, :]]
+        # -log_softmax at the label, negated exactly: lse - (logit - max)
+        return lse[..., 0] - (label - top[..., 0]), outputs
 
     def stacked_gradient(self, params, shape, outputs, X, y):
         T, B = y.shape
-        layers = _stack_layers(params, shape)
-        *hidden, logits = outputs
-        delta = np.exp(_log_softmax(logits))
+        *hidden, logits, top, lse = outputs
+        delta = np.exp(logits - top - lse)
         delta[np.arange(T)[:, None], np.arange(B), y] -= 1.0
         delta /= B
         # backward from the last layer; a ReLU output is > 0 exactly where its
         # pre-activation is, NaN included
+        weights = _stack_layers(params, shape)[::2] if hidden else []
         inputs = [X, *hidden]
         grads = []
         for k in range(len(inputs) - 1, -1, -1):
             grads += [delta.sum(axis=1), (delta.swapaxes(1, 2) @ inputs[k]).reshape(T, -1)]
             if k:
-                delta = (delta @ layers[2 * k]) * (inputs[k] > 0)
+                delta = (delta @ weights[k]) * (inputs[k] > 0)
         return np.concatenate(grads[::-1], axis=1)
 
     def gradient(self, model, X, y):
         self._check_batch(X, y)
         params, X, y = model.params[None], X[None], y[None]
         outputs = self._forward(_stack_layers(params, model.shape), X)
+        outputs += _softmax_terms(outputs[-1])
         return self.stacked_gradient(params, model.shape, outputs, X, y)[0]
 
     def predict(self, model, X):

@@ -152,20 +152,25 @@ class Turn(NamedTuple):
     stream: tuple[int, ...]
 
 
-def _stack_by(batches: Sequence[tuple | None], keys: Sequence = ()
+def _stack_by(batches: Sequence[tuple | None], key: Callable[[int], object] = lambda i: None
               ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
     """The indices of the ``batches`` that are not None, in sets of one batch
-    shape and key, in order of first appearance, each with its ``(X, y)``
-    batches stacked as ``(T, B, d)`` and ``(T, B)`` (a view for one)."""
-    if len(batches) == 1 and batches[0] is not None:
-        return [([0], batches[0][0][None], batches[0][1][None])]
+    shape and ``key(index)``, in order of first appearance, each with its
+    ``(X, y)`` batches stacked as ``(T, B, d)`` and ``(T, B)`` (views for
+    one)."""
     groups: dict = {}
     for i, batch in enumerate(batches):
         if batch is not None:
-            groups.setdefault((batch[0].shape, keys[i] if keys else None), []).append(i)
-    return [(ids, *((batches[ids[0]][0][None], batches[ids[0]][1][None]) if len(ids) == 1 else
-                    (np.array([batches[i][0] for i in ids]), np.array([batches[i][1] for i in ids]))))
-            for ids in groups.values()]
+            groups.setdefault((batch[0].shape, key(i)), []).append(i)
+    stacked = []
+    for ids in groups.values():
+        if len(ids) == 1:
+            X, y = batches[ids[0]]
+            stacked.append((ids, X[None], y[None]))
+        else:
+            stacked.append((ids, np.array([batches[i][0] for i in ids]),
+                            np.array([batches[i][1] for i in ids])))
+    return stacked
 
 
 class Driver:
@@ -225,14 +230,15 @@ class Driver:
                                [t.driver.seed, t.driver.BATCH_TAG, *t.stream])
                    for i, t in enumerate(turns)]
         selections: list[Selection | None] = [None] * len(turns)
-        waves = _stack_by(batches, [len(t.candidates) for t in turns])
-        for i, (ids, X, y) in enumerate(waves):
+        waves = []
+        for ids, X, y in _stack_by(batches, lambda i: len(turns[i].candidates)):
             lists = [turns[j].candidates for j in ids]
-            picks = pick(lists[:1] if all(c is lists[0] for c in lists) else lists,
-                         self.task, X, y)
+            if all(c is lists[0] for c in lists[1:]):
+                lists = lists[:1]
+            picks = pick(lists, self.task, X, y)
             for j, selection in zip(ids, picks.selections):
                 selections[j] = selection
-            waves[i] = ids, picks, X, y
+            waves.append((ids, picks, X, y))
         if record is not None:
             for turn, selection in zip(turns, selections):
                 driver, node = turn.driver, turn.node
@@ -256,19 +262,18 @@ class Driver:
         picks, steps and scores nothing when the attack ignores them; each
         driver's benign pool is read once per wave.  Returns each turn's
         output, selection and batch (None for a node that picked nothing)."""
-        byzantine = [t.node in t.driver.byzantine for t in turns]
         pools, skip = {}, []
-        for t, b in zip(turns, byzantine):
-            if b and t.driver not in pools:
+        for t in turns:
+            if t.node in t.driver.byzantine and t.driver not in pools:
                 pools[t.driver] = t.driver._benign_pool()
-            skip.append(b and ignores_honest_update(self.attack, benign_models=pools[t.driver],
-                                                    round_k=round_k))
+            skip.append(t.node in t.driver.byzantine and ignores_honest_update(
+                self.attack, benign_models=pools[t.driver], round_k=round_k))
         picked = self._pick(turns, pick, record, update, skip)
         if not pools:
             return [(out, selection, batch) for selection, out, batch in picked]
         outputs = []
-        for t, b, (selection, honest, batch) in zip(turns, byzantine, picked):
-            if b:
+        for t, (selection, honest, batch) in zip(turns, picked):
+            if t.node in t.driver.byzantine:
                 if selection is None:
                     # the attack reads only the shape of the model handed in
                     honest = prior = t.candidates[0][1]
