@@ -587,13 +587,17 @@ def accuracy(
     C, (B, n) = task.n_classes, X.shape
     if not (isinstance(task, SoftmaxTask) and B and 0 <= y.min() and y.max() < C):
         return [_reference_accuracy(m, task, X, y) for m in models]
-    inputs = inputs or EvalSet(X, y)
+    x32, nx = inputs.float32 if inputs is not None else _float32_inputs(X)
     per_chunk = max(1, _SCORE_CHUNK_BYTES // (C * B * 4))
-    if len(models) > per_chunk:
-        # a chunk at a time, so every stack below is one chunk's
-        return [acc for start in range(0, len(models), per_chunk)
-                for acc in accuracy(models[start:start + per_chunk], task, X, y, inputs)]
-    x32, nx = inputs.float32
+    return [acc for start in range(0, len(models), per_chunk)
+            for acc in _chunk_accuracy(models[start:start + per_chunk], task, X, y, x32, nx)]
+
+
+def _chunk_accuracy(models: Sequence[ModelVector], task: SoftmaxTask, X: np.ndarray,
+                    y: np.ndarray, x32: np.ndarray, nx: float) -> list[float]:
+    """:func:`accuracy` of the softmax models of one logit block, so that
+    every stack it builds is one block's."""
+    C, (B, n) = task.n_classes, X.shape
     gamma = _gamma(n + 2, _U)
     slack = 2.0 * (1.0 + 2.0 ** -20)
     w, b = _stack_layers(np.array([m.params for m in models]), models[0].shape)
