@@ -3,7 +3,8 @@
 Every attack is a pure function of its inputs and an explicit RNG, so runs
 stay reproducible.  ``apply_attack`` is the dispatcher the one activation
 (``ring.Driver.activate``) calls in place of a benign node's honest update;
-it draws the random attacks from a generator seeded by the caller's key.
+it draws the random attacks from the caller's keyed stream
+(:class:`streams.KeyedStreams`).
 ``ignores_honest_update`` says when that output reads neither the honest
 update nor the prior, so that the activation need not compute them.
 """
@@ -16,8 +17,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import ModelVector, require_composable
+from .streams import KeyedStreams
 
 ATTACK_KINDS = ("none", "gaussian", "random-sign-flip", "hidden", "inverse")
+#: the kinds whose output draws from the attack's keyed stream
+RANDOM_ATTACKS = ("gaussian", "random-sign-flip")
 
 #: rounds of honest behaviour before the hidden attack engages
 HIDDEN_DEFAULT_ACTIVATION = 20
@@ -112,15 +116,17 @@ def apply_attack(
     benign_models: list[ModelVector],
     round_k: int,
     key: list[int],
+    streams: KeyedStreams | None = None,
 ) -> ModelVector:
     """What a Byzantine node emits instead of ``honest_update`` in round
-    ``round_k``; a random attack draws from ``default_rng(key)``."""
+    ``round_k``; a random attack draws from the stream ``default_rng(key)``
+    would give, set by ``streams`` (one of its own if None)."""
     if not spec.active(round_k):
         return honest_update
     if spec.kind == "gaussian":
-        return gaussian_attack(honest_update.shape, np.random.default_rng(key))
+        return gaussian_attack(honest_update.shape, (streams or KeyedStreams())(key))
     if spec.kind == "random-sign-flip":
-        return sign_flip_attack(honest_update, np.random.default_rng(key))
+        return sign_flip_attack(honest_update, (streams or KeyedStreams())(key))
     if spec.kind == "hidden":
         if not benign_models:
             return honest_update

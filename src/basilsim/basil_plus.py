@@ -113,6 +113,9 @@ class BasilPlusDriver(Driver):
     def _group_of(self, node: int) -> int | None:
         return self._ring_of[node].group
 
+    def _stream(self, stage: str, node: int) -> tuple[int, ...]:
+        return (self._STAGE_IDS[stage], node, self.global_round)
+
     def _stage(self, stage: str, nodes, candidates, fanout: int,
                update: Callable[[ModelVector, int], ModelVector] | None = None
                ) -> list[ModelVector]:
@@ -120,8 +123,7 @@ class BasilPlusDriver(Driver):
         ``candidates``, recorded with the ``fanout`` each output goes to:
         what each sends, ``update(pick, node)`` (an activation), or its pick
         (an adopt, when ``update`` is None)."""
-        turns = [Turn(self, node, candidates, (self._STAGE_IDS[stage], node, self.global_round))
-                 for node in nodes]
+        turns = [Turn(self, node, candidates, self._stream(stage, node)) for node in nodes]
         record = partial(SelectionRecord, self.global_round, stage, fanout=fanout)
         if update is None:
             return [selection.model for selection, *_ in self._pick(turns, basil_select, record)]
@@ -147,10 +149,15 @@ class BasilPlusDriver(Driver):
             self.history.selections += ring.history.selections
             ring.history = TrainHistory()
 
-        # circular aggregation: each downstream tail picks one upstream tail's
-        # running average and folds its own model into it
         first = self.rings[0]
         S = first.connectivity
+        heads = [node for ring in self.rings for node in ring.order[:S]]
+        self._prepare((self, node, self._stream(stage, node)) for stage, nodes in (
+            ("aggregate", [node for ring in self.rings[1:] for node in ring.order[-S:]]),
+            ("multicast", first.order[-S:]), ("adopt", heads)) for node in nodes)
+
+        # circular aggregation: each downstream tail picks one upstream tail's
+        # running average and folds its own model into it
         aggregates = [(node, first.latest_output[node]) for node in first.order[-S:]]
         for g_mult, ring in enumerate(self.rings[1:], 1):
             tails = ring.order[-S:]
@@ -164,7 +171,6 @@ class BasilPlusDriver(Driver):
         tails = first.order[-S:]
         filtered = list(zip(tails, self._stage("multicast", tails, aggregates,
                                                len(self.rings) * S, lambda m, _: m)))
-        heads = [node for ring in self.rings for node in ring.order[:S]]
         for node, model in zip(heads, self._stage("adopt", heads, filtered, 0)):
             self._ring_of[node].latest_output[node] = model
 

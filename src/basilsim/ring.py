@@ -7,7 +7,9 @@ on the same mini-batch, or ``epochs`` passes of mini-batch SGD over its
 local data), and multicasts the result to its next ``S`` clockwise
 neighbours.  Byzantine nodes emit attack output instead, with no pick or
 update when the attack ignores them.  Everything is driven by explicit
-seeds, so two runs with the same configuration are bit-identical.
+seeds, so two runs with the same configuration are bit-identical: each
+batch and random attack draws from its own keyed stream, whose state the
+driver hashes with the rest of its pass's in one call (:mod:`streams`).
 
 That turn is :meth:`Driver.activate`, the one activation every driver runs:
 the ring here, the Basil+ aggregate and multicast stages (``basil_plus``)
@@ -22,18 +24,19 @@ graph node's rule are each one :meth:`Driver._pick`.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attacks import AttackSpec, apply_attack, ignores_honest_update
+from .attacks import RANDOM_ATTACKS, AttackSpec, apply_attack, ignores_honest_update
 from .data import Dataset
 from .errors import ConfigError, ProtocolError
 from .history import HistoryRow, SelectionRecord, TrainHistory
 from .models import (EvalSet, LossTask, ModelVector, WaveScores, accuracy, score_wave, sgd_step,
                      step_winners)
+from .streams import KeyedStreams
 
-# rng stream tags; every consumer derives default_rng([seed, tag, ...])
+# rng stream tags; every stream is default_rng([seed, tag, ...])'s
 TAG_ORDER = 0xA0
 TAG_BYZANTINE = 0xA1
 TAG_BATCH = 0xA2
@@ -117,9 +120,12 @@ def basil_select(candidates, task: LossTask, X, y) -> Picks:
     scores = score_wave([[model for _, model in c] for c in candidates], task, X, y)
     # fmin ranks a NaN as the +inf it is compared with
     rows = np.fmin(scores.losses, np.inf).argmin(axis=1)
-    lists = candidates * len(X) if len(candidates) < len(X) else candidates
-    return Picks([Selection(c[row][1], tuple((s, l) for (s, _), l in zip(c, losses)), (c[row][0],))
-                  for row, losses, c in zip(rows.tolist(), scores.losses.tolist(), lists)],
+    senders = [[s for s, _ in c] for c in candidates]
+    if len(candidates) < len(X):
+        candidates, senders = candidates * len(X), senders * len(X)
+    return Picks([Selection(c[row][1], tuple(zip(s, losses)), (s[row],))
+                  for row, losses, c, s in zip(rows.tolist(), scores.losses.tolist(),
+                                               candidates, senders)],
                  scores, rows)
 
 
@@ -130,14 +136,16 @@ def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
     return frozenset(int(x) for x in picked)
 
 
-def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: list[int]):
-    """A node's mini-batch: all its local data if ``batch_size`` is None or not
-    smaller, else ``batch_size`` samples without replacement from ``default_rng(key)``."""
+def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: Sequence[int],
+                streams: KeyedStreams | None = None) -> np.ndarray:
+    """The sample indices of a node's mini-batch: all its local data if
+    ``batch_size`` is None or not smaller, else ``batch_size`` of them without
+    replacement, drawn from the stream ``default_rng(key)`` would give, set
+    by ``streams`` (one of its own if None)."""
     indices = dataset.node_indices(node)
     if batch_size is None or batch_size >= len(indices):
-        return dataset.batch(indices)
-    picked = np.random.default_rng(key).choice(indices, size=batch_size, replace=False)
-    return dataset.batch(picked)
+        return indices
+    return (streams or KeyedStreams())(key).choice(indices, size=batch_size, replace=False)
 
 
 class Turn(NamedTuple):
@@ -152,16 +160,13 @@ class Turn(NamedTuple):
     stream: tuple[int, ...]
 
 
-def _stack_by(batches: Sequence[tuple | None], key: Callable[[int], object] = lambda i: None
-              ) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """The indices of the ``batches`` that are not None, in sets of one batch
-    shape and ``key(index)``, in order of first appearance, each with its
-    ``(X, y)`` batches stacked as ``(T, B, d)`` and ``(T, B)`` (views for
-    one)."""
+def _stack_by(batches: Sequence[tuple]) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
+    """The indices of the ``batches`` in sets of one batch shape, in order of
+    first appearance, each with its ``(X, y)`` batches stacked as
+    ``(T, B, d)`` and ``(T, B)`` (views for one)."""
     groups: dict = {}
     for i, batch in enumerate(batches):
-        if batch is not None:
-            groups.setdefault((batch[0].shape, key(i)), []).append(i)
+        groups.setdefault(batch[0].shape, []).append(i)
     stacked = []
     for ids in groups.values():
         if len(ids) == 1:
@@ -179,7 +184,8 @@ class Driver:
     activation, and the end of a pass.  The keyword settings are declared
     here alone, and each driver forwards them; the test set is prepared for
     :func:`models.accuracy` once.  A driver defines ``_benign_pool``, the
-    benign models a Byzantine node's attack reads."""
+    benign models a Byzantine node's attack reads, and hashes the keys of a
+    pass's draws in one call before it (:meth:`_prepare`)."""
 
     #: stream tags of an activation's batch and attack draws
     BATCH_TAG, ATTACK_TAG = TAG_BATCH, TAG_ATTACK
@@ -206,10 +212,22 @@ class Driver:
             test_set = EvalSet(*test_set)
         self.test_set = test_set
         self.history = TrainHistory()
+        self.streams = KeyedStreams()
 
     def _group_of(self, node: int) -> int | None:
         """The group a record of ``node``'s turn names."""
         return self.group
+
+    def _prepare(self, turns: Iterable[tuple["Driver", int, tuple[int, ...]]]) -> None:
+        """Hash the keys of the draws of a pass's ``(driver, node, stream)``
+        turns in one call: each turn's batch key and, when the attack draws,
+        each Byzantine node's attack key."""
+        keys = []
+        for driver, node, stream in turns:
+            keys.append((driver.seed, driver.BATCH_TAG, *stream))
+            if node in driver.byzantine and self.attack.kind in RANDOM_ATTACKS:
+                keys.append((driver.seed, driver.ATTACK_TAG, *stream))
+        self.streams.prepare(keys)
 
     def _pick(self, turns: Sequence[Turn], pick: Callable[..., Picks],
               record: Callable[..., SelectionRecord] | None,
@@ -218,26 +236,33 @@ class Driver:
         """Each turn's ``pick(candidates, task, X, y)`` (as :func:`basil_select`)
         on its batch from ``[seed, BATCH_TAG, *stream]`` of its driver, then
         ``update(turns, picks, X, y)`` of those picks if given.  The turns
-        whose batches share a shape and whose candidate lists a length pick
-        and update in one call, a list they all share passed once.  A turn
+        whose batches share a size and whose candidate lists a length gather
+        their batches in one call and pick and update in one, a list they all
+        share passed once; each turn's batch is a view of that stack.  A turn
         whose ``skip`` is set draws, picks and updates nothing.  Appends
         each turn's record ``record(group, node, benign, candidates,
         winners)`` to its driver's history, in turn order, unless ``record``
         is None.  Returns each turn's selection, update and batch (None for
         a skipped turn)."""
-        batches = [None if skip and skip[i] else
-                   local_batch(self.dataset, t.node, self.batch_size,
-                               [t.driver.seed, t.driver.BATCH_TAG, *t.stream])
-                   for i, t in enumerate(turns)]
+        groups: dict = {}
+        drawn = {}
+        for i, t in enumerate(turns):
+            if not (skip and skip[i]):
+                drawn[i] = local_batch(self.dataset, t.node, self.batch_size,
+                                       (t.driver.seed, t.driver.BATCH_TAG, *t.stream),
+                                       self.streams)
+                groups.setdefault((len(drawn[i]), len(t.candidates)), []).append(i)
         selections: list[Selection | None] = [None] * len(turns)
+        batches: list[tuple | None] = [None] * len(turns)
         waves = []
-        for ids, X, y in _stack_by(batches, lambda i: len(turns[i].candidates)):
+        for ids in groups.values():
+            X, y = self.dataset.batch(np.array([drawn[j] for j in ids]))
             lists = [turns[j].candidates for j in ids]
             if all(c is lists[0] for c in lists[1:]):
                 lists = lists[:1]
             picks = pick(lists, self.task, X, y)
-            for j, selection in zip(ids, picks.selections):
-                selections[j] = selection
+            for r, (j, selection) in enumerate(zip(ids, picks.selections)):
+                selections[j], batches[j] = selection, (X[r], y[r])
             waves.append((ids, picks, X, y))
         if record is not None:
             for turn, selection in zip(turns, selections):
@@ -260,8 +285,10 @@ class Driver:
         picks on the same batches.  A Byzantine node sends the attack of that
         update, keyed by ``[seed, ATTACK_TAG, *stream]`` of its driver, and
         picks, steps and scores nothing when the attack ignores them; each
-        driver's benign pool is read once per wave.  Returns each turn's
-        output, selection and batch (None for a node that picked nothing)."""
+        driver's benign pool is read once per wave, and an attack that reads
+        only that pool (the hidden one) is computed once per wave and driver.
+        Returns each turn's output, selection and batch (None for a node that
+        picked nothing)."""
         pools, skip = {}, []
         for t in turns:
             if t.node in t.driver.byzantine and t.driver not in pools:
@@ -271,17 +298,22 @@ class Driver:
         picked = self._pick(turns, pick, record, update, skip)
         if not pools:
             return [(out, selection, batch) for selection, out, batch in picked]
-        outputs = []
-        for t, (selection, honest, batch) in zip(turns, picked):
+        outputs, attacks = [], {}
+        for i, (t, (selection, honest, batch)) in enumerate(zip(turns, picked)):
             if t.node in t.driver.byzantine:
-                if selection is None:
-                    # the attack reads only the shape of the model handed in
-                    honest = prior = t.candidates[0][1]
-                else:
-                    prior = selection.model
-                honest = apply_attack(self.attack, honest_update=honest, prior=prior,
-                                      benign_models=pools[t.driver], round_k=round_k,
-                                      key=[t.driver.seed, t.driver.ATTACK_TAG, *t.stream])
+                # an output that reads neither the update nor a stream reads the pool alone
+                memo = t.driver if skip[i] and self.attack.kind not in RANDOM_ATTACKS else i
+                if memo not in attacks:
+                    if selection is None:
+                        # the attack reads only the shape of the model handed in
+                        honest = prior = t.candidates[0][1]
+                    else:
+                        prior = selection.model
+                    attacks[memo] = apply_attack(
+                        self.attack, honest_update=honest, prior=prior,
+                        benign_models=pools[t.driver], round_k=round_k,
+                        key=(t.driver.seed, t.driver.ATTACK_TAG, *t.stream), streams=self.streams)
+                honest = attacks[memo]
             outputs.append((honest, selection, batch))
         return outputs
 
@@ -423,6 +455,7 @@ def run_rings(rings: Sequence[BasilRing]) -> None:
     rows to its own history."""
     lead = rings[0]
     k = lead.round_idx + 1
+    lead._prepare((ring, node, (node, k)) for ring in rings for node in ring.order)
     update = partial(lead._update, k=k, lr=lead.lr_schedule(k))
     record = partial(SelectionRecord, k, "ring", fanout=lead.connectivity)
     # (driver, node, selected sender, output, batch) of each benign activation

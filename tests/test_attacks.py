@@ -17,6 +17,7 @@ from basilsim.attacks import (
 )
 from basilsim.errors import ConfigError
 from basilsim.models import ModelVector
+from basilsim.streams import KeyedStreams
 
 SHAPE_1 = (("x", (4,)),)
 SHAPE_3 = (("a", (5,)), ("b", (3,)), ("c", (2,)))
@@ -176,6 +177,22 @@ class TestSpecAndDispatch:
             assert out.params.tobytes() == want.params.tobytes(), kind
             assert out.shape == want.shape
 
+    @pytest.mark.parametrize("key", [(7, 0xA3, 2, 5), (0, 0xA3, 0, 0), (2**33 + 1, 0xC2, 1, 4, 3)])
+    def test_random_attacks_equal_their_default_rng_streams(self, key):
+        honest = ModelVector(np.arange(1.0, 11.0), SHAPE_3)
+        ahead, on_demand = KeyedStreams(), KeyedStreams()
+        ahead.prepare([key, (1, 2, 3, 4)])
+        for kind, want in (
+            ("gaussian", gaussian_attack(SHAPE_3, np.random.default_rng(list(key)))),
+            ("random-sign-flip", sign_flip_attack(honest, np.random.default_rng(list(key)))),
+        ):
+            for streams in (ahead, on_demand):
+                # a half-used 32-bit draw of another stream leaves nothing behind
+                streams((1, 2, 3, 4)).integers(0, 7, size=3)
+                out = apply_attack(AttackSpec.make(kind), honest_update=honest, prior=honest,
+                                   benign_models=[], round_k=1, key=key, streams=streams)
+                assert out.params.tobytes() == want.params.tobytes(), kind
+
     def test_all_attacks_preserve_shape(self):
         honest = ModelVector(np.ones(10), SHAPE_3)
         for kind in ("gaussian", "random-sign-flip", "hidden", "inverse"):
@@ -241,7 +258,9 @@ def callers(name: str) -> set[str]:
 #: wave's picks are scored in one stacked forward and its SGD steps taken in
 #: one stacked backward from it, and a pass's train losses scored in one
 #: forward: ``sgd_step`` is left to the local passes of epochs mode and the
-#: graph rules, and ``evaluate_losses`` to UBAR's rule
+#: graph rules, and ``evaluate_losses`` to UBAR's rule.  Every batch and
+#: random attack draws from a stream whose state the bulk hash computed,
+#: for a pass's keys in one call
 SOLE_CALLERS = [
     ("ignores_honest_update", {"ring.Driver.activate"}),
     ("apply_attack", {"ring.Driver.activate"}),
@@ -252,6 +271,12 @@ SOLE_CALLERS = [
     ("sgd_step", {"ring.BasilRing._local_passes", "baselines.gossip_rule",
                   "baselines.ubar_rule.rule", "baselines.GraphDriver.run_round"}),
     ("evaluate_losses", {"baselines.ubar_rule.rule", "models.evaluate_loss"}),
+    # the keyed draws: each pass's keys hashed in one call, a key not hashed
+    # ahead by the same function on demand
+    ("keyed_states", {"streams.KeyedStreams.prepare", "streams.KeyedStreams.__call__"}),
+    ("streams.prepare", {"ring.Driver._prepare"}),
+    ("_prepare", {"ring.run_rings", "basil_plus.BasilPlusDriver.run_global_round",
+                  "baselines.GraphDriver.run_round"}),
 ]
 
 
@@ -259,3 +284,9 @@ SOLE_CALLERS = [
 def test_one_activation_decides_and_applies_the_attack(name, expected):
     # a second caller would fork the Byzantine path or the pick again
     assert callers(name) == expected
+
+
+def test_batch_and_attack_draws_build_no_generator_of_their_own():
+    # they draw from the bulk-hashed streams, with no default_rng path beside them
+    assert not callers("default_rng") & {"ring.local_batch", "attacks.apply_attack"}
+    assert not callers("Generator") & {"ring.local_batch", "attacks.apply_attack"}

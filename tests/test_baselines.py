@@ -184,7 +184,7 @@ class TestGPlain:
             driver.models[node] = task.make_model(task.x_star + 5.0 * node)
         expected = driver.models[0]
         for k in range(1, 5):
-            X, y = local_batch(dataset, 0, 10, [3, TAG_BATCH, 0, k])
+            X, y = dataset.batch(local_batch(dataset, 0, 10, [3, TAG_BATCH, 0, k]))
             expected = sgd_step(expected, task, X, y, default_lr(k))
         driver.run(4)
         assert np.array_equal(driver.models[0].params, expected.params)

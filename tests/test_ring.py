@@ -6,19 +6,22 @@ import pytest
 
 from basilsim.attacks import AttackSpec, ignores_honest_update
 from basilsim.basil_plus import BasilPlusDriver
-from basilsim.data import make_cluster_dataset, make_quadratic_dataset, partition
+from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
 from basilsim.models import (MlpTask, QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step,
                              step_winners)
 from basilsim.ring import (
+    TAG_BATCH,
     BasilRing,
     StoredModels,
     agree_order,
     basil_select,
     constant_lr,
+    local_batch,
     run_rings,
     sample_byzantine_ids,
 )
+from basilsim.streams import KeyedStreams, keyed_states
 
 
 def select_one(candidates, task, X, y):
@@ -494,3 +497,86 @@ class TestRingValidation:
         task, dataset = quad_setup(n_nodes=5)
         with pytest.raises(ConfigError, match="every ring member"):
             BasilRing(range(5), frozenset(range(5)), 1, 0, task, dataset)
+
+
+def numpy_state(key):
+    """The PCG64 (state, inc) ``np.random.default_rng(key)`` starts in."""
+    state = np.random.default_rng(list(key)).bit_generator.state
+    assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+    return state["state"]["state"], state["state"]["inc"]
+
+
+class TestKeyedStreams:
+    """The bulk-hashed states and the draws from them are numpy's own, so a
+    numpy that changes its seeding fails here by name, not only in the
+    golden digests."""
+
+    @pytest.mark.parametrize("keys", [
+        pytest.param([(6, 0xA2, node, k) for node in range(6) for k in (1, 2, 50)],
+                     id="four-entries"),
+        pytest.param([(6, 0xC1, stage, node, g) for stage in (1, 2, 3) for node in range(5)
+                      for g in (1, 9)], id="five-entries"),
+        pytest.param([(0, 0, 0, 0), (0, 0xA2, 0, 1), (1, 0, 0, 0, 0), (2**32 - 1, 0, 5, 2**32 - 1)],
+                     id="zero-and-top-word"),
+        pytest.param([(2**32, 0xA2, 3, 1), (2**40 + 7, 0xC1, 1, 2, 3), (5, 2**64, 2**96 - 1, 0)],
+                     id="entries-past-2-to-the-32"),
+        pytest.param([(6, 0xA2, 1, 1), (2**33, 0xA2, 1, 1), (6, 0xC1, 1, 1, 1), (7,),
+                      (2**70, 1), (0,), (2**33, 0xC1, 1, 1, 1)], id="mixed-word-counts"),
+    ])
+    def test_bulk_states_are_default_rngs(self, keys):
+        assert keyed_states(keys) == [numpy_state(key) for key in keys]
+
+    def test_negative_entries_are_rejected_as_numpy_rejects_them(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng([6, -1])
+        with pytest.raises(ValueError):
+            keyed_states([(6, -1)])
+
+    def test_basil_plus_hashes_every_draw_ahead_at_a_seed_past_two_to_the_15(
+            self, monkeypatch):
+        # group seeds are seed * 131071 + g + 1, past 2^32 from seed 32,768
+        prepared, drawn = [], []
+        prepare, call = KeyedStreams.prepare, KeyedStreams.__call__
+
+        def record_prepare(streams, keys):
+            keys = [tuple(key) for key in keys]
+            prepared.extend(keys)
+            prepare(streams, keys)
+
+        def record_call(streams, key):
+            drawn.append(tuple(key))
+            return call(streams, key)
+
+        monkeypatch.setattr(KeyedStreams, "prepare", record_prepare)
+        monkeypatch.setattr(KeyedStreams, "__call__", record_call)
+        task, train, _ = cluster_setup(n_nodes=8, samples=320)
+        driver = BasilPlusDriver(2, frozenset({1, 6}), 2, 40_000, task, train, n_nodes=8,
+                                 attack=AttackSpec.make("random-sign-flip"), batch_size=5)
+        driver.run(2)
+        assert min(ring.seed for ring in driver.rings) > 2**32
+        assert {len(key) for key in prepared} == {4, 5}
+        # every batch and attack draw was hashed ahead, in the pass's one call
+        assert drawn and set(drawn) <= set(prepared)
+        assert keyed_states(prepared) == [numpy_state(key) for key in prepared]
+
+    @pytest.mark.parametrize("shard, size", [
+        (1, 1), (2, 1), (30, 1), (30, 8), (30, 29), (200, 80),
+        # past 10,000 samples and shard // 50 numpy shuffles the tail of a permutation
+        (12_000, 8), (12_000, 240), (12_000, 241), (12_000, 11_999),
+        # a batch of the whole shard or more is the shard, undrawn
+        (30, 30), (30, 31), (30, None)])
+    def test_local_batch_is_the_keyed_choice(self, shard, size):
+        dataset = Dataset(np.zeros((shard + 7, 1)), np.zeros(shard + 7),
+                          partition={3: np.arange(7, shard + 7)})
+        indices = dataset.node_indices(3)
+        keys = [(seed, TAG_BATCH, 3, k) for seed in (0, 6, 2027, 2**33) for k in (1, 2)]
+        streams = KeyedStreams()
+        # half the keys hashed ahead, half on demand
+        streams.prepare(keys[::2])
+        for key in keys:
+            got = local_batch(dataset, 3, size, key, streams)
+            if size is None or size >= shard:
+                assert got is indices
+            else:
+                want = np.random.default_rng(list(key)).choice(indices, size=size, replace=False)
+                assert got.tobytes() == want.tobytes(), key
