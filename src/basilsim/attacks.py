@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .models import ModelVector, require_composable
+from .models import ModelVector, _layout, require_composable
 from .streams import KeyedStreams
 
 ATTACK_KINDS = ("none", "gaussian", "random-sign-flip", "hidden", "inverse")
@@ -57,8 +57,8 @@ class AttackSpec:
 
 def gaussian_attack(shape, rng: np.random.Generator) -> ModelVector:
     """Model with every entry drawn i.i.d. from N(0, 1)."""
-    n = sum(int(np.prod(dims)) for _, dims in shape)
-    return ModelVector(rng.standard_normal(n), tuple(shape))
+    shape = tuple(shape)
+    return ModelVector(rng.standard_normal(_layout(shape).size), shape)
 
 
 def sign_flip_attack(model: ModelVector, rng: np.random.Generator) -> ModelVector:

@@ -171,7 +171,7 @@ class GraphDriver(Driver):
         k = self.round_idx + 1
         lr = self.lr_schedule(k)
         sent = dict(self.models)
-        self._prepare((self, node, (node, k)) for node in sorted(self.models))
+        self._prepare((self, node, (node, k), k) for node in sorted(self.models))
         turns = [Turn(self, node, ((node, self.models[node]),), (node, k))
                  for node in sorted(self.byzantine)]
         for turn, (out, *_) in zip(turns, self.activate(

@@ -113,6 +113,11 @@ class BasilPlusDriver(Driver):
     def _group_of(self, node: int) -> int | None:
         return self._ring_of[node].group
 
+    @property
+    def _stage_round(self) -> int:
+        """The round a stage activation passes to the attack."""
+        return self.global_round * max(self.tau, 1)
+
     def _stream(self, stage: str, node: int) -> tuple[int, ...]:
         return (self._STAGE_IDS[stage], node, self.global_round)
 
@@ -131,7 +136,7 @@ class BasilPlusDriver(Driver):
             turns, basil_select,
             lambda turns, picks, *_: [update(s.model, t.node)
                                       for t, s in zip(turns, picks.selections)],
-            record, self.global_round * max(self.tau, 1))]
+            record, self._stage_round)]
 
     # -- driver --------------------------------------------------------------
 
@@ -152,9 +157,14 @@ class BasilPlusDriver(Driver):
         first = self.rings[0]
         S = first.connectivity
         heads = [node for ring in self.rings for node in ring.order[:S]]
-        self._prepare((self, node, self._stream(stage, node)) for stage, nodes in (
-            ("aggregate", [node for ring in self.rings[1:] for node in ring.order[-S:]]),
-            ("multicast", first.order[-S:]), ("adopt", heads)) for node in nodes)
+        # the aggregate and multicast stages activate; an adopt only picks
+        self._prepare((self, node, self._stream(stage, node), round_k)
+                      for stage, nodes, round_k in (
+                          ("aggregate", [node for ring in self.rings[1:]
+                                         for node in ring.order[-S:]], self._stage_round),
+                          ("multicast", first.order[-S:], self._stage_round),
+                          ("adopt", heads, None))
+                      for node in nodes)
 
         # circular aggregation: each downstream tail picks one upstream tail's
         # running average and folds its own model into it

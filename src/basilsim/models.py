@@ -445,8 +445,10 @@ def sgd_step(
     return model.with_params(model.params - lr * grad)
 
 
-#: byte budget of one stacked float32 logit block in :func:`accuracy`
-_SCORE_CHUNK_BYTES = 1 << 19
+#: byte budget of one stacked float32 logit block in :func:`accuracy`: 16
+#: desk-sized models (16 classes, 2,000 samples); half a 4 MiB L2 leaves
+#: room for the product's operands, and timed fastest from 512 KiB to 4 MiB
+_SCORE_CHUNK_BYTES = 1 << 21
 #: unit roundoffs of float64 and float32
 _U, _U32 = 2.0 ** -53, 2.0 ** -24
 #: the least float32 subnormal
@@ -464,13 +466,19 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u) if 16 * k * u < 1 else math.inf
 
 
-def _label_margins(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _label_index(y: np.ndarray) -> np.ndarray:
+    """``y_i B + i``, the flat index of each sample's label logit in a ``(C,
+    B)`` logit block."""
+    return y * len(y) + np.arange(len(y))
+
+
+def _label_margins(logits: np.ndarray, at: np.ndarray) -> np.ndarray:
     """``f_iy - max_{c != y_i} f_ic`` of each ``(C, B)`` block of an ``(s, C,
-    B)`` logit stack, as ``(s, B)``; the label logits are overwritten."""
+    B)`` logit stack, as ``(s, B)``, with ``at`` the :func:`_label_index` of
+    the labels; the label logits are overwritten."""
     s, C, B = logits.shape
     flat = logits.reshape(s, C * B)
-    at = y * B + np.arange(B)
-    label = flat[:, at]
+    label = np.take(flat, at, axis=1)
     flat[:, at] = -np.inf
     return label - logits.max(axis=1)
 
@@ -479,7 +487,7 @@ def _float64_hits(w: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray,
                   tol: float) -> int | None:
     """Label hits of one model ``(w, b)`` on the samples ``X`` in float64, or
     None if a margin is NaN or within ``tol`` of zero."""
-    margin = _label_margins((w @ X.T + b[:, None])[None], y)
+    margin = _label_margins((w @ X.T + b[:, None])[None], _label_index(y))
     return int(np.count_nonzero(margin > 0)) if (np.abs(margin) > tol).all() else None
 
 
@@ -492,27 +500,39 @@ def _inflated(norm, n: int):
     return norm * (1.0 + _gamma(n + 2, _U)) + math.sqrt(n + 1) * 2.0 ** -536
 
 
-def _float32_inputs(X: np.ndarray) -> tuple[np.ndarray, float]:
-    """``x32`` and ``nx`` of :func:`accuracy` for the samples ``X``."""
+class _Float32Inputs(NamedTuple):
+    """What :func:`accuracy` reads of a test set to score it in float32."""
+
+    #: ``(n+1, B)``: each sample a column, with a trailing 1 that multiplies
+    #: the bias; the right-hand operand of every logit block's product
+    xt: np.ndarray
+    #: the inflated largest sample norm
+    nx: float
+    #: :func:`_label_index` of the labels
+    at: np.ndarray
+
+
+def _float32_inputs(X: np.ndarray, y: np.ndarray) -> _Float32Inputs:
+    """The :class:`_Float32Inputs` of the samples ``X`` with labels ``y``."""
     B, n = X.shape
     nx = _inflated(math.sqrt(np.einsum("ij,ij->i", X, X).max()), n)
-    # each sample with a trailing 1 that multiplies the bias; inputs past
-    # float32's range stay 0, and then no model fits
-    x32 = np.ones((B, n + 1), np.float32)
-    np.copyto(x32[:, :n], X, where=nx < _HUGE32)
-    return x32, nx
+    # inputs past float32's range stay 0, and then no model fits
+    xt = np.ones((n + 1, B), np.float32)
+    np.copyto(xt[:n], X.T, where=nx < _HUGE32)
+    return _Float32Inputs(xt, nx, _label_index(y))
 
 
 class EvalSet:
     """Test samples ``X``, ``y`` with what :func:`accuracy` reads of them to
-    score in float32, ``x32`` and ``nx``, built on first use and then kept."""
+    score in float32 (:class:`_Float32Inputs`), built on first use and then
+    kept."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.X, self.y = X, y
 
     @functools.cached_property
-    def float32(self) -> tuple[np.ndarray, float]:
-        return _float32_inputs(self.X)
+    def float32(self) -> _Float32Inputs:
+        return _float32_inputs(self.X, self.y)
 
 
 def accuracy(
@@ -521,8 +541,8 @@ def accuracy(
 ) -> list[float]:
     """Test accuracy of each model: the share of samples whose ``argmax`` logit
     is the label, equal to :func:`_reference_accuracy` of the model alone.
-    ``inputs``, the :class:`EvalSet` of ``X`` and ``y``, keeps ``x32`` and
-    ``nx`` (below) from one call to the next.
+    ``inputs``, the :class:`EvalSet` of ``X`` and ``y``, keeps the float32
+    inputs, ``nx`` (below) and the label index from one call to the next.
 
     Softmax models are scored in float32, and a (model, sample) pair that
     float32 cannot decide is rechecked in float64.  An outcome is kept only
@@ -587,17 +607,17 @@ def accuracy(
     C, (B, n) = task.n_classes, X.shape
     if not (isinstance(task, SoftmaxTask) and B and 0 <= y.min() and y.max() < C):
         return [_reference_accuracy(m, task, X, y) for m in models]
-    x32, nx = inputs.float32 if inputs is not None else _float32_inputs(X)
+    f32 = inputs.float32 if inputs is not None else _float32_inputs(X, y)
     per_chunk = max(1, _SCORE_CHUNK_BYTES // (C * B * 4))
     return [acc for start in range(0, len(models), per_chunk)
-            for acc in _chunk_accuracy(models[start:start + per_chunk], task, X, y, x32, nx)]
+            for acc in _chunk_accuracy(models[start:start + per_chunk], task, X, y, f32)]
 
 
 def _chunk_accuracy(models: Sequence[ModelVector], task: SoftmaxTask, X: np.ndarray,
-                    y: np.ndarray, x32: np.ndarray, nx: float) -> list[float]:
+                    y: np.ndarray, f32: _Float32Inputs) -> list[float]:
     """:func:`accuracy` of the softmax models of one logit block, so that
     every stack it builds is one block's."""
-    C, (B, n) = task.n_classes, X.shape
+    C, (B, n), nx = task.n_classes, X.shape, f32.nx
     gamma = _gamma(n + 2, _U)
     slack = 2.0 * (1.0 + 2.0 ** -20)
     w, b = _stack_layers(np.array([m.params for m in models]), models[0].shape)
@@ -613,7 +633,7 @@ def _chunk_accuracy(models: Sequence[ModelVector], task: SoftmaxTask, X: np.ndar
     e32 = ((_gamma(n + 3, _U32) + gamma) * scale
            + _TINY32 * (math.sqrt(n) * (nx + nw) + nb + 2 * n + 3))
     tol32 = np.where(fits, slack * e32, np.inf)[:, None]
-    margin = _label_margins((w32.reshape(s * C, n + 1) @ x32.T).reshape(s, C, B), y)
+    margin = _label_margins((w32.reshape(s * C, n + 1) @ f32.xt).reshape(s, C, B), f32.at)
     size = np.abs(margin)
     # a NaN or Inf margin decides nothing
     decided = (size > tol32) & (size < np.inf)

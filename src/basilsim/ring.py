@@ -218,16 +218,34 @@ class Driver:
         """The group a record of ``node``'s turn names."""
         return self.group
 
-    def _prepare(self, turns: Iterable[tuple["Driver", int, tuple[int, ...]]]) -> None:
-        """Hash the keys of the draws of a pass's ``(driver, node, stream)``
-        turns in one call: each turn's batch key and, when the attack draws,
-        each Byzantine node's attack key."""
-        keys = []
-        for driver, node, stream in turns:
-            keys.append((driver.seed, driver.BATCH_TAG, *stream))
-            if node in driver.byzantine and self.attack.kind in RANDOM_ATTACKS:
+    def _prepare(self, turns: Iterable[tuple["Driver", int, tuple[int, ...], int | None]]) -> None:
+        """Hash the keys of the draws of a pass's ``(driver, node, stream,
+        round)`` turns in one call: each turn's batch key and, when the attack
+        draws, each Byzantine activation's attack key.  ``round`` is the one
+        the turn's activation passes, or None for a pick that no attack
+        replaces (a Basil+ adopt).  A turn that :meth:`_skips` at the start
+        of the pass draws no batch, and its key is left out: a benign pool
+        only grows within a pass, so it skips at its activation too.  A key
+        that is drawn but not hashed ahead is hashed on demand."""
+        keys, pools = [], {}
+        for driver, node, stream, round_k in turns:
+            if round_k is None or not self._skips(driver, node, round_k, pools):
+                keys.append((driver.seed, driver.BATCH_TAG, *stream))
+            if (round_k is not None and node in driver.byzantine
+                    and self.attack.kind in RANDOM_ATTACKS):
                 keys.append((driver.seed, driver.ATTACK_TAG, *stream))
         self.streams.prepare(keys)
+
+    def _skips(self, driver: "Driver", node: int, round_k: int, pools: dict) -> bool:
+        """Whether ``node`` of ``driver`` draws, picks and updates nothing when
+        it activates in round ``round_k``: it is Byzantine, and its attack
+        ignores the pick given ``driver``'s benign pool, which is read into
+        ``pools`` once per driver."""
+        if node not in driver.byzantine:
+            return False
+        if driver not in pools:
+            pools[driver] = driver._benign_pool()
+        return ignores_honest_update(self.attack, benign_models=pools[driver], round_k=round_k)
 
     def _pick(self, turns: Sequence[Turn], pick: Callable[..., Picks],
               record: Callable[..., SelectionRecord] | None,
@@ -289,12 +307,8 @@ class Driver:
         only that pool (the hidden one) is computed once per wave and driver.
         Returns each turn's output, selection and batch (None for a node that
         picked nothing)."""
-        pools, skip = {}, []
-        for t in turns:
-            if t.node in t.driver.byzantine and t.driver not in pools:
-                pools[t.driver] = t.driver._benign_pool()
-            skip.append(t.node in t.driver.byzantine and ignores_honest_update(
-                self.attack, benign_models=pools[t.driver], round_k=round_k))
+        pools: dict = {}
+        skip = [self._skips(t.driver, t.node, round_k, pools) for t in turns]
         picked = self._pick(turns, pick, record, update, skip)
         if not pools:
             return [(out, selection, batch) for selection, out, batch in picked]
@@ -455,7 +469,7 @@ def run_rings(rings: Sequence[BasilRing]) -> None:
     rows to its own history."""
     lead = rings[0]
     k = lead.round_idx + 1
-    lead._prepare((ring, node, (node, k)) for ring in rings for node in ring.order)
+    lead._prepare((ring, node, (node, k), k) for ring in rings for node in ring.order)
     update = partial(lead._update, k=k, lr=lead.lr_schedule(k))
     record = partial(SelectionRecord, k, "ring", fanout=lead.connectivity)
     # (driver, node, selected sender, output, batch) of each benign activation

@@ -260,9 +260,11 @@ def callers(name: str) -> set[str]:
 #: forward: ``sgd_step`` is left to the local passes of epochs mode and the
 #: graph rules, and ``evaluate_losses`` to UBAR's rule.  Every batch and
 #: random attack draws from a stream whose state the bulk hash computed,
-#: for a pass's keys in one call
+#: for a pass's keys in one call.  One method decides which Byzantine turns
+#: skip their pick, for the activation and for the keys hashed ahead of it
 SOLE_CALLERS = [
-    ("ignores_honest_update", {"ring.Driver.activate"}),
+    ("ignores_honest_update", {"ring.Driver._skips"}),
+    ("_skips", {"ring.Driver.activate", "ring.Driver._prepare"}),
     ("apply_attack", {"ring.Driver.activate"}),
     ("local_batch", {"ring.Driver._pick"}),
     ("selections.append", {"ring.Driver._pick"}),

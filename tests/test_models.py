@@ -590,19 +590,29 @@ class TestAccuracy:
     def test_the_float32_inputs_are_built_once_per_set(self, monkeypatch):
         task = SoftmaxTask(8, 4)
         X, y = labelled_batch(task, 50, 8)
-        builds = []
-        real = models_mod._float32_inputs
+        builds, indexed = [], []
+        real, index = models_mod._float32_inputs, models_mod._label_index
         monkeypatch.setattr(models_mod, "_float32_inputs",
-                            lambda X: builds.append(len(X)) or real(X))
+                            lambda X, y: builds.append(len(X)) or real(X, y))
+        # the rechecks index their own subsets of the labels, never ``y`` itself
+        monkeypatch.setattr(models_mod, "_label_index",
+                            lambda labels: indexed.append(labels is y) or index(labels))
         inputs, models = EvalSet(X, y), random_models(task, 3, 9)
         for _ in range(3):
             assert accuracy(models, task, X, y, inputs) == accuracy(models, task, X, y)
         # the set's one build, and one per call without a set
-        assert len(builds) == 4
+        assert len(builds) == 4 and indexed.count(True) == 4
+        # the product's right-hand operand: the samples as contiguous float32
+        # columns over a row of ones, and the flat index of each label logit
+        xt, _, at = inputs.float32
+        assert xt.dtype == np.float32 and xt.flags.c_contiguous
+        assert np.array_equal(xt, np.vstack([X.T, np.ones(50)]).astype(np.float32))
+        assert np.array_equal(at, y * 50 + np.arange(50))
+        assert inputs.float32.xt is xt and inputs.float32.at is at
         # a task scored by the reference never builds them
         mlp, other = MlpTask((8, 6, 5, 4)), EvalSet(X, y)
         accuracy([mlp.initial_model(1)], mlp, X, y, other)
-        assert "float32" not in vars(other) and len(builds) == 4
+        assert "float32" not in vars(other) and len(builds) == 4 and indexed.count(True) == 4
 
     @pytest.mark.parametrize("D,C,B", [(64, 16, 2000), (8, 4, 50), (100, 4, 300),
                                        (7, 5, 40), (30, 13, 200), (3, 2, 1)])
@@ -720,14 +730,40 @@ class TestAccuracy:
 
     @pytest.mark.parametrize("budget", [1, 2 * 3 * 40 * 8, None])
     def test_more_models_than_one_chunk(self, monkeypatch, budget):
-        # budgets of one model, four models, and the default (four desk-sized models)
+        # budgets of one model, four models, and the default, which holds
+        # fewer desk-sized models (16 classes, 2,000 samples) than the 21 here
         task = SoftmaxTask(64, 16) if budget is None else SoftmaxTask(5, 3)
         if budget is not None:
             monkeypatch.setattr(models_mod, "_SCORE_CHUNK_BYTES", budget)
         X, y = labelled_batch(task, 2000 if budget is None else 40, 12)
+        per_block = max(1, models_mod._SCORE_CHUNK_BYTES // (task.n_classes * len(X) * 4))
+        blocks = []
+        chunk = models_mod._chunk_accuracy
+        monkeypatch.setattr(models_mod, "_chunk_accuracy",
+                            lambda models, *a: blocks.append(len(models)) or chunk(models, *a))
+        count = 10 if budget is None else 3
         zero = task.initial_model(0)
-        self.check(random_models(task, 3, 13) + [zero] + random_models(task, 3, 14),
+        self.check(random_models(task, count, 13) + [zero] + random_models(task, count, 14),
                    task, X, y)
+        # once without the set and once with it, each over full blocks and the rest
+        total = 2 * count + 1
+        full, rest = divmod(total, per_block)
+        assert full >= 1 and total > per_block
+        assert blocks == 2 * ([per_block] * full + [rest] * (rest > 0))
+
+    def test_default_blocks_score_as_one_model_blocks(self, monkeypatch):
+        # the desk shape: blocks of the default budget and of one model each
+        task = SoftmaxTask(64, 16)
+        X, y = labelled_batch(task, 2000, 22)
+        stepped = sgd_step(task.initial_model(0), task, X[:8], y[:8], lr=0.5)
+        models = (random_models(task, 9, 23) + [task.initial_model(0), stepped]
+                  + random_models(task, 9, 24, scale=1e-3))
+        inputs = EvalSet(X, y)
+        default = self.check(models, task, X, y)
+        assert accuracy(models, task, X, y, inputs) == default
+        monkeypatch.setattr(models_mod, "_SCORE_CHUNK_BYTES", 1)
+        assert accuracy(models, task, X, y, inputs) == default
+        assert accuracy(models, task, X, y) == default
 
     def test_labels_outside_the_classes_and_other_tasks(self):
         task = SoftmaxTask(4, 3)

@@ -559,6 +559,44 @@ class TestKeyedStreams:
         assert drawn and set(drawn) <= set(prepared)
         assert keyed_states(prepared) == [numpy_state(key) for key in prepared]
 
+    @pytest.mark.parametrize("grouped", [False, True], ids=["ring", "basil-plus"])
+    @pytest.mark.parametrize("kind", ["gaussian", "hidden"])
+    def test_keys_of_turns_whose_attack_ignores_the_pick_are_not_hashed(
+            self, monkeypatch, grouped, kind):
+        prepared, drawn = [], []
+        prepare, call = KeyedStreams.prepare, KeyedStreams.__call__
+
+        def record_prepare(streams, keys):
+            keys = [tuple(key) for key in keys]
+            prepared.extend(keys)
+            prepare(streams, keys)
+
+        def record_call(streams, key):
+            drawn.append(tuple(key))
+            return call(streams, key)
+
+        monkeypatch.setattr(KeyedStreams, "prepare", record_prepare)
+        monkeypatch.setattr(KeyedStreams, "__call__", record_call)
+        task, train, _ = cluster_setup(n_nodes=8, samples=320)
+        byzantine, attack = frozenset({1, 6}), AttackSpec.make(kind, 1)
+        if grouped:
+            BasilPlusDriver(2, byzantine, 2, 3, task, train, n_nodes=8, attack=attack,
+                            batch_size=5).run(3)
+        else:
+            BasilRing(range(8), byzantine, 2, 3, task, train, attack=attack,
+                      batch_size=5).run(3)
+        # each key is drawn once, and every draw was hashed ahead
+        assert len(set(drawn)) == len(drawn) and set(drawn) <= set(prepared)
+        unused = set(prepared) - set(drawn)
+        if kind == "gaussian":
+            assert not unused and len(prepared) == len(drawn)
+        else:
+            # the hidden attack reads the pool, empty at the start of the
+            # first ring pass: only Byzantine batch keys of that pass go unused
+            assert len(unused) <= len(byzantine)
+            assert all(key[1] == TAG_BATCH and key[2] in byzantine and key[3] == 1
+                       for key in unused)
+
     @pytest.mark.parametrize("shard, size", [
         (1, 1), (2, 1), (30, 1), (30, 8), (30, 29), (200, 80),
         # past 10,000 samples and shard // 50 numpy shuffles the tail of a permutation
