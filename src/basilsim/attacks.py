@@ -116,17 +116,17 @@ def apply_attack(
     benign_models: list[ModelVector],
     round_k: int,
     key: list[int],
-    streams: KeyedStreams | None = None,
+    streams: KeyedStreams,
 ) -> ModelVector:
     """What a Byzantine node emits instead of ``honest_update`` in round
     ``round_k``; a random attack draws from the stream ``default_rng(key)``
-    would give, set by ``streams`` (one of its own if None)."""
+    would give, set by ``streams``."""
     if not spec.active(round_k):
         return honest_update
     if spec.kind == "gaussian":
-        return gaussian_attack(honest_update.shape, (streams or KeyedStreams())(key))
+        return gaussian_attack(honest_update.shape, streams(key))
     if spec.kind == "random-sign-flip":
-        return sign_flip_attack(honest_update, (streams or KeyedStreams())(key))
+        return sign_flip_attack(honest_update, streams(key))
     if spec.kind == "hidden":
         if not benign_models:
             return honest_update

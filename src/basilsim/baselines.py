@@ -17,8 +17,8 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord
-from .models import LossTask, ModelVector, average_models, evaluate_losses, sgd_step
-from .ring import Driver, Picks, Selection, Turn
+from .models import LossTask, ModelVector, average_models, score_wave, sgd_step, step_winners
+from .ring import Driver, Picks, Selection, Turn, basil_select
 
 TAG_GRAPH = 0xD0
 
@@ -89,7 +89,8 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
     distance to the node's own model; stage 2 keeps those whose loss on a
     local mini-batch does not exceed the node's own, averaging them (or
     falling back to the single lowest-loss stage-1 candidate).  The update
-    mixes the node's model with the aggregate before the gradient step.
+    mixes the node's model with the aggregate before the gradient step,
+    which steps the node's model from the forward that scored it.
     """
     if not 0 < rho <= 1:
         raise ConfigError("rho must lie in (0, 1]")
@@ -102,8 +103,8 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
             received, key=lambda j: (float(np.linalg.norm(received[j].params - own.params)), j)
         )
         pool = by_distance[:math.ceil(rho * len(received))]
-        own_loss, *pool_losses = evaluate_losses(
-            [own] + [received[j] for j in pool], task, X, y)
+        scores = score_wave([[own] + [received[j] for j in pool]], task, X[None], y[None])
+        own_loss, *pool_losses = scores.losses[0].tolist()
         candidates = tuple(zip(pool, pool_losses))
         accepted = tuple(j for j, loss in candidates if loss <= own_loss)
         if accepted:
@@ -111,17 +112,12 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
         else:
             accepted = (min(candidates, key=lambda c: (c[1], c[0]))[0],)
             aggregate = received[accepted[0]]
-        grad_step = sgd_step(own, task, X, y, lr)
+        (grad_step,) = step_winners(scores, [0], lr)
         mixed = mixing * own.params + (1.0 - mixing) * aggregate.params
         return Selection(own.with_params(mixed - (own.params - grad_step.params)),
                          candidates, accepted)
 
     return rule
-
-
-def _own_model(candidates, task, X, y) -> Picks:
-    """Byzantine graph nodes' pick: each its own model, its one candidate, unscored."""
-    return Picks([Selection(own, (), (node,)) for ((node, own),) in candidates])
 
 
 class GraphDriver(Driver):
@@ -132,12 +128,13 @@ class GraphDriver(Driver):
     :class:`Driver`'s.
 
     The Byzantine nodes run the ring's activation (:meth:`Driver.activate`)
-    as one wave, each with its own model as its pick, recording nothing: a
-    Byzantine node never reads what it receives, takes one SGD step, sends
-    the attack of that step and keeps it, so under ``attack: none`` it trains
-    alone; it skips the step when the attack ignores it.  A Byzantine ring
-    member instead picks from what it stores and replaces only what it
-    sends."""
+    as one wave, recording nothing: each picks by :func:`ring.basil_select`
+    from its own model alone, and all step in one backward from the forward
+    that scored them.  A Byzantine node never reads what it receives, takes
+    one SGD step, sends the attack of that step and keeps it, so under
+    ``attack: none`` it trains alone; it skips the step when the attack
+    ignores it.  A Byzantine ring member instead picks from what it stores
+    and replaces only what it sends."""
 
     TOPOLOGY = "graph"
 
@@ -175,9 +172,8 @@ class GraphDriver(Driver):
         turns = [Turn(self, node, ((node, self.models[node]),), (node, k))
                  for node in sorted(self.byzantine)]
         for turn, (out, *_) in zip(turns, self.activate(
-                turns, _own_model,
-                lambda turns, picks, X, y: [sgd_step(s.model, self.task, bx, by, lr)
-                                            for s, bx, by in zip(picks.selections, X, y)],
+                turns, basil_select,
+                lambda turns, picks, X, y: step_winners(picks.scores, picks.rows, lr),
                 None, k)):
             sent[turn.node] = out
         # (driver, node, selected sender, output, batch) of each benign node

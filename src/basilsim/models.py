@@ -2,8 +2,9 @@
 
 A model travels between nodes as a flat parameter vector plus layer-shape
 metadata (:class:`ModelVector`).  A :class:`LossTask` knows how to score and
-differentiate a model on a batch of samples.  All operations are pure: they
-never mutate their inputs.
+differentiate stacks of models on batches of samples, and :func:`score_wave`
+and :func:`step_winners` are the only code that asks it to.  All operations
+are pure: they never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -129,19 +130,15 @@ class LossTask:
                          X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``(T, P)`` mean gradients of the ``T`` models of a ``(T, P)`` stack,
         each on its own batch of ``X`` and ``y``, from ``outputs``, each model's
-        row of :meth:`stacked_forward`'s; row ``t`` equals :meth:`gradient` of
-        model ``t`` alone."""
-        raise NotImplementedError
-
-    def gradient(self, model: ModelVector, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Mean gradient of the per-sample loss over the batch, flattened."""
+        row of :meth:`stacked_forward`'s; row ``t`` is model ``t``'s gradient
+        on batch ``t``, the same whatever else the stack holds."""
         raise NotImplementedError
 
     def predict(self, model: ModelVector, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _check_batch(self, X: np.ndarray, y: np.ndarray) -> None:
-        """A batch ``(B, d)``, or a stack of them ``(T, B, d)``, with one label per sample."""
+        """A stack of batches ``(T, B, d)`` with one label per sample."""
         if X.shape[-2] == 0:
             raise ConfigError("batch is empty")
         if X.shape[:-1] != y.shape:
@@ -210,10 +207,6 @@ class QuadraticTask(LossTask):
         return np.array([self.hessian_diag * (p - self.x_star) + self.noise_scale * x.mean(axis=0)
                          for p, x in zip(params, X)])
 
-    def gradient(self, model, X, y):
-        self._check_batch(X, y)
-        return self.stacked_gradient(model.params[None], model.shape, None, X[None], y[None])[0]
-
     def predict(self, model, X):
         raise ConfigError("quadratic task has no labels to predict")
 
@@ -278,13 +271,6 @@ class DenseTask(LossTask):
                 delta = (delta @ weights[k]) * (inputs[k] > 0)
         return np.concatenate(grads[::-1], axis=1)
 
-    def gradient(self, model, X, y):
-        self._check_batch(X, y)
-        params, X, y = model.params[None], X[None], y[None]
-        outputs = self._forward(_stack_layers(params, model.shape), X)
-        outputs += _softmax_terms(outputs[-1])
-        return self.stacked_gradient(params, model.shape, outputs, X, y)[0]
-
     def predict(self, model, X):
         logits = self._forward(_stack_layers(model.params[None], model.shape), X)[-1]
         return logits[0].argmax(axis=1)
@@ -347,21 +333,6 @@ class MlpTask(DenseTask):
         return ModelVector(np.concatenate(parts), self.model_shape())
 
 
-def evaluate_loss(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean per-sample loss of ``model`` on the batch, +inf for a non-finite model."""
-    return evaluate_losses([model], task, X, y)[0]
-
-
-def evaluate_losses(
-    models: Sequence[ModelVector], task: LossTask, X: np.ndarray, y: np.ndarray
-) -> list[float]:
-    """Mean per-sample loss of each model on the batch: the one row of
-    :func:`score_wave` over that batch."""
-    if not models:
-        return []
-    return score_wave([models], task, X[None], y[None]).losses[0].tolist()
-
-
 class WaveScores(NamedTuple):
     """A wave's stacked forward (:func:`score_wave`): ``losses[t, s]`` is the
     mean loss of model ``s`` of row ``t`` on batch ``t``; ``params`` and
@@ -409,9 +380,9 @@ def score_wave(
 def step_winners(scores: WaveScores, rows: Sequence[int], lr: float) -> list[ModelVector]:
     """One SGD step of model ``rows[t]`` of each row of ``scores`` on its batch
     ``t``, all in one stacked backward from their rows of its forward, with
-    no second forward; each equals :func:`sgd_step` of that model alone.  A
-    non-finite model has no row of the forward, so a wave that steps one is
-    forwarded again (and its gradient is NaN/Inf)."""
+    no second forward; each is the step of that model alone.  A non-finite
+    model has no row of the forward, so a wave that steps one is forwarded
+    again; a NaN/Inf gradient raises :class:`NumericFaultError`."""
     T = len(scores.X)
     # one batch: a slice and an int index views where index arrays copy
     at = (slice(None), int(rows[0])) if T == 1 else (np.arange(T), np.asarray(rows))
@@ -431,18 +402,18 @@ def step_winners(scores: WaveScores, rows: Sequence[int], lr: float) -> list[Mod
     return [ModelVector(p - lr * g, scores.shape) for p, g in zip(params, grads)]
 
 
+def evaluate_loss(model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean per-sample loss of ``model`` on the batch, +inf for a non-finite
+    model: a wave of one model."""
+    return float(score_wave([[model]], task, X[None], y[None]).losses[0, 0])
+
+
 def sgd_step(
     model: ModelVector, task: LossTask, X: np.ndarray, y: np.ndarray, lr: float
 ) -> ModelVector:
-    """One stochastic gradient step: ``model - lr * grad(model, batch)``."""
-    grad = task.gradient(model, X, y)
-    if grad.shape != model.params.shape:
-        raise ConfigError(
-            f"gradient size {grad.size} does not match model size {model.size}"
-        )
-    if not np.isfinite(grad).all():
-        raise NumericFaultError("gradient contains NaN/Inf")
-    return model.with_params(model.params - lr * grad)
+    """One stochastic gradient step, ``model - lr * grad(model, batch)``: a
+    wave of one model."""
+    return step_winners(score_wave([[model]], task, X[None], y[None]), [0], lr)[0]
 
 
 #: byte budget of one stacked float32 logit block in :func:`accuracy`: 16

@@ -137,15 +137,15 @@ def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
 
 
 def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: Sequence[int],
-                streams: KeyedStreams | None = None) -> np.ndarray:
+                streams: KeyedStreams) -> np.ndarray:
     """The sample indices of a node's mini-batch: all its local data if
     ``batch_size`` is None or not smaller, else ``batch_size`` of them without
     replacement, drawn from the stream ``default_rng(key)`` would give, set
-    by ``streams`` (one of its own if None)."""
+    by ``streams``."""
     indices = dataset.node_indices(node)
     if batch_size is None or batch_size >= len(indices):
         return indices
-    return (streams or KeyedStreams())(key).choice(indices, size=batch_size, replace=False)
+    return streams(key).choice(indices, size=batch_size, replace=False)
 
 
 class Turn(NamedTuple):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import basilsim
+import basilsim.models as models
 from basilsim.attacks import (
     ATTACK_KINDS,
     AttackSpec,
@@ -119,7 +120,7 @@ class TestHidden:
         out = apply_attack(
             spec, honest_update=honest, prior=honest,
             benign_models=[mv([9.0, 9.0, 9.0, 9.0])],
-            round_k=19, key=[0],
+            round_k=19, key=[0], streams=KeyedStreams(),
         )
         assert np.array_equal(out.params, honest.params)
 
@@ -160,7 +161,7 @@ class TestSpecAndDispatch:
         honest = mv([1.0, 2.0, 3.0, 4.0])
         outs = [
             apply_attack(spec, honest_update=honest, prior=honest,
-                         benign_models=[], round_k=3, key=[4, 2]).params
+                         benign_models=[], round_k=3, key=[4, 2], streams=KeyedStreams()).params
             for _ in range(2)
         ]
         assert np.array_equal(outs[0], outs[1])
@@ -173,7 +174,7 @@ class TestSpecAndDispatch:
             ("random-sign-flip", sign_flip_attack(honest, np.random.default_rng(key))),
         ):
             out = apply_attack(AttackSpec.make(kind), honest_update=honest, prior=honest,
-                               benign_models=[], round_k=1, key=key)
+                               benign_models=[], round_k=1, key=key, streams=KeyedStreams())
             assert out.params.tobytes() == want.params.tobytes(), kind
             assert out.shape == want.shape
 
@@ -198,7 +199,7 @@ class TestSpecAndDispatch:
         for kind in ("gaussian", "random-sign-flip", "hidden", "inverse"):
             spec = AttackSpec.make(kind, activation_round=0)
             out = apply_attack(spec, honest_update=honest, prior=honest,
-                               benign_models=[honest], round_k=5, key=[0])
+                               benign_models=[honest], round_k=5, key=[0], streams=KeyedStreams())
             assert out.shape == SHAPE_3
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -216,7 +217,8 @@ class TestSpecAndDispatch:
                 for pool in ([], [ModelVector(rng.standard_normal(10), SHAPE_3)]):
                     outs = [apply_attack(spec, honest_update=honest, prior=prior,
                                          benign_models=pool, round_k=round_k,
-                                         key=[5, round_k]).params.tobytes()
+                                         key=[5, round_k], streams=KeyedStreams())
+                            .params.tobytes()
                             for honest, prior in pairs]
                     ignored = ignores_honest_update(spec, benign_models=pool, round_k=round_k)
                     assert (outs[0] == outs[1]) == ignored, (activation_round, round_k, pool)
@@ -254,25 +256,33 @@ def callers(name: str) -> set[str]:
 #: (call, its only callers): the ring, the Basil+ stages and the graph's
 #: Byzantine nodes share one activation, and every pick (theirs, a Basil+
 #: adopt and a benign graph node's rule) draws its batch and appends its
-#: record, that of a pick its attack skips included, in one method.  A
-#: wave's picks are scored in one stacked forward and its SGD steps taken in
-#: one stacked backward from it, and a pass's train losses scored in one
-#: forward: ``sgd_step`` is left to the local passes of epochs mode and the
-#: graph rules, and ``evaluate_losses`` to UBAR's rule.  Every batch and
-#: random attack draws from a stream whose state the bulk hash computed,
-#: for a pass's keys in one call.  One method decides which Byzantine turns
-#: skip their pick, for the activation and for the keys hashed ahead of it
+#: record, that of a pick its attack skips included, in one method.  Every
+#: loss and gradient is computed by one score-and-step path: a task's stacked
+#: forward runs only in ``score_wave`` (and in ``step_winners`` for a
+#: non-finite winner), its stacked backward only in ``step_winners``, which
+#: steps from that forward.  Its callers are the picks of a wave (the ring's
+#: and the graph's Byzantine nodes' ``basil_select``), a pass's train losses,
+#: UBAR's rule, whose one forward scores its own model with its pool and
+#: steps it, and ``sgd_step`` and ``evaluate_loss``, each a wave of one model:
+#: ``sgd_step`` for the local passes of epochs mode and gossip alone, and
+#: ``evaluate_loss`` for no caller in the package.  Every batch and random
+#: attack draws from a stream whose state the bulk hash computed, for a
+#: pass's keys in one call.  One method decides which Byzantine turns skip
+#: their pick, for the activation and for the keys hashed ahead of it
 SOLE_CALLERS = [
     ("ignores_honest_update", {"ring.Driver._skips"}),
     ("_skips", {"ring.Driver.activate", "ring.Driver._prepare"}),
     ("apply_attack", {"ring.Driver.activate"}),
     ("local_batch", {"ring.Driver._pick"}),
     ("selections.append", {"ring.Driver._pick"}),
-    ("score_wave", {"ring.basil_select", "ring.Driver._end_pass", "models.evaluate_losses"}),
-    ("step_winners", {"ring.BasilRing._update"}),
-    ("sgd_step", {"ring.BasilRing._local_passes", "baselines.gossip_rule",
-                  "baselines.ubar_rule.rule", "baselines.GraphDriver.run_round"}),
-    ("evaluate_losses", {"baselines.ubar_rule.rule", "models.evaluate_loss"}),
+    ("stacked_forward", {"models.score_wave", "models.step_winners"}),
+    ("stacked_gradient", {"models.step_winners"}),
+    ("score_wave", {"ring.basil_select", "ring.Driver._end_pass", "baselines.ubar_rule.rule",
+                    "models.evaluate_loss", "models.sgd_step"}),
+    ("step_winners", {"ring.BasilRing._update", "baselines.ubar_rule.rule",
+                      "baselines.GraphDriver.run_round", "models.sgd_step"}),
+    ("sgd_step", {"ring.BasilRing._local_passes", "baselines.gossip_rule"}),
+    ("evaluate_loss", set()),
     # the keyed draws: each pass's keys hashed in one call, a key not hashed
     # ahead by the same function on demand
     ("keyed_states", {"streams.KeyedStreams.prepare", "streams.KeyedStreams.__call__"}),
@@ -289,6 +299,15 @@ def test_one_activation_decides_and_applies_the_attack(name, expected):
 
 
 def test_batch_and_attack_draws_build_no_generator_of_their_own():
-    # they draw from the bulk-hashed streams, with no default_rng path beside them
-    assert not callers("default_rng") & {"ring.local_batch", "attacks.apply_attack"}
-    assert not callers("Generator") & {"ring.local_batch", "attacks.apply_attack"}
+    # they draw from the caller's bulk-hashed streams, with no default_rng
+    # path and no streams of their own beside them
+    for name in ("default_rng", "Generator", "KeyedStreams"):
+        assert not callers(name) & {"ring.local_batch", "attacks.apply_attack"}, name
+
+
+def test_no_task_computes_a_gradient_beside_the_wave():
+    # a task's one backward is its stacked one, which step_winners alone calls
+    tasks = [c for c in vars(models).values()
+             if isinstance(c, type) and issubclass(c, models.LossTask)]
+    assert {models.QuadraticTask, models.DenseTask, models.SoftmaxTask, models.MlpTask} < set(tasks)
+    assert [c.__name__ for c in tasks if hasattr(c, "gradient")] == []

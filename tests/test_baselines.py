@@ -10,7 +10,7 @@ from basilsim.basil_plus import BasilPlusDriver, _group_seed, cluster_nodes
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError
 from basilsim.harness import run_experiment
-from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step
+from basilsim.models import QuadraticTask, SoftmaxTask, evaluate_loss
 from basilsim.ring import (
     TAG_BATCH,
     BasilRing,
@@ -19,6 +19,7 @@ from basilsim.ring import (
     local_batch,
     sample_byzantine_ids,
 )
+from basilsim.streams import KeyedStreams
 
 
 def quad_setup(n_nodes, dim=3, noise=0.0, seed=0):
@@ -40,6 +41,12 @@ def softmax_setup(n_nodes, samples=900, classes=4, dim=6, seed=1):
 
 def complete_graph(n):
     return {i: frozenset(set(range(n)) - {i}) for i in range(n)}
+
+
+def quad_gradient(task, params, X):
+    """The quadratic's mean gradient on the batch ``X`` in closed form:
+    ``h (x - x*) + noise mean(e)``."""
+    return task.hessian_diag * (params - task.x_star) + task.noise_scale * X.mean(axis=0)
 
 
 class TestGraphTopology:
@@ -182,12 +189,12 @@ class TestGPlain:
         # neighbours far from the start model change nothing for node 0
         for node in (1, 2, 3):
             driver.models[node] = task.make_model(task.x_star + 5.0 * node)
-        expected = driver.models[0]
+        expected = driver.models[0].params
         for k in range(1, 5):
-            X, y = dataset.batch(local_batch(dataset, 0, 10, [3, TAG_BATCH, 0, k]))
-            expected = sgd_step(expected, task, X, y, default_lr(k))
+            X, _ = dataset.batch(local_batch(dataset, 0, 10, [3, TAG_BATCH, 0, k], KeyedStreams()))
+            expected = expected - default_lr(k) * quad_gradient(task, expected, X)
         driver.run(4)
-        assert np.array_equal(driver.models[0].params, expected.params)
+        assert np.array_equal(driver.models[0].params, expected)
         assert all(row.node != 0 for row in driver.history.rows)
 
     @pytest.mark.parametrize("kind, byzantine_steps", [
@@ -196,14 +203,21 @@ class TestGPlain:
             self, kind, byzantine_steps, monkeypatch):
         import basilsim.baselines as baselines
 
-        steps = []
-        monkeypatch.setattr(baselines, "sgd_step", lambda *a: steps.append(1) or sgd_step(*a))
+        gossip, byzantine = [], []
+        real_step, real_wave = baselines.sgd_step, baselines.step_winners
+        monkeypatch.setattr(baselines, "sgd_step",
+                            lambda *a: gossip.append(1) or real_step(*a))
+        monkeypatch.setattr(baselines, "step_winners",
+                            lambda scores, rows, lr: byzantine.extend(rows)
+                            or real_wave(scores, rows, lr))
         task, dataset = quad_setup(4, noise=0.5, seed=3)
         GraphDriver(complete_graph(4), {0}, gossip_rule, 3, task, dataset, batch_size=10,
                     attack=AttackSpec.make(kind, activation_round=1)).run(4)
-        # one gossip step per benign node and round; the hidden attack's pool
-        # (the benign models) is never empty
-        assert len(steps) == 3 * 4 + byzantine_steps
+        # one gossip step per benign node and round, and one stepped row per
+        # Byzantine wave that steps; the hidden attack's pool (the benign
+        # models) is never empty
+        assert len(gossip) + len(byzantine) == 3 * 4 + byzantine_steps
+        assert len(gossip) == 3 * 4
 
     def test_gossip_records_every_neighbour_as_a_winner(self):
         task, dataset = quad_setup(5)
@@ -227,9 +241,28 @@ class TestUbar:
         before = driver.models[0]
         driver.run_round()
         lr = 0.03 / 1.03  # decaying schedule at round one
-        expected = before.params - lr * task.gradient(
-            before, *dataset.batch(dataset.node_indices(0)))
+        X, _ = dataset.batch(dataset.node_indices(0))
+        expected = before.params - lr * quad_gradient(task, before.params, X)
         np.testing.assert_allclose(driver.models[0].params, expected)
+
+    def test_one_forward_per_benign_pick(self, monkeypatch):
+        # the rule scores its own model with its pool and steps its own model
+        # from that forward, with no second forward
+        task, train, _ = softmax_setup(6)
+        forwards, per_pick = [], []
+        real = task._forward
+        monkeypatch.setattr(task, "_forward", lambda *a: forwards.append(1) or real(*a))
+        rule = ubar_rule(rho=0.5)
+
+        def counted(*args, **kwargs):
+            start = len(forwards)
+            selection = rule(*args, **kwargs)
+            per_pick.append(len(forwards) - start)
+            return selection
+
+        GraphDriver(complete_graph(6), {5}, counted, 2, task, train,
+                    attack=AttackSpec.make("inverse"), batch_size=40).run(3)
+        assert per_pick == [1] * 5 * 3
 
     def test_stage_one_pool_size_is_ceil_rho_degree(self):
         task, train, _ = softmax_setup(8)
@@ -266,9 +299,9 @@ class TestUbar:
         assert sorted(record.winners) == [1, 2]
         # reduces to neighbourhood averaging plus a gradient step
         lr = 0.03 / 1.03
-        X, y = dataset.batch(dataset.node_indices(0))
+        X, _ = dataset.batch(dataset.node_indices(0))
         expected = (0.5 * before.params + 0.5 * task.x_star
-                    - lr * task.gradient(before, X, y))
+                    - lr * quad_gradient(task, before.params, X))
         np.testing.assert_allclose(driver.models[0].params, expected)
 
     def test_one_record_per_benign_node_per_round(self):

@@ -15,7 +15,6 @@ from basilsim.models import (
     accuracy,
     average_models,
     evaluate_loss,
-    evaluate_losses,
     score_wave,
     sgd_step,
     step_winners,
@@ -34,17 +33,29 @@ def quad_batch(task, n=4, seed=0):
 
 
 def finite_difference_gradient(task, model, X, y, step=1e-5):
-    """Central-difference oracle, independent of the analytic path."""
+    """Central-difference oracle on :func:`plain_loss`, independent of the
+    analytic path and of the stacked forward."""
     grad = np.zeros(model.size)
     for i in range(model.size):
         plus = model.params.copy()
         minus = model.params.copy()
         plus[i] += step
         minus[i] -= step
-        lp = evaluate_loss(model.with_params(plus), task, X, y)
-        lm = evaluate_loss(model.with_params(minus), task, X, y)
+        lp = plain_loss(task, model.with_params(plus), X, y)
+        lm = plain_loss(task, model.with_params(minus), X, y)
         grad[i] = (lp - lm) / (2 * step)
     return grad
+
+
+def wave_gradients(task, models, X, y):
+    """Each model's mean gradient on the batch ``X``, ``y`` by the task's
+    stacked forward and backward, as :func:`step_winners` takes them: a wave
+    with one row per model, every row on the same batch."""
+    params = np.array([m.params for m in models])
+    X, y = np.repeat(X[None], len(models), axis=0), np.repeat(y[None], len(models), axis=0)
+    _, outputs = task.stacked_forward(params[:, None], models[0].shape, X, y)
+    outputs = outputs and [h[:, 0] for h in outputs]
+    return task.stacked_gradient(params, models[0].shape, outputs, X, y)
 
 
 class TestModelVector:
@@ -92,7 +103,7 @@ class TestSgdStep:
         X = rng.standard_normal((4, 3))
         y = rng.integers(0, 4, size=4)
         model = ModelVector(rng.standard_normal(16) * 0.5, task.model_shape())
-        analytic = task.gradient(model, X, y)
+        analytic = wave_gradients(task, [model], X, y)[0]
         oracle = finite_difference_gradient(task, model, X, y)
         rel = np.linalg.norm(analytic - oracle) / np.linalg.norm(oracle)
         assert rel < 1e-5
@@ -187,10 +198,16 @@ def plain_loss(task, model, X, y):
     return float((-logp[np.arange(len(y)), y]).mean())
 
 
+def score_row(models, task, X, y):
+    """The losses of one row of models on one batch: a wave of one batch."""
+    return score_wave([models], task, X[None], y[None]).losses[0].tolist()
+
+
 class TestEvaluateLosses:
-    """The stacked forward must equal the one-model losses bit for bit: an
-    argmin over candidates breaks ties by position, so a last-digit
-    difference can change which model a node selects."""
+    """A row of :func:`score_wave` on one batch must equal the plain-numpy
+    losses of each model alone bit for bit: an argmin over candidates breaks
+    ties by position, so a last-digit difference can change which model a
+    node selects."""
 
     @pytest.mark.parametrize("kind", sorted(STACK_TASKS))
     @pytest.mark.parametrize("batch", [1, 7, 8, 9, 17, 80])
@@ -203,9 +220,9 @@ class TestEvaluateLosses:
         for count in range(1, 10):
             models = [start.with_params(rng.standard_normal(start.size) * 0.5)
                       for _ in range(count)]
-            want = [evaluate_loss(m, task, X, y) for m in models]
-            assert evaluate_losses(models, task, X, y) == want
-            assert want == [plain_loss(task, m, X, y) for m in models]
+            want = [plain_loss(task, m, X, y) for m in models]
+            assert score_row(models, task, X, y) == want
+            assert [evaluate_loss(m, task, X, y) for m in models] == want
 
     def test_non_finite_models_score_infinity_unevaluated(self):
         task = SoftmaxTask(6, 4)
@@ -215,12 +232,8 @@ class TestEvaluateLosses:
         nan = good.with_params(np.where(np.arange(28) == 3, np.nan, good.params))
         inf = good.with_params(np.full(28, -np.inf))
         with np.errstate(all="raise"):
-            losses = evaluate_losses([nan, good, inf], task, X, y)
-        assert losses == [math.inf, evaluate_loss(good, task, X, y), math.inf]
-
-    def test_empty_list_scores_nothing(self):
-        task = SoftmaxTask(6, 4)
-        assert evaluate_losses([], task, np.zeros((3, 6)), np.zeros(3, dtype=int)) == []
+            losses = score_row([nan, good, inf], task, X, y)
+        assert losses == [math.inf, plain_loss(task, good, X, y), math.inf]
 
     def test_mismatched_shapes_in_one_stack_rejected(self):
         a = SoftmaxTask(6, 4).initial_model(0)
@@ -228,7 +241,7 @@ class TestEvaluateLosses:
         X, y = np.zeros((3, 6)), np.zeros(3, dtype=int)
         # every caller of the one shape check, with the odd model last or first
         for models in ([a, b], [a, a, b], [b, a, a]):
-            for check in (lambda: evaluate_losses(models, SoftmaxTask(6, 4), X, y),
+            for check in (lambda: score_row(models, SoftmaxTask(6, 4), X, y),
                           lambda: accuracy(models, SoftmaxTask(6, 4), X, y),
                           lambda: average_models(models),
                           lambda: hidden_attack(models)):
@@ -238,8 +251,7 @@ class TestEvaluateLosses:
     def test_empty_batch_raises(self):
         task = SoftmaxTask(6, 4)
         with pytest.raises(ConfigError):
-            evaluate_losses([task.initial_model(0)], task, np.zeros((0, 6)),
-                            np.zeros(0, dtype=int))
+            score_row([task.initial_model(0)], task, np.zeros((0, 6)), np.zeros(0, dtype=int))
 
 
 class TestGradientChecks:
@@ -261,7 +273,7 @@ class TestGradientChecks:
                 y = rng.integers(0, 3, size=5)
                 model = task.initial_model(trial)
                 model = model.with_params(model.params + 0.1 * rng.standard_normal(model.size))
-            analytic = task.gradient(model, X, y)
+            analytic = wave_gradients(task, [model], X, y)[0]
             oracle = finite_difference_gradient(task, model, X, y)
             denom = max(np.linalg.norm(oracle), 1e-12)
             assert np.linalg.norm(analytic - oracle) / denom < 1e-4
@@ -383,9 +395,8 @@ class TestDenseMathsAgainstReference:
             want = -logp[:, np.arange(batch), y]
             got = task.stacked_forward(stack[None], shape, X[None], y[None])[0][0]
             assert np.array_equal(got, want)
-        for model in models:
-            assert np.array_equal(task.gradient(model, X, y),
-                                  ref_gradient(task, model, X, y))
+        for model, grad in zip(models, wave_gradients(task, models, X, y)):
+            assert np.array_equal(grad, ref_gradient(task, model, X, y))
             assert np.array_equal(task.predict(model, X),
                                   ref_logits(task, model.params[None], shape, X)[0]
                                   .argmax(axis=1))
@@ -451,7 +462,6 @@ class TestWaveAgainstReference:
             for t, (model, row) in enumerate(zip(stepped, winners)):
                 alone = rows[0 if shared else t][row]
                 assert np.array_equal(model.params, ref_step(task, alone, X[t], y[t], 0.1))
-                assert np.array_equal(model.params, sgd_step(alone, task, X[t], y[t], 0.1).params)
 
     @pytest.mark.parametrize("kind", sorted(STACK_TASKS))
     def test_a_shared_list_scores_as_the_list_repeated(self, kind):
@@ -462,18 +472,15 @@ class TestWaveAgainstReference:
 
     @pytest.mark.parametrize("kind", sorted(STACK_TASKS))
     def test_a_nan_loss_or_non_finite_winner_steps_as_alone(self, kind):
-        # a NaN gradient raises, in the wave as alone; the quadratic's NaN-loss
-        # model has a finite gradient and steps
+        # a NaN gradient raises in the wave, where the reference steps to NaN;
+        # the quadratic's NaN-loss model has a finite gradient and steps
         task, rows, X, y = wave_case(kind, 8, False)
         with np.errstate(all="ignore"):
             scores = score_wave(rows, task, X, y)
             for winners in ([0, 0, 2], [4, 0, 0]):
-                alone = []
-                for t, row in enumerate(winners):
-                    try:
-                        alone.append(sgd_step(rows[t][row], task, X[t], y[t], 0.1).params)
-                    except NumericFaultError:
-                        alone.append(None)
+                alone = [ref_step(task, rows[t][row], X[t], y[t], 0.1)
+                         for t, row in enumerate(winners)]
+                alone = [params if np.isfinite(params).all() else None for params in alone]
                 if winners[-1] == 2:
                     assert (alone[-1] is None) == (kind != "quadratic")
                 if any(params is None for params in alone):
@@ -497,7 +504,7 @@ class TestWaveAgainstReference:
         assert scores.losses[0, 1] == scores.losses[1, 0] == math.inf
         stepped = step_winners(scores, [1, 1], 0.1)
         for model, alone, x, yy in zip(stepped, (bad, good), X, y):
-            assert np.array_equal(model.params, sgd_step(alone, task, x, yy, 0.1).params)
+            assert np.array_equal(model.params, ref_step(task, alone, x, yy, 0.1))
         assert np.isneginf(stepped[0].params[8])
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (2, 5, 8), (4, 9, 80), (2, 3, 2000),

@@ -8,8 +8,7 @@ from basilsim.attacks import AttackSpec, ignores_honest_update
 from basilsim.basil_plus import BasilPlusDriver
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
-from basilsim.models import (MlpTask, QuadraticTask, SoftmaxTask, evaluate_loss, sgd_step,
-                             step_winners)
+from basilsim.models import MlpTask, QuadraticTask, SoftmaxTask, sgd_step, step_winners
 from basilsim.ring import (
     TAG_BATCH,
     BasilRing,
@@ -22,6 +21,7 @@ from basilsim.ring import (
     sample_byzantine_ids,
 )
 from basilsim.streams import KeyedStreams, keyed_states
+from test_models import plain_loss, ref_step
 
 
 def select_one(candidates, task, X, y):
@@ -143,7 +143,7 @@ class TestBasilSelect:
         start = task.initial_model(0)
         best, worse = sorted(
             (start.with_params(rng.standard_normal(start.size) * scale) for scale in (0.1, 2.0)),
-            key=lambda m: evaluate_loss(m, task, X, y))
+            key=lambda m: plain_loss(task, m, X, y))
         nan = best.with_params(np.where(np.arange(start.size) == 1, np.nan, best.params))
         inf = best.with_params(np.full(start.size, np.inf))
         tie = best.with_params(best.params.copy())
@@ -153,8 +153,8 @@ class TestBasilSelect:
         assert sel.winners[0] == 12 and sel.model is best
         assert [s for s, _ in sel.candidates] == [10, 11, 12, 13, 14]
         assert [l for _, l in sel.candidates] == [
-            math.inf, evaluate_loss(worse, task, X, y), evaluate_loss(best, task, X, y),
-            math.inf, evaluate_loss(best, task, X, y)]
+            math.inf, plain_loss(task, worse, X, y), plain_loss(task, best, X, y),
+            math.inf, plain_loss(task, best, X, y)]
 
     def test_all_non_finite_selects_the_first(self):
         task, dataset = quad_setup()
@@ -181,10 +181,10 @@ class TestBasilSelect:
         assert sel.winners == (8,) and sel.model is good
         # the record keeps the NaN it scored
         losses = dict(sel.candidates)
-        assert math.isnan(losses[7]) and losses[8] == evaluate_loss(good, task, X, y)
+        assert math.isnan(losses[7]) and losses[8] == plain_loss(task, good, X, y)
         # and the winner steps as it would alone
         (stepped,) = step_winners(picks.scores, picks.rows, 0.1)
-        assert np.array_equal(stepped.params, sgd_step(good, task, X, y, 0.1).params)
+        assert np.array_equal(stepped.params, ref_step(task, good, X, y, 0.1))
 
     def test_empty_queue_is_a_protocol_error(self):
         task, dataset = quad_setup()
