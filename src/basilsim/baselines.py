@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError
 from .history import SelectionRecord
-from .models import LossTask, ModelVector, average_models, score_wave, sgd_step, step_winners
-from .ring import Driver, Picks, Selection, Turn, basil_select
+from .models import LossTask, ModelVector, average_models, score_wave
+from .ring import Driver, Picks, Selection, Turn, basil_select, step_picks
 
 TAG_GRAPH = 0xD0
 
@@ -69,17 +69,28 @@ def build_random_graph(
     raise ConfigError(f"no connected benign subgraph within {max_retries} seeds")
 
 
-#: ``rule(node, own, received, task, X, y, lr) -> Selection``: a benign
-#: node's pick from its neighbours' (sender, model) pairs on its batch, whose
-#: model is its stepped output, with the (sender, loss) pairs it scored and
-#: the senders it kept
-GraphRule = Callable[..., Selection]
+class GraphRule(NamedTuple):
+    """A benign graph node's rule as a wave: ``pick(candidates, task, X, y)``
+    (as :func:`ring.basil_select`) from each node's ``[(node, own),
+    *neighbours]``, whose selections hold the (sender, loss) pairs it scored
+    and the senders it kept, then ``update(turns, picks, X, y, lr)``, each
+    node's output."""
+
+    pick: Callable[..., Picks]
+    update: Callable[..., list[ModelVector]]
 
 
-def gossip_rule(node, own, received, task, X, y, lr) -> Selection:
-    """Plain gossip: average own model with all neighbours', then step."""
-    averaged = average_models([own, *(model for _, model in received)])
-    return Selection(sgd_step(averaged, task, X, y, lr), (), tuple(j for j, _ in received))
+def _average(candidates, task, X, y) -> Picks:
+    """Gossip's pick: each node's average of its own model and all its
+    neighbours', scored to be stepped."""
+    averaged = [average_models([model for _, model in c]) for c in candidates]
+    return Picks([Selection(m, (), tuple(j for j, _ in c[1:]))
+                  for m, c in zip(averaged, candidates)],
+                 score_wave([[m] for m in averaged], task, X, y), [0] * len(averaged))
+
+
+#: plain gossip: average own model with all neighbours', then step
+gossip_rule = GraphRule(_average, step_picks)
 
 
 def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
@@ -89,52 +100,60 @@ def ubar_rule(rho: float = 0.33, mixing: float = 0.5) -> GraphRule:
     distance to the node's own model; stage 2 keeps those whose loss on a
     local mini-batch does not exceed the node's own, averaging them (or
     falling back to the single lowest-loss stage-1 candidate).  The update
-    mixes the node's model with the aggregate before the gradient step,
+    mixes the node's model with that aggregate before the gradient step,
     which steps the node's model from the forward that scored it.
     """
     if not 0 < rho <= 1:
         raise ConfigError("rho must lie in (0, 1]")
 
-    def rule(node, own, received, task, X, y, lr) -> Selection:
-        if not received:
-            raise ConfigError(f"node {node} has no neighbours")
-        received = dict(received)
-        by_distance = sorted(
-            received, key=lambda j: (float(np.linalg.norm(received[j].params - own.params)), j)
-        )
-        pool = by_distance[:math.ceil(rho * len(received))]
-        scores = score_wave([[own] + [received[j] for j in pool]], task, X[None], y[None])
-        own_loss, *pool_losses = scores.losses[0].tolist()
-        candidates = tuple(zip(pool, pool_losses))
-        accepted = tuple(j for j, loss in candidates if loss <= own_loss)
-        if accepted:
-            aggregate = average_models([received[j] for j in accepted])
-        else:
-            accepted = (min(candidates, key=lambda c: (c[1], c[0]))[0],)
-            aggregate = received[accepted[0]]
-        (grad_step,) = step_winners(scores, [0], lr)
-        mixed = mixing * own.params + (1.0 - mixing) * aggregate.params
-        return Selection(own.with_params(mixed - (own.params - grad_step.params)),
-                         candidates, accepted)
+    def pick(candidates, task, X, y) -> Picks:
+        pools = []
+        for (node, own), *received in candidates:
+            if not received:
+                raise ConfigError(f"node {node} has no neighbours")
+            received = dict(received)
+            by_distance = sorted(
+                received, key=lambda j: (float(np.linalg.norm(received[j].params - own.params)), j)
+            )
+            pools.append((own, received, by_distance[:math.ceil(rho * len(received))]))
+        scores = score_wave([[own] + [received[j] for j in pool] for own, received, pool in pools],
+                            task, X, y)
+        picked = []
+        for (_, received, pool), (own_loss, *pool_losses) in zip(pools, scores.losses.tolist()):
+            scored = tuple(zip(pool, pool_losses))
+            accepted = tuple(j for j, loss in scored if loss <= own_loss)
+            if accepted:
+                aggregate = average_models([received[j] for j in accepted])
+            else:
+                accepted = (min(scored, key=lambda c: (c[1], c[0]))[0],)
+                aggregate = received[accepted[0]]
+            picked.append(Selection(aggregate, scored, accepted))
+        return Picks(picked, scores, [0] * len(picked))
 
-    return rule
+    def update(turns, picks: Picks, X, y, lr) -> list[ModelVector]:
+        outputs = []
+        for t, s, stepped in zip(turns, picks.selections, step_picks(turns, picks, X, y, lr)):
+            own = t.candidates[0][1]
+            mixed = mixing * own.params + (1.0 - mixing) * s.model.params
+            outputs.append(own.with_params(mixed - (own.params - stepped.params)))
+        return outputs
+
+    return GraphRule(pick, update)
 
 
 class GraphDriver(Driver):
-    """Stateful driver for a synchronous graph scheme: every round each
-    Byzantine node sends one attacked model to all its neighbours, and each
-    benign node picks (:meth:`Driver._pick`) by ``rule``; all reads in a
-    round use the previous round's models.  ``settings`` are
-    :class:`Driver`'s.
+    """Stateful driver for a synchronous graph scheme: each round is two
+    waves (:meth:`Driver.activate`) on the previous round's models.
+    ``settings`` are :class:`Driver`'s.
 
-    The Byzantine nodes run the ring's activation (:meth:`Driver.activate`)
-    as one wave, recording nothing: each picks by :func:`ring.basil_select`
-    from its own model alone, and all step in one backward from the forward
-    that scored them.  A Byzantine node never reads what it receives, takes
-    one SGD step, sends the attack of that step and keeps it, so under
-    ``attack: none`` it trains alone; it skips the step when the attack
-    ignores it.  A Byzantine ring member instead picks from what it stores
-    and replaces only what it sends."""
+    In the first, recording nothing, each Byzantine node picks by
+    :func:`ring.basil_select` from its own model alone, takes one SGD step,
+    sends the attack of that step to all its neighbours and keeps it: it
+    never reads what it receives, so under ``attack: none`` it trains alone,
+    and it skips the step when the attack ignores it.  A Byzantine ring
+    member instead picks from what it stores and replaces only what it
+    sends.  In the second, each benign node runs ``rule`` on its own model
+    and what its neighbours sent."""
 
     TOPOLOGY = "graph"
 
@@ -164,6 +183,10 @@ class GraphDriver(Driver):
     def _benign_pool(self) -> list[ModelVector]:
         return [m for i, m in sorted(self.models.items()) if i not in self.byzantine]
 
+    def _record(self, k: int, group, node: int, *selection) -> SelectionRecord:
+        return SelectionRecord(k, "graph", group, node, *selection,
+                               fanout=len(self.adjacency[node]))
+
     def run_round(self) -> None:
         k = self.round_idx + 1
         lr = self.lr_schedule(k)
@@ -171,23 +194,15 @@ class GraphDriver(Driver):
         self._prepare((self, node, (node, k), k) for node in sorted(self.models))
         turns = [Turn(self, node, ((node, self.models[node]),), (node, k))
                  for node in sorted(self.byzantine)]
-        for turn, (out, *_) in zip(turns, self.activate(
-                turns, basil_select,
-                lambda turns, picks, X, y: step_winners(picks.scores, picks.rows, lr),
-                None, k)):
-            sent[turn.node] = out
+        results = self.activate(turns, basil_select, partial(step_picks, lr=lr), None, k)
+        sent.update((turn.node, out) for turn, (out, *_) in zip(turns, results))
+        # a benign node's own model, as it sent it, then its neighbours'
+        turns = [Turn(self, node, [(j, sent[j]) for j in (node, *sorted(nbrs))], (node, k))
+                 for node, nbrs in sorted(self.adjacency.items()) if node not in self.byzantine]
+        results = self.activate(turns, self.rule.pick, partial(self.rule.update, lr=lr),
+                                partial(self._record, k), k)
         # (driver, node, selected sender, output, batch) of each benign node
-        benign = []
-        for node in sorted(self.models):
-            if node in self.byzantine:
-                continue
-            received = [(j, sent[j]) for j in sorted(self.adjacency[node])]
-            rule = partial(self.rule, node, self.models[node], lr=lr)
-            ((selection, _, batch),) = self._pick(
-                [Turn(self, node, received, (node, k))],
-                lambda candidates, task, X, y: Picks([rule(candidates[0], task, X[0], y[0])]),
-                partial(SelectionRecord, k, "graph", fanout=len(received)))
-            benign.append((self, node, None, selection.model, batch))
+        benign = [(self, t.node, None, out, batch) for t, (out, _, batch) in zip(turns, results)]
         self._end_pass(k, benign)
         self.models = {**sent, **{node: out for _, node, _, out, _ in benign}}
         self.round_idx = k

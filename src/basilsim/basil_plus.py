@@ -50,9 +50,8 @@ class BasilPlusDriver(Driver):
     """Stateful driver for grouped training: one :class:`BasilRing` per group,
     each with connectivity ``connectivity``, over nodes ``0..n_nodes-1`` of
     which the resolved set ``byzantine`` attack; ``settings`` are
-    :class:`Driver`'s, and every ring shares them.  The aggregate and
-    multicast stages are activations (:meth:`Driver.activate`) on the stage
-    streams; a head node's adopt is a plain pick (:meth:`Driver._pick`),
+    :class:`Driver`'s, and every ring shares them.  The hand-off stages are
+    activations (:meth:`Driver.activate`) on the stage streams, an adopt
     never attacked.  A ring keeps its records and rows in its own history
     until its ``tau`` rounds end, then hands them on in ring order."""
 
@@ -121,22 +120,19 @@ class BasilPlusDriver(Driver):
     def _stream(self, stage: str, node: int) -> tuple[int, ...]:
         return (self._STAGE_IDS[stage], node, self.global_round)
 
-    def _stage(self, stage: str, nodes, candidates, fanout: int,
-               update: Callable[[ModelVector, int], ModelVector] | None = None
+    def _stage(self, stage: str, nodes, candidates, fanout: int, round_k: int | None,
+               update: Callable[[ModelVector, int], ModelVector] = lambda m, _: m
                ) -> list[ModelVector]:
-        """The wave of ``nodes``' picks at ``stage`` from their shared
-        ``candidates``, recorded with the ``fanout`` each output goes to:
-        what each sends, ``update(pick, node)`` (an activation), or its pick
-        (an adopt, when ``update`` is None)."""
+        """The wave of ``nodes``' activations at ``stage`` in round ``round_k``
+        (None for an adopt), each picking from the shared ``candidates`` and
+        sending ``update(pick, node)``, recorded with the ``fanout`` it goes
+        to."""
         turns = [Turn(self, node, candidates, self._stream(stage, node)) for node in nodes]
-        record = partial(SelectionRecord, self.global_round, stage, fanout=fanout)
-        if update is None:
-            return [selection.model for selection, *_ in self._pick(turns, basil_select, record)]
         return [out for out, *_ in self.activate(
             turns, basil_select,
             lambda turns, picks, *_: [update(s.model, t.node)
                                       for t, s in zip(turns, picks.selections)],
-            record, self._stage_round)]
+            partial(SelectionRecord, self.global_round, stage, fanout=fanout), round_k)]
 
     # -- driver --------------------------------------------------------------
 
@@ -157,7 +153,7 @@ class BasilPlusDriver(Driver):
         first = self.rings[0]
         S = first.connectivity
         heads = [node for ring in self.rings for node in ring.order[:S]]
-        # the aggregate and multicast stages activate; an adopt only picks
+        # no attack replaces an adopt
         self._prepare((self, node, self._stream(stage, node), round_k)
                       for stage, nodes, round_k in (
                           ("aggregate", [node for ring in self.rings[1:]
@@ -172,7 +168,7 @@ class BasilPlusDriver(Driver):
         for g_mult, ring in enumerate(self.rings[1:], 1):
             tails = ring.order[-S:]
             aggregates = list(zip(tails, self._stage(
-                "aggregate", tails, aggregates, S,
+                "aggregate", tails, aggregates, S, self._stage_round,
                 lambda m, node: ring.latest_output[node].with_params(
                     (ring.latest_output[node].params + g_mult * m.params) / (g_mult + 1)))))
 
@@ -180,8 +176,8 @@ class BasilPlusDriver(Driver):
         # aggregates, and every head node adopts its pick of theirs
         tails = first.order[-S:]
         filtered = list(zip(tails, self._stage("multicast", tails, aggregates,
-                                               len(self.rings) * S, lambda m, _: m)))
-        for node, model in zip(heads, self._stage("adopt", heads, filtered, 0)):
+                                               len(self.rings) * S, self._stage_round)))
+        for node, model in zip(heads, self._stage("adopt", heads, filtered, 0, None)):
             self._ring_of[node].latest_output[node] = model
 
     def run(self, K: int) -> TrainHistory:

@@ -12,13 +12,11 @@ batch and random attack draws from its own keyed stream, whose state the
 driver hashes with the rest of its pass's in one call (:mod:`streams`).
 
 That turn is :meth:`Driver.activate`, the one activation every driver runs:
-the ring here, the Basil+ aggregate and multicast stages (``basil_plus``)
-and the graph schemes' Byzantine nodes (``baselines``).  It runs a *wave*:
-a list of independent turns, whose picks are scored in one stacked forward
-and stepped in one stacked backward.  A ring's wave is one turn; Basil+
-runs the turns at one position of all its rings as one wave
-(:func:`run_rings`).  Its pick, a Basil+ head node's adopt and a benign
-graph node's rule are each one :meth:`Driver._pick`.
+the ring here, the Basil+ hand-off stages (``basil_plus``) and both waves of
+a graph round (``baselines``).  It runs a *wave*: a list of independent
+turns, whose picks are scored in one stacked forward and stepped in one
+stacked backward.  A ring's wave is one turn; Basil+ runs the turns at one
+position of all its rings as one wave (:func:`run_rings`).
 """
 
 from __future__ import annotations
@@ -129,6 +127,12 @@ def basil_select(candidates, task: LossTask, X, y) -> Picks:
                  scores, rows)
 
 
+def step_picks(turns, picks: Picks, X, y, lr: float) -> list[ModelVector]:
+    """One SGD step of each turn's pick on its batch, all in the backward of
+    the forward that scored them (:func:`models.step_winners`)."""
+    return step_winners(picks.scores, picks.rows, lr)
+
+
 def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
     """Uniform placement without replacement, driven by the run seed."""
     rng = np.random.default_rng([int(seed), TAG_BYZANTINE])
@@ -180,9 +184,9 @@ def _stack_by(batches: Sequence[tuple]) -> list[tuple[list[int], np.ndarray, np.
 
 class Driver:
     """What the ring, Basil+ and graph drivers share: the run's settings, the
-    check of the Byzantine set against the ``members``, a wave's picks and
-    activation, and the end of a pass.  The keyword settings are declared
-    here alone, and each driver forwards them; the test set is prepared for
+    check of the Byzantine set against the ``members``, a wave's activation
+    and the end of a pass.  The keyword settings are declared here alone, and
+    each driver forwards them; the test set is prepared for
     :func:`models.accuracy` once.  A driver defines ``_benign_pool``, the
     benign models a Byzantine node's attack reads, and hashes the keys of a
     pass's draws in one call before it (:meth:`_prepare`)."""
@@ -222,7 +226,7 @@ class Driver:
         """Hash the keys of the draws of a pass's ``(driver, node, stream,
         round)`` turns in one call: each turn's batch key and, when the attack
         draws, each Byzantine activation's attack key.  ``round`` is the one
-        the turn's activation passes, or None for a pick that no attack
+        the turn's activation passes, or None for one that no attack
         replaces (a Basil+ adopt).  A turn that :meth:`_skips` at the start
         of the pass draws no batch, and its key is left out: a benign pool
         only grows within a pass, so it skips at its activation too.  A key
@@ -247,25 +251,35 @@ class Driver:
             pools[driver] = driver._benign_pool()
         return ignores_honest_update(self.attack, benign_models=pools[driver], round_k=round_k)
 
-    def _pick(self, turns: Sequence[Turn], pick: Callable[..., Picks],
-              record: Callable[..., SelectionRecord] | None,
-              update: Callable[..., list[ModelVector]] | None = None,
-              skip: Sequence[bool] = ()) -> list[tuple]:
-        """Each turn's ``pick(candidates, task, X, y)`` (as :func:`basil_select`)
-        on its batch from ``[seed, BATCH_TAG, *stream]`` of its driver, then
-        ``update(turns, picks, X, y)`` of those picks if given.  The turns
-        whose batches share a size and whose candidate lists a length gather
-        their batches in one call and pick and update in one, a list they all
-        share passed once; each turn's batch is a view of that stack.  A turn
-        whose ``skip`` is set draws, picks and updates nothing.  Appends
-        each turn's record ``record(group, node, benign, candidates,
-        winners)`` to its driver's history, in turn order, unless ``record``
-        is None.  Returns each turn's selection, update and batch (None for
-        a skipped turn)."""
+    def activate(
+        self, turns: Sequence[Turn], pick: Callable[..., Picks],
+        update: Callable[..., list[ModelVector]], record: Callable[..., SelectionRecord] | None,
+        round_k: int | None,
+    ) -> list[tuple[ModelVector, Selection | None, tuple | None]]:
+        """The wave ``turns``: each turn's ``pick(candidates, task, X, y)`` (as
+        :func:`basil_select`) on its batch from ``[seed, BATCH_TAG, *stream]``
+        of its driver, then ``update(turns, picks, X, y)`` of those picks.
+        The turns whose batches share a size and whose candidate lists a
+        length gather their batches in one call and pick and update in one, a
+        list they all share passed once; each turn's batch is a view of that
+        stack.  Before any update, appends each turn's record ``record(group,
+        node, benign, candidates, winners)`` to its driver's history, in turn
+        order, unless ``record`` is None.
+
+        In round ``round_k`` (None for no attack), a Byzantine node sends the
+        attack of its update, keyed by ``[seed, ATTACK_TAG, *stream]`` of its
+        driver, and draws, picks and updates nothing when the attack ignores
+        them; each driver's benign pool is read once per wave, and an attack
+        that reads only that pool (the hidden one) is computed once per wave
+        and driver.  Returns each turn's output, selection and batch (None
+        for a node that picked nothing)."""
+        pools: dict = {}
+        skip = [round_k is not None and self._skips(t.driver, t.node, round_k, pools)
+                for t in turns]
         groups: dict = {}
         drawn = {}
         for i, t in enumerate(turns):
-            if not (skip and skip[i]):
+            if not skip[i]:
                 drawn[i] = local_batch(self.dataset, t.node, self.batch_size,
                                        (t.driver.seed, t.driver.BATCH_TAG, *t.stream),
                                        self.streams)
@@ -289,47 +303,23 @@ class Driver:
                     driver._group_of(node), node, node not in driver.byzantine,
                     *(selection[1:] if selection else ((), ()))))
         outputs: list[ModelVector | None] = [None] * len(turns)
-        for ids, picks, X, y in waves if update else ():
+        for ids, picks, X, y in waves:
             for j, out in zip(ids, update([turns[j] for j in ids], picks, X, y)):
                 outputs[j] = out
-        return list(zip(selections, outputs, batches))
-
-    def activate(
-        self, turns: Sequence[Turn], pick: Callable[..., Picks],
-        update: Callable[..., list[ModelVector]], record: Callable[..., SelectionRecord] | None,
-        round_k: int,
-    ) -> list[tuple[ModelVector, Selection | None, tuple | None]]:
-        """The wave ``turns``: each turn's :meth:`_pick` and ``update`` of the
-        picks on the same batches.  A Byzantine node sends the attack of that
-        update, keyed by ``[seed, ATTACK_TAG, *stream]`` of its driver, and
-        picks, steps and scores nothing when the attack ignores them; each
-        driver's benign pool is read once per wave, and an attack that reads
-        only that pool (the hidden one) is computed once per wave and driver.
-        Returns each turn's output, selection and batch (None for a node that
-        picked nothing)."""
-        pools: dict = {}
-        skip = [self._skips(t.driver, t.node, round_k, pools) for t in turns]
-        picked = self._pick(turns, pick, record, update, skip)
-        if not pools:
-            return [(out, selection, batch) for selection, out, batch in picked]
-        outputs, attacks = [], {}
-        for i, (t, (selection, honest, batch)) in enumerate(zip(turns, picked)):
+        attacks: dict = {}
+        for i, t in enumerate(turns if pools else ()):
             if t.node in t.driver.byzantine:
                 # an output that reads neither the update nor a stream reads the pool alone
                 memo = t.driver if skip[i] and self.attack.kind not in RANDOM_ATTACKS else i
                 if memo not in attacks:
-                    if selection is None:
-                        # the attack reads only the shape of the model handed in
-                        honest = prior = t.candidates[0][1]
-                    else:
-                        prior = selection.model
+                    # a node that picked nothing hands in a model for its shape alone
+                    prior = selections[i].model if selections[i] else t.candidates[0][1]
                     attacks[memo] = apply_attack(
-                        self.attack, honest_update=honest, prior=prior,
+                        self.attack, honest_update=outputs[i] or prior, prior=prior,
                         benign_models=pools[t.driver], round_k=round_k,
                         key=(t.driver.seed, t.driver.ATTACK_TAG, *t.stream), streams=self.streams)
-                honest = attacks[memo]
-            outputs.append((honest, selection, batch))
-        return outputs
+                outputs[i] = attacks[memo]
+        return list(zip(outputs, selections, batches))
 
     def _end_pass(self, k: int, benign) -> None:
         """Score a pass's benign outputs, (driver, node, selected sender,
@@ -415,11 +405,10 @@ class BasilRing(Driver):
         return [self.latest_benign[i] for i in sorted(self.latest_benign)]
 
     def _update(self, turns, picks: Picks, X, y, k: int, lr: float) -> list[ModelVector]:
-        """One SGD step of each pick on its selection batch, all in the
-        backward of the forward that scored them, or ``epochs`` passes of
-        mini-batch SGD over each node's local data."""
+        """:func:`step_picks`, or ``epochs`` passes of mini-batch SGD over
+        each node's local data."""
         if self.epochs is None:
-            return step_winners(picks.scores, picks.rows, lr)
+            return step_picks(turns, picks, X, y, lr)
         return [t.driver._local_passes(s.model, t.node, k, lr)
                 for t, s in zip(turns, picks.selections)]
 

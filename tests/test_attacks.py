@@ -253,36 +253,40 @@ def callers(name: str) -> set[str]:
     return found
 
 
-#: (call, its only callers): the ring, the Basil+ stages and the graph's
-#: Byzantine nodes share one activation, and every pick (theirs, a Basil+
-#: adopt and a benign graph node's rule) draws its batch and appends its
-#: record, that of a pick its attack skips included, in one method.  Every
-#: loss and gradient is computed by one score-and-step path: a task's stacked
+#: (call, its only callers): the ring, the Basil+ stages and both waves of a
+#: graph round share one activation, which alone draws a pick's batch and
+#: appends its record, that of a pick its attack skips included.  Every loss
+#: and gradient is computed by one score-and-step path: a task's stacked
 #: forward runs only in ``score_wave`` (and in ``step_winners`` for a
 #: non-finite winner), its stacked backward only in ``step_winners``, which
 #: steps from that forward.  Its callers are the picks of a wave (the ring's
-#: and the graph's Byzantine nodes' ``basil_select``), a pass's train losses,
-#: UBAR's rule, whose one forward scores its own model with its pool and
-#: steps it, and ``sgd_step`` and ``evaluate_loss``, each a wave of one model:
-#: ``sgd_step`` for the local passes of epochs mode and gossip alone, and
-#: ``evaluate_loss`` for no caller in the package.  Every batch and random
-#: attack draws from a stream whose state the bulk hash computed, for a
-#: pass's keys in one call.  One method decides which Byzantine turns skip
-#: their pick, for the activation and for the keys hashed ahead of it
+#: and the graph's Byzantine nodes' ``basil_select``, gossip's average and
+#: UBAR's pick, whose one forward scores each node's own model with its pool),
+#: a pass's train losses, the one shared step of a wave's picks, and
+#: ``sgd_step`` and ``evaluate_loss``, each a wave of one model: ``sgd_step``
+#: for the local passes of epochs mode alone, and ``evaluate_loss`` for no
+#: caller in the package.  Every batch and random attack draws from a stream
+#: whose state the bulk hash computed, for a pass's keys in one call.  One
+#: method decides which Byzantine turns skip their pick, for the activation
+#: and for the keys hashed ahead of it
 SOLE_CALLERS = [
+    ("activate", {"ring.run_rings", "basil_plus.BasilPlusDriver._stage",
+                  "baselines.GraphDriver.run_round"}),
     ("ignores_honest_update", {"ring.Driver._skips"}),
     ("_skips", {"ring.Driver.activate", "ring.Driver._prepare"}),
     ("apply_attack", {"ring.Driver.activate"}),
-    ("local_batch", {"ring.Driver._pick"}),
-    ("selections.append", {"ring.Driver._pick"}),
+    ("local_batch", {"ring.Driver.activate"}),
+    ("selections.append", {"ring.Driver.activate"}),
     ("stacked_forward", {"models.score_wave", "models.step_winners"}),
     ("stacked_gradient", {"models.step_winners"}),
-    ("score_wave", {"ring.basil_select", "ring.Driver._end_pass", "baselines.ubar_rule.rule",
-                    "models.evaluate_loss", "models.sgd_step"}),
-    ("step_winners", {"ring.BasilRing._update", "baselines.ubar_rule.rule",
-                      "baselines.GraphDriver.run_round", "models.sgd_step"}),
-    ("sgd_step", {"ring.BasilRing._local_passes", "baselines.gossip_rule"}),
+    ("score_wave", {"ring.basil_select", "ring.Driver._end_pass", "baselines._average",
+                    "baselines.ubar_rule.pick", "models.evaluate_loss", "models.sgd_step"}),
+    ("step_winners", {"ring.step_picks", "models.sgd_step"}),
+    ("sgd_step", {"ring.BasilRing._local_passes"}),
     ("evaluate_loss", set()),
+    # the one step of a wave's picks, which gossip and the graph's Byzantine
+    # nodes take as their update outright
+    ("step_picks", {"ring.BasilRing._update", "baselines.ubar_rule.update"}),
     # the keyed draws: each pass's keys hashed in one call, a key not hashed
     # ahead by the same function on demand
     ("keyed_states", {"streams.KeyedStreams.prepare", "streams.KeyedStreams.__call__"}),

@@ -1,11 +1,12 @@
 import csv
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from basilsim.attacks import AttackSpec
-from basilsim.baselines import GraphDriver, build_random_graph, gossip_rule, ubar_rule
+from basilsim.baselines import GraphDriver, GraphRule, build_random_graph, gossip_rule, ubar_rule
 from basilsim.basil_plus import BasilPlusDriver, _group_seed, cluster_nodes
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError
@@ -201,23 +202,21 @@ class TestGPlain:
         ("none", 4), ("random-sign-flip", 4), ("inverse", 4), ("gaussian", 0), ("hidden", 0)])
     def test_byzantine_node_steps_only_when_its_attack_reads_the_step(
             self, kind, byzantine_steps, monkeypatch):
-        import basilsim.baselines as baselines
+        import basilsim.ring as ring
 
-        gossip, byzantine = [], []
-        real_step, real_wave = baselines.sgd_step, baselines.step_winners
-        monkeypatch.setattr(baselines, "sgd_step",
-                            lambda *a: gossip.append(1) or real_step(*a))
-        monkeypatch.setattr(baselines, "step_winners",
-                            lambda scores, rows, lr: byzantine.extend(rows)
+        stepped = []
+        real_wave = ring.step_winners
+        monkeypatch.setattr(ring, "step_winners",
+                            lambda scores, rows, lr: stepped.append(len(rows))
                             or real_wave(scores, rows, lr))
         task, dataset = quad_setup(4, noise=0.5, seed=3)
         GraphDriver(complete_graph(4), {0}, gossip_rule, 3, task, dataset, batch_size=10,
                     attack=AttackSpec.make(kind, activation_round=1)).run(4)
-        # one gossip step per benign node and round, and one stepped row per
-        # Byzantine wave that steps; the hidden attack's pool (the benign
-        # models) is never empty
-        assert len(gossip) + len(byzantine) == 3 * 4 + byzantine_steps
-        assert len(gossip) == 3 * 4
+        # each round, a stepped row for the Byzantine node when its wave
+        # steps, then one per benign node; the hidden attack's pool (the
+        # benign models) is never empty
+        assert stepped == ([1, 3] if byzantine_steps else [3]) * 4
+        assert sum(stepped) == 3 * 4 + byzantine_steps
 
     def test_gossip_records_every_neighbour_as_a_winner(self):
         task, dataset = quad_setup(5)
@@ -246,23 +245,27 @@ class TestUbar:
         np.testing.assert_allclose(driver.models[0].params, expected)
 
     def test_one_forward_per_benign_pick(self, monkeypatch):
-        # the rule scores its own model with its pool and steps its own model
-        # from that forward, with no second forward
+        # on a complete graph every benign node has one degree: the rule
+        # scores each node's own model with its pool in one forward for all,
+        # and steps each own model from it, with no second forward
         task, train, _ = softmax_setup(6)
-        forwards, per_pick = [], []
+        forwards, per_round = [], []
         real = task._forward
         monkeypatch.setattr(task, "_forward", lambda *a: forwards.append(1) or real(*a))
         rule = ubar_rule(rho=0.5)
 
-        def counted(*args, **kwargs):
-            start = len(forwards)
-            selection = rule(*args, **kwargs)
-            per_pick.append(len(forwards) - start)
-            return selection
+        def pick(*args):
+            per_round.append(len(forwards))
+            return rule.pick(*args)
 
-        GraphDriver(complete_graph(6), {5}, counted, 2, task, train,
+        def update(*args, **kwargs):
+            outputs = rule.update(*args, **kwargs)
+            per_round[-1] = len(forwards) - per_round[-1]
+            return outputs
+
+        GraphDriver(complete_graph(6), {5}, GraphRule(pick, update), 2, task, train,
                     attack=AttackSpec.make("inverse"), batch_size=40).run(3)
-        assert per_pick == [1] * 5 * 3
+        assert per_round == [1] * 3
 
     def test_stage_one_pool_size_is_ceil_rho_degree(self):
         task, train, _ = softmax_setup(8)
@@ -324,11 +327,13 @@ class TestUbar:
         driver = GraphDriver(complete_graph(3), set(), ubar_rule(rho=1.0), 0, task, dataset,
                              batch_size=None)
         driver.models[1] = driver.models[2] = task.make_model(np.full(3, np.inf))
-        # node 0 scores only +inf neighbours; node 1 then cannot step from +inf
+        # node 0 scores only +inf neighbours; nodes 1 and 2 cannot step from
+        # +inf, and every record is kept before the wave steps
         with np.errstate(invalid="ignore"), pytest.raises(NumericFaultError):
             driver.run_round()
-        [record] = driver.history.selections
-        assert record.node == 0 and [l for _, l in record.candidates] == [math.inf] * 2
+        records = driver.history.selections
+        assert [r.node for r in records] == [0, 1, 2]
+        assert [l for _, l in records[0].candidates] == [math.inf] * 2
         assert driver.history.events == [{"event": "protocol-failure", "round": 1,
                                           "stage": "graph", "group": None, "node": 0}]
 
@@ -336,8 +341,46 @@ class TestUbar:
         task, dataset = quad_setup(2)
         driver = GraphDriver({0: frozenset(), 1: frozenset()}, set(), ubar_rule(), 0,
                              task, dataset, batch_size=None)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="node 0 has no neighbours"):
             driver.run_round()
+
+
+@pytest.mark.parametrize("rule", [gossip_rule, ubar_rule(rho=0.5)], ids=["gossip", "ubar"])
+def test_benign_wave_matches_each_node_alone(rule, monkeypatch):
+    # a round is two activations, the Byzantine wave and the benign one; each
+    # benign node's output and record are those of a wave of that node alone,
+    # and the benign wave runs one forward per distinct degree
+    task, train, _ = softmax_setup(8)
+    adj = build_random_graph(range(8), {7}, seed=4)
+    degrees = {len(adj[node]) for node in range(7)}
+    assert len(degrees) > 1
+    make = partial(GraphDriver, adj, {7}, rule, 2, task, train,
+                   attack=AttackSpec.make("inverse"), batch_size=40)
+    driver = make()
+    forwards, calls = [], []
+    real_forward, real_activate = task._forward, driver.activate
+    monkeypatch.setattr(task, "_forward", lambda *a: forwards.append(1) or real_forward(*a))
+
+    def activate(*args):
+        start = len(forwards)
+        results = real_activate(*args)
+        calls.append((args, results, len(forwards) - start))
+        return results
+
+    driver.activate = activate
+    for k in (1, 2, 3):
+        driver.run_round()
+        assert len(calls) == 2
+        (turns, pick, update, record, round_k), results, benign_forwards = calls.pop()
+        calls.clear()
+        assert [t.node for t in turns] == list(range(7)) and benign_forwards == len(degrees)
+        records = [r for r in driver.history.selections if r.round == k]
+        for turn, (out, *_), wave_record in zip(turns, results, records, strict=True):
+            alone = make()
+            [(alone_out, *_)] = alone.activate([turn._replace(driver=alone)], pick, update,
+                                               record, round_k)
+            assert alone_out.params.tobytes() == out.params.tobytes()
+            assert alone.history.selections == [wave_record]
 
 
 class TestRPlainPlus:
