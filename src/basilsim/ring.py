@@ -16,12 +16,16 @@ the ring here, the Basil+ hand-off stages (``basil_plus``) and both waves of
 a graph round (``baselines``).  It runs a *wave*: a list of independent
 turns, whose picks are scored in one stacked forward and stepped in one
 stacked backward.  A ring's wave is one turn; Basil+ runs the turns at one
-position of all its rings as one wave (:func:`run_rings`).
+position of all its rings as one wave (:func:`run_rings`).  What no pick
+depends on is done once: a pass's batches are drawn and gathered at its
+start (:meth:`Driver._prepare`), a list the turns share is scored once per
+distinct model, and an attack that reads only the benign pool once per pool.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from weakref import ref
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -108,23 +112,36 @@ def basil_select(candidates, task: LossTask, X, y) -> Picks:
 
     ``X`` ``(T, B, d)`` and ``y`` ``(T, B)`` stack the ``T`` turns' batches,
     and ``candidates`` holds each turn's sequence, or one that all share.  All
-    are scored in one stacked forward (:func:`models.score_wave`).  Non-finite
-    models score +inf, and a NaN loss ranks as +inf, so the rule stays total;
-    exact ties go to the earliest candidate (the ring's window lists them
-    newest first).  A record keeps the loss scored, NaN included.
+    are scored in one stacked forward (:func:`models.score_wave`), a shared
+    list once per distinct model (by identity): a model's loss does not depend
+    on what else the forward holds, so a repeat takes its first copy's loss
+    and winner row.  Non-finite models score +inf, and a NaN loss ranks as
+    +inf, so the rule stays total; exact ties go to the earliest candidate
+    (the ring's window lists them newest first).  A record keeps the loss
+    scored, NaN included.
     """
     if not all(candidates):
         raise ProtocolError("model queue is empty")
-    scores = score_wave([[model for _, model in c] for c in candidates], task, X, y)
+    models = [[model for _, model in c] for c in candidates]
+    index = None
+    if len(models) == 1:
+        # each model's row among the distinct ones, in order of first appearance
+        distinct = {id(m): m for m in models[0]}
+        if len(distinct) < len(models[0]):
+            rows_of = {key: row for row, key in enumerate(distinct)}
+            index = np.array([rows_of[id(m)] for m in models[0]])
+            models = [list(distinct.values())]
+    scores = score_wave(models, task, X, y)
+    losses = scores.losses if index is None else scores.losses[:, index]
     # fmin ranks a NaN as the +inf it is compared with
-    rows = np.fmin(scores.losses, np.inf).argmin(axis=1)
+    rows = np.fmin(losses, np.inf).argmin(axis=1)
     senders = [[s for s, _ in c] for c in candidates]
     if len(candidates) < len(X):
         candidates, senders = candidates * len(X), senders * len(X)
-    return Picks([Selection(c[row][1], tuple(zip(s, losses)), (s[row],))
-                  for row, losses, c, s in zip(rows.tolist(), scores.losses.tolist(),
-                                               candidates, senders)],
-                 scores, rows)
+    return Picks([Selection(c[row][1], tuple(zip(s, row_losses)), (s[row],))
+                  for row, row_losses, c, s in zip(rows.tolist(), losses.tolist(),
+                                                   candidates, senders)],
+                 scores, rows if index is None else index[rows])
 
 
 def step_picks(turns, picks: Picks, X, y, lr: float) -> list[ModelVector]:
@@ -217,28 +234,45 @@ class Driver:
         self.test_set = test_set
         self.history = TrainHistory()
         self.streams = KeyedStreams()
+        # the pass's batches not yet taken, by key: (X block, y block, row), from _prepare
+        self._batches: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, int]] = {}
+        # the benign pool last attacked alone, by weak reference, and that attack's output
+        self._attack_memo: tuple[list[ref[ModelVector]], ModelVector | None] = ([], None)
 
     def _group_of(self, node: int) -> int | None:
         """The group a record of ``node``'s turn names."""
         return self.group
 
     def _prepare(self, turns: Iterable[tuple["Driver", int, tuple[int, ...], int | None]]) -> None:
-        """Hash the keys of the draws of a pass's ``(driver, node, stream,
-        round)`` turns in one call: each turn's batch key and, when the attack
-        draws, each Byzantine activation's attack key.  ``round`` is the one
-        the turn's activation passes, or None for one that no attack
-        replaces (a Basil+ adopt).  A turn that :meth:`_skips` at the start
-        of the pass draws no batch, and its key is left out: a benign pool
-        only grows within a pass, so it skips at its activation too.  A key
-        that is drawn but not hashed ahead is hashed on demand."""
-        keys, pools = [], {}
+        """Draw the batches of a pass's ``(driver, node, stream, round)``
+        turns ahead of its waves.  ``round`` is the one the turn's activation
+        passes, or None for one that no attack replaces (a Basil+ adopt).
+        The keys of the draws, each turn's batch key and, when the attack
+        draws, each Byzantine activation's attack key, are hashed in one
+        call; then each turn's batch is drawn, and the samples of all the
+        batches of one length are gathered in one ``Dataset.batch`` call, the
+        block :meth:`activate` slices.  A turn that :meth:`_skips` at the
+        start of the pass draws no batch: a benign pool only grows within a
+        pass, so it skips at its activation too.  A turn that skips only at
+        its activation leaves its batch unused."""
+        keys, drawn, pools = [], [], {}
         for driver, node, stream, round_k in turns:
             if round_k is None or not self._skips(driver, node, round_k, pools):
                 keys.append((driver.seed, driver.BATCH_TAG, *stream))
+                drawn.append((node, keys[-1]))
             if (round_k is not None and node in driver.byzantine
                     and self.attack.kind in RANDOM_ATTACKS):
                 keys.append((driver.seed, driver.ATTACK_TAG, *stream))
         self.streams.prepare(keys)
+        by_length: dict = {}
+        for node, key in drawn:
+            indices = local_batch(self.dataset, node, self.batch_size, key, self.streams)
+            by_length.setdefault(len(indices), []).append((key, indices))
+        self._batches = {}
+        for batches in by_length.values():
+            X, y = self.dataset.batch(np.array([indices for _, indices in batches]))
+            for row, (key, _) in enumerate(batches):
+                self._batches[key] = (X, y, row)
 
     def _skips(self, driver: "Driver", node: int, round_k: int, pools: dict) -> bool:
         """Whether ``node`` of ``driver`` draws, picks and updates nothing when
@@ -258,37 +292,45 @@ class Driver:
     ) -> list[tuple[ModelVector, Selection | None, tuple | None]]:
         """The wave ``turns``: each turn's ``pick(candidates, task, X, y)`` (as
         :func:`basil_select`) on its batch from ``[seed, BATCH_TAG, *stream]``
-        of its driver, then ``update(turns, picks, X, y)`` of those picks.
-        The turns whose batches share a size and whose candidate lists a
-        length gather their batches in one call and pick and update in one, a
-        list they all share passed once; each turn's batch is a view of that
-        stack.  Before any update, appends each turn's record ``record(group,
-        node, benign, candidates, winners)`` to its driver's history, in turn
-        order, unless ``record`` is None.
+        of its driver, drawn by :meth:`_prepare`, then ``update(turns, picks,
+        X, y)`` of those picks.  The turns whose batches share a length and
+        whose candidate lists a length pick and update in one call, on their
+        rows of the pass's block of batches, a list they all share passed
+        once; each turn's batch is a view of those rows.  A turn whose batch
+        was not drawn ahead, or was taken by an earlier activation, raises
+        :class:`ProtocolError`.  Before any update, appends each turn's
+        record ``record(group, node, benign, candidates, winners)`` to its
+        driver's history, in turn order, unless ``record`` is None.
 
         In round ``round_k`` (None for no attack), a Byzantine node sends the
         attack of its update, keyed by ``[seed, ATTACK_TAG, *stream]`` of its
-        driver, and draws, picks and updates nothing when the attack ignores
-        them; each driver's benign pool is read once per wave, and an attack
-        that reads only that pool (the hidden one) is computed once per wave
-        and driver.  Returns each turn's output, selection and batch (None
-        for a node that picked nothing)."""
+        driver, and picks and updates nothing when the attack ignores them;
+        each driver's benign pool is read once per wave.  An attack that
+        reads only that pool (the hidden one) is computed once per driver
+        and pool: each driver keeps its last such output while its pool holds
+        the same models, which it references weakly.  Returns each turn's
+        output, selection and batch (None for a node that picked nothing)."""
         pools: dict = {}
         skip = [round_k is not None and self._skips(t.driver, t.node, round_k, pools)
                 for t in turns]
         groups: dict = {}
-        drawn = {}
         for i, t in enumerate(turns):
             if not skip[i]:
-                drawn[i] = local_batch(self.dataset, t.node, self.batch_size,
-                                       (t.driver.seed, t.driver.BATCH_TAG, *t.stream),
-                                       self.streams)
-                groups.setdefault((len(drawn[i]), len(t.candidates)), []).append(i)
+                prepared = self._batches.pop((t.driver.seed, t.driver.BATCH_TAG, *t.stream), None)
+                if prepared is None:
+                    raise ProtocolError(f"no batch drawn ahead for node {t.node}'s turn")
+                X, y, row = prepared
+                ids, rows = groups.setdefault((id(X), len(t.candidates)), (X, y, [], []))[2:]
+                ids.append(i)
+                rows.append(row)
         selections: list[Selection | None] = [None] * len(turns)
         batches: list[tuple | None] = [None] * len(turns)
         waves = []
-        for ids in groups.values():
-            X, y = self.dataset.batch(np.array([drawn[j] for j in ids]))
+        for X, y, ids, rows in groups.values():
+            # consecutive rows are a view of the block, others a copy
+            at = slice(rows[0], rows[0] + len(rows)) if rows == list(
+                range(rows[0], rows[0] + len(rows))) else rows
+            X, y = X[at], y[at]
             lists = [turns[j].candidates for j in ids]
             if all(c is lists[0] for c in lists[1:]):
                 lists = lists[:1]
@@ -306,19 +348,26 @@ class Driver:
         for ids, picks, X, y in waves:
             for j, out in zip(ids, update([turns[j] for j in ids], picks, X, y)):
                 outputs[j] = out
-        attacks: dict = {}
         for i, t in enumerate(turns if pools else ()):
-            if t.node in t.driver.byzantine:
-                # an output that reads neither the update nor a stream reads the pool alone
-                memo = t.driver if skip[i] and self.attack.kind not in RANDOM_ATTACKS else i
-                if memo not in attacks:
-                    # a node that picked nothing hands in a model for its shape alone
-                    prior = selections[i].model if selections[i] else t.candidates[0][1]
-                    attacks[memo] = apply_attack(
-                        self.attack, honest_update=outputs[i] or prior, prior=prior,
-                        benign_models=pools[t.driver], round_k=round_k,
-                        key=(t.driver.seed, t.driver.ATTACK_TAG, *t.stream), streams=self.streams)
-                outputs[i] = attacks[memo]
+            if t.node not in t.driver.byzantine:
+                continue
+            pool = pools[t.driver]
+            # an output that reads neither the update nor a stream reads the pool alone
+            alone = skip[i] and self.attack.kind not in RANDOM_ATTACKS
+            memo_pool, memo = t.driver._attack_memo
+            if alone and len(memo_pool) == len(pool) and all(
+                    r() is m for r, m in zip(memo_pool, pool)):
+                outputs[i] = memo
+                continue
+            # a node that picked nothing hands in a model for its shape alone
+            prior = selections[i].model if selections[i] else t.candidates[0][1]
+            outputs[i] = apply_attack(
+                self.attack, honest_update=outputs[i] or prior, prior=prior,
+                benign_models=pool, round_k=round_k,
+                key=(t.driver.seed, t.driver.ATTACK_TAG, *t.stream), streams=self.streams)
+            if alone:
+                # held weakly: a pool of outdated models is not kept alive
+                t.driver._attack_memo = ([ref(m) for m in pool], outputs[i])
         return list(zip(outputs, selections, batches))
 
     def _end_pass(self, k: int, benign) -> None:
@@ -458,7 +507,10 @@ def run_rings(rings: Sequence[BasilRing]) -> None:
     rows to its own history."""
     lead = rings[0]
     k = lead.round_idx + 1
-    lead._prepare((ring, node, (node, k), k) for ring in rings for node in ring.order)
+    # position-major, as the waves run, so that a wave's rows are consecutive
+    lead._prepare((ring, node, (node, k), k)
+                  for nodes in zip(*(ring.order for ring in rings))
+                  for ring, node in zip(rings, nodes))
     update = partial(lead._update, k=k, lr=lead.lr_schedule(k))
     record = partial(SelectionRecord, k, "ring", fanout=lead.connectivity)
     # (driver, node, selected sender, output, batch) of each benign activation

@@ -233,10 +233,14 @@ class TestSpecAndDispatch:
         assert "definition_note" in manifest
 
 
-def callers(name: str) -> set[str]:
-    """``module.qualname`` of each package function (or module body) with a
-    call whose callee ends in ``name``, such as ``apply_attack`` or
-    ``selections.append``."""
+def callers(name: str, sources: dict[str, str] | None = None) -> set[str]:
+    """``module.qualname`` of each function (or module body) of ``sources``,
+    module name to source, the package's by default, with a call of
+    ``name``.  An undotted name, such as ``apply_attack``, matches a call of
+    any function or method of that name.  A dotted one matches on its
+    receiver: ``history.selections.append`` is a call of ``append`` on
+    ``history.selections``, reached from anything (``driver.history``), and
+    not on another list whose name ends the same (a local ``selections``)."""
     found = set()
 
     def visit(node, scope):
@@ -248,14 +252,40 @@ def callers(name: str) -> set[str]:
                 found.add(scope)
             visit(child, scope)
 
-    for path in sorted(Path(basilsim.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem)
+    if sources is None:
+        sources = {path.stem: path.read_text()
+                   for path in sorted(Path(basilsim.__file__).parent.glob("*.py"))}
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
     return found
 
 
+def test_a_dotted_name_is_matched_on_its_receiver():
+    source = """
+def pick(candidates):
+    selections = []
+    selections.append(candidates[0])
+
+class Driver:
+    def activate(self, driver):
+        driver.history.selections.append(1)
+        self.history.selections.append(2)
+
+def mix(dataset, other):
+    other.batch(1)
+    return dataset.batch(0)
+"""
+    assert callers("history.selections.append", {"m": source}) == {"m.Driver.activate"}
+    assert callers("selections.append", {"m": source}) == {"m.pick", "m.Driver.activate"}
+    assert callers("dataset.batch", {"m": source}) == {"m.mix"}
+    assert callers("batch", {"m": source}) == {"m.mix"}
+
+
 #: (call, its only callers): the ring, the Basil+ stages and both waves of a
-#: graph round share one activation, which alone draws a pick's batch and
-#: appends its record, that of a pick its attack skips included.  Every loss
+#: graph round share one activation, which alone appends a pick's record,
+#: that of a pick its attack skips included; the batches it picks on are
+#: drawn at the start of the pass, and their samples gathered in one call
+#: per batch length (epochs mode gathers its own passes).  Every loss
 #: and gradient is computed by one score-and-step path: a task's stacked
 #: forward runs only in ``score_wave`` (and in ``step_winners`` for a
 #: non-finite winner), its stacked backward only in ``step_winners``, which
@@ -268,15 +298,16 @@ def callers(name: str) -> set[str]:
 #: caller in the package.  Every batch and random attack draws from a stream
 #: whose state the bulk hash computed, for a pass's keys in one call.  One
 #: method decides which Byzantine turns skip their pick, for the activation
-#: and for the keys hashed ahead of it
+#: and for the batches drawn ahead of it
 SOLE_CALLERS = [
     ("activate", {"ring.run_rings", "basil_plus.BasilPlusDriver._stage",
                   "baselines.GraphDriver.run_round"}),
     ("ignores_honest_update", {"ring.Driver._skips"}),
     ("_skips", {"ring.Driver.activate", "ring.Driver._prepare"}),
     ("apply_attack", {"ring.Driver.activate"}),
-    ("local_batch", {"ring.Driver.activate"}),
-    ("selections.append", {"ring.Driver.activate"}),
+    ("local_batch", {"ring.Driver._prepare"}),
+    ("dataset.batch", {"ring.Driver._prepare", "ring.BasilRing._local_passes"}),
+    ("history.selections.append", {"ring.Driver.activate"}),
     ("stacked_forward", {"models.score_wave", "models.step_winners"}),
     ("stacked_gradient", {"models.step_winners"}),
     ("score_wave", {"ring.basil_select", "ring.Driver._end_pass", "baselines._average",

@@ -377,6 +377,7 @@ def test_benign_wave_matches_each_node_alone(rule, monkeypatch):
         records = [r for r in driver.history.selections if r.round == k]
         for turn, (out, *_), wave_record in zip(turns, results, records, strict=True):
             alone = make()
+            alone._prepare([(alone, turn.node, turn.stream, round_k)])
             [(alone_out, *_)] = alone.activate([turn._replace(driver=alone)], pick, update,
                                                record, round_k)
             assert alone_out.params.tobytes() == out.params.tobytes()

@@ -1,17 +1,20 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from basilsim import attacks
 from basilsim.attacks import AttackSpec, ignores_honest_update
-from basilsim.basil_plus import BasilPlusDriver
+from basilsim.basil_plus import TAG_STAGE_BATCH, BasilPlusDriver, cluster_nodes
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
 from basilsim.models import MlpTask, QuadraticTask, SoftmaxTask, sgd_step, step_winners
 from basilsim.ring import (
     TAG_BATCH,
     BasilRing,
+    Driver,
     StoredModels,
     agree_order,
     basil_select,
@@ -192,6 +195,32 @@ class TestBasilSelect:
         with pytest.raises(ProtocolError):
             select_one(StoredModels(capacity=1), task, X, y)
 
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_a_shared_list_scores_each_distinct_model_once(self, T):
+        # repeats of one object are scored once; the picks, their records and
+        # the stepped winners are those of the list with each repeat a copy
+        task = SoftmaxTask(6, 4)
+        rng = np.random.default_rng(9)
+        X, y = rng.standard_normal((T, 11, 6)), rng.integers(0, 4, size=(T, 11))
+        start = task.initial_model(0)
+        a, b = start, start.with_params(rng.standard_normal(start.size) * 2.0)
+        nan = b.with_params(np.where(np.arange(start.size) == 2, np.nan, b.params))
+        shared = [(1, b), (2, nan), (3, b), (4, a), (5, a), (6, nan)]
+        copied, seen = [], set()
+        for sender, m in shared:
+            copied.append((sender, m.with_params(m.params.copy()) if id(m) in seen else m))
+            seen.add(id(m))
+        assert [m is n for (_, m), (_, n) in zip(shared, copied)] == [1, 1, 0, 1, 0, 0]
+        picks, apart = (basil_select([c], task, X, y) for c in (shared, copied))
+        assert picks.scores.params.shape[1] == 3 and apart.scores.params.shape[1] == 6
+        # the exact tie between a and its repeat goes to the earlier one
+        assert {s.winners for s in picks.selections} == {(4,)}
+        for got, want in zip(picks.selections, apart.selections, strict=True):
+            assert got.model is want.model is a
+            assert repr(got) == repr(want)
+        stepped = [step_winners(p.scores, p.rows, 0.1) for p in (picks, apart)]
+        assert [m.params.tobytes() for m in stepped[0]] == [m.params.tobytes() for m in stepped[1]]
+
 
 class TestLockStep:
     """Rings run in lock-step (a wave of their turns at each position) give
@@ -229,6 +258,94 @@ class TestLockStep:
             for node in a.order:
                 assert np.array_equal(a.latest_output[node].params,
                                       b.latest_output[node].params)
+
+
+class TestWorkDoneOncePerPass:
+    """What no pick depends on is done once: a pass's batches are drawn and
+    gathered at its start, and an attack that reads only the benign pool is
+    computed once per driver and pool."""
+
+    def test_a_turn_not_drawn_ahead_is_a_protocol_error(self):
+        task, train, _ = cluster_setup(n_nodes=4)
+        ring = BasilRing(range(4), frozenset(), 1, 3, task, train, batch_size=5)
+        update = partial(ring._update, k=1, lr=0.1)
+        turn = ring._turn(0, 1)
+        with pytest.raises(ProtocolError, match="no batch drawn ahead"):
+            ring.activate([turn], basil_select, update, None, 1)
+        ring._prepare([(ring, turn.node, turn.stream, 1)])
+        [(_, selection, (X, y))] = ring.activate([turn], basil_select, update, None, 1)
+        assert selection.winners == (None,) and X.shape == (5, 8)
+        # a batch is taken once
+        with pytest.raises(ProtocolError, match="no batch drawn ahead"):
+            ring.activate([turn], basil_select, update, None, 1)
+        # a pass's batches are replaced by the next pass's
+        ring._prepare([(ring, turn.node, (turn.node, 2), 2)])
+        with pytest.raises(ProtocolError, match="no batch drawn ahead"):
+            ring.activate([turn], basil_select, update, None, 1)
+
+    def test_a_pass_draws_the_keyed_choices_in_one_gather_per_batch_length(self, monkeypatch):
+        task, train, _ = cluster_setup(n_nodes=6, samples=120)
+        # shards of 3 samples are below the batch of 5 and are taken whole
+        sizes = [3, 30, 3, 25, 20, 3]
+        order = np.random.default_rng(2).permutation(120)[:sum(sizes)]
+        shards = np.split(order, np.cumsum(sizes)[:-1])
+        train = replace(train, partition={i: np.sort(part) for i, part in enumerate(shards)})
+        gathers, batches = [], {}
+        gather, activate = Dataset.batch, Driver.activate
+        monkeypatch.setattr(Dataset, "batch",
+                            lambda ds, ix: gathers.append(ix.shape) or gather(ds, ix))
+
+        def record_activate(driver, turns, *args):
+            results = activate(driver, turns, *args)
+            batches.update(((t.node, t.stream[1]), batch)
+                           for t, (*_, batch) in zip(turns, results))
+            return results
+
+        monkeypatch.setattr(Driver, "activate", record_activate)
+        ring = BasilRing(range(6), frozenset(), 2, 7, task, train, batch_size=5)
+        ring.run(2)
+        assert sorted(gathers) == [(3, 3), (3, 3), (3, 5), (3, 5)]
+        assert len(batches) == 12
+        for (node, k), (X, y) in batches.items():
+            indices = train.node_indices(node)
+            if len(indices) > 5:
+                indices = np.random.default_rng([7, TAG_BATCH, node, k]).choice(
+                    indices, size=5, replace=False)
+            assert X.tobytes() == train.features[indices].tobytes()
+            assert y.tobytes() == train.labels[indices].tobytes()
+
+    def test_hidden_attack_runs_once_per_driver_and_pool(self, monkeypatch):
+        real = attacks.hidden_attack
+        attacked, outputs = [], []
+        monkeypatch.setattr(attacks, "hidden_attack",
+                            lambda pool: attacked.append(pool) or real(pool))
+        activate = Driver.activate
+
+        def record_activate(driver, turns, pick, update, record, round_k):
+            pools = {t.driver: t.driver._benign_pool() for t in turns}
+            results = activate(driver, turns, pick, update, record, round_k)
+            outputs.extend((t.driver, pools[t.driver], out) for t, (out, *_) in zip(turns, results)
+                           if round_k is not None and t.node in t.driver.byzantine
+                           and pools[t.driver])
+            return results
+
+        monkeypatch.setattr(Driver, "activate", record_activate)
+        task, train, _ = cluster_setup(n_nodes=16, samples=640)
+        # a Byzantine node behind a benign one in every ring, and two in a row in one
+        groups = cluster_nodes(range(16), 4, 5)
+        byzantine = {order[1] for order in groups} | {groups[0][2]}
+        driver = BasilPlusDriver(4, byzantine, 2, 5, task, train, n_nodes=16, tau=2,
+                                 attack=AttackSpec.make("hidden", 1), batch_size=5)
+        driver.run(3)
+        # each output over a nonempty pool is that pool's attack, bit for bit
+        for _, pool, out in outputs:
+            assert out.params.tobytes() == real(pool).params.tobytes()
+        # the attack ran once for each distinct (driver, pool), the pool by
+        # the identity of its models, and some outputs reused it
+        distinct = {(d, tuple(map(id, pool))) for d, pool, _ in outputs}
+        assert len(attacked) == len(distinct) < len(outputs)
+        assert {tuple(map(id, pool)) for pool in attacked} == {pool for _, pool in distinct}
+        assert {d for d, _ in distinct} == {driver, *driver.rings}
 
 
 class TestRunBasil:
@@ -563,8 +680,8 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("kind", ["gaussian", "hidden"])
     def test_keys_of_turns_whose_attack_ignores_the_pick_are_not_hashed(
             self, monkeypatch, grouped, kind):
-        prepared, drawn = [], []
-        prepare, call = KeyedStreams.prepare, KeyedStreams.__call__
+        prepared, drawn, picked = [], [], set()
+        prepare, call, activate = KeyedStreams.prepare, KeyedStreams.__call__, Driver.activate
 
         def record_prepare(streams, keys):
             keys = [tuple(key) for key in keys]
@@ -575,27 +692,39 @@ class TestKeyedStreams:
             drawn.append(tuple(key))
             return call(streams, key)
 
+        def record_activate(driver, turns, *args):
+            results = activate(driver, turns, *args)
+            picked.update((t.driver.seed, t.driver.BATCH_TAG, *t.stream)
+                          for t, (_, selection, _) in zip(turns, results) if selection)
+            return results
+
         monkeypatch.setattr(KeyedStreams, "prepare", record_prepare)
         monkeypatch.setattr(KeyedStreams, "__call__", record_call)
+        monkeypatch.setattr(Driver, "activate", record_activate)
         task, train, _ = cluster_setup(n_nodes=8, samples=320)
         byzantine, attack = frozenset({1, 6}), AttackSpec.make(kind, 1)
         if grouped:
-            BasilPlusDriver(2, byzantine, 2, 3, task, train, n_nodes=8, attack=attack,
-                            batch_size=5).run(3)
+            driver = BasilPlusDriver(2, byzantine, 2, 3, task, train, n_nodes=8, attack=attack,
+                                     batch_size=5)
+            rings = driver.rings
         else:
-            BasilRing(range(8), byzantine, 2, 3, task, train, attack=attack,
-                      batch_size=5).run(3)
-        # each key is drawn once, and every draw was hashed ahead
-        assert len(set(drawn)) == len(drawn) and set(drawn) <= set(prepared)
-        unused = set(prepared) - set(drawn)
+            driver = BasilRing(range(8), byzantine, 2, 3, task, train, attack=attack,
+                               batch_size=5)
+            rings = [driver]
+        driver.run(3)
+        # each key hashed is drawn, once
+        assert len(set(drawn)) == len(drawn) and sorted(drawn) == sorted(prepared)
+        unused = {key for key in drawn if key[1] in (TAG_BATCH, TAG_STAGE_BATCH)} - picked
         if kind == "gaussian":
-            assert not unused and len(prepared) == len(drawn)
+            assert not unused
         else:
-            # the hidden attack reads the pool, empty at the start of the
-            # first ring pass: only Byzantine batch keys of that pass go unused
-            assert len(unused) <= len(byzantine)
-            assert all(key[1] == TAG_BATCH and key[2] in byzantine and key[3] == 1
-                       for key in unused)
+            # the hidden attack reads the pool, empty at the start of the first
+            # ring pass: the Byzantine nodes behind a benign one in their ring
+            # skip at their turn, and leave that pass's batch unused
+            assert unused == {(ring.seed, TAG_BATCH, node, 1) for ring in rings
+                              for p, node in enumerate(ring.order)
+                              if node in byzantine and not byzantine.issuperset(ring.order[:p])}
+            assert unused
 
     @pytest.mark.parametrize("shard, size", [
         (1, 1), (2, 1), (30, 1), (30, 8), (30, 29), (200, 80),
