@@ -2,9 +2,8 @@
 
 Every attack is a pure function of its inputs and an explicit RNG, so runs
 stay reproducible.  ``apply_attack`` is the dispatcher the one activation
-(``ring.Driver.activate``) calls in place of a benign node's honest update;
-it draws the random attacks from the caller's keyed stream
-(:class:`streams.KeyedStreams`).
+(``ring.Driver.activate``) calls in place of a benign node's honest update,
+handing a random attack a generator set to the attack's keyed stream.
 ``ignores_honest_update`` says when that output reads neither the honest
 update nor the prior, so that the activation need not compute them.
 """
@@ -17,11 +16,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import ModelVector, _layout, require_composable
-from .streams import KeyedStreams
 
 ATTACK_KINDS = ("none", "gaussian", "random-sign-flip", "hidden", "inverse")
-#: the kinds whose output draws from the attack's keyed stream
-RANDOM_ATTACKS = ("gaussian", "random-sign-flip")
 
 #: rounds of honest behaviour before the hidden attack engages
 HIDDEN_DEFAULT_ACTIVATION = 20
@@ -46,6 +42,10 @@ class AttackSpec:
 
     def active(self, round_k: int) -> bool:
         return self.kind != "none" and round_k >= max(self.activation_round, 1)
+
+    def draws(self, round_k: int) -> bool:
+        """Whether the attack's output in round ``round_k`` is a random draw."""
+        return self.kind in ("gaussian", "random-sign-flip") and self.active(round_k)
 
     def to_manifest(self) -> dict:
         out = {"kind": self.kind, "activation_round": self.activation_round}
@@ -115,18 +115,17 @@ def apply_attack(
     prior: ModelVector,
     benign_models: list[ModelVector],
     round_k: int,
-    key: list[int],
-    streams: KeyedStreams,
+    rng: np.random.Generator | None,
 ) -> ModelVector:
     """What a Byzantine node emits instead of ``honest_update`` in round
-    ``round_k``; a random attack draws from the stream ``default_rng(key)``
-    would give, set by ``streams``."""
+    ``round_k``; an attack that ``spec.draws`` there draws from ``rng``,
+    which the others do not read."""
     if not spec.active(round_k):
         return honest_update
     if spec.kind == "gaussian":
-        return gaussian_attack(honest_update.shape, streams(key))
+        return gaussian_attack(honest_update.shape, rng)
     if spec.kind == "random-sign-flip":
-        return sign_flip_attack(honest_update, streams(key))
+        return sign_flip_attack(honest_update, rng)
     if spec.kind == "hidden":
         if not benign_models:
             return honest_update

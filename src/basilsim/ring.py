@@ -8,8 +8,9 @@ local data), and multicasts the result to its next ``S`` clockwise
 neighbours.  Byzantine nodes emit attack output instead, with no pick or
 update when the attack ignores them.  Everything is driven by explicit
 seeds, so two runs with the same configuration are bit-identical: each
-batch and random attack draws from its own keyed stream, whose state the
-driver hashes with the rest of its pass's in one call (:mod:`streams`).
+batch, random attack and epoch order draws from its own keyed stream.  Only
+:meth:`Driver._prepare` turns keys into stream states, all of a pass's in one
+call (:mod:`streams`), and each draw takes a generator set to its key's state.
 
 That turn is :meth:`Driver.activate`, the one activation every driver runs:
 the ring here, the Basil+ hand-off stages (``basil_plus``) and both waves of
@@ -30,13 +31,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .attacks import RANDOM_ATTACKS, AttackSpec, apply_attack, ignores_honest_update
+from .attacks import AttackSpec, apply_attack, ignores_honest_update
 from .data import Dataset
 from .errors import ConfigError, ProtocolError
 from .history import HistoryRow, SelectionRecord, TrainHistory
 from .models import (EvalSet, LossTask, ModelVector, WaveScores, accuracy, score_wave, sgd_step,
                      step_winners)
-from .streams import KeyedStreams
+from .streams import keyed_states, set_state
 
 # rng stream tags; every stream is default_rng([seed, tag, ...])'s
 TAG_ORDER = 0xA0
@@ -157,16 +158,15 @@ def sample_byzantine_ids(node_ids, count: int, seed: int) -> frozenset[int]:
     return frozenset(int(x) for x in picked)
 
 
-def local_batch(dataset: Dataset, node: int, batch_size: int | None, key: Sequence[int],
-                streams: KeyedStreams) -> np.ndarray:
+def local_batch(dataset: Dataset, node: int, batch_size: int | None,
+                rng: np.random.Generator) -> np.ndarray:
     """The sample indices of a node's mini-batch: all its local data if
     ``batch_size`` is None or not smaller, else ``batch_size`` of them without
-    replacement, drawn from the stream ``default_rng(key)`` would give, set
-    by ``streams``."""
+    replacement, drawn from ``rng``."""
     indices = dataset.node_indices(node)
     if batch_size is None or batch_size >= len(indices):
         return indices
-    return streams(key).choice(indices, size=batch_size, replace=False)
+    return rng.choice(indices, size=batch_size, replace=False)
 
 
 class Turn(NamedTuple):
@@ -205,13 +205,14 @@ class Driver:
     and the end of a pass.  The keyword settings are declared here alone, and
     each driver forwards them; the test set is prepared for
     :func:`models.accuracy` once.  A driver defines ``_benign_pool``, the
-    benign models a Byzantine node's attack reads, and hashes the keys of a
-    pass's draws in one call before it (:meth:`_prepare`)."""
+    benign models a Byzantine node's attack reads, and prepares every draw of
+    a pass before it (:meth:`_prepare`)."""
 
     #: stream tags of an activation's batch and attack draws
     BATCH_TAG, ATTACK_TAG = TAG_BATCH, TAG_ATTACK
     TOPOLOGY = "ring"
     group: int | None = None
+    epochs: int | None = None
 
     def __init__(self, members, byzantine, seed, task, dataset, *,
                  attack: AttackSpec | None = None,
@@ -233,9 +234,11 @@ class Driver:
             test_set = EvalSet(*test_set)
         self.test_set = test_set
         self.history = TrainHistory()
-        self.streams = KeyedStreams()
-        # the pass's batches not yet taken, by key: (X block, y block, row), from _prepare
-        self._batches: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray, int]] = {}
+        # from _prepare, the pass's batches not yet taken, (X block, y block, row) by
+        # (driver, stream), and its other draws' states, for the one generator
+        self._batches: dict[tuple, tuple[np.ndarray, np.ndarray, int]] = {}
+        self._states: dict[tuple, tuple[int, int]] = {}
+        self._generator = np.random.Generator(np.random.PCG64(0))
         # the benign pool last attacked alone, by weak reference, and that attack's output
         self._attack_memo: tuple[list[ref[ModelVector]], ModelVector | None] = ([], None)
 
@@ -244,35 +247,46 @@ class Driver:
         return self.group
 
     def _prepare(self, turns: Iterable[tuple["Driver", int, tuple[int, ...], int | None]]) -> None:
-        """Draw the batches of a pass's ``(driver, node, stream, round)``
-        turns ahead of its waves.  ``round`` is the one the turn's activation
-        passes, or None for one that no attack replaces (a Basil+ adopt).
-        The keys of the draws, each turn's batch key and, when the attack
-        draws, each Byzantine activation's attack key, are hashed in one
-        call; then each turn's batch is drawn, and the samples of all the
-        batches of one length are gathered in one ``Dataset.batch`` call, the
-        block :meth:`activate` slices.  A turn that :meth:`_skips` at the
-        start of the pass draws no batch: a benign pool only grows within a
-        pass, so it skips at its activation too.  A turn that skips only at
-        its activation leaves its batch unused."""
-        keys, drawn, pools = [], [], {}
+        """Prepare the draws of a pass's ``(driver, node, stream, round)``
+        turns, replacing the last pass's; ``round`` is None for a turn no
+        attack replaces (a Basil+ adopt).  One call hashes the keys ``[seed,
+        tag, *stream]`` of each turn's driver: its batch's, its epoch orders'
+        in epochs mode, and a Byzantine turn's attack's where the attack
+        ``draws``.  The batches are drawn here, those of one length gathered
+        in one ``Dataset.batch`` call that :meth:`activate` slices;
+        :meth:`_keyed` takes the rest.  A turn that :meth:`_skips` at the pass
+        start draws no batch or epoch order: a benign pool only grows within
+        a pass, so it skips at its activation too."""
+        draws, drawn, pools = [], [], {}
         for driver, node, stream, round_k in turns:
             if round_k is None or not self._skips(driver, node, round_k, pools):
-                keys.append((driver.seed, driver.BATCH_TAG, *stream))
-                drawn.append((node, keys[-1]))
-            if (round_k is not None and node in driver.byzantine
-                    and self.attack.kind in RANDOM_ATTACKS):
-                keys.append((driver.seed, driver.ATTACK_TAG, *stream))
-        self.streams.prepare(keys)
+                drawn.append((driver, node, stream))
+                draws.append((driver, driver.BATCH_TAG, stream))
+                if driver.epochs is not None:
+                    draws.append((driver, TAG_EPOCH, stream))
+            if round_k is not None and node in driver.byzantine and self.attack.draws(round_k):
+                draws.append((driver, driver.ATTACK_TAG, stream))
+        self._states = dict(zip(draws, keyed_states(
+            [(driver.seed, tag, *stream) for driver, tag, stream in draws])))
         by_length: dict = {}
-        for node, key in drawn:
-            indices = local_batch(self.dataset, node, self.batch_size, key, self.streams)
-            by_length.setdefault(len(indices), []).append((key, indices))
+        for driver, node, stream in drawn:
+            indices = local_batch(self.dataset, node, self.batch_size,
+                                  self._keyed(driver, driver.BATCH_TAG, stream))
+            by_length.setdefault(len(indices), []).append(((driver, stream), indices))
         self._batches = {}
         for batches in by_length.values():
             X, y = self.dataset.batch(np.array([indices for _, indices in batches]))
-            for row, (key, _) in enumerate(batches):
-                self._batches[key] = (X, y, row)
+            for row, (turn, _) in enumerate(batches):
+                self._batches[turn] = (X, y, row)
+
+    def _keyed(self, driver: "Driver", tag: int, stream: tuple[int, ...]) -> np.random.Generator:
+        """The generator, until the next call, in the state :meth:`_prepare`
+        hashed for ``driver``'s key ``[seed, tag, *stream]``; a draw not
+        prepared, or taken already, raises :class:`ProtocolError`."""
+        state = self._states.pop((driver, tag, stream), None)
+        if state is None:
+            raise ProtocolError(f"no draw prepared for tag {tag:#x} of stream {stream}")
+        return set_state(self._generator, state)
 
     def _skips(self, driver: "Driver", node: int, round_k: int, pools: dict) -> bool:
         """Whether ``node`` of ``driver`` draws, picks and updates nothing when
@@ -303,20 +317,21 @@ class Driver:
         driver's history, in turn order, unless ``record`` is None.
 
         In round ``round_k`` (None for no attack), a Byzantine node sends the
-        attack of its update, keyed by ``[seed, ATTACK_TAG, *stream]`` of its
-        driver, and picks and updates nothing when the attack ignores them;
-        each driver's benign pool is read once per wave.  An attack that
-        reads only that pool (the hidden one) is computed once per driver
-        and pool: each driver keeps its last such output while its pool holds
-        the same models, which it references weakly.  Returns each turn's
-        output, selection and batch (None for a node that picked nothing)."""
+        attack of its update, a random one drawn from ``[seed, ATTACK_TAG,
+        *stream]`` of its driver (:meth:`_keyed`), and picks and updates
+        nothing when the attack ignores them; each driver's benign pool is
+        read once per wave.  An attack that reads only that pool (the hidden
+        one) is computed once per driver and pool: each driver keeps its last
+        such output while its pool holds the same models, which it references
+        weakly.  Returns each turn's output, selection and batch (None for a
+        node that picked nothing)."""
         pools: dict = {}
         skip = [round_k is not None and self._skips(t.driver, t.node, round_k, pools)
                 for t in turns]
         groups: dict = {}
         for i, t in enumerate(turns):
             if not skip[i]:
-                prepared = self._batches.pop((t.driver.seed, t.driver.BATCH_TAG, *t.stream), None)
+                prepared = self._batches.pop((t.driver, t.stream), None)
                 if prepared is None:
                     raise ProtocolError(f"no batch drawn ahead for node {t.node}'s turn")
                 X, y, row = prepared
@@ -353,7 +368,7 @@ class Driver:
                 continue
             pool = pools[t.driver]
             # an output that reads neither the update nor a stream reads the pool alone
-            alone = skip[i] and self.attack.kind not in RANDOM_ATTACKS
+            alone = skip[i] and not self.attack.draws(round_k)
             memo_pool, memo = t.driver._attack_memo
             if alone and len(memo_pool) == len(pool) and all(
                     r() is m for r, m in zip(memo_pool, pool)):
@@ -364,7 +379,8 @@ class Driver:
             outputs[i] = apply_attack(
                 self.attack, honest_update=outputs[i] or prior, prior=prior,
                 benign_models=pool, round_k=round_k,
-                key=(t.driver.seed, t.driver.ATTACK_TAG, *t.stream), streams=self.streams)
+                rng=self._keyed(t.driver, t.driver.ATTACK_TAG, t.stream)
+                if self.attack.draws(round_k) else None)
             if alone:
                 # held weakly: a pool of outdated models is not kept alive
                 t.driver._attack_memo = ([ref(m) for m in pool], outputs[i])
@@ -453,20 +469,21 @@ class BasilRing(Driver):
     def _benign_pool(self) -> list[ModelVector]:
         return [self.latest_benign[i] for i in sorted(self.latest_benign)]
 
-    def _update(self, turns, picks: Picks, X, y, k: int, lr: float) -> list[ModelVector]:
+    def _update(self, turns, picks: Picks, X, y, lr: float) -> list[ModelVector]:
         """:func:`step_picks`, or ``epochs`` passes of mini-batch SGD over
-        each node's local data."""
+        each node's local data, in orders drawn from its turn's epoch key."""
         if self.epochs is None:
             return step_picks(turns, picks, X, y, lr)
-        return [t.driver._local_passes(s.model, t.node, k, lr)
+        return [t.driver._local_passes(s.model, t.node, lr,
+                                       self._keyed(t.driver, TAG_EPOCH, t.stream))
                 for t, s in zip(turns, picks.selections)]
 
-    def _local_passes(self, model: ModelVector, node: int, k: int, lr: float) -> ModelVector:
+    def _local_passes(self, model: ModelVector, node: int, lr: float,
+                      rng: np.random.Generator) -> ModelVector:
         """``epochs`` passes of mini-batch SGD over ``node``'s local data
-        (batch clamped to its size)."""
+        (batch clamped to its size), each in an order drawn from ``rng``."""
         indices = self.dataset.node_indices(node)
         bs = min(self.batch_size or len(indices), len(indices))
-        rng = np.random.default_rng([self.seed, TAG_EPOCH, node, k])
         for _ in range(self.epochs):
             order = rng.permutation(indices)
             for start in range(0, len(order) - bs + 1, bs):
@@ -511,7 +528,7 @@ def run_rings(rings: Sequence[BasilRing]) -> None:
     lead._prepare((ring, node, (node, k), k)
                   for nodes in zip(*(ring.order for ring in rings))
                   for ring, node in zip(rings, nodes))
-    update = partial(lead._update, k=k, lr=lead.lr_schedule(k))
+    update = partial(lead._update, lr=lead.lr_schedule(k))
     record = partial(SelectionRecord, k, "ring", fanout=lead.connectivity)
     # (driver, node, selected sender, output, batch) of each benign activation
     benign: list = []

@@ -1,10 +1,10 @@
 """Keyed random streams, hashed in bulk.
 
-Every mini-batch and random attack draws from its own stream, the generator
-``np.random.default_rng(key)`` for a key ``[seed, tag, *ids]``.  Building
-that generator (numpy's ``SeedSequence`` hash, then ``PCG64`` seeding) costs
-more than the draw, so a driver hashes all of a pass's keys in one
-vectorised call (:func:`keyed_states`), and :class:`KeyedStreams` sets one
+Every mini-batch, random attack and epoch order draws from its own stream,
+the generator ``np.random.default_rng(key)`` for a key ``[seed, tag, *ids]``.
+Building that generator (numpy's ``SeedSequence`` hash, then ``PCG64``
+seeding) costs more than the draw, so a driver hashes all of a pass's keys in
+one vectorised call (:func:`keyed_states`), and :func:`set_state` sets one
 reused generator to a key's state before each draw.  The states are numpy's
 own, which NEP 19 keeps fixed across versions; the draws are numpy's
 ``Generator`` methods, so every stream is the one ``default_rng(key)`` gives.
@@ -13,7 +13,7 @@ own, which NEP 19 keeps fixed across versions; the draws are numpy's
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,28 +129,10 @@ def keyed_states(keys: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return out
 
 
-class KeyedStreams:
-    """One reused generator, set to ``np.random.default_rng(key)``'s state for
-    each key asked for: from the table :meth:`prepare` hashed in bulk, or
-    hashed on demand for a key it does not hold."""
-
-    def __init__(self):
-        self._bits = np.random.PCG64(0)
-        self._generator = np.random.Generator(self._bits)
-        self._states: dict[tuple[int, ...], tuple[int, int]] = {}
-
-    def prepare(self, keys: Iterable[Sequence[int]]) -> None:
-        """Hash ``keys`` in one call, in place of the table held so far."""
-        keys = [tuple(key) for key in keys]
-        self._states = dict(zip(keys, keyed_states(keys)))
-
-    def __call__(self, key: Sequence[int]) -> np.random.Generator:
-        """The generator, in the state ``np.random.default_rng(key)`` starts in;
-        it stays valid until the next call."""
-        key = tuple(key)
-        state = self._states.get(key)
-        if state is None:
-            (state,) = keyed_states([key])
-        self._bits.state = {"bit_generator": "PCG64", "state": {"state": state[0], "inc": state[1]},
-                            "has_uint32": 0, "uinteger": 0}
-        return self._generator
+def set_state(generator: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
+    """The PCG64 ``generator``, set to a key's :func:`keyed_states` entry:
+    it then draws what ``np.random.default_rng(key)`` would."""
+    generator.bit_generator.state = {"bit_generator": "PCG64",
+                                     "state": {"state": state[0], "inc": state[1]},
+                                     "has_uint32": 0, "uinteger": 0}
+    return generator

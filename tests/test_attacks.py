@@ -1,4 +1,5 @@
 import ast
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from basilsim.attacks import (
 )
 from basilsim.errors import ConfigError
 from basilsim.models import ModelVector
-from basilsim.streams import KeyedStreams
+from basilsim.streams import keyed_states, set_state
 
 SHAPE_1 = (("x", (4,)),)
 SHAPE_3 = (("a", (5,)), ("b", (3,)), ("c", (2,)))
@@ -120,7 +121,7 @@ class TestHidden:
         out = apply_attack(
             spec, honest_update=honest, prior=honest,
             benign_models=[mv([9.0, 9.0, 9.0, 9.0])],
-            round_k=19, key=[0], streams=KeyedStreams(),
+            round_k=19, rng=None,
         )
         assert np.array_equal(out.params, honest.params)
 
@@ -161,7 +162,7 @@ class TestSpecAndDispatch:
         honest = mv([1.0, 2.0, 3.0, 4.0])
         outs = [
             apply_attack(spec, honest_update=honest, prior=honest,
-                         benign_models=[], round_k=3, key=[4, 2], streams=KeyedStreams()).params
+                         benign_models=[], round_k=3, rng=np.random.default_rng([4, 2])).params
             for _ in range(2)
         ]
         assert np.array_equal(outs[0], outs[1])
@@ -174,32 +175,32 @@ class TestSpecAndDispatch:
             ("random-sign-flip", sign_flip_attack(honest, np.random.default_rng(key))),
         ):
             out = apply_attack(AttackSpec.make(kind), honest_update=honest, prior=honest,
-                               benign_models=[], round_k=1, key=key, streams=KeyedStreams())
+                               benign_models=[], round_k=1, rng=np.random.default_rng(key))
             assert out.params.tobytes() == want.params.tobytes(), kind
             assert out.shape == want.shape
 
     @pytest.mark.parametrize("key", [(7, 0xA3, 2, 5), (0, 0xA3, 0, 0), (2**33 + 1, 0xC2, 1, 4, 3)])
     def test_random_attacks_equal_their_default_rng_streams(self, key):
+        # from the bulk-hashed state, set on one reused generator
         honest = ModelVector(np.arange(1.0, 11.0), SHAPE_3)
-        ahead, on_demand = KeyedStreams(), KeyedStreams()
-        ahead.prepare([key, (1, 2, 3, 4)])
+        state, other = keyed_states([key, (1, 2, 3, 4)])
+        generator = np.random.Generator(np.random.PCG64(0))
         for kind, want in (
             ("gaussian", gaussian_attack(SHAPE_3, np.random.default_rng(list(key)))),
             ("random-sign-flip", sign_flip_attack(honest, np.random.default_rng(list(key)))),
         ):
-            for streams in (ahead, on_demand):
-                # a half-used 32-bit draw of another stream leaves nothing behind
-                streams((1, 2, 3, 4)).integers(0, 7, size=3)
-                out = apply_attack(AttackSpec.make(kind), honest_update=honest, prior=honest,
-                                   benign_models=[], round_k=1, key=key, streams=streams)
-                assert out.params.tobytes() == want.params.tobytes(), kind
+            # a half-used 32-bit draw of another stream leaves nothing behind
+            set_state(generator, other).integers(0, 7, size=3)
+            out = apply_attack(AttackSpec.make(kind), honest_update=honest, prior=honest,
+                               benign_models=[], round_k=1, rng=set_state(generator, state))
+            assert out.params.tobytes() == want.params.tobytes(), kind
 
     def test_all_attacks_preserve_shape(self):
         honest = ModelVector(np.ones(10), SHAPE_3)
         for kind in ("gaussian", "random-sign-flip", "hidden", "inverse"):
             spec = AttackSpec.make(kind, activation_round=0)
             out = apply_attack(spec, honest_update=honest, prior=honest,
-                               benign_models=[honest], round_k=5, key=[0], streams=KeyedStreams())
+                               benign_models=[honest], round_k=5, rng=np.random.default_rng(0))
             assert out.shape == SHAPE_3
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -217,7 +218,7 @@ class TestSpecAndDispatch:
                 for pool in ([], [ModelVector(rng.standard_normal(10), SHAPE_3)]):
                     outs = [apply_attack(spec, honest_update=honest, prior=prior,
                                          benign_models=pool, round_k=round_k,
-                                         key=[5, round_k], streams=KeyedStreams())
+                                         rng=np.random.default_rng([5, round_k]))
                             .params.tobytes()
                             for honest, prior in pairs]
                     ignored = ignores_honest_update(spec, benign_models=pool, round_k=round_k)
@@ -252,12 +253,18 @@ def callers(name: str, sources: dict[str, str] | None = None) -> set[str]:
                 found.add(scope)
             visit(child, scope)
 
-    if sources is None:
-        sources = {path.stem: path.read_text()
-                   for path in sorted(Path(basilsim.__file__).parent.glob("*.py"))}
-    for module, source in sources.items():
-        visit(ast.parse(source), module)
+    trees = package_trees() if sources is None else {
+        module: ast.parse(source) for module, source in sources.items()}
+    for module, tree in trees.items():
+        visit(tree, module)
     return found
+
+
+@cache
+def package_trees() -> dict[str, ast.Module]:
+    """Each package module's syntax tree, by module name, parsed once."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(basilsim.__file__).parent.glob("*.py"))}
 
 
 def test_a_dotted_name_is_matched_on_its_receiver():
@@ -295,10 +302,11 @@ def mix(dataset, other):
 #: a pass's train losses, the one shared step of a wave's picks, and
 #: ``sgd_step`` and ``evaluate_loss``, each a wave of one model: ``sgd_step``
 #: for the local passes of epochs mode alone, and ``evaluate_loss`` for no
-#: caller in the package.  Every batch and random attack draws from a stream
-#: whose state the bulk hash computed, for a pass's keys in one call.  One
-#: method decides which Byzantine turns skip their pick, for the activation
-#: and for the batches drawn ahead of it
+#: caller in the package.  Every batch, random attack and epoch order draws
+#: from a stream whose state the bulk hash computed, for a pass's keys in one
+#: call at its start, and taken from that table by one method.  One method
+#: decides which Byzantine turns skip their pick, for the activation and for
+#: the batches drawn ahead of it
 SOLE_CALLERS = [
     ("activate", {"ring.run_rings", "basil_plus.BasilPlusDriver._stage",
                   "baselines.GraphDriver.run_round"}),
@@ -318,10 +326,12 @@ SOLE_CALLERS = [
     # the one step of a wave's picks, which gossip and the graph's Byzantine
     # nodes take as their update outright
     ("step_picks", {"ring.BasilRing._update", "baselines.ubar_rule.update"}),
-    # the keyed draws: each pass's keys hashed in one call, a key not hashed
-    # ahead by the same function on demand
-    ("keyed_states", {"streams.KeyedStreams.prepare", "streams.KeyedStreams.__call__"}),
-    ("streams.prepare", {"ring.Driver._prepare"}),
+    # the keyed draws: each pass's keys hashed in one call, and each state set
+    # on the driver's generator as its draw takes it, a batch's in the same
+    # call, an attack's in the activation and an epoch order's in the update
+    ("keyed_states", {"ring.Driver._prepare"}),
+    ("set_state", {"ring.Driver._keyed"}),
+    ("_keyed", {"ring.Driver._prepare", "ring.Driver.activate", "ring.BasilRing._update"}),
     ("_prepare", {"ring.run_rings", "basil_plus.BasilPlusDriver.run_global_round",
                   "baselines.GraphDriver.run_round"}),
 ]
@@ -334,10 +344,17 @@ def test_one_activation_decides_and_applies_the_attack(name, expected):
 
 
 def test_batch_and_attack_draws_build_no_generator_of_their_own():
-    # they draw from the caller's bulk-hashed streams, with no default_rng
-    # path and no streams of their own beside them
-    for name in ("default_rng", "Generator", "KeyedStreams"):
-        assert not callers(name) & {"ring.local_batch", "attacks.apply_attack"}, name
+    # they draw from the generator they are handed, set to a bulk-hashed
+    # state, with no default_rng path and no hashing of their own
+    for name in ("default_rng", "Generator", "PCG64", "keyed_states", "set_state"):
+        assert not callers(name) & {"ring.local_batch", "attacks.apply_attack",
+                                    "ring.BasilRing._local_passes"}, name
+
+
+def test_the_ring_builds_a_generator_only_for_its_order_and_placement():
+    # every other draw of the drivers takes the driver's one generator
+    assert {c for c in callers("default_rng") if c.startswith("ring.")} == {
+        "ring.agree_order", "ring.sample_byzantine_ids"}
 
 
 def test_no_task_computes_a_gradient_beside_the_wave():

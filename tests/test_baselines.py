@@ -20,7 +20,6 @@ from basilsim.ring import (
     local_batch,
     sample_byzantine_ids,
 )
-from basilsim.streams import KeyedStreams
 
 
 def quad_setup(n_nodes, dim=3, noise=0.0, seed=0):
@@ -192,7 +191,8 @@ class TestGPlain:
             driver.models[node] = task.make_model(task.x_star + 5.0 * node)
         expected = driver.models[0].params
         for k in range(1, 5):
-            X, _ = dataset.batch(local_batch(dataset, 0, 10, [3, TAG_BATCH, 0, k], KeyedStreams()))
+            X, _ = dataset.batch(local_batch(dataset, 0, 10,
+                                             np.random.default_rng([3, TAG_BATCH, 0, k])))
             expected = expected - default_lr(k) * quad_gradient(task, expected, X)
         driver.run(4)
         assert np.array_equal(driver.models[0].params, expected)

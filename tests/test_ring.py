@@ -5,14 +5,17 @@ from functools import partial
 import numpy as np
 import pytest
 
+import basilsim.ring as ring_module
 from basilsim import attacks
 from basilsim.attacks import AttackSpec, ignores_honest_update
-from basilsim.basil_plus import TAG_STAGE_BATCH, BasilPlusDriver, cluster_nodes
+from basilsim.basil_plus import TAG_STAGE_ATTACK, TAG_STAGE_BATCH, BasilPlusDriver, cluster_nodes
 from basilsim.data import Dataset, make_cluster_dataset, make_quadratic_dataset, partition
 from basilsim.errors import ConfigError, NumericFaultError, ProtocolError
 from basilsim.models import MlpTask, QuadraticTask, SoftmaxTask, sgd_step, step_winners
 from basilsim.ring import (
+    TAG_ATTACK,
     TAG_BATCH,
+    TAG_EPOCH,
     BasilRing,
     Driver,
     StoredModels,
@@ -23,7 +26,7 @@ from basilsim.ring import (
     run_rings,
     sample_byzantine_ids,
 )
-from basilsim.streams import KeyedStreams, keyed_states
+from basilsim.streams import keyed_states, set_state
 from test_models import plain_loss, ref_step
 
 
@@ -268,7 +271,7 @@ class TestWorkDoneOncePerPass:
     def test_a_turn_not_drawn_ahead_is_a_protocol_error(self):
         task, train, _ = cluster_setup(n_nodes=4)
         ring = BasilRing(range(4), frozenset(), 1, 3, task, train, batch_size=5)
-        update = partial(ring._update, k=1, lr=0.1)
+        update = partial(ring._update, lr=0.1)
         turn = ring._turn(0, 1)
         with pytest.raises(ProtocolError, match="no batch drawn ahead"):
             ring.activate([turn], basil_select, update, None, 1)
@@ -282,6 +285,20 @@ class TestWorkDoneOncePerPass:
         ring._prepare([(ring, turn.node, (turn.node, 2), 2)])
         with pytest.raises(ProtocolError, match="no batch drawn ahead"):
             ring.activate([turn], basil_select, update, None, 1)
+        # an attack drawn in a pass prepared for a turn that no attack replaces
+        ring = BasilRing(range(4), frozenset({turn.node}), 1, 3, task, train, batch_size=5,
+                         attack=AttackSpec.make("random-sign-flip"))
+        turn = ring._turn(0, 1)
+        ring._prepare([(ring, turn.node, turn.stream, None)])
+        with pytest.raises(ProtocolError, match="no draw prepared"):
+            ring.activate([turn], basil_select, partial(ring._update, lr=0.1), None, 1)
+        # local passes of a ring put in epochs mode after its pass was prepared
+        ring = BasilRing(range(4), frozenset(), 1, 3, task, train, batch_size=5)
+        turn = ring._turn(0, 1)
+        ring._prepare([(ring, turn.node, turn.stream, 1)])
+        ring.epochs = 1
+        with pytest.raises(ProtocolError, match="no draw prepared"):
+            ring.activate([turn], basil_select, partial(ring._update, lr=0.1), None, 1)
 
     def test_a_pass_draws_the_keyed_choices_in_one_gather_per_batch_length(self, monkeypatch):
         task, train, _ = cluster_setup(n_nodes=6, samples=120)
@@ -626,7 +643,7 @@ def numpy_state(key):
 class TestKeyedStreams:
     """The bulk-hashed states and the draws from them are numpy's own, so a
     numpy that changes its seeding fails here by name, not only in the
-    golden digests."""
+    golden digests; and a pass hashes each key it draws, once."""
 
     @pytest.mark.parametrize("keys", [
         pytest.param([(6, 0xA2, node, k) for node in range(6) for k in (1, 2, 50)],
@@ -649,48 +666,29 @@ class TestKeyedStreams:
         with pytest.raises(ValueError):
             keyed_states([(6, -1)])
 
-    def test_basil_plus_hashes_every_draw_ahead_at_a_seed_past_two_to_the_15(
-            self, monkeypatch):
+    @pytest.mark.parametrize("grouped, kind, activation_round, seed, epochs", [
+        pytest.param(False, "gaussian", 1, 3, None, id="gaussian-ring"),
+        pytest.param(True, "gaussian", 1, 3, None, id="gaussian-basil-plus"),
+        pytest.param(False, "hidden", 1, 3, None, id="hidden-ring"),
+        pytest.param(True, "hidden", 1, 3, None, id="hidden-basil-plus"),
+        # no attack key is hashed before the attack's round
+        pytest.param(False, "gaussian", 3, 3, None, id="gaussian-from-round-3-ring"),
         # group seeds are seed * 131071 + g + 1, past 2^32 from seed 32,768
-        prepared, drawn = [], []
-        prepare, call = KeyedStreams.prepare, KeyedStreams.__call__
-
-        def record_prepare(streams, keys):
-            keys = [tuple(key) for key in keys]
-            prepared.extend(keys)
-            prepare(streams, keys)
-
-        def record_call(streams, key):
-            drawn.append(tuple(key))
-            return call(streams, key)
-
-        monkeypatch.setattr(KeyedStreams, "prepare", record_prepare)
-        monkeypatch.setattr(KeyedStreams, "__call__", record_call)
-        task, train, _ = cluster_setup(n_nodes=8, samples=320)
-        driver = BasilPlusDriver(2, frozenset({1, 6}), 2, 40_000, task, train, n_nodes=8,
-                                 attack=AttackSpec.make("random-sign-flip"), batch_size=5)
-        driver.run(2)
-        assert min(ring.seed for ring in driver.rings) > 2**32
-        assert {len(key) for key in prepared} == {4, 5}
-        # every batch and attack draw was hashed ahead, in the pass's one call
-        assert drawn and set(drawn) <= set(prepared)
-        assert keyed_states(prepared) == [numpy_state(key) for key in prepared]
-
-    @pytest.mark.parametrize("grouped", [False, True], ids=["ring", "basil-plus"])
-    @pytest.mark.parametrize("kind", ["gaussian", "hidden"])
+        pytest.param(True, "random-sign-flip", 0, 40_000, 2,
+                     id="sign-flip-epochs-basil-plus-at-seed-40000"),
+    ])
     def test_keys_of_turns_whose_attack_ignores_the_pick_are_not_hashed(
-            self, monkeypatch, grouped, kind):
+            self, monkeypatch, grouped, kind, activation_round, seed, epochs):
         prepared, drawn, picked = [], [], set()
-        prepare, call, activate = KeyedStreams.prepare, KeyedStreams.__call__, Driver.activate
+        hashed, keyed, activate = ring_module.keyed_states, Driver._keyed, Driver.activate
 
-        def record_prepare(streams, keys):
-            keys = [tuple(key) for key in keys]
+        def record_hash(keys):
             prepared.extend(keys)
-            prepare(streams, keys)
+            return hashed(keys)
 
-        def record_call(streams, key):
-            drawn.append(tuple(key))
-            return call(streams, key)
+        def record_keyed(lead, driver, tag, stream):
+            drawn.append((driver.seed, tag, *stream))
+            return keyed(lead, driver, tag, stream)
 
         def record_activate(driver, turns, *args):
             results = activate(driver, turns, *args)
@@ -698,24 +696,27 @@ class TestKeyedStreams:
                           for t, (_, selection, _) in zip(turns, results) if selection)
             return results
 
-        monkeypatch.setattr(KeyedStreams, "prepare", record_prepare)
-        monkeypatch.setattr(KeyedStreams, "__call__", record_call)
+        monkeypatch.setattr(ring_module, "keyed_states", record_hash)
+        monkeypatch.setattr(Driver, "_keyed", record_keyed)
         monkeypatch.setattr(Driver, "activate", record_activate)
         task, train, _ = cluster_setup(n_nodes=8, samples=320)
-        byzantine, attack = frozenset({1, 6}), AttackSpec.make(kind, 1)
+        byzantine, attack = frozenset({1, 6}), AttackSpec.make(kind, activation_round)
         if grouped:
-            driver = BasilPlusDriver(2, byzantine, 2, 3, task, train, n_nodes=8, attack=attack,
-                                     batch_size=5)
+            driver = BasilPlusDriver(2, byzantine, 2, seed, task, train, n_nodes=8, attack=attack,
+                                     batch_size=5, epochs=epochs)
             rings = driver.rings
         else:
-            driver = BasilRing(range(8), byzantine, 2, 3, task, train, attack=attack,
-                               batch_size=5)
+            driver = BasilRing(range(8), byzantine, 2, seed, task, train, attack=attack,
+                               batch_size=5, epochs=epochs)
             rings = [driver]
         driver.run(3)
         # each key hashed is drawn, once
         assert len(set(drawn)) == len(drawn) and sorted(drawn) == sorted(prepared)
+        assert {key[-1] for key in prepared if key[1] in (TAG_ATTACK, TAG_STAGE_ATTACK)} == (
+            set(range(max(activation_round, 1), 4)) if attack.kind != "hidden" else set())
+        assert len([key for key in prepared if key[1] == TAG_EPOCH]) == (8 * 3 if epochs else 0)
         unused = {key for key in drawn if key[1] in (TAG_BATCH, TAG_STAGE_BATCH)} - picked
-        if kind == "gaussian":
+        if kind != "hidden":
             assert not unused
         else:
             # the hidden attack reads the pool, empty at the start of the first
@@ -725,6 +726,38 @@ class TestKeyedStreams:
                               for p, node in enumerate(ring.order)
                               if node in byzantine and not byzantine.issuperset(ring.order[:p])}
             assert unused
+        if seed > 2**15:
+            assert min(ring.seed for ring in rings) > 2**32
+            assert {len(key) for key in prepared} == {4, 5}
+            assert keyed_states(prepared) == [numpy_state(key) for key in prepared]
+
+    @pytest.mark.parametrize("kind, epochs", [
+        ("gaussian", None), ("random-sign-flip", None), ("random-sign-flip", 2)])
+    def test_a_pass_draws_what_each_keys_default_rng_draws(self, monkeypatch, kind, epochs):
+        def run():
+            task, train, test = cluster_setup(n_nodes=8, samples=320)
+            ring = BasilRing(range(8), frozenset({1, 6}), 2, 5, task, train,
+                             attack=AttackSpec.make(kind), batch_size=5, epochs=epochs,
+                             test_set=test)
+            ring.run(3)
+            return ring
+
+        bulk, taken, keyed = run(), [], Driver._keyed
+
+        def fresh(lead, driver, tag, stream):
+            # takes the prepared state, then draws as default_rng(key) does
+            keyed(lead, driver, tag, stream)
+            taken.append(tag)
+            return np.random.default_rng([driver.seed, tag, *stream])
+
+        monkeypatch.setattr(Driver, "_keyed", fresh)
+        plain = run()
+        assert set(taken) == {TAG_BATCH, TAG_ATTACK} | ({TAG_EPOCH} if epochs else set())
+        assert plain.history.rows == bulk.history.rows
+        assert plain.history.selections == bulk.history.selections
+        for node in range(8):
+            assert (plain.latest_output[node].params.tobytes()
+                    == bulk.latest_output[node].params.tobytes()), node
 
     @pytest.mark.parametrize("shard, size", [
         (1, 1), (2, 1), (30, 1), (30, 8), (30, 29), (200, 80),
@@ -737,11 +770,9 @@ class TestKeyedStreams:
                           partition={3: np.arange(7, shard + 7)})
         indices = dataset.node_indices(3)
         keys = [(seed, TAG_BATCH, 3, k) for seed in (0, 6, 2027, 2**33) for k in (1, 2)]
-        streams = KeyedStreams()
-        # half the keys hashed ahead, half on demand
-        streams.prepare(keys[::2])
-        for key in keys:
-            got = local_batch(dataset, 3, size, key, streams)
+        generator = np.random.Generator(np.random.PCG64(0))
+        for key, state in zip(keys, keyed_states(keys)):
+            got = local_batch(dataset, 3, size, set_state(generator, state))
             if size is None or size >= shard:
                 assert got is indices
             else:
